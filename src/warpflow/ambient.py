@@ -88,17 +88,6 @@ class WarpedSpace:
         """|N| for fiber dimension n: c^n times the unit-sphere area."""
         return self.fiber_scale**n * sphere_area(n)
 
-    def check_radius(self, r) -> None:
-        """Raise if any value leaves the open radial domain (a, b)."""
-        r = np.asarray(r, dtype=float)
-        if not np.all(np.isfinite(r)):
-            raise ValueError("non-finite radius value")
-        if np.any(r <= self.a) or np.any(r >= self.b):
-            bad = float(r.flat[int(np.argmax((r <= self.a) | (r >= self.b)))])
-            raise ValueError(
-                f"radius {bad} outside the ambient domain ({self.a}, {self.b})"
-            )
-
 
 def _space_form_evaluators(K: int):
     if K == 0:

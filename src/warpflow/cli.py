@@ -21,7 +21,7 @@ import numpy as np
 
 from . import inequalities as ineq
 from .ambient import WarpedSpace, parse_space_spec, probe_assumptions
-from .flows import FlowSpec, FlowTrace, evolve
+from .flows import FlowSpec, FlowTrace, Monotone, evolve, monotones
 from .surface import (
     RadialGraph,
     dump_surface_csv,
@@ -226,7 +226,8 @@ def _fmt_float(x) -> str:
 
 # ---------------------------------------------------------------- evolve
 
-def _trace_columns(trace: FlowTrace, series: dict[str, np.ndarray]) -> list[tuple[str, list]]:
+def _trace_columns(trace: FlowTrace, series: dict[str, np.ndarray],
+                   rows: list[Monotone]) -> list[tuple[str, list]]:
     spec = trace.spec
     n = trace.n
     first = trace.samples[0].report
@@ -243,17 +244,7 @@ def _trace_columns(trace: FlowTrace, series: dict[str, np.ndarray]) -> list[tupl
                      [s.report.momentum(k) for s in trace.samples]))
     for k in range(1, n + 1):
         cols.append((f"phiE{k}", [s.report.phi_curvature(k) for s in trace.samples]))
-    for name, vals in series.items():
-        if name == "newton_maclaurin_margin":
-            continue
-        if spec.kind == "hyperbolic_sx":
-            label = ("monotone_hyp_lhs" if name.startswith("phiE")
-                     else f"monotone_hyp_{name}")
-        elif spec.kind == "sphere_bgl":
-            label = "monotone_sph_lhs"
-        else:
-            label = name
-        cols.append((label, list(vals)))
+    cols += [(m.label or m.name, list(series[m.name])) for m in rows]
     cols.append(("minH", [s.class_report.min_H for s in trace.samples]))
     for j in range(1, spec.k + 1):
         cols.append((f"minE{j}", [s.class_report.min_E[j] for s in trace.samples]))
@@ -288,22 +279,14 @@ def _write_table(path, columns: list[tuple[str, list]], fmt: str, meta: dict) ->
             out.close()
 
 
-def _series_monotone_ok(series: dict[str, np.ndarray], spec: FlowSpec) -> list[str]:
+def _series_monotone_ok(series: dict[str, np.ndarray], spec: FlowSpec,
+                        rows: list[Monotone]) -> list[str]:
     """Names of series that violate their expected direction beyond eps_mono."""
-    bad = []
-    for name, vals in series.items():
-        if name == "newton_maclaurin_margin":
-            if np.min(vals) < -1e-10:
-                bad.append(name)
-            continue
-        nondecreasing = name.startswith("W_")
-        steps = np.diff(vals)
-        scale = spec.eps_mono * np.maximum(np.abs(vals[1:]), np.abs(vals[:-1]))
-        if nondecreasing:
-            if np.any(steps < -scale):
-                bad.append(name)
-        elif np.any(steps > scale):
-            bad.append(name)
+    bad = [m.name for m in rows
+           if np.any(m.wrong_way(series[m.name][:-1], series[m.name][1:], spec.eps_mono))]
+    margin = series.get("newton_maclaurin_margin")
+    if margin is not None and np.min(margin) < -1e-10:
+        bad.append("newton_maclaurin_margin")
     return bad
 
 
@@ -324,14 +307,15 @@ def cmd_evolve(cfg: RunConfig) -> int:
     graph = _build_surface(cfg, space, grid)
 
     trace = evolve(space, graph, spec)
-    ks = sorted(trace.samples[0].report.momenta) if kind == "imcf" else None
+    ks = sorted(trace.samples[0].report.momenta)
     series = ineq.monotone_series(space, trace, spec, ks=ks)
-    columns = _trace_columns(trace, series)
+    rows = monotones(spec, trace.n, ks)
+    columns = _trace_columns(trace, series, rows)
     meta = {"config": cfg.to_dict(), "termination": list(trace.termination),
             "findings": trace.findings}
     _write_table(cfg.out, columns, cfg.fmt, meta)
 
-    bad = _series_monotone_ok(series, spec)
+    bad = _series_monotone_ok(series, spec, rows)
     if trace.findings or bad:
         for name in bad:
             print(f"finding: series {name} moves the wrong way", file=sys.stderr)
@@ -500,15 +484,24 @@ def cmd_probe(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------- sweep
 
 def _expand_range(text: str) -> list[float]:
-    parts = text.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) == 2:
-        lo, hi = float(parts[0]), float(parts[1])
-        return [float(v) for v in range(int(lo), int(hi) + 1)]
-    lo, hi, step = map(float, parts)
-    count = int(round((hi - lo) / step)) + 1
-    return [lo + i * step for i in range(count)]
+    """A sweep value: ``v``, integer ``lo:hi``, or ``lo:hi:step`` with hi reachable."""
+    try:
+        nums = [float(p) for p in text.split(":")]
+    except ValueError:
+        nums = []
+    if not 1 <= len(nums) <= 3 or not all(map(math.isfinite, nums)):
+        raise UsageError(f"sweep value {text!r} is not v, lo:hi or lo:hi:step")
+    if len(nums) == 1:
+        return nums
+    if len(nums) == 2 and not all(v.is_integer() for v in nums):
+        raise UsageError(f"sweep range {text!r}: lo:hi takes integers, use lo:hi:step")
+    lo, hi, step = nums if len(nums) == 3 else (*nums, 1.0)
+    if step == 0:
+        raise UsageError(f"sweep range {text!r} has step 0")
+    vals = [lo + i * step for i in range(int(round((hi - lo) / step)) + 1)]
+    if not vals:
+        raise UsageError(f"sweep range {text!r} is empty")
+    return vals
 
 
 def _sweep_members(surface_spec: str) -> list[tuple[str, dict]]:

@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -40,6 +42,7 @@ from .ambient import WarpedSpace
 from .grid import SphereGrid
 from .quantities import (
     QuantityReport,
+    _gamma_term,
     full_report,
     quermassintegrals,
     surface_integral,
@@ -58,6 +61,10 @@ __all__ = [
     "FlowTrace",
     "TraceSample",
     "ConeViolation",
+    "LazyReport",
+    "Monotone",
+    "MONOTONES",
+    "monotones",
     "speed",
     "step",
     "evolve",
@@ -199,54 +206,93 @@ def _dt_bound(spec: FlowSpec, space: WarpedSpace, fields: GeometryFields,
     return min(dt_cfl, dt_cap)
 
 
-def _monitor_values(spec: FlowSpec, space: WarpedSpace, graph: RadialGraph,
-                    fields: GeometryFields) -> dict[str, tuple[float, int]]:
-    """Tracked monotone quantities: name -> (value, expected direction).
+class LazyReport:
+    """QuantityReport's accessors over one surface, each integral computed when
+    asked, so the step guard pays only for what its rows read; quermassintegrals
+    run at most once."""
 
-    Direction -1 means nonincreasing along the flow, +1 nondecreasing.
-    Values computed on the (possibly renormalized) stored graph; all
-    nonincreasing monitors here are scale invariant in the euclidean ambient.
-    """
-    n, k = fields.n, spec.k
-    out: dict[str, tuple[float, int]] = {}
-    if spec.kind == "imcf":
-        kf = float(k)
-        mom = surface_integral(fields, fields.lam**kf)
-        wv = weighted_volume(space, graph, kf)
-        if space.has_inner_boundary:
-            lam_a = float(space.lam(space.a))
-            gamma = lam_a**kf * lam_a**n * space.fiber_area(n)
-        else:
-            gamma = 0.0
-        q = fields.area ** (-(n + kf) / n) * (mom - kf * wv - kf / (n + kf) * gamma)
-        out[f"Q_imcf_{k}"] = (q, -1)
-        return out
+    def __init__(self, space: WarpedSpace, graph: RadialGraph, fields: GeometryFields):
+        self.space, self.graph, self.fields = space, graph, fields
+        self.area = fields.area
 
-    W, _ = quermassintegrals(space, graph, fields)
-    phi_ek = surface_integral(fields, space.phi(graph.u) * fields.E[k])
-    lhs = phi_ek + k * W[k - 1]
-    if spec.kind == "euclidean_inverse":
-        qk = W[k] ** (-(n + 2 - k) / (n + 1 - k)) * lhs
-        out[f"Qk_euclid_{k}"] = (qk, -1)
-    elif spec.kind == "hyperbolic_sx":
-        out[f"phiE{k}_plus_{k}W{k - 1}"] = (lhs, -1)
-        out["W_0"] = (float(W[0]), +1)
-        out["W_1"] = (float(W[1]), +1)
-    else:  # sphere_bgl
-        out[f"phiE{k}_plus_{k}W{k - 1}"] = (lhs, -1)
-    return out
+    def momentum(self, k: float) -> float:
+        return surface_integral(self.fields, self.fields.lam**k)
+
+    def weighted_vol(self, k: float) -> float:
+        return weighted_volume(self.space, self.graph, k)
+
+    def gamma_term(self, k: float) -> float:
+        return _gamma_term(self.space, self.fields.n, k)
+
+    @cached_property
+    def quermass(self) -> np.ndarray:
+        return quermassintegrals(self.space, self.graph, self.fields)[0]
+
+    def W(self, k: int) -> float:
+        return float(self.quermass[k])
+
+    def phi_curvature(self, k: int) -> float:
+        return surface_integral(self.fields, self.space.phi(self.graph.u) * self.fields.E[k])
 
 
-def _wrong_way(old: dict[str, tuple[float, int]], new: dict[str, tuple[float, int]],
-               eps: float) -> str | None:
-    for name, (val_old, direction) in old.items():
-        val_new = new[name][0]
-        scale = max(abs(val_old), abs(val_new), 1e-300)
-        if direction < 0 and val_new - val_old > eps * scale:
-            return name
-        if direction > 0 and val_old - val_new > eps * scale:
-            return name
-    return None
+def q_imcf_value(n: int, k: float) -> Callable:
+    """|Sigma|^{-(n+k)/n} (int lambda^k dmu - k int lambda^{k-1} lambda' dv
+                          - k/(n+k) lambda^k(a) |Gamma|) of a report."""
+    return lambda r: r.area ** (-(n + k) / n) * (
+        r.momentum(k) - k * r.weighted_vol(k) - k / (n + k) * r.gamma_term(k))
+
+
+def phi_quermass_value(k: int) -> Callable:
+    """int Phi E_k dmu + k W_{k-1} of a report."""
+    return lambda r: r.phi_curvature(k) + k * r.W(k - 1)
+
+
+def q_k_value(n: int, k: int) -> Callable:
+    """W_k^{-(n+2-k)/(n+1-k)} (int Phi E_k dmu + k W_{k-1}) of a report."""
+    lhs = phi_quermass_value(k)
+    return lambda r: r.W(k) ** (-(n + 2 - k) / (n + 1 - k)) * lhs(r)
+
+
+@dataclass(frozen=True)
+class Monotone:
+    """One quantity that a flow moves in one direction; `value` reads a
+    QuantityReport or a LazyReport, `label` names the evolve trace column."""
+
+    name: str
+    direction: int               # -1 nonincreasing along the flow, +1 nondecreasing
+    value: Callable
+    label: str | None = None     # None: the name
+
+    def wrong_way(self, old, new, eps: float):
+        """Whether old -> new moves against the direction by more than eps relative."""
+        scale = np.maximum(np.maximum(np.abs(old), np.abs(new)), 1e-300)
+        return self.direction * (new - old) < -eps * scale
+
+
+def _phi_quermass_row(k: int, label: str) -> Monotone:
+    return Monotone(f"phiE{k}_plus_{k}W{k - 1}", -1, phi_quermass_value(k), label)
+
+
+# flow kind -> rows(n, k, ks, ells): the guard, monotone_series, the evolve
+# columns and the CLI findings all read these.  ks are the imcf exponents
+# and ells the hyperbolic quermassintegrals to track.
+MONOTONES = {
+    "imcf": lambda n, k, ks, ells: [
+        Monotone(f"Q_imcf_{j:g}", -1, q_imcf_value(n, j)) for j in ks],
+    "euclidean_inverse": lambda n, k, ks, ells: [
+        Monotone(f"Qk_euclid_{k}", -1, q_k_value(n, k))],
+    "hyperbolic_sx": lambda n, k, ks, ells: [
+        _phi_quermass_row(k, "monotone_hyp_lhs"),
+        *(Monotone(f"W_{ell}", +1, lambda r, ell=ell: r.W(ell), f"monotone_hyp_W_{ell}")
+          for ell in ells)],
+    "sphere_bgl": lambda n, k, ks, ells: [_phi_quermass_row(k, "monotone_sph_lhs")],
+}
+
+
+def monotones(spec: FlowSpec, n: int, ks=None, ells=(0, 1)) -> list[Monotone]:
+    """The monotone quantities of spec's flow; imcf tracks ks (default spec.k)."""
+    ks = (float(spec.k),) if ks is None else tuple(ks)
+    return MONOTONES[spec.kind](n, spec.k, ks, ells)
 
 
 def _required_cone_holds(spec: FlowSpec, fields: GeometryFields) -> bool:
@@ -282,6 +328,7 @@ class TraceSample:
     class_report: ClassReport
     max_speed: float
     dt: float
+    newton_maclaurin_margin: float | None   # min(E_k^2 - E_{k+1} E_{k-1}), n >= 2
 
 
 @dataclass
@@ -299,9 +346,6 @@ class FlowTrace:
     @property
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.samples])
-
-    def series(self, getter) -> np.ndarray:
-        return np.array([getter(s) for s in self.samples])
 
     def quermass_series(self, k: int) -> np.ndarray:
         return np.array([s.report.W(k) for s in self.samples])
@@ -347,11 +391,22 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
         rep = full_report(space, g_phys, ks=report_ks, fields=f_phys)
         cls = convexity_class(f_phys, space, g_phys, spec.k)
         f_speed = speed(spec, space, f_phys)
+        E = f_phys.E
+        margin = (min(float((E[j]**2 - E[j + 1] * E[j - 1]).min()) for j in range(1, n))
+                  if n >= 2 else None)
         trace.samples.append(TraceSample(
             t=t, u=u_phys.copy(), log_scale=log_scale, report=rep,
             class_report=cls, max_speed=float(np.max(np.abs(f_speed))),
-            dt=dt_used,
+            dt=dt_used, newton_maclaurin_margin=margin,
         ))
+
+    # evaluated on the stored graph: the renormalized euclidean flows have
+    # scale-invariant monotone quantities only
+    guard = monotones(spec, n)
+
+    def guard_values(g: RadialGraph, flds: GeometryFields) -> list[float]:
+        lazy = LazyReport(space, g, flds)
+        return [m.value(lazy) for m in guard]
 
     u = graph0.u.copy()
     log_scale = 0.0
@@ -362,7 +417,7 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
     graph = graph0
     f_now = speed(spec, space, fields)
     F0 = polar_filter(f_now * fields.v)
-    monitors = _monitor_values(spec, space, graph, fields)
+    monitors = guard_values(graph, fields)
     dt_prev = math.inf
     eps_t = 1e-12 * spec.t_final
     next_report = min(spec.report_dt, spec.t_final)
@@ -416,16 +471,17 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
                 dt *= 0.5
                 continue
 
-            monitors_cand = _monitor_values(spec, space, graph_cand, fields_cand)
-            bad = _wrong_way(monitors, monitors_cand, spec.eps_mono)
+            monitors_cand = guard_values(graph_cand, fields_cand)
+            bad = next((i for i, m in enumerate(guard)
+                        if m.wrong_way(monitors[i], monitors_cand[i], spec.eps_mono)), None)
             if bad is not None and guard_halvings < _MAX_GUARD_HALVINGS:
                 guard_halvings += 1
                 dt *= 0.5
                 continue
             if bad is not None:
                 trace.findings.append({
-                    "t": t + dt, "quantity": bad,
-                    "old": monitors[bad][0], "new": monitors_cand[bad][0],
+                    "t": t + dt, "quantity": guard[bad].name,
+                    "old": monitors[bad], "new": monitors_cand[bad],
                     "note": "persistent wrong-way move after halvings",
                 })
             break

@@ -24,8 +24,17 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .ambient import WarpedSpace, sphere_area
-from .flows import FlowSpec, FlowTrace
+from .flows import (
+    FlowSpec,
+    FlowTrace,
+    LazyReport,
+    monotones,
+    phi_quermass_value,
+    q_imcf_value,
+    q_k_value,
+)
 from .quantities import (
+    _gamma_term,
     _radial_integral,
     quermassintegrals,
     surface_integral,
@@ -103,13 +112,6 @@ def _class_flags(space: WarpedSpace, graph: RadialGraph,
         return {}
 
 
-def _gamma_term(space: WarpedSpace, n: int, k: float) -> float:
-    if not space.has_inner_boundary:
-        return 0.0
-    lam_a = float(space.lam(space.a))
-    return lam_a**k * lam_a**n * space.fiber_area(n)
-
-
 def q_imcf(space: WarpedSpace, graph: RadialGraph, k: float,
            fields: GeometryFields | None = None) -> float:
     """Scale-invariant momentum functional monotone under inverse mean
@@ -121,11 +123,7 @@ def q_imcf(space: WarpedSpace, graph: RadialGraph, k: float,
         raise ValueError(f"need k >= 1, got {k}")
     if fields is None:
         fields = geometry(space, graph)
-    n = fields.n
-    mom = surface_integral(fields, fields.lam**k)
-    wv = weighted_volume(space, graph, k)
-    gam = _gamma_term(space, n, k)
-    return fields.area ** (-(n + k) / n) * (mom - k * wv - k / (n + k) * gam)
+    return q_imcf_value(fields.n, k)(LazyReport(space, graph, fields))
 
 
 def deficit_boundary_momentum(space: WarpedSpace, graph: RadialGraph, k: float,
@@ -185,13 +183,6 @@ def deficit_weinstock_iso(space: WarpedSpace, graph: RadialGraph,
     )
 
 
-def _phi_quermass_lhs(space: WarpedSpace, graph: RadialGraph,
-                      fields: GeometryFields, k: int) -> tuple[float, np.ndarray]:
-    W, _ = quermassintegrals(space, graph, fields)
-    phi_ek = surface_integral(fields, space.phi(graph.u) * fields.E[k])
-    return phi_ek + k * W[k - 1], W
-
-
 def q_k_euclidean(space: WarpedSpace, graph: RadialGraph, k: int,
                   fields: GeometryFields | None = None) -> float:
     """Scale-invariant weighted-curvature functional
@@ -203,10 +194,10 @@ def q_k_euclidean(space: WarpedSpace, graph: RadialGraph, k: int,
     n = fields.n
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n = {n}")
-    lhs, W = _phi_quermass_lhs(space, graph, fields, k)
-    if W[k] <= 0:
-        raise ValueError(f"W_{k} = {W[k]:.3e} is not positive")
-    return W[k] ** (-(n + 2 - k) / (n + 1 - k)) * lhs
+    rep = LazyReport(space, graph, fields)
+    if rep.W(k) <= 0:
+        raise ValueError(f"W_{k} = {rep.W(k):.3e} is not positive")
+    return q_k_value(n, k)(rep)
 
 
 def deficit_phi_quermass_euclidean(space: WarpedSpace, graph: RadialGraph, k: int,
@@ -223,13 +214,14 @@ def deficit_phi_quermass_euclidean(space: WarpedSpace, graph: RadialGraph, k: in
     n = fields.n
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n = {n}")
-    lhs, W = _phi_quermass_lhs(space, graph, fields, k)
-    if W[k] <= 0:
-        raise ValueError(f"W_{k} = {W[k]:.3e} is not positive")
+    rep = LazyReport(space, graph, fields)
+    if rep.W(k) <= 0:
+        raise ValueError(f"W_{k} = {rep.W(k):.3e} is not positive")
+    lhs = phi_quermass_value(k)(rep)
     omega = sphere_area(n)
     expo = (n + 2 - k) / (n + 1 - k)
     rhs = ((n + 2 + k) / (2 * (n + 2 - k)) * omega
-           * ((n + 1 - k) / omega) ** expo * W[k] ** expo)
+           * ((n + 1 - k) / omega) ** expo * rep.W(k) ** expo)
     return DeficitReport(
         name="phi_quermass_euclidean", lhs=lhs, rhs=rhs, k=k,
         equality_expected=_is_round(graph),
@@ -372,10 +364,10 @@ def deficit_hyperbolic_ref(space: WarpedSpace, graph: RadialGraph, k: int, ell: 
         raise ValueError(f"need 1 <= k <= n = {n}")
     if not 0 <= ell <= k:
         raise ValueError(f"need 0 <= ell <= k = {k}")
-    lhs, W = _phi_quermass_lhs(space, graph, fields, k)
-    radius = ball_chi_inverse(space, ell, float(W[ell]), n)
-    rhs = ball_xi(space, k, radius, n) + (k * ball_chi(space, k - 1, radius, n)
-                                          if k >= 1 else 0.0)
+    rep = LazyReport(space, graph, fields)
+    lhs = phi_quermass_value(k)(rep)
+    radius = ball_chi_inverse(space, ell, rep.W(ell), n)
+    rhs = ball_xi(space, k, radius, n) + k * ball_chi(space, k - 1, radius, n)
     return DeficitReport(
         name="hyperbolic_ref", lhs=lhs, rhs=rhs, k=k, ell=ell,
         equality_expected=_is_round(graph),
@@ -395,8 +387,9 @@ def deficit_sphere_ref(space: WarpedSpace, graph: RadialGraph, ell: int,
     n = fields.n
     if not 0 <= ell <= n:
         raise ValueError(f"need 0 <= ell <= n = {n}")
-    lhs, W = _phi_quermass_lhs(space, graph, fields, n)
-    radius = ball_chi_inverse(space, ell, float(W[ell]), n)
+    rep = LazyReport(space, graph, fields)
+    lhs = phi_quermass_value(n)(rep)
+    radius = ball_chi_inverse(space, ell, rep.W(ell), n)
     rhs = ball_xi(space, n, radius, n) + n * ball_chi(space, n - 1, radius, n)
     return DeficitReport(
         name="sphere_ref", lhs=lhs, rhs=rhs, k=n, ell=ell,
@@ -433,59 +426,24 @@ def monotone_series(space: WarpedSpace, trace: FlowTrace, spec: FlowSpec,
                     ks=None, ells=(0, 1)) -> dict[str, np.ndarray]:
     """Per-sample values of the quantities that are monotone along the flow.
 
-    imcf:              Q(k) for each requested k (nonincreasing)
-    euclidean_inverse: Q_k at the flow's k (nonincreasing)
-    hyperbolic_sx:     int Phi E_k + k W_{k-1} (nonincreasing),
-                       W_ell for the requested ells (nondecreasing)
-    sphere_bgl:        int Phi E_n + n W_{n-1} (nonincreasing)
+    The rows come from `flows.MONOTONES`, the table the step guard and the
+    evolve trace columns read too; README lists them per flow kind.  ks
+    picks the imcf exponents (default the flow's k) and ells the hyperbolic
+    quermassintegrals.  Values are read from the samples' reports, so
+    `space` is not used.
 
-    Plus the pointwise Newton-MacLaurin margin min(E_k^2 - E_{k+1} E_{k-1}),
-    nonnegative whenever the curvature vector is real.
+    Plus, for n >= 2, the pointwise Newton-MacLaurin margin
+    min(E_k^2 - E_{k+1} E_{k-1}) recorded with each sample, nonnegative
+    whenever the curvature vector is real.
     """
     if spec.kind != trace.spec.kind or spec.k != trace.spec.k:
         raise ValueError(
             f"trace was produced by {trace.spec.kind}(k={trace.spec.k}), "
             f"not {spec.kind}(k={spec.k})"
         )
-    n = trace.n
-    out: dict[str, np.ndarray] = {}
-
-    if spec.kind == "imcf":
-        ks = tuple(ks) if ks is not None else (float(spec.k),)
-        for k in ks:
-            vals = []
-            for s in trace.samples:
-                rep = s.report
-                q = rep.area ** (-(n + k) / n) * (
-                    rep.momentum(k) - k * rep.weighted_vol(k)
-                    - k / (n + k) * rep.gamma_term(k))
-                vals.append(q)
-            out[f"Q_imcf_{format(k, 'g')}"] = np.array(vals)
-    elif spec.kind == "euclidean_inverse":
-        k = spec.k
-        expo = (n + 2 - k) / (n + 1 - k)
-        vals = [(s.report.phi_curvature(k) + k * s.report.W(k - 1))
-                * s.report.W(k) ** (-expo) for s in trace.samples]
-        out[f"Qk_euclid_{k}"] = np.array(vals)
-    elif spec.kind == "hyperbolic_sx":
-        k = spec.k
-        out[f"phiE{k}_plus_{k}W{k - 1}"] = np.array(
-            [s.report.phi_curvature(k) + k * s.report.W(k - 1)
-             for s in trace.samples])
-        for ell in ells:
-            out[f"W_{ell}"] = np.array([s.report.W(ell) for s in trace.samples])
-    else:  # sphere_bgl
-        k = spec.k
-        out[f"phiE{k}_plus_{k}W{k - 1}"] = np.array(
-            [s.report.phi_curvature(k) + k * s.report.W(k - 1)
-             for s in trace.samples])
-
-    if n >= 2:
-        margins = []
-        for i in range(len(trace.samples)):
-            flds = geometry(space, trace.sample_graph(i))
-            m = min(float((flds.E[k]**2 - flds.E[k + 1] * flds.E[k - 1]).min())
-                    for k in range(1, n))
-            margins.append(m)
-        out["newton_maclaurin_margin"] = np.array(margins)
+    out = {m.name: np.array([m.value(s.report) for s in trace.samples])
+           for m in monotones(spec, trace.n, ks, ells)}
+    if trace.n >= 2:
+        out["newton_maclaurin_margin"] = np.array(
+            [s.newton_maclaurin_margin for s in trace.samples])
     return out

@@ -98,6 +98,14 @@ def weighted_volume(space: WarpedSpace, graph: RadialGraph, k: float) -> float:
     return float(np.sum(vals * graph.grid.weights))
 
 
+def _gamma_term(space: WarpedSpace, n: int, k: float) -> float:
+    """lambda(a)^k |Gamma| with |Gamma| = lambda(a)^n |N|; zero without an inner boundary."""
+    if not space.has_inner_boundary:
+        return 0.0
+    lam_a = float(space.lam(space.a))
+    return lam_a**k * (lam_a**n * space.fiber_area(n))
+
+
 def quermassintegrals(space: WarpedSpace, graph: RadialGraph,
                       fields: GeometryFields | None = None) -> tuple[np.ndarray, float]:
     """W_0..W_{n+1} and the top curvature-integral residual (space forms only)."""
@@ -194,14 +202,7 @@ def full_report(space: WarpedSpace, graph: RadialGraph,
     momenta = {k: surface_integral(fields, lam_u**k) for k in ks}
     wvols = {k: weighted_volume(space, graph, k) for k in ks}
 
-    if space.has_inner_boundary:
-        lam_a = float(space.lam(space.a))
-        gamma_area = lam_a**n * space.fiber_area(n)
-        gamma_terms = {k: lam_a**k * gamma_area for k in ks}
-    else:
-        gamma_area = 0.0
-        gamma_terms = {k: 0.0 for k in ks}
-
+    gamma_terms = {k: _gamma_term(space, n, k) for k in ks}
     curvature = np.zeros(n + 1)
     for k in kcurv:
         curvature[k] = surface_integral(fields, fields.E[k])
@@ -216,10 +217,10 @@ def full_report(space: WarpedSpace, graph: RadialGraph,
     return QuantityReport(
         n=n,
         area=fields.area,
-        volume=volume(space, graph),
+        volume=volume(space, graph) if W is None else float(W[0]),
         momenta=momenta,
         weighted_volumes=wvols,
-        gamma_area=gamma_area,
+        gamma_area=_gamma_term(space, n, 0.0),
         gamma_terms=gamma_terms,
         curvature_integrals=curvature,
         phi_curvature_integrals=phi_curv,

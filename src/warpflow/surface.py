@@ -86,7 +86,6 @@ class GeometryFields:
     Du: np.ndarray
     Hu: np.ndarray
     v: np.ndarray
-    shape: np.ndarray          # mixed shape operator h^i_j
     kappa: np.ndarray          # (n,) + grid.shape, descending
     E: np.ndarray              # (n+1,) + grid.shape
     support: np.ndarray        # lambda / v
@@ -127,7 +126,6 @@ def geometry(space: WarpedSpace, graph: RadialGraph) -> GeometryFields:
         g = ut * ut + lam * lam * c**2
         kappa = (h / g)[None, :]
         E = np.stack([np.ones_like(u), kappa[0]])
-        shape = kappa.copy()
     else:
         sin_t = np.sin(grid.theta)[:, None]
         ut, up = Du
@@ -166,15 +164,6 @@ def geometry(space: WarpedSpace, graph: RadialGraph) -> GeometryFields:
                       0.5 * (kappa[0] + kappa[1]),
                       kappa[0] * kappa[1]])
 
-        det_g = g_tt * g_pp - g_tp * g_tp
-        inv_tt, inv_tp, inv_pp = g_pp / det_g, -g_tp / det_g, g_tt / det_g
-        shape = np.stack([
-            inv_tt * h_tt + inv_tp * h_tp,
-            inv_tt * h_tp + inv_tp * h_pp,
-            inv_tp * h_tt + inv_pp * h_tp,
-            inv_tp * h_tp + inv_pp * h_pp,
-        ]).reshape((2, 2) + grid.shape)
-
     support = lam / v
     area_weight = lam**grid.n * v * grid.weights
 
@@ -188,7 +177,7 @@ def geometry(space: WarpedSpace, graph: RadialGraph) -> GeometryFields:
 
     return GeometryFields(
         grid=grid, u=u, lam=lam, dlam=dlam, Du=Du, Hu=Hu, v=v,
-        shape=shape, kappa=kappa, E=E, support=support, area_weight=area_weight,
+        kappa=kappa, E=E, support=support, area_weight=area_weight,
     )
 
 
@@ -375,26 +364,38 @@ def dump_surface_csv(graph: RadialGraph, path: str) -> None:
 
 
 def load_surface_csv(path: str, space: WarpedSpace) -> RadialGraph:
-    """Rebuild a RadialGraph from a dump; grid dims are inferred from the file."""
+    """Rebuild a RadialGraph from a dump; grid dims are inferred from the file.
+
+    Rows may come in any order: each is placed at its node, and a node that
+    is missing or given twice is rejected by name.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         rows = [list(map(float, row)) for row in reader]
-    data = np.asarray(rows)
-    if header == ["theta", "u"]:
-        grid = circle_grid(data.shape[0], space.fiber_scale)
-        u = data[:, 1]
-        if not np.allclose(grid.theta, data[:, 0], atol=1e-12):
-            raise ValueError(f"{path}: theta column does not match a uniform circle grid")
-    elif header == ["theta", "phi", "u"]:
-        thetas = np.unique(data[:, 0])
-        phis = np.unique(data[:, 1])
-        grid = sphere_grid(thetas.size, phis.size, space.fiber_scale)
-        u = data[:, 2].reshape(grid.shape)
-        if not (np.allclose(grid.theta, thetas, atol=1e-12)
-                and np.allclose(grid.phi, phis, atol=1e-12)):
-            raise ValueError(f"{path}: node columns do not match an equiangular grid")
-    else:
+    if header not in (["theta", "u"], ["theta", "phi", "u"]):
         raise ValueError(f"{path}: unknown surface CSV header {header}")
+    for line, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: line {line} has {len(row)} fields, not {len(header)}")
+    data = np.asarray(rows).reshape(-1, len(header))
+    axes = [np.unique(data[:, c], return_inverse=True) for c in range(len(header) - 1)]
+    if len(axes) == 1:
+        grid = circle_grid(axes[0][0].size, space.fiber_scale)
+        nodes = (grid.theta,)
+    else:
+        grid = sphere_grid(axes[0][0].size, axes[1][0].size, space.fiber_scale)
+        nodes = (grid.theta, grid.phi)
+    if not all(np.allclose(want, got, atol=1e-12) for want, (got, _) in zip(nodes, axes)):
+        raise ValueError(f"{path}: node columns do not match an equiangular grid")
+    flat = np.ravel_multi_index(tuple(inv for _, inv in axes), grid.shape)
+    counts = np.bincount(flat, minlength=grid.node_count)
+    if np.any(counts != 1):
+        idx = int(np.argmax(counts != 1))
+        what = "missing" if counts[idx] == 0 else f"given {counts[idx]} times"
+        raise ValueError(f"{path}: {grid.node_label(idx)} is {what}")
+    u = np.empty(grid.node_count)
+    u[flat] = data[:, -1]
+    u = u.reshape(grid.shape)
     _validate_graph_range(space, grid, u)
     return RadialGraph(grid=grid, u=u, space_kind=space.kind)

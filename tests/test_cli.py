@@ -25,6 +25,11 @@ def test_usage_errors_exit_64(capsys, tmp_path):
                 "--surface", "round:r0=1", "--t-final", "1",
                 "--grid", "8x16"]) == EXIT_USAGE
     capsys.readouterr()
+    for bad in ("0.5:2.5", "1:2:0", "2:1:1"):
+        assert run(["sweep", "--space", "euclidean", "--grid", "16x32",
+                    "--surface", f"legendre:r0=1,eps=0.1,l={bad}",
+                    "--check", "girao"]) == EXIT_USAGE
+        assert f"'{bad}'" in capsys.readouterr().err
 
 
 def test_verify_round_equalities(tmp_path, capsys):

@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 
 from warpflow.ambient import make_space_form
+from warpflow.cli import _series_monotone_ok, _trace_columns
 from warpflow.flows import (
     ConeViolation,
     FlowSpec,
+    LazyReport,
     evolve,
+    monotones,
     speed,
     step,
     variational_check,
 )
 from warpflow.grid import sphere_grid
+from warpflow.inequalities import monotone_series
 from warpflow.surface import RadialGraph, geometry, make_seed_surface
 
 EU = make_space_form(0)
@@ -178,3 +182,40 @@ def test_accepted_steps_stay_in_cone():
     trace = evolve(EU, graph, spec)
     assert all(s.class_report.mean_convex for s in trace.samples)
     assert not trace.findings
+
+
+# Directions proved in the paper, per flow kind: name -> direction.
+_PAPER_MONOTONES = {
+    "imcf": (EU, 1, {"Q_imcf_1": -1}),
+    "euclidean_inverse": (EU, 2, {"Qk_euclid_2": -1}),
+    "hyperbolic_sx": (HY, 1, {"phiE1_plus_1W0": -1, "W_0": +1, "W_1": +1}),
+    "sphere_bgl": (SP, 2, {"phiE2_plus_2W1": -1}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PAPER_MONOTONES))
+def test_monotone_table_read_by_guard_series_and_cli(kind):
+    space, k, expected = _PAPER_MONOTONES[kind]
+    graph = make_seed_surface(space, sphere_grid(16, 32), "legendre", r0=1, eps=0.05, l=2)
+    spec = FlowSpec(kind=kind, k=k, t_final=1e-3, report_dt=1e-3)
+    trace = evolve(space, graph, spec)
+
+    guard = monotones(spec, 2)
+    assert {m.name: m.direction for m in guard} == expected
+    series = monotone_series(space, trace, spec)
+    assert list(series) == [m.name for m in guard] + ["newton_maclaurin_margin"]
+    at_start = LazyReport(space, graph, geometry(space, graph))
+    for m in guard:
+        assert m.value(at_start) == series[m.name][0]
+
+    ks = sorted(trace.samples[0].report.momenta)
+    rows = monotones(spec, 2, ks)
+    cli_rows = {m.name: m for m in rows}
+    columns = dict(_trace_columns(trace, monotone_series(space, trace, spec, ks), rows))
+    for m in guard:
+        assert cli_rows[m.name].direction == m.direction
+        assert columns[cli_rows[m.name].label or m.name] == list(series[m.name])
+        against = {m.name: np.array([1.0, 1.0 - 0.01 * m.direction])}
+        along = {m.name: np.array([1.0, 1.0 + 0.01 * m.direction])}
+        assert _series_monotone_ok(against, spec, [m]) == [m.name]
+        assert _series_monotone_ok(along, spec, [m]) == []

@@ -219,6 +219,24 @@ def test_surface_csv_roundtrip(tmp_path):
     assert back.grid.shape == g.shape
     assert np.array_equal(back.u, graph.u)
 
+    header, *rows = path.read_text().splitlines(keepends=True)
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text(header + "".join(rows[i] for i in
+                                         np.random.default_rng(5).permutation(len(rows))))
+    assert np.array_equal(load_surface_csv(str(shuffled), EU).u, graph.u)
+    truncated = tmp_path / "truncated.csv"
+    truncated.write_text(header + "".join(rows[:-1]))
+    with pytest.raises(ValueError, match=r"node \(i=15, j=31\).* is missing"):
+        load_surface_csv(str(truncated), EU)
+    doubled = tmp_path / "doubled.csv"
+    doubled.write_text(header + "".join(rows) + rows[0])
+    with pytest.raises(ValueError, match=r"node \(i=0, j=0\).* is given 2 times"):
+        load_surface_csv(str(doubled), EU)
+    short = tmp_path / "short.csv"
+    short.write_text(header + rows[0] + "0.1,0.2\n" + "".join(rows[1:]))
+    with pytest.raises(ValueError, match="line 3 has 2 fields"):
+        load_surface_csv(str(short), EU)
+
     c = circle_grid(64)
     graph1 = make_seed_surface(EU, c, "legendre", r0=1, eps=0.1, l=2)
     path1 = tmp_path / "curve.csv"
