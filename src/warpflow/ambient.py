@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 __all__ = [
     "WarpedSpace",
@@ -197,6 +196,10 @@ def make_custom(
             raise ValueError("table must be two equal 1-d arrays of length >= 4")
         if np.any(np.diff(r_tab) <= 0):
             raise ValueError("table radii must be strictly increasing")
+        # imported here: scipy.interpolate roughly doubles the import cost of
+        # the package and only tabulated warpings use it
+        from scipy.interpolate import CubicSpline
+
         spline = CubicSpline(r_tab, lam_tab)
         d1 = spline.derivative(1)
         d2 = spline.derivative(2)

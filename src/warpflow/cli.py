@@ -24,6 +24,7 @@ from .ambient import WarpedSpace, parse_space_spec, probe_assumptions
 from .flows import FlowSpec, FlowTrace, Monotone, evolve, monotones
 from .surface import (
     RadialGraph,
+    check_surface_options,
     dump_surface_csv,
     geometry,
     load_surface_csv,
@@ -210,7 +211,10 @@ def _build_space_grid(cfg: RunConfig) -> tuple[WarpedSpace, "object"]:
 
 def _build_surface(cfg: RunConfig, space: WarpedSpace, grid) -> RadialGraph:
     if cfg.surface_file:
-        return load_surface_csv(cfg.surface_file, space)
+        try:
+            return load_surface_csv(cfg.surface_file, space)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     try:
         family, params = parse_surface_spec(cfg.surface)
     except ValueError as exc:
@@ -544,7 +548,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if not cfg.checks:
         raise UsageError("sweep requires at least one --check")
     members = _sweep_members(cfg.surface)
-    parse_space_spec(cfg.space)  # validate early for exit 64
+    # validate in the parent, so that bad input exits 64 before any worker starts
+    try:
+        parse_space_spec(cfg.space)
+        check_surface_options(*members[0])
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     tasks = [(cfg.space, cfg.n, cfg.grid, family, params, cfg.checks)
              for family, params in members]
     if cfg.workers > 1:

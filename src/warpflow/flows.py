@@ -382,12 +382,14 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
         flds = geometry(space, g)
         return polar_filter(speed(spec, space, flds) * flds.v)
 
-    def record(t: float, u_arr: np.ndarray, log_scale: float, dt_used: float) -> None:
+    def record(t: float, u_arr: np.ndarray, log_scale: float, dt_used: float,
+               flds: GeometryFields) -> None:
+        """Sample the state u_arr; flds are its fields, reused unless renormalized."""
         if trace.samples and t <= trace.samples[-1].t + 1e-15 * spec.t_final:
             return
         u_phys = u_arr * math.exp(log_scale) if renorm_rate else u_arr
         g_phys = RadialGraph(grid=grid, u=u_phys, space_kind=space.kind)
-        f_phys = geometry(space, g_phys)
+        f_phys = geometry(space, g_phys) if renorm_rate else flds
         rep = full_report(space, g_phys, ks=report_ks, fields=f_phys)
         cls = convexity_class(f_phys, space, g_phys, spec.k)
         f_speed = speed(spec, space, f_phys)
@@ -411,7 +413,7 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
     u = graph0.u.copy()
     log_scale = 0.0
     t = 0.0
-    record(0.0, u, 0.0, 0.0)
+    record(0.0, u, 0.0, 0.0, fields0)
 
     fields = fields0
     graph = graph0
@@ -430,7 +432,7 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
         while True:
             if dt < 1e-12 * spec.t_final:
                 trace.termination = ("step_underflow", t)
-                record(t, u, log_scale, dt)
+                record(t, u, log_scale, dt, fields)
                 return trace
             accept = True
             reason = None
@@ -462,11 +464,11 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
                 if reason == "cone" and halvings > _MAX_GUARD_HALVINGS:
                     trace.termination = ("cone_violation", t,
                                          f"{spec.kind} cone lost after {halvings} halvings")
-                    record(t, u, log_scale, dt)
+                    record(t, u, log_scale, dt, fields)
                     return trace
                 if halvings > _MAX_TOTAL_HALVINGS:
                     trace.termination = ("step_underflow", t)
-                    record(t, u, log_scale, dt)
+                    record(t, u, log_scale, dt, fields)
                     return trace
                 dt *= 0.5
                 continue
@@ -497,19 +499,19 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
         dt_prev = dt if (halvings or guard_halvings) else dt_base
 
         if t >= next_report - eps_t:
-            record(t, u, log_scale, dt)
+            record(t, u, log_scale, dt, fields)
             next_report = min(next_report + spec.report_dt, spec.t_final)
 
         if (spec.kind == "imcf" and space.kind == "sphere"
                 and float(fields.H.min()) <= _SPHERE_IMCF_MIN_H):
             trace.termination = ("equator_stop", t)
             if trace.samples[-1].t < t - eps_t:
-                record(t, u, log_scale, dt)
+                record(t, u, log_scale, dt, fields)
             return trace
 
     trace.termination = ("reached_t_final",)
     if trace.samples[-1].t < spec.t_final - eps_t:
-        record(t, u, log_scale, dt_prev)
+        record(t, u, log_scale, dt_prev, fields)
     return trace
 
 

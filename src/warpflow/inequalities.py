@@ -35,8 +35,8 @@ from .flows import (
 )
 from .quantities import (
     _gamma_term,
-    _radial_integral,
     quermassintegrals,
+    radial_integral,
     surface_integral,
     volume,
     weighted_volume,
@@ -295,7 +295,7 @@ def ball_chi(space: WarpedSpace, ell: int, r: float, n: int = 2) -> float:
         return omega / (n + 1)
     lam, dlam, _ = space.warp(np.asarray(r, dtype=float))
     W = np.zeros(n + 1)
-    W[0] = omega * float(_radial_integral(space, n, 0.0, np.asarray(float(r))))
+    W[0] = omega * float(radial_integral(space, n, r))
     if n >= 1:
         W[1] = omega * float(lam) ** n / n
     for j in range(1, ell):

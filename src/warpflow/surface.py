@@ -34,6 +34,7 @@ __all__ = [
     "convexity_class",
     "make_seed_surface",
     "parse_surface_spec",
+    "check_surface_options",
     "parse_grid_spec",
     "dump_surface_csv",
     "load_surface_csv",
@@ -319,18 +320,26 @@ def parse_surface_spec(spec: str) -> tuple[str, dict[str, float]]:
             raise ValueError(f"malformed surface option {item!r} in {spec!r}")
         key, val = item.split("=", 1)
         kv[key.strip()] = float(val)
-    required = {
-        "round": {"r0"},
-        "legendre": {"r0", "eps", "l"},
-        "bandlimited": {"seed", "r0", "amp", "lmax"},
-    }
-    if family not in required:
-        raise ValueError(f"unknown surface family {family!r}")
-    if set(kv) != required[family]:
-        raise ValueError(
-            f"surface {family!r} needs options {sorted(required[family])}, got {sorted(kv)}"
-        )
+    check_surface_options(family, kv)
     return family, kv
+
+
+_SURFACE_OPTIONS = {
+    "round": {"r0"},
+    "legendre": {"r0", "eps", "l"},
+    "bandlimited": {"seed", "r0", "amp", "lmax"},
+}
+
+
+def check_surface_options(family: str, keys) -> None:
+    """Reject an unknown seed family or a wrong set of option names."""
+    if family not in _SURFACE_OPTIONS:
+        raise ValueError(f"unknown surface family {family!r}")
+    if set(keys) != _SURFACE_OPTIONS[family]:
+        raise ValueError(
+            f"surface {family!r} needs options {sorted(_SURFACE_OPTIONS[family])}, "
+            f"got {sorted(keys)}"
+        )
 
 
 def parse_grid_spec(spec: str, n: int, fiber_scale: float = 1.0) -> SphereGrid:

@@ -30,6 +30,20 @@ def test_usage_errors_exit_64(capsys, tmp_path):
                     "--surface", f"legendre:r0=1,eps=0.1,l={bad}",
                     "--check", "girao"]) == EXIT_USAGE
         assert f"'{bad}'" in capsys.readouterr().err
+    # sweep input is checked in the parent, before any worker starts
+    assert run(["sweep", "--space", "flatland", "--grid", "16x32", "--workers", "2",
+                "--surface", "legendre:r0=1,eps=0:0.1:0.05,l=2",
+                "--check", "girao"]) == EXIT_USAGE
+    assert "flatland" in capsys.readouterr().err
+    assert run(["sweep", "--space", "euclidean", "--grid", "16x32", "--workers", "2",
+                "--surface", "blob:r0=1:2", "--check", "girao"]) == EXIT_USAGE
+    assert "blob" in capsys.readouterr().err
+    # a malformed surface file names the line at fault
+    short = tmp_path / "short.csv"
+    short.write_text("theta,phi,u\n0.1,0.2\n")
+    assert run(["verify", "--space", "euclidean", "--surface-file", str(short),
+                "--check", "girao"]) == EXIT_USAGE
+    assert "line 2" in capsys.readouterr().err
 
 
 def test_verify_round_equalities(tmp_path, capsys):

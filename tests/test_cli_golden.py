@@ -6,12 +6,14 @@ that is meant to alter the output regenerates the files with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
-and states the diff; any other change must leave them untouched.
+which prints, per rewritten file, how many numbers changed and the largest
+absolute and relative change, for the change to state; any other change
+must leave them untouched.
 """
 
 import contextlib
 import io
-import sys
+import re
 from pathlib import Path
 
 import pytest
@@ -90,8 +92,31 @@ def test_cli_output_matches_golden(case):
     assert _run(CASES[case]) == (GOLDEN / case).read_bytes()
 
 
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def numeric_diff(old: str, new: str) -> str:
+    """How many numbers differ between two outputs of the same layout, and by
+    how much at most, absolute and relative."""
+    if _NUMBER.sub("#", old) != _NUMBER.sub("#", new):
+        return "layout changed"
+    pairs = [(float(a), float(b)) for a, b in zip(_NUMBER.findall(old), _NUMBER.findall(new))
+             if a != b]
+    if not pairs:
+        return "0 numbers changed"
+    abs_max = max(abs(a - b) for a, b in pairs)
+    rel_max = max(abs(a - b) / max(abs(a), abs(b)) for a, b in pairs)
+    return f"{len(pairs)} numbers changed, max abs {abs_max:.3g}, max rel {rel_max:.3g}"
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in sorted(CASES.items()):
-        (GOLDEN / name).write_bytes(_run(argv))
-        print(name, file=sys.stderr)
+        path = GOLDEN / name
+        new = _run(argv)
+        old = path.read_bytes() if path.exists() else None
+        if new == old:
+            continue
+        path.write_bytes(new)
+        what = "new file" if old is None else numeric_diff(old.decode(), new.decode())
+        print(f"{name}: {what}")

@@ -152,6 +152,15 @@ def test_ball_reference_functions():
     assert abs(disc0 - volume(HY, ball)) <= 1e-8
 
 
+def test_ball_chi_at_bisection_floor():
+    # chi_0 at the bisection floor r = 1e-8 is the euclidean ball volume
+    r = 1e-8
+    for space in (HY, SP):
+        chi0 = ball_chi(space, 0, r)
+        assert chi0 > 0
+        assert chi0 == pytest.approx(4 * math.pi * r**3 / 3, rel=1e-12)
+
+
 def test_chi_inverse_roundtrip():
     for r in np.linspace(0.1, 3.0, 9):
         for ell in (0, 1, 2):

@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from warpflow.ambient import make_custom, make_space_form, sphere_area
 from warpflow.grid import circle_grid, sphere_grid
 from warpflow.quantities import (
     UnsupportedAmbientError,
+    _radial_integral,
+    _space_form_antiderivative,
     full_report,
     quermassintegrals,
     surface_integral,
@@ -82,6 +85,23 @@ def test_volume_closed_forms():
     hball = make_seed_surface(HY, g, "round", r0=1.0)
     assert volume(HY, hball) == pytest.approx(math.pi * (math.sinh(2) - 2), rel=1e-10)
     assert math.pi * (math.sinh(2) - 2) == pytest.approx(5.1109, abs=1e-4)
+
+
+_WARPS = {0: lambda s: s, -1: math.sinh, 1: math.sin}
+
+
+@pytest.mark.parametrize("K", (-1, 0, 1))
+@pytest.mark.parametrize("power", (1, 2))
+def test_space_form_antiderivatives_match_quadrature(K, power):
+    # from the bisection floor r = 1e-8 through the series/direct switch to
+    # u = 3, and up to pi - 1e-6 in the sphere
+    top = math.pi - 1e-6 if K == 1 else 3.0
+    us = np.concatenate([np.geomspace(1e-8, top, 61), [0.49, 0.5, 0.51]])
+    got = _space_form_antiderivative(K, power, us)
+    lam = _WARPS[K]
+    for u, val in zip(us, got):
+        ref = quad(lambda s: lam(s) ** power, 0.0, u, epsabs=0.0, epsrel=2e-14, limit=200)[0]
+        assert val == pytest.approx(ref, rel=1e-14, abs=0.0), (K, power, u)
 
 
 def test_weighted_volume_k1_equals_volume_euclidean():
@@ -240,3 +260,16 @@ def test_full_report_validation():
         full_report(EU, graph, ks=(0.5,))
     with pytest.raises(ValueError, match="0.. 2|0..2"):
         full_report(EU, graph, ks=(1.0,), kcurv=(3,))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), r0=st.floats(0.05, 2.5),
+       amp=st.floats(0.0, 0.2), lmax=st.integers(1, 6), K=st.sampled_from((-1, 0, 1)),
+       n=st.sampled_from((1, 2)))
+def test_volume_closed_form_matches_quadrature(seed, r0, amp, lmax, K, n):
+    space = make_space_form(K)
+    grid = circle_grid(64) if n == 1 else sphere_grid(16, 32)
+    graph = make_seed_surface(space, grid, "bandlimited", seed=seed, r0=r0,
+                              amp=amp, lmax=lmax)
+    quadrature = float(np.sum(_radial_integral(space, n, 0.0, graph.u) * grid.weights))
+    assert volume(space, graph) == pytest.approx(quadrature, rel=1e-13, abs=0.0)
