@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
+import functools
 import json
 import math
 import os
@@ -55,6 +57,34 @@ _FLOW_NAMES = {
 
 class UsageError(ValueError):
     """Bad flags, specs, or cross-field constraints: exit 64."""
+
+
+# glibc's malloc serves blocks above a threshold that starts at 128 KB with
+# fresh mmap pages, and raises the threshold and the heap trim threshold to
+# the largest such block freed so far.  Whether the (3, M, P) stacks and
+# other temporaries of a call reuse heap memory or fault in new zeroed pages
+# thus depends on what earlier calls happened to allocate: a 64x128 verify
+# faulted in about 480 pages per call (2560 at 128x256) and took 11 ms
+# against 7, and other numpy code in the process swung between the states.
+# Fixed thresholds keep every block up to 32 MB on the heap from the start.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 << 20       # the top of glibc's own adjustment (64-bit)
+_TRIM_THRESHOLD_BYTES = 64 << 20
+
+
+@functools.cache
+def steady_allocator() -> bool:
+    """Fix glibc's malloc thresholds for this process, once; False elsewhere."""
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):
+        libc = ""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if libc.startswith("glibc") else None
+    if mallopt is None:
+        return False
+    return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+                and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -557,7 +587,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     tasks = [(cfg.space, cfg.n, cfg.grid, family, params, cfg.checks)
              for family, params in members]
     if cfg.workers > 1:
-        with Pool(cfg.workers) as pool:
+        with Pool(cfg.workers, initializer=steady_allocator) as pool:
             results = pool.map(_sweep_one, tasks)
     else:
         results = [_sweep_one(t) for t in tasks]
@@ -604,6 +634,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    steady_allocator()
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)

@@ -73,6 +73,19 @@ def _fourier_diff_coeffs(P: int) -> tuple[np.ndarray, np.ndarray]:
     return d1, d2
 
 
+def _longitude_major(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """u with the periodic (last) axis moved first, and two periods of it.
+
+    A shift by o longitudes is then a slice of whole leading rows, one
+    contiguous block, so each ufunc call of the stencils below runs one
+    inner loop over every node instead of one per colatitude row.  Every
+    node sees the same operations in the same order as in the natural
+    layout, so the results are the same bits.
+    """
+    ut = np.ascontiguousarray(np.moveaxis(u, -1, 0))
+    return ut, np.concatenate([ut, ut], axis=0)
+
+
 def _circulant_apply_antisym(u: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Antisymmetric circulant stencil, offsets paired into exact differences.
 
@@ -84,15 +97,15 @@ def _circulant_apply_antisym(u: np.ndarray, d: np.ndarray) -> np.ndarray:
     rolling the input along the axis rolls the output bitwise.
     """
     P = u.shape[-1]
-    doubled = np.concatenate([u, u], axis=-1)
-    acc = np.zeros_like(u)
-    tmp = np.empty_like(u)
+    ut, doubled = _longitude_major(u)
+    acc = np.zeros_like(ut)
+    tmp = np.empty_like(ut)
     for o in range(1, P // 2):
-        np.subtract(doubled[..., P - o:2 * P - o],      # u[j - o]
-                    doubled[..., o:o + P], out=tmp)     # u[j + o]
+        np.subtract(doubled[P - o:2 * P - o],      # u[j - o]
+                    doubled[o:o + P], out=tmp)     # u[j + o]
         np.multiply(tmp, d[o], out=tmp)
         np.add(acc, tmp, out=acc)
-    return acc
+    return np.ascontiguousarray(np.moveaxis(acc, 0, -1))
 
 
 def _circulant_apply_sym_diff(u: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -104,20 +117,20 @@ def _circulant_apply_sym_diff(u: np.ndarray, d: np.ndarray) -> np.ndarray:
     antisymmetric variant.
     """
     P = u.shape[-1]
-    doubled = np.concatenate([u, u], axis=-1)
-    acc = np.zeros_like(u)
-    tmp = np.empty_like(u)
-    tmp2 = np.empty_like(u)
+    ut, doubled = _longitude_major(u)
+    acc = np.zeros_like(ut)
+    tmp = np.empty_like(ut)
+    tmp2 = np.empty_like(ut)
     for o in range(1, P // 2):
-        np.subtract(doubled[..., P - o:2 * P - o], u, out=tmp)   # u[j-o] - u[j]
-        np.subtract(doubled[..., o:o + P], u, out=tmp2)          # u[j+o] - u[j]
+        np.subtract(doubled[P - o:2 * P - o], ut, out=tmp)   # u[j-o] - u[j]
+        np.subtract(doubled[o:o + P], ut, out=tmp2)          # u[j+o] - u[j]
         np.add(tmp, tmp2, out=tmp)
         np.multiply(tmp, d[o], out=tmp)
         np.add(acc, tmp, out=acc)
-    np.subtract(doubled[..., P // 2:P // 2 + P], u, out=tmp)
+    np.subtract(doubled[P // 2:P // 2 + P], ut, out=tmp)
     np.multiply(tmp, d[P // 2], out=tmp)
     np.add(acc, tmp, out=acc)
-    return acc
+    return np.ascontiguousarray(np.moveaxis(acc, 0, -1))
 
 
 @dataclass(frozen=True)

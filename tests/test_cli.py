@@ -1,10 +1,14 @@
 import csv
 import json
 import math
+import resource
 
+import numpy as np
 import pytest
 
-from warpflow.cli import EXIT_FINDING, EXIT_OK, EXIT_USAGE, RunConfig, main
+from warpflow.cli import (
+    EXIT_FINDING, EXIT_OK, EXIT_USAGE, RunConfig, main, steady_allocator,
+)
 
 
 def run(args):
@@ -240,3 +244,20 @@ def test_verify_probing_negative_exit(capsys, tmp_path):
     # equality case deficits hover at roundoff of either sign
     assert code in (EXIT_OK, EXIT_FINDING)
     capsys.readouterr()
+
+
+def test_steady_allocator_reuses_heap_pages():
+    """Repeated bursts of field-sized temporaries fault in no new pages."""
+    if not steady_allocator():
+        pytest.skip("malloc thresholds are fixed on glibc only")
+
+    def burst():
+        arrs = [np.ones((64, 128, 3, 3)) for _ in range(6)]    # 590 KB each
+        return sum(float(a[0, 0, 0, 0]) for a in arrs)
+
+    burst()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(5):
+        burst()
+    # the default thresholds fault in about 4000 pages here
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
