@@ -9,6 +9,7 @@ A JSON config file can seed any flags via --config; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import ctypes
 import functools
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import inequalities as ineq
 from .ambient import WarpedSpace, parse_space_spec, probe_assumptions
-from .flows import FlowSpec, FlowTrace, Monotone, evolve, monotones
+from .flows import FLOWS, FlowSpec, FlowTrace, Monotone, evolve, monotones
 from .surface import (
     RadialGraph,
     check_surface_options,
@@ -42,21 +43,20 @@ EXIT_ERROR = 1
 EXIT_FINDING = 2
 EXIT_USAGE = 64
 
-_FLOW_NAMES = {
-    "imcf": "imcf",
-    "euclidean-inverse": "euclidean_inverse",
-    "euclidean_inverse": "euclidean_inverse",
-    "sx": "hyperbolic_sx",
-    "hyperbolic-sx": "hyperbolic_sx",
-    "hyperbolic_sx": "hyperbolic_sx",
-    "bgl": "sphere_bgl",
-    "sphere-bgl": "sphere_bgl",
-    "sphere_bgl": "sphere_bgl",
-}
+_FLOW_ALIASES = {"sx": "hyperbolic_sx", "bgl": "sphere_bgl"}
 
 
 class UsageError(ValueError):
     """Bad flags, specs, or cross-field constraints: exit 64."""
+
+
+@contextlib.contextmanager
+def _usage_errors():
+    """Report a ValueError raised inside as a usage error (exit 64)."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 # glibc's malloc serves blocks above a threshold that starts at 128 KB with
@@ -209,8 +209,13 @@ def _merge_config(ns: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=ns.command.replace("-", "_"))
     file_values: dict = {}
     if getattr(ns, "config", None):
-        with open(ns.config) as fh:
-            file_values = json.load(fh)
+        try:
+            with open(ns.config) as fh:
+                file_values = json.load(fh)
+        except OSError as exc:
+            raise UsageError(f"cannot read config {ns.config}: {exc.strerror}") from exc
+        except ValueError as exc:
+            raise UsageError(f"{ns.config}: not valid JSON: {exc}") from exc
         if not isinstance(file_values, dict):
             raise UsageError(f"{ns.config}: config must be a JSON object")
     for key, val in file_values.items():
@@ -231,25 +236,21 @@ def _merge_config(ns: argparse.Namespace) -> RunConfig:
 
 
 def _build_space_grid(cfg: RunConfig) -> tuple[WarpedSpace, "object"]:
-    try:
+    with _usage_errors():
         space = parse_space_spec(cfg.space)
-        grid = parse_grid_spec(cfg.grid, cfg.n, space.fiber_scale)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    return space, grid
+        return space, parse_grid_spec(cfg.grid, cfg.n, space.fiber_scale)
 
 
 def _build_surface(cfg: RunConfig, space: WarpedSpace, grid) -> RadialGraph:
-    if cfg.surface_file:
-        try:
-            return load_surface_csv(cfg.surface_file, space)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    try:
+    with _usage_errors():
+        if cfg.surface_file:
+            try:
+                return load_surface_csv(cfg.surface_file, space)
+            except OSError as exc:
+                raise UsageError(
+                    f"cannot read surface file {cfg.surface_file}: {exc.strerror}") from exc
         family, params = parse_surface_spec(cfg.surface)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    return make_seed_surface(space, grid, family, **params)
+        return make_seed_surface(space, grid, family, **params)
 
 
 def _fmt_float(x) -> str:
@@ -327,17 +328,16 @@ def _series_monotone_ok(series: dict[str, np.ndarray], spec: FlowSpec,
 def cmd_evolve(cfg: RunConfig) -> int:
     if cfg.flow is None:
         raise UsageError("evolve requires --flow")
-    kind = _FLOW_NAMES.get(cfg.flow.strip().lower())
-    if kind is None:
+    kind = cfg.flow.strip().lower().replace("-", "_")
+    kind = _FLOW_ALIASES.get(kind, kind)
+    if kind not in FLOWS:
         raise UsageError(f"unknown flow {cfg.flow!r}")
     space, grid = _build_space_grid(cfg)
     report_dt = cfg.report_dt if cfg.report_dt is not None else cfg.t_final / 100.0
     spec = FlowSpec(kind=kind, k=cfg.k, t_final=cfg.t_final, report_dt=report_dt,
                     cfl=cfg.cfl, max_rel_step=cfg.max_rel_step, eps_mono=cfg.eps_mono)
-    try:
+    with _usage_errors():
         spec.validate(space, cfg.n)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     graph = _build_surface(cfg, space, grid)
 
     trace = evolve(space, graph, spec)
@@ -377,36 +377,45 @@ def _parse_check(item: str) -> tuple[str, dict]:
     return name, params
 
 
-def _evaluate_check(space, graph, fields, name: str, params: dict) -> ineq.DeficitReport:
-    k = params.get("k")
-    ell = params.get("ell")
-    if name in ("boundary-momentum", "girao"):
-        return ineq.deficit_boundary_momentum(space, graph,
-                                              1.0 if k is None else float(k), fields)
-    if name == "weinstock":
-        return ineq.deficit_weinstock_iso(space, graph, fields)
-    if name == "phi-quermass":
-        return ineq.deficit_phi_quermass_euclidean(space, graph,
-                                                   1 if k is None else int(k), fields)
-    if name == "kwong-miao":
-        return ineq.kwong_miao_deficit(space, graph, 1 if k is None else int(k), fields)
-    if name == "hyperbolic-ref":
-        kk = 1 if k is None else int(k)
-        ll = 0 if ell is None else int(ell)
-        if ll > kk:
-            raise UsageError(f"hyperbolic-ref requires ell <= k, got ell={ll} k={kk}")
-        return ineq.deficit_hyperbolic_ref(space, graph, kk, ll, fields)
-    if name == "sphere-ref":
-        return ineq.deficit_sphere_ref(space, graph, 0 if ell is None else int(ell),
-                                       fields)
-    if name == "minkowski":
-        kk = 1 if k is None else int(k)
-        res = ineq.minkowski_residual(space, fields, kk)
-        return ineq.DeficitReport(name="minkowski", lhs=res, rhs=0.0, k=kk,
-                                  equality_expected=True)
-    if name == "curve":
-        return ineq.curve_kwww_deficit(space, graph, fields)
-    raise UsageError(f"unknown check {name!r}")
+def _minkowski(space, graph, fields, k, ell) -> ineq.DeficitReport:
+    res = ineq.minkowski_residual(space, fields, int(k))
+    return ineq.DeficitReport(name="minkowski", lhs=res, rhs=0.0, k=int(k),
+                              equality_expected=True)
+
+
+# check name -> (deficit of (space, graph, fields, k, ell), default k, default ell);
+# the deficits are looked up in `ineq` at call time, where tracers rebind them
+_CHECKS = {
+    "boundary-momentum": (lambda s, g, f, k, ell:
+                          ineq.deficit_boundary_momentum(s, g, float(k), f), 1.0, None),
+    "weinstock": (lambda s, g, f, k, ell: ineq.deficit_weinstock_iso(s, g, f), None, None),
+    "phi-quermass": (lambda s, g, f, k, ell:
+                     ineq.deficit_phi_quermass_euclidean(s, g, int(k), f), 1, None),
+    "kwong-miao": (lambda s, g, f, k, ell: ineq.kwong_miao_deficit(s, g, int(k), f), 1, None),
+    "hyperbolic-ref": (lambda s, g, f, k, ell:
+                       ineq.deficit_hyperbolic_ref(s, g, int(k), int(ell), f), 1, 0),
+    "sphere-ref": (lambda s, g, f, k, ell: ineq.deficit_sphere_ref(s, g, int(ell), f),
+                   None, 0),
+    "minkowski": (_minkowski, 1, None),
+    "curve": (lambda s, g, f, k, ell: ineq.curve_kwww_deficit(s, g, f), None, None),
+}
+_CHECKS["girao"] = _CHECKS["boundary-momentum"]
+
+
+def _check_reports(space: WarpedSpace, graph: RadialGraph,
+                   checks: list[str]) -> list[ineq.DeficitReport]:
+    """Evaluate each --check item on one surface; a bad item is a usage error."""
+    fields = geometry(space, graph)
+    reports = []
+    for item in checks:
+        with _usage_errors():
+            name, params = _parse_check(item)
+            if name not in _CHECKS:
+                raise UsageError(f"unknown check {name!r}")
+            deficit, k, ell = _CHECKS[name]
+            reports.append(deficit(space, graph, fields, params.get("k", k),
+                                   params.get("ell", ell)))
+    return reports
 
 
 def _deficit_rows(reports: list[ineq.DeficitReport]) -> list[tuple[str, list]]:
@@ -429,17 +438,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     if not cfg.checks:
         raise UsageError("verify requires at least one --check")
     space, grid = _build_space_grid(cfg)
-    graph = _build_surface(cfg, space, grid)
-    fields = geometry(space, graph)
-    reports = []
-    for item in cfg.checks:
-        name, params = _parse_check(item)
-        try:
-            reports.append(_evaluate_check(space, graph, fields, name, params))
-        except UsageError:
-            raise
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+    reports = _check_reports(space, _build_surface(cfg, space, grid), cfg.checks)
 
     if cfg.fmt == "json":
         payload = [rep.to_dict() for rep in reports]
@@ -462,7 +461,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------- reference
 
 def cmd_reference(cfg: RunConfig) -> int:
-    try:
+    with _usage_errors():
         space = parse_space_spec(cfg.space)
         if cfg.invert is not None:
             radius = ineq.ball_chi_inverse(space, cfg.ell, cfg.invert, cfg.n)
@@ -477,8 +476,6 @@ def cmd_reference(cfg: RunConfig) -> int:
                 "k": cfg.k,
                 "ell": cfg.ell,
             }
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     if cfg.fmt == "json":
         print(json.dumps(values, sort_keys=True))
     else:
@@ -490,11 +487,9 @@ def cmd_reference(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------- probe
 
 def cmd_probe(cfg: RunConfig) -> int:
-    try:
+    with _usage_errors():
         space = parse_space_spec(cfg.space)
         report = probe_assumptions(space, cfg.r_max, cfg.samples)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     if cfg.fmt == "json":
         payload = {
             "kind": report.kind,
@@ -563,15 +558,11 @@ def _sweep_members(surface_spec: str) -> list[tuple[str, dict]]:
 
 def _sweep_one(args) -> tuple[dict, list[dict]]:
     space_spec, n, grid_spec, family, params, checks = args
-    space = parse_space_spec(space_spec)
-    grid = parse_grid_spec(grid_spec, n, space.fiber_scale)
-    graph = make_seed_surface(space, grid, family, **params)
-    fields = geometry(space, graph)
-    reports = []
-    for item in checks:
-        name, cparams = _parse_check(item)
-        reports.append(_evaluate_check(space, graph, fields, name, cparams).to_dict())
-    return params, reports
+    with _usage_errors():
+        space = parse_space_spec(space_spec)
+        grid = parse_grid_spec(grid_spec, n, space.fiber_scale)
+        graph = make_seed_surface(space, grid, family, **params)
+    return params, [rep.to_dict() for rep in _check_reports(space, graph, checks)]
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -579,11 +570,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise UsageError("sweep requires at least one --check")
     members = _sweep_members(cfg.surface)
     # validate in the parent, so that bad input exits 64 before any worker starts
-    try:
-        parse_space_spec(cfg.space)
+    _build_space_grid(cfg)
+    with _usage_errors():
         check_surface_options(*members[0])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     tasks = [(cfg.space, cfg.n, cfg.grid, family, params, cfg.checks)
              for family, params in members]
     if cfg.workers > 1:

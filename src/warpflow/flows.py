@@ -57,21 +57,20 @@ from .surface import (
 )
 
 __all__ = [
+    "Flow",
+    "FLOWS",
     "FlowSpec",
     "FlowTrace",
     "TraceSample",
     "ConeViolation",
     "LazyReport",
     "Monotone",
-    "MONOTONES",
     "monotones",
     "speed",
     "step",
     "evolve",
     "variational_check",
 ]
-
-FLOW_KINDS = ("imcf", "euclidean_inverse", "hyperbolic_sx", "sphere_bgl")
 
 # relative local-error budget for the step-doubling pair
 _STEP_TOL = 1e-8
@@ -98,58 +97,39 @@ class FlowSpec:
     report_ks: tuple[float, ...] = (1.0, 2.0)
 
     def validate(self, space: WarpedSpace, n: int) -> None:
-        if self.kind not in FLOW_KINDS:
+        if self.kind not in FLOWS:
             raise ValueError(f"unknown flow kind {self.kind!r}")
         if not 1 <= self.k <= n:
             raise ValueError(f"flow order k = {self.k} outside 1..{n}")
-        if self.kind == "euclidean_inverse" and space.kind != "euclidean":
-            raise ValueError("euclidean_inverse flow requires the euclidean ambient")
-        if self.kind == "hyperbolic_sx" and space.kind != "hyperbolic":
-            raise ValueError("hyperbolic_sx flow requires the hyperbolic ambient")
-        if self.kind == "sphere_bgl":
-            if space.kind != "sphere":
-                raise ValueError("sphere_bgl flow requires the sphere ambient")
-            if self.k != n:
-                raise ValueError(f"sphere_bgl supports k = n = {n} only")
+        flow = FLOWS[self.kind]
+        if flow.ambient not in (None, space.kind):
+            raise ValueError(f"{self.kind} flow requires the {flow.ambient} ambient")
+        if flow.top_order_only and self.k != n:
+            raise ValueError(f"{self.kind} supports k = n = {n} only")
         if self.t_final <= 0 or self.report_dt <= 0:
             raise ValueError("t_final and report_dt must be positive")
         if not 0 < self.cfl <= 1 or self.max_rel_step <= 0 or self.eps_mono <= 0:
             raise ValueError("cfl must be in (0, 1], max_rel_step and eps_mono positive")
 
 
-def _fail_cone(kind: str, grid: SphereGrid, mask: np.ndarray, quantity: str) -> None:
-    idx = int(np.argmax(mask.ravel()))
-    raise ConeViolation(
-        f"{kind}: cone condition {quantity} > 0 fails at {grid.node_label(idx)}"
-    )
+def _off_cone(spec: FlowSpec, fields: GeometryFields) -> tuple[str, np.ndarray] | None:
+    """The first cone quantity of spec's flow that is not > 0 at every node,
+    with its nodal values; None on the cone."""
+    for quantity, values in FLOWS[spec.kind].cone(fields, spec.k):
+        if not values.min() > 0:
+            return quantity, values
+    return None
 
 
 def speed(spec: FlowSpec, space: WarpedSpace, fields: GeometryFields) -> np.ndarray:
     """Nodal normal speed of the chosen flow; raises ConeViolation off-cone."""
-    n, k = fields.n, spec.k
-    grid = fields.grid
-    if spec.kind == "imcf":
-        H = fields.H
-        if np.any(H <= 0):
-            _fail_cone("imcf", grid, H <= 0, "H")
-        return 1.0 / H
-
-    Ek = fields.E[k]
-    Ekm1 = fields.E[k - 1]
-    if np.any(Ek <= 0):
-        _fail_cone(spec.kind, grid, Ek <= 0, f"E_{k}")
-    if k >= 2 and np.any(Ekm1 <= 0):
-        _fail_cone(spec.kind, grid, Ekm1 <= 0, f"E_{k - 1}")
-    ratio = Ekm1 / Ek
-
-    if spec.kind == "euclidean_inverse":
-        return ratio
-    if spec.kind == "hyperbolic_sx":
-        if np.any(fields.dlam <= 0):
-            _fail_cone(spec.kind, grid, fields.dlam <= 0, "lambda'")
-        return ratio - fields.support / fields.dlam
-    # sphere_bgl
-    return fields.dlam * ratio - fields.support
+    off = _off_cone(spec, fields)
+    if off is not None:
+        quantity, values = off
+        idx = int(np.argmax(~(values.ravel() > 0)))
+        raise ConeViolation(f"{spec.kind}: cone condition {quantity} > 0 fails "
+                            f"at {fields.grid.node_label(idx)}")
+    return FLOWS[spec.kind].speed(fields, spec.k)
 
 
 def step(space: WarpedSpace, graph: RadialGraph, spec: FlowSpec, dt: float) -> RadialGraph:
@@ -174,32 +154,13 @@ def _make_polar_filter(grid: SphereGrid):
     return apply
 
 
-def _speed_curvature_derivative(spec: FlowSpec, fields: GeometryFields) -> np.ndarray:
-    """Nodal bound on |df/dkappa_i|, the diffusion strength of the speed."""
-    n, k = fields.n, spec.k
-    if spec.kind == "imcf":
-        return 1.0 / fields.H**2
-    if k == 1:
-        d = (1.0 / n) / fields.E[1] ** 2
-    else:
-        # n = 2, k = 2: E_1/E_2 = (1/kappa_1 + 1/kappa_2)/2
-        d = 0.5 / np.min(np.abs(fields.kappa), axis=0) ** 2
-    if spec.kind == "sphere_bgl":
-        d = fields.dlam * d
-    return d
-
-
 def _dt_bound(spec: FlowSpec, space: WarpedSpace, fields: GeometryFields,
               f: np.ndarray) -> float:
     """Proposal dt = min(CFL on the metric spacing, relative-step cap)."""
     grid = fields.grid
     dtheta = (np.pi / grid.shape[0]) if grid.n == 2 else (2.0 * np.pi / grid.shape[0])
     h_geo = float(fields.lam.min()) * dtheta * grid.fiber_scale
-    if spec.kind == "imcf":
-        diffusion = float(np.max(1.0 / (fields.H**2 * fields.lam**2 * fields.v**2)))
-    else:
-        diffusion = float(np.max(
-            _speed_curvature_derivative(spec, fields) / fields.lam**2))
+    diffusion = float(np.max(FLOWS[spec.kind].diffusion(fields, spec.k)))
     dt_cfl = spec.cfl * h_geo**2 / diffusion
     rate = float(np.max(np.abs(f) * fields.v / fields.u))
     dt_cap = spec.max_rel_step / rate if rate > 0 else math.inf
@@ -273,48 +234,75 @@ def _phi_quermass_row(k: int, label: str) -> Monotone:
     return Monotone(f"phiE{k}_plus_{k}W{k - 1}", -1, phi_quermass_value(k), label)
 
 
-# flow kind -> rows(n, k, ks, ells): the guard, monotone_series, the evolve
-# columns and the CLI findings all read these.  ks are the imcf exponents
-# and ells the hyperbolic quermassintegrals to track.
-MONOTONES = {
-    "imcf": lambda n, k, ks, ells: [
-        Monotone(f"Q_imcf_{j:g}", -1, q_imcf_value(n, j)) for j in ks],
-    "euclidean_inverse": lambda n, k, ks, ells: [
-        Monotone(f"Qk_euclid_{k}", -1, q_k_value(n, k))],
-    "hyperbolic_sx": lambda n, k, ks, ells: [
-        _phi_quermass_row(k, "monotone_hyp_lhs"),
-        *(Monotone(f"W_{ell}", +1, lambda r, ell=ell: r.W(ell), f"monotone_hyp_W_{ell}")
-          for ell in ells)],
-    "sphere_bgl": lambda n, k, ks, ells: [_phi_quermass_row(k, "monotone_sph_lhs")],
+@dataclass(frozen=True)
+class Flow:
+    """What one flow kind is.  The callables take (fields, k) unless noted;
+    speed, the step guard, the start check and the CFL bound all read it."""
+
+    ambient: str | None      # the space kind the flow needs; None: any
+    start_class: str         # the cone named for a user, formatted with k
+    cone: Callable           # -> [(quantity, nodal values that must be > 0)]
+    speed: Callable          # -> nodal normal speed, on the cone
+    diffusion: Callable      # -> nodal |df/dkappa_i| / lambda^2, for the CFL bound
+    monotones: Callable      # (n, k, ks, ells) -> [Monotone]; ks: imcf exponents,
+                             # ells: hyperbolic quermassintegrals to track
+    euclidean_growth: Callable = lambda n: 0.0   # round-sphere growth rate of u
+    top_order_only: bool = False                 # k = n only
+
+
+def _ratio_cone(f: GeometryFields, k: int) -> list:
+    """The cone of E_{k-1}/E_k: E_k > 0, and E_{k-1} > 0 for k >= 2."""
+    return [(f"E_{k}", f.E[k])] + ([(f"E_{k - 1}", f.E[k - 1])] if k >= 2 else [])
+
+
+def _ratio_diffusion(f: GeometryFields, k: int) -> np.ndarray:
+    """Nodal bound on |d(E_{k-1}/E_k)/dkappa_i|."""
+    if k == 1:
+        return (1.0 / f.n) / f.E[1] ** 2
+    # n = 2, k = 2: E_1/E_2 = (1/kappa_1 + 1/kappa_2)/2
+    return 0.5 / np.min(np.abs(f.kappa), axis=0) ** 2
+
+
+FLOWS = {
+    "imcf": Flow(
+        ambient=None, start_class="mean convex",
+        cone=lambda f, k: [("H", f.H)],
+        speed=lambda f, k: 1.0 / f.H,
+        diffusion=lambda f, k: 1.0 / (f.H**2 * f.lam**2 * f.v**2),
+        monotones=lambda n, k, ks, ells: [
+            Monotone(f"Q_imcf_{j:g}", -1, q_imcf_value(n, j)) for j in ks],
+        euclidean_growth=lambda n: 1.0 / n),
+    "euclidean_inverse": Flow(
+        ambient="euclidean", start_class="{k}-convex",
+        cone=_ratio_cone,
+        speed=lambda f, k: f.E[k - 1] / f.E[k],
+        diffusion=lambda f, k: _ratio_diffusion(f, k) / f.lam**2,
+        monotones=lambda n, k, ks, ells: [
+            Monotone(f"Qk_euclid_{k}", -1, q_k_value(n, k))],
+        euclidean_growth=lambda n: 1.0),
+    "hyperbolic_sx": Flow(
+        ambient="hyperbolic", start_class="{k}-convex",
+        cone=lambda f, k: _ratio_cone(f, k) + [("lambda'", f.dlam)],
+        speed=lambda f, k: f.E[k - 1] / f.E[k] - f.support / f.dlam,
+        diffusion=lambda f, k: _ratio_diffusion(f, k) / f.lam**2,
+        monotones=lambda n, k, ks, ells: [
+            _phi_quermass_row(k, "monotone_hyp_lhs"),
+            *(Monotone(f"W_{ell}", +1, lambda r, ell=ell: r.W(ell), f"monotone_hyp_W_{ell}")
+              for ell in ells)]),
+    "sphere_bgl": Flow(
+        ambient="sphere", start_class="strictly convex",
+        cone=_ratio_cone,
+        speed=lambda f, k: f.dlam * (f.E[k - 1] / f.E[k]) - f.support,
+        diffusion=lambda f, k: f.dlam * _ratio_diffusion(f, k) / f.lam**2,
+        monotones=lambda n, k, ks, ells: [_phi_quermass_row(k, "monotone_sph_lhs")],
+        top_order_only=True),
 }
 
 
 def monotones(spec: FlowSpec, n: int, ks=None, ells=(0, 1)) -> list[Monotone]:
     """The monotone quantities of spec's flow; imcf tracks ks (default spec.k)."""
     ks = (float(spec.k),) if ks is None else tuple(ks)
-    return MONOTONES[spec.kind](n, spec.k, ks, ells)
-
-
-def _required_cone_holds(spec: FlowSpec, fields: GeometryFields) -> bool:
-    if spec.kind == "imcf":
-        return bool(fields.H.min() > 0)
-    if spec.kind == "sphere_bgl":
-        return bool(fields.kappa.min() > 0)
-    ok = all(fields.E[j].min() > 0 for j in range(1, spec.k + 1))
-    if spec.kind == "hyperbolic_sx":
-        ok = ok and bool(fields.dlam.min() > 0)
-    return ok
-
-
-def _admissibility_error(spec: FlowSpec, report: ClassReport) -> str | None:
-    if spec.kind == "imcf" and not report.mean_convex:
-        return f"imcf needs a mean convex start, min H = {report.min_H:.3e}"
-    if spec.kind in ("euclidean_inverse", "hyperbolic_sx") and not report.k_convex:
-        return (f"{spec.kind} needs a {spec.k}-convex start, "
-                f"min E = {min(report.min_E.values()):.3e}")
-    if spec.kind == "sphere_bgl" and not report.convex:
-        return f"sphere_bgl needs a strictly convex start, min kappa = {report.min_kappa:.3e}"
-    return None
+    return FLOWS[spec.kind].monotones(n, spec.k, ks, ells)
 
 
 @dataclass(frozen=True)
@@ -323,7 +311,6 @@ class TraceSample:
 
     t: float
     u: np.ndarray                 # physical nodal radii
-    log_scale: float              # log of the tracked renormalization factor
     report: QuantityReport
     class_report: ClassReport
     max_speed: float
@@ -360,18 +347,17 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
     grid = graph0.grid
     n = grid.n
     spec.validate(space, n)
+    flow = FLOWS[spec.kind]
 
     fields0 = geometry(space, graph0)
-    start_class = convexity_class(fields0, space, graph0, spec.k)
-    problem = _admissibility_error(spec, start_class)
-    if problem is not None:
-        raise ValueError(f"inadmissible initial surface: {problem}")
+    off = _off_cone(spec, fields0)
+    if off is not None:
+        quantity, values = off
+        raise ValueError(f"inadmissible initial surface: {spec.kind} needs a "
+                         f"{flow.start_class.format(k=spec.k)} start, "
+                         f"min {quantity} = {values.min():.3e}")
 
-    if space.kind == "euclidean" and spec.kind in ("imcf", "euclidean_inverse"):
-        # round-sphere growth rate of the stored graph
-        renorm_rate = 1.0 / n if spec.kind == "imcf" else 1.0
-    else:
-        renorm_rate = 0.0
+    renorm_rate = flow.euclidean_growth(n) if space.kind == "euclidean" else 0.0
 
     polar_filter = _make_polar_filter(grid)
     trace = FlowTrace(space_kind=space.kind, n=n, spec=spec, grid=grid)
@@ -397,7 +383,7 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
         margin = (min(float((E[j]**2 - E[j + 1] * E[j - 1]).min()) for j in range(1, n))
                   if n >= 2 else None)
         trace.samples.append(TraceSample(
-            t=t, u=u_phys.copy(), log_scale=log_scale, report=rep,
+            t=t, u=u_phys.copy(), report=rep,
             class_report=cls, max_speed=float(np.max(np.abs(f_speed))),
             dt=dt_used, newton_maclaurin_margin=margin,
         ))
@@ -454,7 +440,7 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
                         u_cand = u_cand * math.exp(-renorm_rate * dt)
                     graph_cand = RadialGraph(grid=grid, u=u_cand, space_kind=space.kind)
                     fields_cand = geometry(space, graph_cand)
-                    if not _required_cone_holds(spec, fields_cand):
+                    if _off_cone(spec, fields_cand) is not None:
                         accept, reason = False, "cone"
             except (ConeViolation, ValueError, FloatingPointError):
                 accept, reason = False, "cone"

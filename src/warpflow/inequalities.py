@@ -347,6 +347,22 @@ def ball_chi_inverse(space: WarpedSpace, ell: int, w: float, n: int = 2) -> floa
     return 0.5 * (lo + hi)
 
 
+def _ball_reference_deficit(name: str, space: WarpedSpace, graph: RadialGraph, k: int,
+                            ell: int, fields: GeometryFields) -> DeficitReport:
+    """int Phi E_k dmu + k W_{k-1} against (xi_k + k chi_{k-1})(chi_ell^{-1}(W_ell))."""
+    n = fields.n
+    rep = LazyReport(space, graph, fields)
+    lhs = phi_quermass_value(k)(rep)
+    radius = ball_chi_inverse(space, ell, rep.W(ell), n)
+    rhs = ball_xi(space, k, radius, n) + k * ball_chi(space, k - 1, radius, n)
+    return DeficitReport(
+        name=name, lhs=lhs, rhs=rhs, k=k, ell=ell,
+        equality_expected=_is_round(graph),
+        aux={"ball_radius": radius},
+        flags=_class_flags(space, graph, fields),
+    )
+
+
 def deficit_hyperbolic_ref(space: WarpedSpace, graph: RadialGraph, k: int, ell: int,
                            fields: GeometryFields | None = None) -> DeficitReport:
     """Hyperbolic weighted-curvature bound through ball reference functions:
@@ -364,16 +380,7 @@ def deficit_hyperbolic_ref(space: WarpedSpace, graph: RadialGraph, k: int, ell: 
         raise ValueError(f"need 1 <= k <= n = {n}")
     if not 0 <= ell <= k:
         raise ValueError(f"need 0 <= ell <= k = {k}")
-    rep = LazyReport(space, graph, fields)
-    lhs = phi_quermass_value(k)(rep)
-    radius = ball_chi_inverse(space, ell, rep.W(ell), n)
-    rhs = ball_xi(space, k, radius, n) + k * ball_chi(space, k - 1, radius, n)
-    return DeficitReport(
-        name="hyperbolic_ref", lhs=lhs, rhs=rhs, k=k, ell=ell,
-        equality_expected=_is_round(graph),
-        aux={"ball_radius": radius},
-        flags=_class_flags(space, graph, fields),
-    )
+    return _ball_reference_deficit("hyperbolic_ref", space, graph, k, ell, fields)
 
 
 def deficit_sphere_ref(space: WarpedSpace, graph: RadialGraph, ell: int,
@@ -387,16 +394,7 @@ def deficit_sphere_ref(space: WarpedSpace, graph: RadialGraph, ell: int,
     n = fields.n
     if not 0 <= ell <= n:
         raise ValueError(f"need 0 <= ell <= n = {n}")
-    rep = LazyReport(space, graph, fields)
-    lhs = phi_quermass_value(n)(rep)
-    radius = ball_chi_inverse(space, ell, rep.W(ell), n)
-    rhs = ball_xi(space, n, radius, n) + n * ball_chi(space, n - 1, radius, n)
-    return DeficitReport(
-        name="sphere_ref", lhs=lhs, rhs=rhs, k=n, ell=ell,
-        equality_expected=_is_round(graph),
-        aux={"ball_radius": radius},
-        flags=_class_flags(space, graph, fields),
-    )
+    return _ball_reference_deficit("sphere_ref", space, graph, n, ell, fields)
 
 
 def curve_kwww_deficit(space: WarpedSpace, graph: RadialGraph,
@@ -426,8 +424,8 @@ def monotone_series(space: WarpedSpace, trace: FlowTrace, spec: FlowSpec,
                     ks=None, ells=(0, 1)) -> dict[str, np.ndarray]:
     """Per-sample values of the quantities that are monotone along the flow.
 
-    The rows come from `flows.MONOTONES`, the table the step guard and the
-    evolve trace columns read too; README lists them per flow kind.  ks
+    The rows come from the flow's `flows.FLOWS` entry, which the step guard
+    and the evolve trace columns read too; README lists them per flow kind.  ks
     picks the imcf exponents (default the flow's k) and ells the hyperbolic
     quermassintegrals.  Values are read from the samples' reports, so
     `space` is not used.

@@ -64,7 +64,7 @@ def _validate_graph_range(space: WarpedSpace, grid: SphereGrid, u: np.ndarray) -
     if np.any(bad):
         idx = int(np.argmax(bad.ravel()))
         raise ValueError(
-            f"graph radius {u.ravel()[idx]!r} at {grid.node_label(idx)} is outside "
+            f"graph radius {float(u.ravel()[idx])!r} at {grid.node_label(idx)} is outside "
             f"the ambient domain ({space.a}, {space.b})"
         )
 

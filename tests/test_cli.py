@@ -48,6 +48,28 @@ def test_usage_errors_exit_64(capsys, tmp_path):
     assert run(["verify", "--space", "euclidean", "--surface-file", str(short),
                 "--check", "girao"]) == EXIT_USAGE
     assert "line 2" in capsys.readouterr().err
+    # missing or unreadable input files name their path
+    missing = tmp_path / "missing.csv"
+    assert run(["verify", "--space", "euclidean", "--surface-file", str(missing),
+                "--check", "girao"]) == EXIT_USAGE
+    assert str(missing) in capsys.readouterr().err
+    assert run(["verify", "--config", str(tmp_path / "missing.json"),
+                "--check", "girao"]) == EXIT_USAGE
+    assert "missing.json" in capsys.readouterr().err
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"space": ')
+    assert run(["verify", "--config", str(broken), "--check", "girao"]) == EXIT_USAGE
+    assert "broken.json" in capsys.readouterr().err
+    # a member's check or surface fails the same way with or without workers
+    for workers in ("1", "2"):
+        assert run(["sweep", "--space", "euclidean", "--grid", "16x32", "--workers", workers,
+                    "--surface", "round:r0=1:2", "--check", "hyperbolic-ref"]) == EXIT_USAGE
+        assert "this bound is a hyperbolic statement" in capsys.readouterr().err
+        assert run(["sweep", "--space", "sphere", "--grid", "16x32", "--workers", workers,
+                    "--surface", "round:r0=2:4", "--check", "girao"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "graph radius 4.0" in err and "outside the ambient domain" in err
+        assert "np.float64" not in err
 
 
 def test_verify_round_equalities(tmp_path, capsys):

@@ -69,10 +69,11 @@ def _cases() -> dict[str, list[str]]:
             "verify", "--space", "euclidean", "--n", "1", "--grid", "64", "--workers", "1",
             "--surface", "legendre:r0=1,eps=0.1,l=2", "--check", "curve", "--check", "girao",
             "--format", fmt]
-        cases[f"sweep_legendre.{fmt}"] = [
-            "sweep", *_GRID, "--space", "euclidean",
-            "--surface", "legendre:r0=1,eps=0:0.1:0.05,l=2",
-            "--check", "girao", "--check", "weinstock", "--format", fmt]
+        sweep = ["sweep", *_GRID, "--space", "euclidean",
+                 "--surface", "legendre:r0=1,eps=0:0.1:0.05,l=2",
+                 "--check", "girao", "--check", "weinstock", "--format", fmt]
+        cases[f"sweep_legendre.{fmt}"] = sweep
+        cases[f"sweep_legendre_pool.{fmt}"] = sweep + ["--workers", "2"]
     return cases
 
 

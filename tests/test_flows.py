@@ -17,7 +17,7 @@ from warpflow.flows import (
 )
 from warpflow.grid import sphere_grid
 from warpflow.inequalities import monotone_series
-from warpflow.surface import RadialGraph, geometry, make_seed_surface
+from warpflow.surface import geometry, make_seed_surface
 
 EU = make_space_form(0)
 HY = make_space_form(-1)
@@ -57,14 +57,28 @@ def test_stationary_speeds_on_geodesic_spheres():
     assert np.abs(f).max() < 1e-12
 
 
-def test_speed_cone_violation_names_quantity():
-    g = sphere_grid(64, 128)
-    u = 1 + 0.45 * (1.5 * np.cos(g.theta[:, None]) ** 2 - 0.5) * np.ones(g.shape)
-    graph = RadialGraph(grid=g, u=u, space_kind="euclidean")
-    fields = geometry(EU, graph)
-    assert fields.kappa.min() < 0 < fields.H.min()
-    with pytest.raises(ConeViolation, match="E_2"):
-        speed(FlowSpec(kind="euclidean_inverse", k=2), EU, fields)
+# kind -> (space, k, legendre seed (l, eps) off the cone, failing quantity, start class)
+_OFF_CONE = {
+    "imcf": (EU, 1, (4, 0.3), "H", "mean convex"),
+    "euclidean_inverse": (EU, 2, (2, 0.45), "E_2", "2-convex"),
+    "hyperbolic_sx": (HY, 1, (4, 0.45), "E_1", "1-convex"),
+    "sphere_bgl": (SP, 2, (2, 0.45), "E_2", "strictly convex"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_OFF_CONE))
+def test_cone_guards_speed_and_start(kind):
+    space, k, (l, eps), quantity, start_class = _OFF_CONE[kind]
+    g = sphere_grid(32, 64)
+    spec = FlowSpec(kind=kind, k=k, t_final=1e-3, report_dt=1e-3)
+    graph = make_seed_surface(space, g, "legendre", r0=1, eps=eps, l=l)
+    with pytest.raises(ConeViolation, match=f"{kind}: cone condition {quantity} > 0 fails"):
+        speed(spec, space, geometry(space, graph))
+    with pytest.raises(ValueError, match=f"needs a {start_class} start, min {quantity} ="):
+        evolve(space, graph, spec)
+    round_graph = make_seed_surface(space, g, "round", r0=1.0)
+    assert np.all(np.isfinite(speed(spec, space, geometry(space, round_graph))))
+    assert evolve(space, round_graph, spec).termination == ("reached_t_final",)
 
 
 def test_forward_euler_step():
