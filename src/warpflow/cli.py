@@ -128,10 +128,13 @@ class RunConfig:
         return cls(**data)
 
 
-def _positive_workers(value: str) -> int:
-    w = int(value)
+def _positive_workers(value: str, name: str = "workers") -> int:
+    try:
+        w = int(value)
+    except ValueError:
+        raise UsageError(f"{name} must be an integer, got {value!r}") from None
     if w < 1:
-        raise UsageError(f"workers must be >= 1, got {w}")
+        raise UsageError(f"{name} must be >= 1, got {w}")
     return w
 
 
@@ -229,7 +232,8 @@ def _merge_config(ns: argparse.Namespace) -> RunConfig:
             continue
         setattr(cfg, key, val)
     if "workers" not in vars(ns) and "workers" not in file_values:
-        cfg.workers = int(os.environ.get("WARPFLOW_WORKERS", "1"))
+        cfg.workers = _positive_workers(os.environ.get("WARPFLOW_WORKERS", "1"),
+                                        "WARPFLOW_WORKERS")
     if cfg.grid == "64x128" and cfg.n == 1:
         cfg.grid = "512"
     return cfg
@@ -325,6 +329,15 @@ def _series_monotone_ok(series: dict[str, np.ndarray], spec: FlowSpec,
     return bad
 
 
+def _steps_line(steps: dict) -> str:
+    """One line of FlowTrace.step_counts for stderr."""
+    rejected = ", ".join(f"{reason} {count}" for reason, count in steps["rejected"].items())
+    dt_range = ("" if steps["dt_min"] is None
+                else f", dt {steps['dt_min']:.3g}..{steps['dt_max']:.3g}")
+    return (f"steps: {steps['accepted']} accepted, {sum(steps['rejected'].values())} "
+            f"rejected ({rejected}), {steps['geometry_calls']} geometry calls{dt_range}")
+
+
 def cmd_evolve(cfg: RunConfig) -> int:
     if cfg.flow is None:
         raise UsageError("evolve requires --flow")
@@ -345,9 +358,11 @@ def cmd_evolve(cfg: RunConfig) -> int:
     series = ineq.monotone_series(space, trace, spec, ks=ks)
     rows = monotones(spec, trace.n, ks)
     columns = _trace_columns(trace, series, rows)
+    steps = trace.step_counts()
     meta = {"config": cfg.to_dict(), "termination": list(trace.termination),
-            "findings": trace.findings}
+            "findings": trace.findings, "steps": steps}
     _write_table(cfg.out, columns, cfg.fmt, meta)
+    print(_steps_line(steps), file=sys.stderr)
 
     bad = _series_monotone_ok(series, spec, rows)
     if trace.findings or bad:

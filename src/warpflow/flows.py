@@ -8,11 +8,18 @@ Normal speeds on the menu:
     sphere_bgl         f = lambda' E_{k-1}/E_k - u_s   (sphere, k = n)
 
 The graph equation is du/dt = f v, the standard conversion of a normal
-speed through <d_r, nu> = 1/v.  Stepping is explicit Heun with step-doubling
-error control; a step is also rejected and halved when the flow's cone
-condition breaks or a tracked monotone quantity moves the wrong way by more
-than eps_mono relative, and a persistent wrong-way move is recorded as a
-finding instead of being smoothed away.
+speed through <d_r, nu> = 1/v.  Stepping is explicit Heun with a
+step-doubling error estimate and PI step-size control (Gustafsson, ACM TOMS
+17 (1991) 533-554; Hairer & Wanner, Solving ODEs II, IV.2): with
+e = err/_STEP_TOL, an accepted step proposes
+dt * clip(0.9 e_n^(-0.7/3) e_{n-1}^(0.4/3), 0.2, 2), never above dt after a
+rejection within the step, and a step-error rejection retries at
+dt * max(0.2, 0.9 e^(-1/3)).  A step is halved instead when the flow's cone
+condition breaks, a tracked monotone quantity moves the wrong way by more
+than eps_mono relative (the guard), the graph leaves the ambient domain, or
+a value turns non-finite; a persistent wrong-way move is recorded as a
+finding instead of being smoothed away.  Every attempt and its outcome is
+kept in FlowTrace.attempts.
 
 Two stabilization details beyond the plain scheme:
 
@@ -32,6 +39,7 @@ Two stabilization details beyond the plain scheme:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -61,6 +69,7 @@ __all__ = [
     "FLOWS",
     "FlowSpec",
     "FlowTrace",
+    "REJECTIONS",
     "TraceSample",
     "ConeViolation",
     "LazyReport",
@@ -74,8 +83,20 @@ __all__ = [
 
 # relative local-error budget for the step-doubling pair
 _STEP_TOL = 1e-8
+# PI controller on e = err/_STEP_TOL: exponents over p + 1 = 3 for Heun, the
+# safety factor, the step-factor range, and the floor on e (e = 0 on a
+# stationary flow)
+_PI_EXPONENTS = (0.7 / 3, 0.4 / 3)
+_SAFETY = 0.9
+_MIN_FACTOR, _MAX_FACTOR = 0.2, 2.0
+_MIN_E = 1e-4
+# per step: guard halvings before a finding, cone/domain/non-finite halvings
+# before the run stops, and rejections of any reason but the guard
 _MAX_GUARD_HALVINGS = 20
-_MAX_TOTAL_HALVINGS = 40
+_MAX_REJECTIONS = 40
+# why a step attempt was rejected; "step_error" shrinks dt by the error,
+# the others halve it
+REJECTIONS = ("step_error", "cone", "guard", "domain", "non_finite")
 _SPHERE_IMCF_MIN_H = 1e-3
 
 
@@ -329,6 +350,18 @@ class FlowTrace:
     samples: list[TraceSample] = field(default_factory=list)
     findings: list[dict] = field(default_factory=list)
     termination: tuple = ("reached_t_final",)
+    # (t, dt, outcome) per step attempt; outcome "accepted" or a REJECTIONS reason
+    attempts: list[tuple[float, float, str]] = field(default_factory=list)
+    geometry_calls: int = 0
+
+    def step_counts(self) -> dict:
+        """Accepted steps, rejections by reason, geometry calls, accepted dt range."""
+        outcomes = Counter(outcome for _, _, outcome in self.attempts)
+        dts = [dt for _, dt, outcome in self.attempts if outcome == "accepted"]
+        return {"accepted": outcomes["accepted"],
+                "rejected": {reason: outcomes[reason] for reason in REJECTIONS},
+                "geometry_calls": self.geometry_calls,
+                "dt_min": min(dts, default=None), "dt_max": max(dts, default=None)}
 
     @property
     def times(self) -> np.ndarray:
@@ -348,8 +381,13 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
     n = grid.n
     spec.validate(space, n)
     flow = FLOWS[spec.kind]
+    trace = FlowTrace(space_kind=space.kind, n=n, spec=spec, grid=grid)
 
-    fields0 = geometry(space, graph0)
+    def geom(g: RadialGraph) -> GeometryFields:
+        trace.geometry_calls += 1
+        return geometry(space, g)
+
+    fields0 = geom(graph0)
     off = _off_cone(spec, fields0)
     if off is not None:
         quantity, values = off
@@ -360,12 +398,10 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
     renorm_rate = flow.euclidean_growth(n) if space.kind == "euclidean" else 0.0
 
     polar_filter = _make_polar_filter(grid)
-    trace = FlowTrace(space_kind=space.kind, n=n, spec=spec, grid=grid)
     report_ks = tuple(sorted(set(map(float, spec.report_ks)) | {float(spec.k)}))
 
     def rhs(u_arr: np.ndarray) -> np.ndarray:
-        g = RadialGraph(grid=grid, u=u_arr, space_kind=space.kind)
-        flds = geometry(space, g)
+        flds = geom(RadialGraph(grid=grid, u=u_arr, space_kind=space.kind))
         return polar_filter(speed(spec, space, flds) * flds.v)
 
     def record(t: float, u_arr: np.ndarray, log_scale: float, dt_used: float,
@@ -375,7 +411,7 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
             return
         u_phys = u_arr * math.exp(log_scale) if renorm_rate else u_arr
         g_phys = RadialGraph(grid=grid, u=u_phys, space_kind=space.kind)
-        f_phys = geometry(space, g_phys) if renorm_rate else flds
+        f_phys = geom(g_phys) if renorm_rate else flds
         rep = full_report(space, g_phys, ks=report_ks, fields=f_phys)
         cls = convexity_class(f_phys, space, g_phys, spec.k)
         f_speed = speed(spec, space, f_phys)
@@ -406,21 +442,26 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
     f_now = speed(spec, space, fields)
     F0 = polar_filter(f_now * fields.v)
     monitors = guard_values(graph, fields)
-    dt_prev = math.inf
+    dt_ctrl = math.inf       # the controller's proposal for the next step
+    e_prev = 1.0             # the scaled error of the last step the controller saw
     eps_t = 1e-12 * spec.t_final
     next_report = min(spec.report_dt, spec.t_final)
 
+    def stop(termination: tuple, dt_used: float) -> FlowTrace:
+        trace.termination = termination
+        record(t, u, log_scale, dt_used, fields)
+        return trace
+
     while t < spec.t_final - eps_t:
-        dt_base = min(_dt_bound(spec, space, fields, f_now), 2.0 * dt_prev)
+        dt_base = min(_dt_bound(spec, space, fields, f_now), dt_ctrl)
         dt = min(dt_base, next_report - t)
-        halvings = 0
+        rejections = 0           # step error, cone, domain and non-finite
+        halvings = 0             # cone, domain and non-finite
         guard_halvings = 0
+        reason = detail = None
         while True:
-            if dt < 1e-12 * spec.t_final:
-                trace.termination = ("step_underflow", t)
-                record(t, u, log_scale, dt, fields)
-                return trace
-            accept = True
+            if dt < 1e-12 * spec.t_final or rejections > _MAX_REJECTIONS:
+                return stop(("step_underflow", t, reason), dt)
             reason = None
             try:
                 # Heun pair: one full step against two half steps
@@ -433,46 +474,63 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
                 u_cand = u_half + 0.25 * dt * (f3 + f4)
                 err = float(np.max(np.abs(u_full - u_cand))) / max(
                     float(np.max(np.abs(u))), 1e-300)
-                if err > _STEP_TOL:
-                    accept, reason = False, "step error"
+                if not math.isfinite(err):
+                    reason, detail = "non_finite", f"step error {err}"
+                elif err > _STEP_TOL:
+                    reason = "step_error"
                 else:
                     if renorm_rate:
                         u_cand = u_cand * math.exp(-renorm_rate * dt)
                     graph_cand = RadialGraph(grid=grid, u=u_cand, space_kind=space.kind)
-                    fields_cand = geometry(space, graph_cand)
-                    if _off_cone(spec, fields_cand) is not None:
-                        accept, reason = False, "cone"
-            except (ConeViolation, ValueError, FloatingPointError):
-                accept, reason = False, "cone"
+                    fields_cand = geom(graph_cand)
+                    off = _off_cone(spec, fields_cand)
+                    if off is not None:
+                        reason, detail = "cone", f"{off[0]} > 0 fails on the candidate"
+            except ConeViolation as exc:
+                reason, detail = "cone", str(exc)
+            except ValueError as exc:
+                reason, detail = "domain", str(exc)
+            except FloatingPointError as exc:
+                reason, detail = "non_finite", str(exc)
 
-            if not accept:
-                halvings += 1
-                if reason == "cone" and halvings > _MAX_GUARD_HALVINGS:
-                    trace.termination = ("cone_violation", t,
-                                         f"{spec.kind} cone lost after {halvings} halvings")
-                    record(t, u, log_scale, dt, fields)
-                    return trace
-                if halvings > _MAX_TOTAL_HALVINGS:
-                    trace.termination = ("step_underflow", t)
-                    record(t, u, log_scale, dt, fields)
-                    return trace
-                dt *= 0.5
-                continue
-
-            monitors_cand = guard_values(graph_cand, fields_cand)
-            bad = next((i for i, m in enumerate(guard)
-                        if m.wrong_way(monitors[i], monitors_cand[i], spec.eps_mono)), None)
-            if bad is not None and guard_halvings < _MAX_GUARD_HALVINGS:
+            if reason is None:
+                monitors_cand = guard_values(graph_cand, fields_cand)
+                bad = next((i for i, m in enumerate(guard)
+                            if m.wrong_way(monitors[i], monitors_cand[i], spec.eps_mono)), None)
+                if bad is None or guard_halvings == _MAX_GUARD_HALVINGS:
+                    break
+                reason = "guard"
+            trace.attempts.append((t, dt, reason))
+            if reason == "guard":
                 guard_halvings += 1
                 dt *= 0.5
                 continue
-            if bad is not None:
-                trace.findings.append({
-                    "t": t + dt, "quantity": guard[bad].name,
-                    "old": monitors[bad], "new": monitors_cand[bad],
-                    "note": "persistent wrong-way move after halvings",
-                })
-            break
+            rejections += 1
+            if reason == "step_error":
+                dt *= max(_MIN_FACTOR, _SAFETY * (err / _STEP_TOL) ** (-1 / 3))
+                continue
+            halvings += 1
+            if halvings > _MAX_GUARD_HALVINGS:
+                return stop((f"{reason}_violation", t,
+                             f"{spec.kind}: {reason} failure after {halvings} halvings: "
+                             f"{detail}"), dt)
+            dt *= 0.5
+
+        if bad is not None:
+            trace.findings.append({
+                "t": t + dt, "quantity": guard[bad].name,
+                "old": monitors[bad], "new": monitors_cand[bad],
+                "note": "persistent wrong-way move after halvings",
+            })
+        trace.attempts.append((t, dt, "accepted"))
+        e = max(err / _STEP_TOL, _MIN_E)
+        factor = min(max(_SAFETY * e ** -_PI_EXPONENTS[0] * e_prev ** _PI_EXPONENTS[1],
+                         _MIN_FACTOR), _MAX_FACTOR)
+        if rejections or guard_halvings:
+            dt_ctrl, e_prev = dt * min(factor, 1.0), e
+        elif dt == dt_base:
+            dt_ctrl, e_prev = dt * factor, e
+        # else a clean step clipped to a report time: it must not throttle the next
 
         t += dt
         u = u_cand
@@ -481,8 +539,6 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
         graph, fields, monitors = graph_cand, fields_cand, monitors_cand
         f_now = speed(spec, space, fields)
         F0 = polar_filter(f_now * fields.v)
-        # a report-time clip should not throttle the next step; a halving should
-        dt_prev = dt if (halvings or guard_halvings) else dt_base
 
         if t >= next_report - eps_t:
             record(t, u, log_scale, dt, fields)
@@ -497,7 +553,7 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
 
     trace.termination = ("reached_t_final",)
     if trace.samples[-1].t < spec.t_final - eps_t:
-        record(t, u, log_scale, dt_prev, fields)
+        record(t, u, log_scale, dt, fields)
     return trace
 
 

@@ -217,6 +217,15 @@ def test_A06_sphere_monotone(bgl_trace):
                  f"{per_step_increase(lhs).max():.1e} <= 1e-6")
 
 
+def test_sphere_bgl_step_rejections(bgl_trace):
+    # doubling after every accept rejected 44% of the attempts on this run
+    trace, _ = bgl_trace
+    counts = trace.step_counts()
+    attempts = counts["accepted"] + sum(counts["rejected"].values())
+    assert counts["rejected"]["step_error"] < 0.15 * attempts
+    assert sum(counts["rejected"].values()) == counts["rejected"]["step_error"]
+
+
 def test_A07_minkowski_formula(fine):
     coarse = sphere_grid(64, 128)
     details = []

@@ -15,7 +15,7 @@ def run(args):
     return main(args)
 
 
-def test_usage_errors_exit_64(capsys, tmp_path):
+def test_usage_errors_exit_64(capsys, tmp_path, monkeypatch):
     assert run(["evolve", "--space", "sphere", "--flow", "euclidean-inverse",
                 "--k", "1", "--surface", "round:r0=1", "--t-final", "1"]) == EXIT_USAGE
     assert run(["verify", "--space", "hyperbolic", "--surface", "round:r0=1",
@@ -70,6 +70,12 @@ def test_usage_errors_exit_64(capsys, tmp_path):
         err = capsys.readouterr().err
         assert "graph radius 4.0" in err and "outside the ambient domain" in err
         assert "np.float64" not in err
+    # the worker count from the environment is checked like --workers
+    for bad in ("x", "0"):
+        monkeypatch.setenv("WARPFLOW_WORKERS", bad)
+        assert run(["sweep", "--space", "euclidean", "--grid", "16x32",
+                    "--surface", "round:r0=1:2", "--check", "girao"]) == EXIT_USAGE
+        assert "WARPFLOW_WORKERS" in capsys.readouterr().err
 
 
 def test_verify_round_equalities(tmp_path, capsys):
@@ -146,7 +152,11 @@ def test_evolve_json_trace(tmp_path, capsys):
     assert payload["meta"]["termination"] == ["reached_t_final"]
     assert len(payload["samples"]) == 3
     assert payload["samples"][0]["area"] == pytest.approx(4 * math.pi, rel=1e-10)
-    capsys.readouterr()
+    steps = payload["meta"]["steps"]
+    assert steps["accepted"] >= 2 and steps["geometry_calls"] > 4 * steps["accepted"]
+    assert set(steps["rejected"]) == {"step_error", "cone", "guard", "domain", "non_finite"}
+    err = capsys.readouterr().err
+    assert err.startswith(f"steps: {steps['accepted']} accepted, ") and err.count("\n") == 1
 
 
 def test_reference_command(capsys):

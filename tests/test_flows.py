@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import warpflow.flows as flows
 from warpflow.ambient import make_space_form
 from warpflow.cli import _series_monotone_ok, _trace_columns
 from warpflow.flows import (
+    REJECTIONS,
     ConeViolation,
     FlowSpec,
     LazyReport,
@@ -233,3 +235,77 @@ def test_monotone_table_read_by_guard_series_and_cli(kind):
         along = {m.name: np.array([1.0, 1.0 + 0.01 * m.direction])}
         assert _series_monotone_ok(against, spec, [m]) == [m.name]
         assert _series_monotone_ok(along, spec, [m]) == []
+
+
+@pytest.fixture(scope="module")
+def imcf_bandlimited():
+    """The benchmark's flow_imcf input at seed 1, with its report interval."""
+    g = sphere_grid(64, 128)
+    graph = make_seed_surface(EU, g, "bandlimited", seed=80910, r0=1, amp=0.01, lmax=4)
+    spec = FlowSpec(kind="imcf", k=1, t_final=0.04, report_dt=0.01)
+    return evolve(EU, graph, spec), spec
+
+
+def test_pi_control_rejects_few_steps(imcf_bandlimited):
+    # doubling after every accept rejected 67 of 140 attempts on step error here
+    trace, _ = imcf_bandlimited
+    counts = trace.step_counts()
+    attempts = counts["accepted"] + sum(counts["rejected"].values())
+    assert attempts == len(trace.attempts)
+    assert counts["rejected"]["step_error"] <= 0.15 * attempts
+    assert set(counts["rejected"]) == set(REJECTIONS)
+    assert counts["dt_min"] <= counts["dt_max"]
+    assert not trace.findings
+
+
+def test_pi_control_growth_bounded(imcf_bandlimited):
+    trace, spec = imcf_bandlimited
+    reports = np.arange(1, 5) * spec.report_dt
+    after_rejection = 0
+    for i, (t, dt, outcome) in enumerate(trace.attempts[:-1]):
+        # a step clipped to a report time leaves the proposal alone
+        if outcome != "accepted" or np.min(np.abs(reports - (t + dt))) < 1e-12:
+            continue
+        rejected_before = i > 0 and trace.attempts[i - 1][2] != "accepted"
+        after_rejection += rejected_before
+        dt_next = trace.attempts[i + 1][1]
+        assert dt_next <= (1.0 if rejected_before else 2.0) * dt * (1 + 1e-12), i
+    assert after_rejection > 0
+
+
+def _failing_geometry(monkeypatch, fail):
+    """Make flows.geometry raise a domain ValueError on the calls that fail(count) picks."""
+    calls = [0]
+    real = flows.geometry
+
+    def patched(space, graph):
+        calls[0] += 1
+        if fail(calls[0]):
+            raise ValueError("graph radius outside the ambient domain (forced)")
+        return real(space, graph)
+
+    monkeypatch.setattr(flows, "geometry", patched)
+
+
+def test_domain_failure_counted_as_domain(monkeypatch):
+    graph = make_seed_surface(HY, sphere_grid(16, 32), "legendre", r0=1, eps=0.05, l=2)
+    spec = FlowSpec(kind="imcf", k=1, t_final=0.02, report_dt=0.02)
+    # call 1 is the start surface, call 2 the first stage of the first attempt
+    _failing_geometry(monkeypatch, lambda call: call == 2)
+    trace = evolve(HY, graph, spec)
+    assert trace.termination == ("reached_t_final",)
+    assert trace.attempts[0][2] == "domain"
+    rejected = trace.step_counts()["rejected"]
+    assert rejected["domain"] == 1 and rejected["cone"] == 0
+    # a domain failure halves the step and retries; the step error of the
+    # retry is small, but a step after a rejection does not grow
+    (_, dt0, _), (_, dt1, outcome), (_, dt2, _) = trace.attempts[:3]
+    assert dt1 == 0.5 * dt0 and outcome == "accepted"
+    assert dt2 <= dt1
+
+    # a failure that never goes away ends the run under its own name
+    _failing_geometry(monkeypatch, lambda call: call >= 2)
+    trace = evolve(HY, graph, spec)
+    assert trace.termination[0] == "domain_violation"
+    assert "forced" in trace.termination[2]
+    assert trace.step_counts()["rejected"]["domain"] == 21
