@@ -18,6 +18,7 @@ from .ambient import (
 )
 from .grid import SphereGrid, circle_grid, differentiate, sphere_grid
 from .surface import (
+    DomainError,
     GeometryFields,
     RadialGraph,
     convexity_class,

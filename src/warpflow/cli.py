@@ -17,6 +17,8 @@ import json
 import math
 import os
 import sys
+import types
+import typing
 from dataclasses import asdict, dataclass, field
 from multiprocessing import Pool
 
@@ -106,7 +108,7 @@ class RunConfig:
     k: int = 1
     t_final: float = 1.0
     report_dt: float | None = None
-    cfl: float = 0.2
+    cfl: float = 0.8
     max_rel_step: float = 1e-3
     eps_mono: float = 1e-6
     checks: list[str] = field(default_factory=list)
@@ -128,7 +130,7 @@ class RunConfig:
         return cls(**data)
 
 
-def _positive_workers(value: str, name: str = "workers") -> int:
+def _positive_workers(value: str | int, name: str = "workers") -> int:
     try:
         w = int(value)
     except ValueError:
@@ -136,6 +138,27 @@ def _positive_workers(value: str, name: str = "workers") -> int:
     if w < 1:
         raise UsageError(f"{name} must be >= 1, got {w}")
     return w
+
+
+@functools.cache
+def _config_types() -> dict:
+    """RunConfig's field types; resolving them takes 0.4 ms, so once per process."""
+    return typing.get_type_hints(RunConfig)
+
+
+def _config_value(key: str, val, hint):
+    """A config file value checked against the type of its RunConfig field."""
+    allowed = typing.get_args(hint) if typing.get_origin(hint) is types.UnionType else (hint,)
+    for typ in allowed:
+        if typing.get_origin(typ) is list:
+            ok = isinstance(val, list) and all(isinstance(item, str) for item in val)
+        else:
+            ok = isinstance(val, (int, float) if typ is float else typ)
+        if ok and not isinstance(val, bool):
+            return float(val) if typ is float else val
+    name = " or ".join("null" if typ is type(None) else
+                       typ.__name__ if isinstance(typ, type) else str(typ) for typ in allowed)
+    raise UsageError(f"config key {key!r} must be {name}, got {val!r}")
 
 
 def _build_parser() -> _Parser:
@@ -157,7 +180,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", default=argparse.SUPPRESS)
         p.add_argument("--format", dest="fmt", choices=("csv", "json"),
                        default=argparse.SUPPRESS)
-        p.add_argument("--workers", type=_positive_workers, default=argparse.SUPPRESS)
+        p.add_argument("--workers", type=int, default=argparse.SUPPRESS)
 
     p = sub.add_parser("evolve", help="run a flow and write its trace")
     common(p)
@@ -226,12 +249,14 @@ def _merge_config(ns: argparse.Namespace) -> RunConfig:
             continue
         if not hasattr(cfg, key):
             raise UsageError(f"unknown config key {key!r}")
-        setattr(cfg, key, val)
+        setattr(cfg, key, _config_value(key, val, _config_types()[key]))
     for key, val in vars(ns).items():
         if key in ("command", "config"):
             continue
         setattr(cfg, key, val)
-    if "workers" not in vars(ns) and "workers" not in file_values:
+    if "workers" in vars(ns) or "workers" in file_values:
+        _positive_workers(cfg.workers)
+    else:
         cfg.workers = _positive_workers(os.environ.get("WARPFLOW_WORKERS", "1"),
                                         "WARPFLOW_WORKERS")
     if cfg.grid == "64x128" and cfg.n == 1:
@@ -335,7 +360,8 @@ def _steps_line(steps: dict) -> str:
     dt_range = ("" if steps["dt_min"] is None
                 else f", dt {steps['dt_min']:.3g}..{steps['dt_max']:.3g}")
     return (f"steps: {steps['accepted']} accepted, {sum(steps['rejected'].values())} "
-            f"rejected ({rejected}), {steps['geometry_calls']} geometry calls{dt_range}")
+            f"rejected ({rejected}), {steps['geometry_calls']} geometry calls, "
+            f"{steps['stages_total']} stages (max {steps['stages_max']}){dt_range}")
 
 
 def cmd_evolve(cfg: RunConfig) -> int:

@@ -8,32 +8,52 @@ Normal speeds on the menu:
     sphere_bgl         f = lambda' E_{k-1}/E_k - u_s   (sphere, k = n)
 
 The graph equation is du/dt = f v, the standard conversion of a normal
-speed through <d_r, nu> = 1/v.  Stepping is explicit Heun with a
-step-doubling error estimate and PI step-size control (Gustafsson, ACM TOMS
-17 (1991) 533-554; Hairer & Wanner, Solving ODEs II, IV.2): with
-e = err/_STEP_TOL, an accepted step proposes
-dt * clip(0.9 e_n^(-0.7/3) e_{n-1}^(0.4/3), 0.2, 2), never above dt after a
-rejection within the step, and a step-error rejection retries at
-dt * max(0.2, 0.9 e^(-1/3)).  A step is halved instead when the flow's cone
-condition breaks, a tracked monotone quantity moves the wrong way by more
-than eps_mono relative (the guard), the graph leaves the ambient domain, or
-a value turns non-finite; a persistent wrong-way move is recorded as a
-finding instead of being smoothed away.  Every attempt and its outcome is
-kept in FlowTrace.attempts.
+speed through <d_r, nu> = 1/v.  Stepping is explicit second-order
+Runge-Kutta-Chebyshev (RKC2) with damping eps = 2/13 (Sommeijer, Shampine
+& Verwer, J. Comput. Appl. Math. 88 (1998) 315-326; Verwer, Sommeijer &
+Hundsdorfer, J. Comput. Phys. 201 (2004) 61-79).  An s-stage step is stable
+for dt * rho <= beta(s) = (2/3)(s^2 - 1)(1 - 2 eps/15), rho the spectral
+radius of the linearized right-hand side, so each attempt takes the fewest
+s >= 2 with dt * rho_est <= cfl * beta(s): `cfl` is the safety fraction of
+the stability interval, and dt itself is capped only by max_rel_step and by
+the error controller.  The bound is
+
+    rho_est = C_grid max(diffusion) / (dtheta c)^2,
+    C_grid  = 16/3 + max_i (mcut_i / sin theta_i)^2 dtheta^2     (n = 2),
+
+16/3 for the 4th-order colatitude second difference and the second term for
+the longitude modes that the polar filter below keeps (n = 1: C_grid = 16/3,
+dtheta = 2 pi/m).  The local error is estimated from the tendencies at both
+ends of the step, 0.8 (u_n - u_{n+1}) + 0.4 dt (F_n + F_{n+1}), and F_{n+1}
+is reused as the next step's F_n, so an attempt costs s geometry calls.
+Step sizes follow a PI controller (Gustafsson, ACM TOMS 17 (1991) 533-554;
+Hairer & Wanner, Solving ODEs II, IV.2): with e = err/_STEP_TOL, an
+accepted step proposes dt * clip(0.9 e_n^(-0.7/3) e_{n-1}^(0.4/3), 0.2, 2),
+never above dt after a rejection within the step, and a step-error
+rejection retries at dt * max(0.2, 0.9 e^(-1/3)).  A step is halved instead
+when the flow's cone condition breaks, a tracked monotone quantity moves the
+wrong way by more than eps_mono relative (the guard), the graph leaves the
+ambient domain (DomainError), or a value turns non-finite; a persistent
+wrong-way move is recorded as a finding instead of being smoothed away.
+Every attempt, its outcome and its stage count is kept in
+FlowTrace.attempts.
 
 Two stabilization details beyond the plain scheme:
 
 * On the lat-lon grid the phi modes near the poles carry metric frequencies
-  of order (P/2)/sin(theta), far above the colatitude resolution, and any
-  explicit step that respects the colatitude CFL is unstable for them.  The
+  of order (P/2)/sin(theta), far above the colatitude resolution.  The
   tendency is therefore passed through a ring-wise longitude filter with
-  cutoff (P/2) sin(theta), standard practice for global spectral grids; for
-  smooth graphs the removed content is far below truncation error.
+  cutoff mcut = max(4, (P/2) sin(theta)), standard practice for global
+  spectral grids; for smooth graphs the removed content is far below
+  truncation error.  The floor of 4 keeps the stiffest modes on the two
+  polar rings, and rho_est accounts for them.
 
 * In the euclidean ambient the speeds above are 1-homogeneous in the graph,
   so the stored graph is renormalized by the round-sphere growth factor with
   the scale tracked in log space, keeping the nodal values O(1) on long
-  runs.  Physical values are reconstructed at sample times.
+  runs.  Physical values are reconstructed at sample times.  By the same
+  homogeneity the unrenormalized end of a step has the tendency
+  e^{r dt} F(u_cand), which the error estimate uses.
 """
 
 from __future__ import annotations
@@ -41,7 +61,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -58,6 +78,7 @@ from .quantities import (
 )
 from .surface import (
     ClassReport,
+    DomainError,
     GeometryFields,
     RadialGraph,
     convexity_class,
@@ -81,9 +102,12 @@ __all__ = [
     "variational_check",
 ]
 
-# relative local-error budget for the step-doubling pair
+# relative local-error budget of a step
 _STEP_TOL = 1e-8
-# PI controller on e = err/_STEP_TOL: exponents over p + 1 = 3 for Heun, the
+# RKC2 damping eps (SSV98): away from z = 0 the stability polynomial stays
+# below about 1 - eps/3 in modulus on the stability interval
+_RKC_DAMPING = 2.0 / 13.0
+# PI controller on e = err/_STEP_TOL: exponents over p + 1 = 3 for RKC2, the
 # safety factor, the step-factor range, and the floor on e (e = 0 on a
 # stationary flow)
 _PI_EXPONENTS = (0.7 / 3, 0.4 / 3)
@@ -112,7 +136,7 @@ class FlowSpec:
     k: int = 1
     t_final: float = 1.0
     report_dt: float = 0.1
-    cfl: float = 0.2
+    cfl: float = 0.8              # safety fraction of the RKC stability interval
     max_rel_step: float = 1e-3
     eps_mono: float = 1e-6
     report_ks: tuple[float, ...] = (1.0, 2.0)
@@ -160,14 +184,19 @@ def step(space: WarpedSpace, graph: RadialGraph, spec: FlowSpec, dt: float) -> R
     return graph.with_values(graph.u + dt * f * fields.v)
 
 
+def _polar_cutoffs(grid: SphereGrid) -> np.ndarray:
+    """Per colatitude ring, the highest longitude wavenumber the polar filter keeps."""
+    P = grid.shape[1]
+    return np.maximum(4, np.floor(0.5 * P * np.sin(grid.theta))).astype(int)
+
+
 def _make_polar_filter(grid: SphereGrid):
     """Ring-wise longitude filter with cutoff ~ (P/2) sin(theta)."""
     if grid.n == 1:
         return lambda F: F
-    M, P = grid.shape
-    mcut = np.maximum(4, np.floor(0.5 * P * np.sin(grid.theta))).astype(int)
+    P = grid.shape[1]
     m = np.arange(P // 2 + 1)
-    mask = (m[None, :] <= mcut[:, None]).astype(float)
+    mask = (m[None, :] <= _polar_cutoffs(grid)[:, None]).astype(float)
 
     def apply(F: np.ndarray) -> np.ndarray:
         return np.fft.irfft(np.fft.rfft(F, axis=1) * mask, n=P, axis=1)
@@ -175,17 +204,87 @@ def _make_polar_filter(grid: SphereGrid):
     return apply
 
 
-def _dt_bound(spec: FlowSpec, space: WarpedSpace, fields: GeometryFields,
-              f: np.ndarray) -> float:
-    """Proposal dt = min(CFL on the metric spacing, relative-step cap)."""
+def _grid_spacing(grid: SphereGrid) -> float:
+    """Node spacing in the unit fiber: dtheta for n = 2, the angle step for n = 1."""
+    return np.pi / grid.shape[0] if grid.n == 2 else 2.0 * np.pi / grid.shape[0]
+
+
+def _stencil_constant(grid: SphereGrid) -> float:
+    """C_grid: (dtheta)^2 times the largest second-derivative eigenvalue that
+    survives the polar filter, 16/3 of the colatitude stencil plus the largest
+    kept (m/sin theta)^2 in longitude."""
+    if grid.n == 1:
+        return 16.0 / 3.0
+    modes = float(np.max((_polar_cutoffs(grid) / np.sin(grid.theta)) ** 2))
+    return 16.0 / 3.0 + modes * _grid_spacing(grid) ** 2
+
+
+def _spectral_radius(spec: FlowSpec, fields: GeometryFields, c_grid: float) -> float:
+    """rho_est = C_grid max(diffusion) / (dtheta c)^2, a bound on the spectral
+    radius of the linearized, polar-filtered right-hand side."""
     grid = fields.grid
-    dtheta = (np.pi / grid.shape[0]) if grid.n == 2 else (2.0 * np.pi / grid.shape[0])
-    h_geo = float(fields.lam.min()) * dtheta * grid.fiber_scale
     diffusion = float(np.max(FLOWS[spec.kind].diffusion(fields, spec.k)))
-    dt_cfl = spec.cfl * h_geo**2 / diffusion
+    return c_grid * diffusion / (_grid_spacing(grid) * grid.fiber_scale) ** 2
+
+
+def _rkc_beta(s: int) -> float:
+    """Length of the real stability interval of the s-stage damped RKC2 step."""
+    return 2.0 / 3.0 * (s * s - 1) * (1.0 - 2.0 * _RKC_DAMPING / 15.0)
+
+
+def _stage_count(dt: float, rho: float, cfl: float) -> int:
+    """The fewest stages s >= 2 with dt * rho <= cfl * beta(s)."""
+    need = dt * rho / cfl
+    if not math.isfinite(need):
+        raise FloatingPointError(f"stability bound dt * rho_est = {dt * rho}")
+    # beta(s) = beta(2) (s^2 - 1) / 3; the loops settle the rounding of the root
+    s = max(2, math.ceil(math.sqrt(1.0 + 3.0 * need / _rkc_beta(2))))
+    while s > 2 and _rkc_beta(s - 1) >= need:
+        s -= 1
+    while _rkc_beta(s) < need:
+        s += 1
+    return s
+
+
+@cache
+def _rkc_coefficients(s: int) -> tuple[tuple[float, ...], ...]:
+    """(mu, nu, mu~, gamma~) of the s-stage damped RKC2 step, indexed by stage
+    j = 0..s (SSV98), from the Chebyshev recursions for T_j, T_j', T_j'' at w0."""
+    w0 = 1.0 + _RKC_DAMPING / s**2
+    T, dT, ddT = [1.0, w0], [0.0, 1.0], [0.0, 0.0]
+    for _ in range(2, s + 1):
+        T.append(2.0 * w0 * T[-1] - T[-2])
+        dT.append(2.0 * T[-2] + 2.0 * w0 * dT[-1] - dT[-2])
+        ddT.append(4.0 * dT[-2] + 2.0 * w0 * ddT[-1] - ddT[-2])
+    w1 = dT[s] / ddT[s]
+    b = [ddT[j] / dT[j] ** 2 if j >= 2 else 0.0 for j in range(s + 1)]
+    b[0] = b[1] = b[2]
+    mu, nu, mu_t, gamma_t = [0.0] * (s + 1), [0.0] * (s + 1), [0.0] * (s + 1), [0.0] * (s + 1)
+    mu_t[1] = b[1] * w1
+    for j in range(2, s + 1):
+        mu[j] = 2.0 * w0 * b[j] / b[j - 1]
+        nu[j] = -b[j] / b[j - 2]
+        mu_t[j] = 2.0 * w1 * b[j] / b[j - 1]
+        gamma_t[j] = -(1.0 - b[j - 1] * T[j - 1]) * mu_t[j]
+    return tuple(mu), tuple(nu), tuple(mu_t), tuple(gamma_t)
+
+
+def _rkc_step(u: np.ndarray, F0: np.ndarray, dt: float, s: int,
+              rhs: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """u advanced by one s-stage RKC2 step of du/dt = rhs(u), F0 = rhs(u);
+    calls rhs s - 1 times."""
+    mu, nu, mu_t, gamma_t = _rkc_coefficients(s)
+    y_prev, y = u, u + mu_t[1] * dt * F0
+    for j in range(2, s + 1):
+        y_prev, y = y, ((1.0 - mu[j] - nu[j]) * u + mu[j] * y + nu[j] * y_prev
+                        + mu_t[j] * dt * rhs(y) + gamma_t[j] * dt * F0)
+    return y
+
+
+def _dt_bound(spec: FlowSpec, fields: GeometryFields, f: np.ndarray) -> float:
+    """The relative-step cap: no node moves by more than max_rel_step of its radius."""
     rate = float(np.max(np.abs(f) * fields.v / fields.u))
-    dt_cap = spec.max_rel_step / rate if rate > 0 else math.inf
-    return min(dt_cfl, dt_cap)
+    return spec.max_rel_step / rate if rate > 0 else math.inf
 
 
 class LazyReport:
@@ -258,13 +357,13 @@ def _phi_quermass_row(k: int, label: str) -> Monotone:
 @dataclass(frozen=True)
 class Flow:
     """What one flow kind is.  The callables take (fields, k) unless noted;
-    speed, the step guard, the start check and the CFL bound all read it."""
+    speed, the step guard, the start check and the stage count all read it."""
 
     ambient: str | None      # the space kind the flow needs; None: any
     start_class: str         # the cone named for a user, formatted with k
     cone: Callable           # -> [(quantity, nodal values that must be > 0)]
     speed: Callable          # -> nodal normal speed, on the cone
-    diffusion: Callable      # -> nodal |df/dkappa_i| / lambda^2, for the CFL bound
+    diffusion: Callable      # -> nodal |df/dkappa_i| / lambda^2, for rho_est
     monotones: Callable      # (n, k, ks, ells) -> [Monotone]; ks: imcf exponents,
                              # ells: hyperbolic quermassintegrals to track
     euclidean_growth: Callable = lambda n: 0.0   # round-sphere growth rate of u
@@ -350,17 +449,21 @@ class FlowTrace:
     samples: list[TraceSample] = field(default_factory=list)
     findings: list[dict] = field(default_factory=list)
     termination: tuple = ("reached_t_final",)
-    # (t, dt, outcome) per step attempt; outcome "accepted" or a REJECTIONS reason
-    attempts: list[tuple[float, float, str]] = field(default_factory=list)
+    # (t, dt, outcome, stages) per step attempt; outcome "accepted" or a
+    # REJECTIONS reason, stages the RKC stage count (0: none was chosen)
+    attempts: list[tuple[float, float, str, int]] = field(default_factory=list)
     geometry_calls: int = 0
 
     def step_counts(self) -> dict:
-        """Accepted steps, rejections by reason, geometry calls, accepted dt range."""
-        outcomes = Counter(outcome for _, _, outcome in self.attempts)
-        dts = [dt for _, dt, outcome in self.attempts if outcome == "accepted"]
+        """Accepted steps, rejections by reason, geometry calls, RKC stages over
+        all attempts and their maximum, accepted dt range."""
+        outcomes = Counter(outcome for _, _, outcome, _ in self.attempts)
+        stages = [s for _, _, _, s in self.attempts]
+        dts = [dt for _, dt, outcome, _ in self.attempts if outcome == "accepted"]
         return {"accepted": outcomes["accepted"],
                 "rejected": {reason: outcomes[reason] for reason in REJECTIONS},
                 "geometry_calls": self.geometry_calls,
+                "stages_total": sum(stages), "stages_max": max(stages, default=0),
                 "dt_min": min(dts, default=None), "dt_max": max(dts, default=None)}
 
     @property
@@ -398,6 +501,7 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
     renorm_rate = flow.euclidean_growth(n) if space.kind == "euclidean" else 0.0
 
     polar_filter = _make_polar_filter(grid)
+    c_grid = _stencil_constant(grid)
     report_ks = tuple(sorted(set(map(float, spec.report_ks)) | {float(spec.k)}))
 
     def rhs(u_arr: np.ndarray) -> np.ndarray:
@@ -453,8 +557,9 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
         return trace
 
     while t < spec.t_final - eps_t:
-        dt_base = min(_dt_bound(spec, space, fields, f_now), dt_ctrl)
+        dt_base = min(_dt_bound(spec, fields, f_now), dt_ctrl)
         dt = min(dt_base, next_report - t)
+        rho = _spectral_radius(spec, fields, c_grid)
         rejections = 0           # step error, cone, domain and non-finite
         halvings = 0             # cone, domain and non-finite
         guard_halvings = 0
@@ -463,32 +568,30 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
             if dt < 1e-12 * spec.t_final or rejections > _MAX_REJECTIONS:
                 return stop(("step_underflow", t, reason), dt)
             reason = None
+            stages = 0
             try:
-                # Heun pair: one full step against two half steps
-                f1 = rhs(u + dt * F0)
-                u_full = u + 0.5 * dt * (F0 + f1)
-                f2 = rhs(u + 0.5 * dt * F0)
-                u_half = u + 0.25 * dt * (F0 + f2)
-                f3 = rhs(u_half)
-                f4 = rhs(u_half + 0.5 * dt * f3)
-                u_cand = u_half + 0.25 * dt * (f3 + f4)
-                err = float(np.max(np.abs(u_full - u_cand))) / max(
-                    float(np.max(np.abs(u))), 1e-300)
-                if not math.isfinite(err):
-                    reason, detail = "non_finite", f"step error {err}"
-                elif err > _STEP_TOL:
-                    reason = "step_error"
+                stages = _stage_count(dt, rho, spec.cfl)
+                u_end = _rkc_step(u, F0, dt, stages, rhs)
+                u_cand = u_end * math.exp(-renorm_rate * dt) if renorm_rate else u_end
+                graph_cand = RadialGraph(grid=grid, u=u_cand, space_kind=space.kind)
+                fields_cand = geom(graph_cand)
+                off = _off_cone(spec, fields_cand)
+                if off is not None:
+                    reason, detail = "cone", f"{off[0]} > 0 fails on the candidate"
                 else:
-                    if renorm_rate:
-                        u_cand = u_cand * math.exp(-renorm_rate * dt)
-                    graph_cand = RadialGraph(grid=grid, u=u_cand, space_kind=space.kind)
-                    fields_cand = geom(graph_cand)
-                    off = _off_cone(spec, fields_cand)
-                    if off is not None:
-                        reason, detail = "cone", f"{off[0]} > 0 fails on the candidate"
+                    f_cand = speed(spec, space, fields_cand)
+                    F_cand = polar_filter(f_cand * fields_cand.v)
+                    # F(u_end) = e^{r dt} F(u_cand) by 1-homogeneity
+                    F_end = math.exp(renorm_rate * dt) * F_cand
+                    est = 0.8 * (u - u_end) + 0.4 * dt * (F0 + F_end)
+                    err = float(np.max(np.abs(est))) / max(float(np.max(np.abs(u))), 1e-300)
+                    if not math.isfinite(err):
+                        reason, detail = "non_finite", f"step error {err}"
+                    elif err > _STEP_TOL:
+                        reason = "step_error"
             except ConeViolation as exc:
                 reason, detail = "cone", str(exc)
-            except ValueError as exc:
+            except DomainError as exc:
                 reason, detail = "domain", str(exc)
             except FloatingPointError as exc:
                 reason, detail = "non_finite", str(exc)
@@ -500,7 +603,7 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
                 if bad is None or guard_halvings == _MAX_GUARD_HALVINGS:
                     break
                 reason = "guard"
-            trace.attempts.append((t, dt, reason))
+            trace.attempts.append((t, dt, reason, stages))
             if reason == "guard":
                 guard_halvings += 1
                 dt *= 0.5
@@ -522,7 +625,7 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
                 "old": monitors[bad], "new": monitors_cand[bad],
                 "note": "persistent wrong-way move after halvings",
             })
-        trace.attempts.append((t, dt, "accepted"))
+        trace.attempts.append((t, dt, "accepted", stages))
         e = max(err / _STEP_TOL, _MIN_E)
         factor = min(max(_SAFETY * e ** -_PI_EXPONENTS[0] * e_prev ** _PI_EXPONENTS[1],
                          _MIN_FACTOR), _MAX_FACTOR)
@@ -537,8 +640,7 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
         if renorm_rate:
             log_scale += renorm_rate * dt
         graph, fields, monitors = graph_cand, fields_cand, monitors_cand
-        f_now = speed(spec, space, fields)
-        F0 = polar_filter(f_now * fields.v)
+        f_now, F0 = f_cand, F_cand
 
         if t >= next_report - eps_t:
             record(t, u, log_scale, dt, fields)

@@ -27,6 +27,7 @@ from .ambient import WarpedSpace
 from .grid import SphereGrid, circle_grid, differentiate, sphere_grid
 
 __all__ = [
+    "DomainError",
     "RadialGraph",
     "GeometryFields",
     "ClassReport",
@@ -59,11 +60,15 @@ class RadialGraph:
         return RadialGraph(grid=self.grid, u=u, space_kind=self.space_kind)
 
 
+class DomainError(ValueError):
+    """A graph leaves the ambient's radial domain, or the warping is not positive on it."""
+
+
 def _validate_graph_range(space: WarpedSpace, grid: SphereGrid, u: np.ndarray) -> None:
     bad = ~np.isfinite(u) | (u <= space.a) | (u >= space.b)
     if np.any(bad):
         idx = int(np.argmax(bad.ravel()))
-        raise ValueError(
+        raise DomainError(
             f"graph radius {float(u.ravel()[idx])!r} at {grid.node_label(idx)} is outside "
             f"the ambient domain ({space.a}, {space.b})"
         )
@@ -114,7 +119,7 @@ def geometry(space: WarpedSpace, graph: RadialGraph) -> GeometryFields:
     lam, dlam, _ = space.warp(u)
     if np.any(lam <= 0):
         idx = int(np.argmax((lam <= 0).ravel()))
-        raise ValueError(f"warping nonpositive at {grid.node_label(idx)}")
+        raise DomainError(f"warping nonpositive at {grid.node_label(idx)}")
 
     c = grid.fiber_scale
     Du, Hu = differentiate(grid, u)

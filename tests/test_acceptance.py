@@ -218,11 +218,12 @@ def test_A06_sphere_monotone(bgl_trace):
 
 
 def test_sphere_bgl_step_rejections(bgl_trace):
-    # doubling after every accept rejected 44% of the attempts on this run
+    # doubling after every accept rejected 44% of the attempts on this run,
+    # PI-controlled Heun 10% at its explicit stability limit
     trace, _ = bgl_trace
     counts = trace.step_counts()
     attempts = counts["accepted"] + sum(counts["rejected"].values())
-    assert counts["rejected"]["step_error"] < 0.15 * attempts
+    assert counts["rejected"]["step_error"] < 0.05 * attempts
     assert sum(counts["rejected"].values()) == counts["rejected"]["step_error"]
 
 

@@ -76,6 +76,21 @@ def test_usage_errors_exit_64(capsys, tmp_path, monkeypatch):
         assert run(["sweep", "--space", "euclidean", "--grid", "16x32",
                     "--surface", "round:r0=1:2", "--check", "girao"]) == EXIT_USAGE
         assert "WARPFLOW_WORKERS" in capsys.readouterr().err
+    monkeypatch.delenv("WARPFLOW_WORKERS")
+    # a bad worker count or config value names its key, from a flag or a file
+    sweep = ["sweep", "--space", "euclidean", "--grid", "16x32",
+             "--surface", "round:r0=1:2", "--check", "girao"]
+    assert run(sweep + ["--workers", "0"]) == EXIT_USAGE
+    assert "workers must be >= 1, got 0" in capsys.readouterr().err
+    for values, message in (({"cfl": "0.2"}, "config key 'cfl' must be float, got '0.2'"),
+                            ({"workers": 0}, "workers must be >= 1, got 0"),
+                            ({"workers": 1.5}, "config key 'workers' must be int"),
+                            ({"checks": "girao"}, "config key 'checks' must be list[str]"),
+                            ({"out": 3}, "config key 'out' must be str or null")):
+        config = tmp_path / "values.json"
+        config.write_text(json.dumps(values))
+        assert run(sweep + ["--config", str(config)]) == EXIT_USAGE, values
+        assert message in capsys.readouterr().err
 
 
 def test_verify_round_equalities(tmp_path, capsys):
@@ -153,10 +168,15 @@ def test_evolve_json_trace(tmp_path, capsys):
     assert len(payload["samples"]) == 3
     assert payload["samples"][0]["area"] == pytest.approx(4 * math.pi, rel=1e-10)
     steps = payload["meta"]["steps"]
-    assert steps["accepted"] >= 2 and steps["geometry_calls"] > 4 * steps["accepted"]
+    assert steps["accepted"] >= 2 and not any(steps["rejected"].values())
+    # an RKC attempt of s stages costs s geometry calls, the last on its candidate;
+    # the renormalized imcf adds one per sample, and the start surface one more
+    assert steps["geometry_calls"] == steps["stages_total"] + len(payload["samples"]) + 1
+    assert 2 <= steps["stages_max"] and steps["stages_total"] >= 2 * steps["accepted"]
     assert set(steps["rejected"]) == {"step_error", "cone", "guard", "domain", "non_finite"}
     err = capsys.readouterr().err
     assert err.startswith(f"steps: {steps['accepted']} accepted, ") and err.count("\n") == 1
+    assert f"{steps['stages_total']} stages (max {steps['stages_max']})" in err
 
 
 def test_reference_command(capsys):

@@ -19,7 +19,7 @@ from warpflow.flows import (
 )
 from warpflow.grid import sphere_grid
 from warpflow.inequalities import monotone_series
-from warpflow.surface import geometry, make_seed_surface
+from warpflow.surface import DomainError, geometry, make_seed_surface
 
 EU = make_space_form(0)
 HY = make_space_form(-1)
@@ -237,12 +237,16 @@ def test_monotone_table_read_by_guard_series_and_cli(kind):
         assert _series_monotone_ok(along, spec, [m]) == []
 
 
-@pytest.fixture(scope="module")
-def imcf_bandlimited():
+def _imcf_bandlimited_input():
     """The benchmark's flow_imcf input at seed 1, with its report interval."""
     g = sphere_grid(64, 128)
     graph = make_seed_surface(EU, g, "bandlimited", seed=80910, r0=1, amp=0.01, lmax=4)
-    spec = FlowSpec(kind="imcf", k=1, t_final=0.04, report_dt=0.01)
+    return graph, FlowSpec(kind="imcf", k=1, t_final=0.04, report_dt=0.01)
+
+
+@pytest.fixture(scope="module")
+def imcf_bandlimited():
+    graph, spec = _imcf_bandlimited_input()
     return evolve(EU, graph, spec), spec
 
 
@@ -258,11 +262,17 @@ def test_pi_control_rejects_few_steps(imcf_bandlimited):
     assert not trace.findings
 
 
-def test_pi_control_growth_bounded(imcf_bandlimited):
-    trace, spec = imcf_bandlimited
+def test_pi_control_growth_bounded(monkeypatch):
+    # RKC rejects no step on this input, so one domain failure is forced
+    # in the middle of the run
+    graph, spec = _imcf_bandlimited_input()
+    _failing_geometry(monkeypatch, lambda call: call == 40)
+    trace = evolve(EU, graph, spec)
+    assert trace.termination == ("reached_t_final",)
+    assert trace.step_counts()["rejected"]["domain"] == 1
     reports = np.arange(1, 5) * spec.report_dt
     after_rejection = 0
-    for i, (t, dt, outcome) in enumerate(trace.attempts[:-1]):
+    for i, (t, dt, outcome, _) in enumerate(trace.attempts[:-1]):
         # a step clipped to a report time leaves the proposal alone
         if outcome != "accepted" or np.min(np.abs(reports - (t + dt))) < 1e-12:
             continue
@@ -273,16 +283,15 @@ def test_pi_control_growth_bounded(imcf_bandlimited):
     assert after_rejection > 0
 
 
-def _failing_geometry(monkeypatch, fail):
-    """Make flows.geometry raise a domain ValueError on the calls that fail(count) picks."""
+def _failing_geometry(monkeypatch, fail, error=DomainError):
+    """Make flows.geometry raise error on the calls that fail(count) picks."""
     calls = [0]
-    real = flows.geometry
 
     def patched(space, graph):
         calls[0] += 1
         if fail(calls[0]):
-            raise ValueError("graph radius outside the ambient domain (forced)")
-        return real(space, graph)
+            raise error("graph radius outside the ambient domain (forced)")
+        return geometry(space, graph)
 
     monkeypatch.setattr(flows, "geometry", patched)
 
@@ -299,7 +308,7 @@ def test_domain_failure_counted_as_domain(monkeypatch):
     assert rejected["domain"] == 1 and rejected["cone"] == 0
     # a domain failure halves the step and retries; the step error of the
     # retry is small, but a step after a rejection does not grow
-    (_, dt0, _), (_, dt1, outcome), (_, dt2, _) = trace.attempts[:3]
+    (_, dt0, _, _), (_, dt1, outcome, _), (_, dt2, _, _) = trace.attempts[:3]
     assert dt1 == 0.5 * dt0 and outcome == "accepted"
     assert dt2 <= dt1
 
@@ -309,3 +318,54 @@ def test_domain_failure_counted_as_domain(monkeypatch):
     assert trace.termination[0] == "domain_violation"
     assert "forced" in trace.termination[2]
     assert trace.step_counts()["rejected"]["domain"] == 21
+
+    # any other ValueError is a bug: it propagates instead of being retried
+    _failing_geometry(monkeypatch, lambda call: call == 2, ValueError)
+    with pytest.raises(ValueError, match="forced") as info:
+        evolve(HY, graph, spec)
+    assert not isinstance(info.value, DomainError)
+
+
+def test_rkc_stability_and_order():
+    """The stage recursion on y' = z y, for s = 2..40 stages: |R(z)| <= 1 on
+    [-beta(s), 0], and R(z) = 1 + z + z^2/2 + O(z^3)."""
+    small = np.array([-1e-2, -5e-3, -2.5e-3])
+    for s in range(2, 41):
+        def amplification(z):
+            return flows._rkc_step(np.ones_like(z), z, 1.0, s, lambda y: z * y)
+
+        z = np.linspace(-flows._rkc_beta(s), 0.0, 20 * s * s + 1)
+        assert np.max(np.abs(amplification(z))) <= 1.0 + 1e-12, s
+        defect = np.abs(amplification(small) - (1 + small + small**2 / 2))
+        # measured: |R(z) - 1 - z - z^2/2| / |z|^3 rises from 0 (s = 2) to 0.101 (s = 40)
+        assert np.all(defect <= 0.2 * np.abs(small) ** 3 + 1e-15), s
+
+
+def _power_iteration(space, graph, spec, iters=60, delta=1e-7):
+    """|largest eigenvalue| of the linearized, polar-filtered right-hand side."""
+    polar_filter = flows._make_polar_filter(graph.grid)
+
+    def rhs(u):
+        fields = geometry(space, graph.with_values(u))
+        return polar_filter(speed(spec, space, fields) * fields.v)
+
+    F0 = rhs(graph.u)
+    v = np.random.default_rng(0).standard_normal(graph.u.shape)
+    for _ in range(iters):
+        v /= np.linalg.norm(v)
+        v = (rhs(graph.u + delta * v) - F0) / delta
+    return float(np.linalg.norm(v))
+
+
+@pytest.mark.parametrize("space, M, kind, amp", [
+    (EU, 32, "imcf", 0.01), (EU, 64, "imcf", 0.01), (HY, 64, "hyperbolic_sx", 0.02)])
+def test_spectral_radius_bound(space, M, kind, amp):
+    """rho_est bounds the spectral radius that sets the RKC stage count."""
+    grid = sphere_grid(M, 2 * M)
+    graph = make_seed_surface(space, grid, "bandlimited", seed=80910, r0=1, amp=amp, lmax=4)
+    spec = FlowSpec(kind=kind, k=1)
+    rho = _power_iteration(space, graph, spec)
+    bound = flows._spectral_radius(spec, geometry(space, graph), flows._stencil_constant(grid))
+    assert flows._stencil_constant(grid) == pytest.approx(69.35, abs=0.05)
+    # the stiffest mode sits on the polar rings; the bound is tight within 20%
+    assert rho <= bound <= 1.25 * rho
