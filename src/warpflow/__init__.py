@@ -33,7 +33,7 @@ from .quantities import (
     volume,
     weighted_volume,
 )
-from .flows import FlowSpec, FlowTrace, evolve, speed, step, variational_check
+from .flows import FlowSpec, FlowTrace, evolve, speed, variational_check
 from .inequalities import (
     DeficitReport,
     ball_chi,

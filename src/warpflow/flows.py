@@ -61,7 +61,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -70,11 +70,9 @@ from .ambient import WarpedSpace
 from .grid import SphereGrid
 from .quantities import (
     QuantityReport,
-    _gamma_term,
     full_report,
-    quermassintegrals,
+    quermassintegrals,  # noqa: F401  rebound here by perfbench/tracer.py
     surface_integral,
-    weighted_volume,
 )
 from .surface import (
     ClassReport,
@@ -93,11 +91,9 @@ __all__ = [
     "REJECTIONS",
     "TraceSample",
     "ConeViolation",
-    "LazyReport",
     "Monotone",
     "monotones",
     "speed",
-    "step",
     "evolve",
     "variational_check",
 ]
@@ -175,13 +171,6 @@ def speed(spec: FlowSpec, space: WarpedSpace, fields: GeometryFields) -> np.ndar
         raise ConeViolation(f"{spec.kind}: cone condition {quantity} > 0 fails "
                             f"at {fields.grid.node_label(idx)}")
     return FLOWS[spec.kind].speed(fields, spec.k)
-
-
-def step(space: WarpedSpace, graph: RadialGraph, spec: FlowSpec, dt: float) -> RadialGraph:
-    """One forward-Euler graph update u <- u + dt f v."""
-    fields = geometry(space, graph)
-    f = speed(spec, space, fields)
-    return graph.with_values(graph.u + dt * f * fields.v)
 
 
 def _polar_cutoffs(grid: SphereGrid) -> np.ndarray:
@@ -287,35 +276,6 @@ def _dt_bound(spec: FlowSpec, fields: GeometryFields, f: np.ndarray) -> float:
     return spec.max_rel_step / rate if rate > 0 else math.inf
 
 
-class LazyReport:
-    """QuantityReport's accessors over one surface, each integral computed when
-    asked, so the step guard pays only for what its rows read; quermassintegrals
-    run at most once."""
-
-    def __init__(self, space: WarpedSpace, graph: RadialGraph, fields: GeometryFields):
-        self.space, self.graph, self.fields = space, graph, fields
-        self.area = fields.area
-
-    def momentum(self, k: float) -> float:
-        return surface_integral(self.fields, self.fields.lam**k)
-
-    def weighted_vol(self, k: float) -> float:
-        return weighted_volume(self.space, self.graph, k)
-
-    def gamma_term(self, k: float) -> float:
-        return _gamma_term(self.space, self.fields.n, k)
-
-    @cached_property
-    def quermass(self) -> np.ndarray:
-        return quermassintegrals(self.space, self.graph, self.fields)[0]
-
-    def W(self, k: int) -> float:
-        return float(self.quermass[k])
-
-    def phi_curvature(self, k: int) -> float:
-        return surface_integral(self.fields, self.space.phi(self.graph.u) * self.fields.E[k])
-
-
 def q_imcf_value(n: int, k: float) -> Callable:
     """|Sigma|^{-(n+k)/n} (int lambda^k dmu - k int lambda^{k-1} lambda' dv
                           - k/(n+k) lambda^k(a) |Gamma|) of a report."""
@@ -337,7 +297,7 @@ def q_k_value(n: int, k: int) -> Callable:
 @dataclass(frozen=True)
 class Monotone:
     """One quantity that a flow moves in one direction; `value` reads a
-    QuantityReport or a LazyReport, `label` names the evolve trace column."""
+    QuantityReport, `label` names the evolve trace column."""
 
     name: str
     direction: int               # -1 nonincreasing along the flow, +1 nondecreasing
@@ -533,8 +493,8 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
     guard = monotones(spec, n)
 
     def guard_values(g: RadialGraph, flds: GeometryFields) -> list[float]:
-        lazy = LazyReport(space, g, flds)
-        return [m.value(lazy) for m in guard]
+        rep = QuantityReport(space, g, flds)
+        return [m.value(rep) for m in guard]
 
     u = graph0.u.copy()
     log_scale = 0.0
@@ -678,8 +638,7 @@ def variational_check(space: WarpedSpace, trace: FlowTrace, spec: FlowSpec,
     times = trace.times
     Wk = trace.quermass_series(k)
     if k == n:
-        lhs_series = np.array([s.report.phi_curvature(n) + n * s.report.W(n - 1)
-                               for s in trace.samples])
+        lhs_series = np.array([phi_quermass_value(n)(s.report) for s in trace.samples])
 
     worst = 0.0
     for i in range(1, len(times) - 1):

@@ -27,21 +27,21 @@ from .ambient import WarpedSpace, sphere_area
 from .flows import (
     FlowSpec,
     FlowTrace,
-    LazyReport,
     monotones,
     phi_quermass_value,
     q_imcf_value,
     q_k_value,
 )
 from .quantities import (
-    _gamma_term,
-    quermassintegrals,
+    QuantityReport,
+    quermass_recursion,
+    quermassintegrals,  # noqa: F401  rebound here by perfbench/tracer.py
     radial_integral,
     surface_integral,
-    volume,
-    weighted_volume,
+    volume,  # noqa: F401  rebound here by perfbench/tracer.py
 )
-from .surface import GeometryFields, RadialGraph, convexity_class, geometry
+from .surface import GeometryFields, RadialGraph, convexity_class
+from .surface import geometry  # noqa: F401  rebound here by perfbench/tracer.py
 
 __all__ = [
     "DeficitReport",
@@ -103,13 +103,15 @@ def _is_round(graph: RadialGraph) -> bool:
     return float(np.ptp(u)) <= 1e-10 * abs(float(u.mean()))
 
 
-def _class_flags(space: WarpedSpace, graph: RadialGraph,
-                 fields: GeometryFields) -> dict:
+def _deficit(name: str, rep: QuantityReport, lhs: float, rhs: float,
+             **kw) -> DeficitReport:
+    """lhs >= rhs on rep's surface, with its round flag and convexity flags."""
     try:
-        rep = convexity_class(fields, space, graph, fields.n)
-        return rep.flags()
+        flags = convexity_class(rep.fields, rep.space, rep.graph, rep.n).flags()
     except ValueError:
-        return {}
+        flags = {}
+    return DeficitReport(name=name, lhs=lhs, rhs=rhs,
+                         equality_expected=_is_round(rep.graph), flags=flags, **kw)
 
 
 def q_imcf(space: WarpedSpace, graph: RadialGraph, k: float,
@@ -121,9 +123,8 @@ def q_imcf(space: WarpedSpace, graph: RadialGraph, k: float,
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    if fields is None:
-        fields = geometry(space, graph)
-    return q_imcf_value(fields.n, k)(LazyReport(space, graph, fields))
+    rep = QuantityReport(space, graph, fields)
+    return q_imcf_value(rep.n, k)(rep)
 
 
 def deficit_boundary_momentum(space: WarpedSpace, graph: RadialGraph, k: float,
@@ -135,19 +136,13 @@ def deficit_boundary_momentum(space: WarpedSpace, graph: RadialGraph, k: float,
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    if fields is None:
-        fields = geometry(space, graph)
-    n = fields.n
-    lhs = surface_integral(fields, fields.lam**k)
+    rep = QuantityReport(space, graph, fields)
+    n = rep.n
     fiber = space.fiber_area(n)
-    rhs = (n / (n + k) * fiber ** (-k / n) * fields.area ** ((n + k) / n)
-           + k * weighted_volume(space, graph, k)
-           + k / (n + k) * _gamma_term(space, n, k))
-    return DeficitReport(
-        name="boundary_momentum", lhs=lhs, rhs=rhs, k=float(k),
-        equality_expected=_is_round(graph),
-        flags=_class_flags(space, graph, fields),
-    )
+    rhs = (n / (n + k) * fiber ** (-k / n) * rep.area ** ((n + k) / n)
+           + k * rep.weighted_vol(k)
+           + k / (n + k) * rep.gamma_term(k))
+    return _deficit("boundary_momentum", rep, rep.momentum(k), rhs, k=float(k))
 
 
 def deficit_weinstock_iso(space: WarpedSpace, graph: RadialGraph,
@@ -160,27 +155,27 @@ def deficit_weinstock_iso(space: WarpedSpace, graph: RadialGraph,
     """
     if space.kind != "euclidean":
         raise ValueError("the squared-momentum bound is a euclidean statement")
-    if fields is None:
-        fields = geometry(space, graph)
-    n = fields.n
+    rep = QuantityReport(space, graph, fields)
+    n = rep.n
     omega = sphere_area(n)
     b = omega / (n + 1)
-    area = fields.area
-    vol = volume(space, graph)
-    mom2 = surface_integral(fields, fields.lam**2)
-    mom1 = surface_integral(fields, fields.lam)
-    lhs = mom2
+    area, vol, mom2 = rep.area, rep.volume, rep.momentum(2)
     rhs = b ** (-2 / (n + 1)) * area * vol ** (2 / (n + 1))
     aux = {
-        "hoelder": area * mom2 - mom1**2,
+        "hoelder": area * mom2 - rep.momentum(1)**2,
         "young": (vol + n / (n + 1) * omega ** (-1 / n) * area ** ((n + 1) / n)
                   - ((n + 1) * vol) ** (1 / (n + 1)) * area * omega ** (-1 / (n + 1))),
     }
-    return DeficitReport(
-        name="weinstock_iso", lhs=lhs, rhs=rhs,
-        equality_expected=_is_round(graph), aux=aux,
-        flags=_class_flags(space, graph, fields),
-    )
+    return _deficit("weinstock_iso", rep, mom2, rhs, aux=aux)
+
+
+def _positive_W(rep: QuantityReport, k: int) -> QuantityReport:
+    """rep, once 1 <= k <= n and W_k > 0 are checked."""
+    if not 1 <= k <= rep.n:
+        raise ValueError(f"need 1 <= k <= n = {rep.n}")
+    if rep.W(k) <= 0:
+        raise ValueError(f"W_{k} = {rep.W(k):.3e} is not positive")
+    return rep
 
 
 def q_k_euclidean(space: WarpedSpace, graph: RadialGraph, k: int,
@@ -189,15 +184,8 @@ def q_k_euclidean(space: WarpedSpace, graph: RadialGraph, k: int,
     W_k^{-(n+2-k)/(n+1-k)} (int Phi E_k dmu + k W_{k-1})."""
     if space.kind != "euclidean":
         raise ValueError("this functional is defined in the euclidean ambient")
-    if fields is None:
-        fields = geometry(space, graph)
-    n = fields.n
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n = {n}")
-    rep = LazyReport(space, graph, fields)
-    if rep.W(k) <= 0:
-        raise ValueError(f"W_{k} = {rep.W(k):.3e} is not positive")
-    return q_k_value(n, k)(rep)
+    rep = _positive_W(QuantityReport(space, graph, fields), k)
+    return q_k_value(rep.n, k)(rep)
 
 
 def deficit_phi_quermass_euclidean(space: WarpedSpace, graph: RadialGraph, k: int,
@@ -209,24 +197,13 @@ def deficit_phi_quermass_euclidean(space: WarpedSpace, graph: RadialGraph, k: in
     """
     if space.kind != "euclidean":
         raise ValueError("this bound is a euclidean statement")
-    if fields is None:
-        fields = geometry(space, graph)
-    n = fields.n
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n = {n}")
-    rep = LazyReport(space, graph, fields)
-    if rep.W(k) <= 0:
-        raise ValueError(f"W_{k} = {rep.W(k):.3e} is not positive")
-    lhs = phi_quermass_value(k)(rep)
+    rep = _positive_W(QuantityReport(space, graph, fields), k)
+    n = rep.n
     omega = sphere_area(n)
     expo = (n + 2 - k) / (n + 1 - k)
     rhs = ((n + 2 + k) / (2 * (n + 2 - k)) * omega
            * ((n + 1 - k) / omega) ** expo * rep.W(k) ** expo)
-    return DeficitReport(
-        name="phi_quermass_euclidean", lhs=lhs, rhs=rhs, k=k,
-        equality_expected=_is_round(graph),
-        flags=_class_flags(space, graph, fields),
-    )
+    return _deficit("phi_quermass_euclidean", rep, phi_quermass_value(k)(rep), rhs, k=k)
 
 
 def minkowski_residual(space: WarpedSpace, fields: GeometryFields, k: int) -> float:
@@ -246,19 +223,12 @@ def kwong_miao_deficit(space: WarpedSpace, graph: RadialGraph, k: int,
     int Phi E_k dmu >= (n+2-k)/2 W_{k-1}, euclidean."""
     if space.kind != "euclidean":
         raise ValueError("this bound is a euclidean statement")
-    if fields is None:
-        fields = geometry(space, graph)
-    n = fields.n
+    rep = QuantityReport(space, graph, fields)
+    n = rep.n
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n = {n}")
-    W, _ = quermassintegrals(space, graph, fields)
-    lhs = surface_integral(fields, space.phi(graph.u) * fields.E[k])
-    rhs = (n + 2 - k) / 2 * W[k - 1]
-    return DeficitReport(
-        name="kwong_miao", lhs=lhs, rhs=rhs, k=k,
-        equality_expected=_is_round(graph),
-        flags=_class_flags(space, graph, fields),
-    )
+    return _deficit("kwong_miao", rep, rep.phi_curvature(k),
+                    (n + 2 - k) / 2 * rep.W(k - 1), k=k)
 
 
 def _require_curved_reference_space(space: WarpedSpace) -> None:
@@ -298,9 +268,7 @@ def ball_chi(space: WarpedSpace, ell: int, r: float, n: int = 2) -> float:
     W[0] = omega * float(radial_integral(space, n, r))
     if n >= 1:
         W[1] = omega * float(lam) ** n / n
-    for j in range(1, ell):
-        curv = omega * float(lam) ** (n - j) * float(dlam) ** j
-        W[j + 1] = (curv + j * space.K * W[j - 1]) / (n - j)
+    quermass_recursion(W, n, space.K, lambda j: omega * float(lam) ** (n - j) * float(dlam) ** j)
     return float(W[ell])
 
 
@@ -347,20 +315,14 @@ def ball_chi_inverse(space: WarpedSpace, ell: int, w: float, n: int = 2) -> floa
     return 0.5 * (lo + hi)
 
 
-def _ball_reference_deficit(name: str, space: WarpedSpace, graph: RadialGraph, k: int,
-                            ell: int, fields: GeometryFields) -> DeficitReport:
+def _ball_reference_deficit(name: str, rep: QuantityReport, k: int,
+                            ell: int) -> DeficitReport:
     """int Phi E_k dmu + k W_{k-1} against (xi_k + k chi_{k-1})(chi_ell^{-1}(W_ell))."""
-    n = fields.n
-    rep = LazyReport(space, graph, fields)
+    space, n = rep.space, rep.n
     lhs = phi_quermass_value(k)(rep)
     radius = ball_chi_inverse(space, ell, rep.W(ell), n)
     rhs = ball_xi(space, k, radius, n) + k * ball_chi(space, k - 1, radius, n)
-    return DeficitReport(
-        name=name, lhs=lhs, rhs=rhs, k=k, ell=ell,
-        equality_expected=_is_round(graph),
-        aux={"ball_radius": radius},
-        flags=_class_flags(space, graph, fields),
-    )
+    return _deficit(name, rep, lhs, rhs, k=k, ell=ell, aux={"ball_radius": radius})
 
 
 def deficit_hyperbolic_ref(space: WarpedSpace, graph: RadialGraph, k: int, ell: int,
@@ -373,14 +335,12 @@ def deficit_hyperbolic_ref(space: WarpedSpace, graph: RadialGraph, k: int, ell: 
     """
     if space.kind != "hyperbolic":
         raise ValueError("this bound is a hyperbolic statement")
-    if fields is None:
-        fields = geometry(space, graph)
-    n = fields.n
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n = {n}")
+    rep = QuantityReport(space, graph, fields)
+    if not 1 <= k <= rep.n:
+        raise ValueError(f"need 1 <= k <= n = {rep.n}")
     if not 0 <= ell <= k:
         raise ValueError(f"need 0 <= ell <= k = {k}")
-    return _ball_reference_deficit("hyperbolic_ref", space, graph, k, ell, fields)
+    return _ball_reference_deficit("hyperbolic_ref", rep, k, ell)
 
 
 def deficit_sphere_ref(space: WarpedSpace, graph: RadialGraph, ell: int,
@@ -389,12 +349,10 @@ def deficit_sphere_ref(space: WarpedSpace, graph: RadialGraph, ell: int,
     int Phi E_n dmu + n W_{n-1} >= (xi_n + n chi_{n-1})(chi_ell^{-1}(W_ell))."""
     if space.kind != "sphere":
         raise ValueError("this bound is a sphere statement")
-    if fields is None:
-        fields = geometry(space, graph)
-    n = fields.n
-    if not 0 <= ell <= n:
-        raise ValueError(f"need 0 <= ell <= n = {n}")
-    return _ball_reference_deficit("sphere_ref", space, graph, n, ell, fields)
+    rep = QuantityReport(space, graph, fields)
+    if not 0 <= ell <= rep.n:
+        raise ValueError(f"need 0 <= ell <= n = {rep.n}")
+    return _ball_reference_deficit("sphere_ref", rep, rep.n, ell)
 
 
 def curve_kwww_deficit(space: WarpedSpace, graph: RadialGraph,
@@ -402,22 +360,17 @@ def curve_kwww_deficit(space: WarpedSpace, graph: RadialGraph,
     """Convex-curve bound int Phi kappa ds >= (L^2 - 2 pi A) / (2 pi)."""
     if not space.is_space_form:
         raise ValueError("the curve bound is stated in space forms")
-    if fields is None:
-        fields = geometry(space, graph)
-    if fields.n != 1:
+    rep = QuantityReport(space, graph, fields)
+    if rep.n != 1:
         raise ValueError("the curve bound needs n = 1")
-    if fields.kappa.min() <= 0:
-        idx = int(np.argmax((fields.kappa[0] <= 0)))
-        raise ValueError(f"curve not convex at {fields.grid.node_label(idx)}")
-    L = fields.area
-    A = volume(space, graph)
-    lhs = surface_integral(fields, space.phi(graph.u) * fields.kappa[0])
-    rhs = (L**2 - 2 * math.pi * A) / (2 * math.pi)
-    return DeficitReport(
-        name="curve_kwww", lhs=lhs, rhs=rhs,
-        equality_expected=_is_round(graph),
-        flags=_class_flags(space, graph, fields),
-    )
+    kappa = rep.fields.kappa[0]
+    if kappa.min() <= 0:
+        idx = int(np.argmax(kappa <= 0))
+        raise ValueError(f"curve not convex at {rep.fields.grid.node_label(idx)}")
+    L, A = rep.area, rep.volume
+    # E_1 = kappa for curves, so the lhs is int Phi kappa ds
+    return _deficit("curve_kwww", rep, rep.phi_curvature(1),
+                    (L**2 - 2 * math.pi * A) / (2 * math.pi))
 
 
 def monotone_series(space: WarpedSpace, trace: FlowTrace, spec: FlowSpec,

@@ -15,14 +15,18 @@ Quermassintegrals in space forms follow the curvature-integral recursion
     int E_k dmu = (n - k) W_{k+1} - k K W_{k-1},    k = 1..n-1,
 with W_0 = |Omega|, W_1 = |Sigma|/n, W_{n+1} = omega_n/(n+1), and the k = n
 relation int E_n dmu = omega_n - n K W_{n-1} kept aside as a Gauss-Bonnet
-style residual check.
+style residual check (`quermass_recursion`, shared with the geodesic balls).
+
+`QuantityReport` is the one report: each value is computed on first read and
+kept.  `full_report` computes what a trace sample records and then detaches
+it, so a sample keeps numbers and no nodal arrays.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
+from typing import Callable
 
 import numpy as np
 
@@ -148,6 +152,13 @@ def _gamma_term(space: WarpedSpace, n: int, k: float) -> float:
     return lam_a**k * (lam_a**n * space.fiber_area(n))
 
 
+def quermass_recursion(W: np.ndarray, n: int, K: int, curvature: Callable[[int], float]) -> None:
+    """Fill W[2..n] from W[0] and W[1] by the curvature-integral recursion
+    W_{j+1} = (int E_j dmu + j K W_{j-1}) / (n - j), curvature(j) = int E_j dmu."""
+    for j in range(1, n):
+        W[j + 1] = (curvature(j) + j * K * W[j - 1]) / (n - j)
+
+
 def quermassintegrals(space: WarpedSpace, graph: RadialGraph,
                       fields: GeometryFields | None = None) -> tuple[np.ndarray, float]:
     """W_0..W_{n+1} and the top curvature-integral residual (space forms only)."""
@@ -155,68 +166,133 @@ def quermassintegrals(space: WarpedSpace, graph: RadialGraph,
         raise UnsupportedAmbientError(
             "quermassintegrals beyond W_1 are only defined in space forms"
         )
-    if fields is None:
-        fields = geometry(space, graph)
-    n = fields.n
+    rep = QuantityReport(space, graph, fields)
+    n = rep.n
     K = space.K
     W = np.zeros(n + 2)
-    W[0] = volume(space, graph)
-    W[1] = fields.area / n
-    for k in range(1, n):
-        curv = surface_integral(fields, fields.E[k])
-        W[k + 1] = (curv + k * K * W[k - 1]) / (n - k)
+    W[0] = rep.volume
+    W[1] = rep.area / n
+    quermass_recursion(W, n, K, rep.curvature)
     W[n + 1] = sphere_area(n) / (n + 1)
-    top = surface_integral(fields, fields.E[n])
-    residual = top - (sphere_area(n) - n * K * W[n - 1])
+    residual = rep.curvature(n) - (sphere_area(n) - n * K * W[n - 1])
     return W, float(residual)
 
 
-@dataclass(frozen=True)
+def _kept(method):
+    """A report value, computed on first read and kept under its name and
+    arguments; a detached report raises KeyError naming a value it lacks."""
+    name = method.__name__.lstrip("_")
+
+    @wraps(method)
+    def read(self, *args):
+        key = (name, *map(float, args))
+        if key not in self._values:
+            if self.graph is None:
+                label = name + "".join(f"({arg:g})" for arg in key[1:])
+                raise KeyError(f"a detached report holds no {label}")
+            self._values[key] = method(self, *args)
+        return self._values[key]
+    return read
+
+
 class QuantityReport:
-    """Every scalar integral of one surface that the inequalities consume."""
+    """Every scalar integral of one surface that the inequalities, the flow
+    monotone quantities and the trace columns read.
 
-    n: int
-    area: float
-    volume: float
-    momenta: dict[float, float]              # k -> int lambda^k dmu
-    weighted_volumes: dict[float, float]     # k -> int lambda^{k-1} lambda' dv
-    gamma_area: float                        # |Gamma| = lambda(a)^n |N|
-    gamma_terms: dict[float, float]          # k -> lambda(a)^k |Gamma|
-    curvature_integrals: np.ndarray          # int E_k dmu, k = 0..n
-    phi_curvature_integrals: np.ndarray      # int Phi E_k dmu, k = 1..n
-    quermass: np.ndarray | None              # W_0..W_{n+1}, space forms only
-    gauss_bonnet_residual: float | None
+    Each value is computed on first read and kept, so a reader pays only for
+    what it reads and the quermassintegrals run at most once; the geometry
+    is computed on first need when `fields` is not given.
+    """
 
-    def momentum(self, k: float) -> float:
-        return self.momenta[float(k)]
+    def __init__(self, space: WarpedSpace, graph: RadialGraph,
+                 fields: GeometryFields | None = None):
+        self.space, self.graph, self.n = space, graph, graph.grid.n
+        self._values: dict[tuple, object] = {} if fields is None else {("fields",): fields}
 
-    def weighted_vol(self, k: float) -> float:
-        return self.weighted_volumes[float(k)]
+    def _computed(self, name: str) -> dict:
+        return {key[1]: val for key, val in sorted(self._values.items()) if key[0] == name}
 
-    def gamma_term(self, k: float) -> float:
-        return self.gamma_terms[float(k)]
+    @property
+    @_kept
+    def fields(self) -> GeometryFields:
+        return geometry(self.space, self.graph)
+
+    @property
+    @_kept
+    def area(self) -> float:
+        return self.fields.area
+
+    @property
+    @_kept
+    def volume(self) -> float:
+        """|Omega|: W_0 if the quermassintegrals are already computed (they are
+        not run for a volume alone), else one radial quadrature."""
+        W = self._values.get(("quermass",), (None,))[0]
+        return volume(self.space, self.graph) if W is None else float(W[0])
+
+    @_kept
+    def momentum(self, k: float) -> float:  # int lambda^k dmu
+        return surface_integral(self.fields, self.fields.lam**k)
+
+    @_kept
+    def weighted_vol(self, k: float) -> float:  # int_Omega lambda^{k-1} lambda' dv
+        return weighted_volume(self.space, self.graph, k)
+
+    @_kept
+    def gamma_term(self, k: float) -> float:  # lambda(a)^k |Gamma|
+        return _gamma_term(self.space, self.n, k)
+
+    @property
+    @_kept
+    def gamma_area(self) -> float:  # |Gamma| = lambda(a)^n |N|
+        return _gamma_term(self.space, self.n, 0.0)
+
+    @_kept
+    def curvature(self, k: int) -> float:  # int E_k dmu
+        return surface_integral(self.fields, self.fields.E[k])
+
+    @_kept
+    def phi_curvature(self, k: int) -> float:  # int Phi E_k dmu
+        return surface_integral(self.fields, self.space.phi(self.graph.u) * self.fields.E[k])
+
+    @_kept
+    def _quermass(self) -> tuple[np.ndarray | None, float | None]:
+        if not self.space.is_space_form:
+            return None, None
+        return quermassintegrals(self.space, self.graph, self.fields)
+
+    @property
+    def quermass(self) -> np.ndarray | None:  # W_0..W_{n+1}, space forms only
+        return self._quermass()[0]
+
+    @property
+    def gauss_bonnet_residual(self) -> float | None:
+        return self._quermass()[1]
 
     def W(self, k: int) -> float:
         if self.quermass is None:
             raise UnsupportedAmbientError("no quermassintegrals for this ambient")
         return float(self.quermass[k])
 
-    def phi_curvature(self, k: int) -> float:
-        return float(self.phi_curvature_integrals[k - 1])
+    @property
+    def momenta(self) -> dict[float, float]:
+        """k -> int lambda^k dmu over the exponents read so far."""
+        return self._computed("momentum")
 
     def to_dict(self) -> dict:
-        def keymap(d):
-            return {format(k, "g"): val for k, val in sorted(d.items())}
+        def keymap(name):
+            return {format(k, "g"): val for k, val in self._computed(name).items()}
+        n = self.n
         return {
-            "n": self.n,
+            "n": n,
             "area": self.area,
             "volume": self.volume,
-            "momenta": keymap(self.momenta),
-            "weighted_volumes": keymap(self.weighted_volumes),
+            "momenta": keymap("momentum"),
+            "weighted_volumes": keymap("weighted_vol"),
             "gamma_area": self.gamma_area,
-            "gamma_terms": keymap(self.gamma_terms),
-            "curvature_integrals": list(map(float, self.curvature_integrals)),
-            "phi_curvature_integrals": list(map(float, self.phi_curvature_integrals)),
+            "gamma_terms": keymap("gamma_term"),
+            "curvature_integrals": [self.curvature(k) for k in range(n + 1)],
+            "phi_curvature_integrals": [self.phi_curvature(k) for k in range(1, n + 1)],
             "W": None if self.quermass is None else list(map(float, self.quermass)),
             "gauss_bonnet_residual": self.gauss_bonnet_residual,
         }
@@ -225,47 +301,18 @@ class QuantityReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def full_report(space: WarpedSpace, graph: RadialGraph,
-                ks=(1.0,), kcurv=None,
+def full_report(space: WarpedSpace, graph: RadialGraph, ks=(1.0,),
                 fields: GeometryFields | None = None) -> QuantityReport:
-    """Assemble every requested scalar integral of one surface."""
-    if fields is None:
-        fields = geometry(space, graph)
-    n = fields.n
+    """A detached report of every value `to_dict` lists, with the momenta,
+    weighted volumes and Gamma terms at the exponents ks."""
     ks = sorted({float(k) for k in ks})
     if any(k < 1 for k in ks):
         raise ValueError("boundary momentum exponents must satisfy k >= 1")
-    kcurv = list(range(n + 1)) if kcurv is None else sorted(set(int(k) for k in kcurv))
-    if any(k < 0 or k > n for k in kcurv):
-        raise ValueError(f"curvature integral orders must lie in 0..{n}")
-
-    lam_u = fields.lam
-    phi_u = space.phi(graph.u)
-    momenta = {k: surface_integral(fields, lam_u**k) for k in ks}
-    wvols = {k: weighted_volume(space, graph, k) for k in ks}
-
-    gamma_terms = {k: _gamma_term(space, n, k) for k in ks}
-    curvature = np.zeros(n + 1)
-    for k in kcurv:
-        curvature[k] = surface_integral(fields, fields.E[k])
-    phi_curv = np.array([surface_integral(fields, phi_u * fields.E[k])
-                         for k in range(1, n + 1)])
-
-    if space.is_space_form:
-        W, residual = quermassintegrals(space, graph, fields)
-    else:
-        W, residual = None, None
-
-    return QuantityReport(
-        n=n,
-        area=fields.area,
-        volume=volume(space, graph) if W is None else float(W[0]),
-        momenta=momenta,
-        weighted_volumes=wvols,
-        gamma_area=_gamma_term(space, n, 0.0),
-        gamma_terms=gamma_terms,
-        curvature_integrals=curvature,
-        phi_curvature_integrals=phi_curv,
-        quermass=W,
-        gauss_bonnet_residual=residual,
-    )
+    rep = QuantityReport(space, graph, fields)
+    rep.quermass                    # first, so that the volume reads W_0
+    for k in ks:
+        rep.momentum(k), rep.weighted_vol(k), rep.gamma_term(k)
+    rep.to_dict()                   # the rest of the recorded set
+    rep.space = rep.graph = None    # detached: numbers only
+    rep._values.pop(("fields",))
+    return rep

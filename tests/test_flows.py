@@ -10,15 +10,14 @@ from warpflow.flows import (
     REJECTIONS,
     ConeViolation,
     FlowSpec,
-    LazyReport,
     evolve,
     monotones,
     speed,
-    step,
     variational_check,
 )
 from warpflow.grid import sphere_grid
 from warpflow.inequalities import monotone_series
+from warpflow.quantities import QuantityReport
 from warpflow.surface import DomainError, geometry, make_seed_surface
 
 EU = make_space_form(0)
@@ -84,17 +83,18 @@ def test_cone_guards_speed_and_start(kind):
 
 
 def test_forward_euler_step():
+    # the graph tendency du/dt = f v of imcf on the unit sphere is 1/2
     g = sphere_grid(32, 64)
-    graph = make_seed_surface(EU, g, "round", r0=1.0)
-    out = step(EU, graph, FlowSpec(kind="imcf"), 1e-3)
-    assert np.abs(out.u - (1 + 0.5e-3)).max() < 1e-15
+    fields = geometry(EU, make_seed_surface(EU, g, "round", r0=1.0))
+    tendency = speed(FlowSpec(kind="imcf"), EU, fields) * fields.v
+    assert np.abs(tendency - 0.5).max() < 1e-12
 
 
 def test_stationary_step_hyperbolic():
     g = sphere_grid(32, 64)
-    graph = make_seed_surface(HY, g, "round", r0=1.0)
-    out = step(HY, graph, FlowSpec(kind="hyperbolic_sx", k=1), 0.3)
-    assert np.abs(out.u - 1.0).max() < 1e-12
+    fields = geometry(HY, make_seed_surface(HY, g, "round", r0=1.0))
+    tendency = speed(FlowSpec(kind="hyperbolic_sx", k=1), HY, fields) * fields.v
+    assert np.abs(tendency).max() < 3e-12
 
 
 def test_imcf_round_sphere_exponential():
@@ -220,7 +220,7 @@ def test_monotone_table_read_by_guard_series_and_cli(kind):
     assert {m.name: m.direction for m in guard} == expected
     series = monotone_series(space, trace, spec)
     assert list(series) == [m.name for m in guard] + ["newton_maclaurin_margin"]
-    at_start = LazyReport(space, graph, geometry(space, graph))
+    at_start = QuantityReport(space, graph)
     for m in guard:
         assert m.value(at_start) == series[m.name][0]
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from warpflow.ambient import make_custom, make_space_form
 from warpflow.flows import FlowSpec, evolve
@@ -22,7 +23,7 @@ from warpflow.inequalities import (
     q_imcf,
     q_k_euclidean,
 )
-from warpflow.quantities import surface_integral
+from warpflow.quantities import full_report, surface_integral
 from warpflow.surface import RadialGraph, geometry, make_seed_surface
 
 EU = make_space_form(0)
@@ -271,3 +272,51 @@ def test_monotone_series_mismatch_guard():
     series = monotone_series(EU, trace, spec, ks=(1.0,))
     assert "Q_imcf_1" in series
     assert series["newton_maclaurin_margin"].min() >= -1e-10
+
+
+_BANDLIMITED = dict(seed=st.integers(0, 2**31 - 1), amp=st.floats(0.0, 0.1),
+                    lmax=st.integers(1, 4), n=st.sampled_from((1, 2)))
+
+
+def _bandlimited(space, n, seed, r0, amp, lmax):
+    grid = circle_grid(64) if n == 1 else sphere_grid(16, 32)
+    return make_seed_surface(space, grid, "bandlimited", seed=seed, r0=r0, amp=amp, lmax=lmax)
+
+
+@settings(max_examples=25, deadline=None)
+@given(scale=st.floats(0.25, 4.0), r0=st.floats(0.3, 2.0), **_BANDLIMITED)
+def test_euclidean_functionals_scale_invariant(scale, r0, seed, amp, lmax, n):
+    graph = _bandlimited(EU, n, seed, r0, amp, lmax)
+    scaled = graph.with_values(scale * graph.u)
+    for k in (1.0, 2.0, 2.5):
+        assert q_imcf(EU, scaled, k) == pytest.approx(q_imcf(EU, graph, k), rel=1e-12)
+    for k in range(1, n + 1):
+        assert q_k_euclidean(EU, scaled, k) == pytest.approx(q_k_euclidean(EU, graph, k),
+                                                             rel=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(K=st.sampled_from((-1, 0, 1)), r0=st.floats(0.3, 1.2), **_BANDLIMITED)
+def test_deficit_lhs_is_the_report_value(K, r0, seed, amp, lmax, n):
+    # every deficit reads its lhs from the one QuantityReport: bit for bit
+    space = make_space_form(K)
+    graph = _bandlimited(space, n, seed, r0, amp, lmax)
+    rep = full_report(space, graph, ks=(1.0, 1.5, 2.0))
+
+    def phi_quermass(k):
+        return rep.phi_curvature(k) + k * rep.W(k - 1)
+
+    for k in (1.0, 1.5):
+        assert deficit_boundary_momentum(space, graph, k).lhs == rep.momentum(k)
+    if space.kind == "euclidean":
+        assert deficit_weinstock_iso(space, graph).lhs == rep.momentum(2)
+        for k in range(1, n + 1):
+            assert deficit_phi_quermass_euclidean(space, graph, k).lhs == phi_quermass(k)
+            assert kwong_miao_deficit(space, graph, k).lhs == rep.phi_curvature(k)
+    elif space.kind == "hyperbolic":
+        for k in range(1, n + 1):
+            assert deficit_hyperbolic_ref(space, graph, k, 0).lhs == phi_quermass(k)
+    else:
+        assert deficit_sphere_ref(space, graph, 0).lhs == phi_quermass(n)
+    if n == 1 and geometry(space, graph).kappa.min() > 0:
+        assert curve_kwww_deficit(space, graph).lhs == rep.phi_curvature(1)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.integrate import quad
 from warpflow.ambient import make_custom, make_space_form, sphere_area
 from warpflow.grid import circle_grid, sphere_grid
 from warpflow.quantities import (
+    QuantityReport,
     UnsupportedAmbientError,
     _radial_integral,
     _space_form_antiderivative,
@@ -18,7 +20,7 @@ from warpflow.quantities import (
     volume,
     weighted_volume,
 )
-from warpflow.surface import geometry, make_seed_surface
+from warpflow.surface import GeometryFields, RadialGraph, geometry, make_seed_surface
 
 EU = make_space_form(0)
 HY = make_space_form(-1)
@@ -237,7 +239,7 @@ def test_round_report_closed_forms(space, r0):
         assert rep.weighted_vol(k) == pytest.approx(
             lam ** (2 + k) * omega / (2 + k), rel=1e-10)
     for k in (1, 2):
-        assert rep.curvature_integrals[k] == pytest.approx(
+        assert rep.curvature(k) == pytest.approx(
             omega * lam ** (2 - k) * dlam**k, rel=1e-10)
         assert rep.phi_curvature(k) == pytest.approx(
             omega * phi * lam ** (2 - k) * dlam**k, rel=1e-10)
@@ -258,8 +260,6 @@ def test_full_report_validation():
     graph = make_seed_surface(EU, g, "round", r0=1.0)
     with pytest.raises(ValueError, match="k >= 1"):
         full_report(EU, graph, ks=(0.5,))
-    with pytest.raises(ValueError, match="0.. 2|0..2"):
-        full_report(EU, graph, ks=(1.0,), kcurv=(3,))
 
 
 @settings(max_examples=30, deadline=None)
@@ -273,3 +273,41 @@ def test_volume_closed_form_matches_quadrature(seed, r0, amp, lmax, K, n):
                               amp=amp, lmax=lmax)
     quadrature = float(np.sum(_radial_integral(space, n, 0.0, graph.u) * grid.weights))
     assert volume(space, graph) == pytest.approx(quadrature, rel=1e-13, abs=0.0)
+
+
+def _held(obj):
+    """Every object reachable from obj through attributes, dicts, lists and tuples."""
+    yield obj
+    if isinstance(obj, dict):
+        for key, val in obj.items():
+            yield from _held(key)
+            yield from _held(val)
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _held(item)
+    elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+        yield from _held(vars(obj))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), r0=st.floats(0.5, 1.2), amp=st.floats(0.0, 0.1),
+       lmax=st.integers(1, 4), space=st.sampled_from((EU, HY, SP, make_custom("cosh", a=0.1))),
+       n=st.sampled_from((1, 2)))
+def test_full_report_detached(seed, r0, amp, lmax, space, n):
+    grid = circle_grid(64) if n == 1 else sphere_grid(16, 32)
+    graph = make_seed_surface(space, grid, "bandlimited", seed=seed, r0=r0, amp=amp, lmax=lmax)
+    rep = full_report(space, graph, ks=(1.0, 2.0))
+    for obj in _held(rep):
+        assert not isinstance(obj, (GeometryFields, RadialGraph))
+        assert not (isinstance(obj, np.ndarray) and obj.size >= grid.node_count)
+    # the values it kept are the lazy report's, read in another order
+    lazy = QuantityReport(space, graph)
+    for k in (2.0, 1.0):
+        lazy.gamma_term(k), lazy.weighted_vol(k), lazy.momentum(k)
+    assert rep.to_dict() == lazy.to_dict()
+    for read, label in ((lambda: rep.momentum(3), "momentum(3)"),
+                        (lambda: rep.weighted_vol(1.5), "weighted_vol(1.5)"),
+                        (lambda: rep.gamma_term(2.5), "gamma_term(2.5)"),
+                        (lambda: rep.fields, "fields")):
+        with pytest.raises(KeyError, match=re.escape(label)):
+            read()
