@@ -22,7 +22,7 @@ print("convexity classes of legendre surfaces u = 1 + eps P_2(cos theta):")
 g = sphere_grid(64, 128)
 for eps in (0.0, 0.2, 0.45):
     graph = make_seed_surface(eu, g, "legendre", r0=1.0, eps=eps, l=2)
-    rep = convexity_class(geometry(eu, graph), eu, graph, 2)
+    rep = convexity_class(geometry(eu, graph), eu, 2)
     print(f"  eps={eps:4.2f}: min kappa={rep.min_kappa:+.4f}  min H={rep.min_H:+.4f}"
           f"  convex={rep.convex}  mean convex={rep.mean_convex}")
 

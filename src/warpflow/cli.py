@@ -27,6 +27,7 @@ import numpy as np
 from . import inequalities as ineq
 from .ambient import WarpedSpace, parse_space_spec, probe_assumptions
 from .flows import FLOWS, FlowSpec, FlowTrace, Monotone, evolve, monotones
+from .quantities import QuantityReport
 from .surface import (
     RadialGraph,
     check_surface_options,
@@ -381,7 +382,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
 
     trace = evolve(space, graph, spec)
     ks = sorted(trace.samples[0].report.momenta)
-    series = ineq.monotone_series(space, trace, spec, ks=ks)
+    series = ineq.monotone_series(trace, spec, ks=ks)
     rows = monotones(spec, trace.n, ks)
     columns = _trace_columns(trace, series, rows)
     steps = trace.step_counts()
@@ -418,35 +419,30 @@ def _parse_check(item: str) -> tuple[str, dict]:
     return name, params
 
 
-def _minkowski(space, graph, fields, k, ell) -> ineq.DeficitReport:
-    res = ineq.minkowski_residual(space, fields, int(k))
-    return ineq.DeficitReport(name="minkowski", lhs=res, rhs=0.0, k=int(k),
-                              equality_expected=True)
-
-
-# check name -> (deficit of (space, graph, fields, k, ell), default k, default ell);
-# the deficits are looked up in `ineq` at call time, where tracers rebind them
+# check name -> (deficit of (report, k, ell), default k, default ell); the
+# deficits are looked up in `ineq` at call time, where tracers rebind them
 _CHECKS = {
-    "boundary-momentum": (lambda s, g, f, k, ell:
-                          ineq.deficit_boundary_momentum(s, g, float(k), f), 1.0, None),
-    "weinstock": (lambda s, g, f, k, ell: ineq.deficit_weinstock_iso(s, g, f), None, None),
-    "phi-quermass": (lambda s, g, f, k, ell:
-                     ineq.deficit_phi_quermass_euclidean(s, g, int(k), f), 1, None),
-    "kwong-miao": (lambda s, g, f, k, ell: ineq.kwong_miao_deficit(s, g, int(k), f), 1, None),
-    "hyperbolic-ref": (lambda s, g, f, k, ell:
-                       ineq.deficit_hyperbolic_ref(s, g, int(k), int(ell), f), 1, 0),
-    "sphere-ref": (lambda s, g, f, k, ell: ineq.deficit_sphere_ref(s, g, int(ell), f),
-                   None, 0),
-    "minkowski": (_minkowski, 1, None),
-    "curve": (lambda s, g, f, k, ell: ineq.curve_kwww_deficit(s, g, f), None, None),
+    "boundary-momentum": (lambda rep, k, ell:
+                          ineq.deficit_boundary_momentum(rep, float(k)), 1.0, None),
+    "weinstock": (lambda rep, k, ell: ineq.deficit_weinstock_iso(rep), None, None),
+    "phi-quermass": (lambda rep, k, ell:
+                     ineq.deficit_phi_quermass_euclidean(rep, int(k)), 1, None),
+    "kwong-miao": (lambda rep, k, ell: ineq.kwong_miao_deficit(rep, int(k)), 1, None),
+    "hyperbolic-ref": (lambda rep, k, ell:
+                       ineq.deficit_hyperbolic_ref(rep, int(k), int(ell)), 1, 0),
+    "sphere-ref": (lambda rep, k, ell: ineq.deficit_sphere_ref(rep, int(ell)), None, 0),
+    "minkowski": (lambda rep, k, ell: ineq.DeficitReport(
+        name="minkowski", lhs=ineq.minkowski_residual(rep, int(k)), rhs=0.0, k=int(k),
+        equality_expected=True), 1, None),
+    "curve": (lambda rep, k, ell: ineq.curve_kwww_deficit(rep), None, None),
 }
 _CHECKS["girao"] = _CHECKS["boundary-momentum"]
 
 
 def _check_reports(space: WarpedSpace, graph: RadialGraph,
                    checks: list[str]) -> list[ineq.DeficitReport]:
-    """Evaluate each --check item on one surface; a bad item is a usage error."""
-    fields = geometry(space, graph)
+    """Evaluate each --check item on one report of one surface; a bad item is a usage error."""
+    rep = QuantityReport(space, graph, geometry(space, graph))
     reports = []
     for item in checks:
         with _usage_errors():
@@ -454,8 +450,7 @@ def _check_reports(space: WarpedSpace, graph: RadialGraph,
             if name not in _CHECKS:
                 raise UsageError(f"unknown check {name!r}")
             deficit, k, ell = _CHECKS[name]
-            reports.append(deficit(space, graph, fields, params.get("k", k),
-                                   params.get("ell", ell)))
+            reports.append(deficit(rep, params.get("k", k), params.get("ell", ell)))
     return reports
 
 

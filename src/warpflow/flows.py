@@ -118,6 +118,8 @@ _MAX_REJECTIONS = 40
 # the others halve it
 REJECTIONS = ("step_error", "cone", "guard", "domain", "non_finite")
 _SPHERE_IMCF_MIN_H = 1e-3
+# momentum exponents every trace sample records, besides the flow's k
+_REPORT_KS = (1.0, 2.0)
 
 
 class ConeViolation(RuntimeError):
@@ -135,7 +137,6 @@ class FlowSpec:
     cfl: float = 0.8              # safety fraction of the RKC stability interval
     max_rel_step: float = 1e-3
     eps_mono: float = 1e-6
-    report_ks: tuple[float, ...] = (1.0, 2.0)
 
     def validate(self, space: WarpedSpace, n: int) -> None:
         if self.kind not in FLOWS:
@@ -462,7 +463,6 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
 
     polar_filter = _make_polar_filter(grid)
     c_grid = _stencil_constant(grid)
-    report_ks = tuple(sorted(set(map(float, spec.report_ks)) | {float(spec.k)}))
 
     def rhs(u_arr: np.ndarray) -> np.ndarray:
         flds = geom(RadialGraph(grid=grid, u=u_arr, space_kind=space.kind))
@@ -476,8 +476,8 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
         u_phys = u_arr * math.exp(log_scale) if renorm_rate else u_arr
         g_phys = RadialGraph(grid=grid, u=u_phys, space_kind=space.kind)
         f_phys = geom(g_phys) if renorm_rate else flds
-        rep = full_report(space, g_phys, ks=report_ks, fields=f_phys)
-        cls = convexity_class(f_phys, space, g_phys, spec.k)
+        rep = full_report(space, g_phys, ks=(*_REPORT_KS, spec.k), fields=f_phys)
+        cls = convexity_class(f_phys, space, spec.k)
         f_speed = speed(spec, space, f_phys)
         E = f_phys.E
         margin = (min(float((E[j]**2 - E[j + 1] * E[j - 1]).min()) for j in range(1, n))

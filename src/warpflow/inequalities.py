@@ -6,6 +6,10 @@ grid error and the equality cases sit at deficit = 0.  Deficits can be
 evaluated outside a theorem's hypothesis class on purpose (probing); the
 convexity flags of the input ride along in the report.
 
+Every deficit and functional takes one `quantities.QuantityReport` as its
+surface, and reads its ambient from `rep.space`: the checks of one surface
+share one report, so each integral they read is computed once.
+
 Reference functions of geodesic balls: xi_k(r) is the weighted curvature
 integral int Phi E_k over the boundary sphere, in closed umbilic form
 omega_n Phi(r) lambda^{n-k} lambda'^k, and chi_l(r) = W_l(B(r)) through the
@@ -40,7 +44,7 @@ from .quantities import (
     surface_integral,
     volume,  # noqa: F401  rebound here by perfbench/tracer.py
 )
-from .surface import GeometryFields, RadialGraph, convexity_class
+from .surface import RadialGraph, convexity_class
 from .surface import geometry  # noqa: F401  rebound here by perfbench/tracer.py
 
 __all__ = [
@@ -107,15 +111,14 @@ def _deficit(name: str, rep: QuantityReport, lhs: float, rhs: float,
              **kw) -> DeficitReport:
     """lhs >= rhs on rep's surface, with its round flag and convexity flags."""
     try:
-        flags = convexity_class(rep.fields, rep.space, rep.graph, rep.n).flags()
+        flags = convexity_class(rep.fields, rep.space, rep.n).flags()
     except ValueError:
         flags = {}
     return DeficitReport(name=name, lhs=lhs, rhs=rhs,
                          equality_expected=_is_round(rep.graph), flags=flags, **kw)
 
 
-def q_imcf(space: WarpedSpace, graph: RadialGraph, k: float,
-           fields: GeometryFields | None = None) -> float:
+def q_imcf(rep: QuantityReport, k: float) -> float:
     """Scale-invariant momentum functional monotone under inverse mean
     curvature flow:
     |Sigma|^{-(n+k)/n} (int lambda^k dmu - k int lambda^{k-1} lambda' dv
@@ -123,12 +126,10 @@ def q_imcf(space: WarpedSpace, graph: RadialGraph, k: float,
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    rep = QuantityReport(space, graph, fields)
     return q_imcf_value(rep.n, k)(rep)
 
 
-def deficit_boundary_momentum(space: WarpedSpace, graph: RadialGraph, k: float,
-                              fields: GeometryFields | None = None) -> DeficitReport:
+def deficit_boundary_momentum(rep: QuantityReport, k: float) -> DeficitReport:
     """Three-term bound on the k-th boundary momentum:
     int lambda^k dmu >= n/(n+k) |N|^{-k/n} |Sigma|^{(n+k)/n}
                         + k int lambda^{k-1} lambda' dv
@@ -136,26 +137,23 @@ def deficit_boundary_momentum(space: WarpedSpace, graph: RadialGraph, k: float,
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    rep = QuantityReport(space, graph, fields)
     n = rep.n
-    fiber = space.fiber_area(n)
+    fiber = rep.space.fiber_area(n)
     rhs = (n / (n + k) * fiber ** (-k / n) * rep.area ** ((n + k) / n)
            + k * rep.weighted_vol(k)
            + k / (n + k) * rep.gamma_term(k))
     return _deficit("boundary_momentum", rep, rep.momentum(k), rhs, k=float(k))
 
 
-def deficit_weinstock_iso(space: WarpedSpace, graph: RadialGraph,
-                          fields: GeometryFields | None = None) -> DeficitReport:
+def deficit_weinstock_iso(rep: QuantityReport) -> DeficitReport:
     """Isoperimetric bound behind the Weinstock-type spectral estimates:
     int r^2 dmu >= b_{n+1}^{-2/(n+1)} |Sigma| |Omega|^{2/(n+1)}, euclidean.
 
     The Hoelder and Young links of its derivation ride along as auxiliary
     deficits (both nonnegative for any surface).
     """
-    if space.kind != "euclidean":
+    if rep.space.kind != "euclidean":
         raise ValueError("the squared-momentum bound is a euclidean statement")
-    rep = QuantityReport(space, graph, fields)
     n = rep.n
     omega = sphere_area(n)
     b = omega / (n + 1)
@@ -169,35 +167,31 @@ def deficit_weinstock_iso(space: WarpedSpace, graph: RadialGraph,
     return _deficit("weinstock_iso", rep, mom2, rhs, aux=aux)
 
 
-def _positive_W(rep: QuantityReport, k: int) -> QuantityReport:
-    """rep, once 1 <= k <= n and W_k > 0 are checked."""
+def _require_positive_W(rep: QuantityReport, k: int) -> None:
     if not 1 <= k <= rep.n:
         raise ValueError(f"need 1 <= k <= n = {rep.n}")
     if rep.W(k) <= 0:
         raise ValueError(f"W_{k} = {rep.W(k):.3e} is not positive")
-    return rep
 
 
-def q_k_euclidean(space: WarpedSpace, graph: RadialGraph, k: int,
-                  fields: GeometryFields | None = None) -> float:
+def q_k_euclidean(rep: QuantityReport, k: int) -> float:
     """Scale-invariant weighted-curvature functional
     W_k^{-(n+2-k)/(n+1-k)} (int Phi E_k dmu + k W_{k-1})."""
-    if space.kind != "euclidean":
+    if rep.space.kind != "euclidean":
         raise ValueError("this functional is defined in the euclidean ambient")
-    rep = _positive_W(QuantityReport(space, graph, fields), k)
+    _require_positive_W(rep, k)
     return q_k_value(rep.n, k)(rep)
 
 
-def deficit_phi_quermass_euclidean(space: WarpedSpace, graph: RadialGraph, k: int,
-                                   fields: GeometryFields | None = None) -> DeficitReport:
+def deficit_phi_quermass_euclidean(rep: QuantityReport, k: int) -> DeficitReport:
     """Weighted curvature integral against two quermassintegrals:
     int Phi E_k dmu + k W_{k-1}
       >= (n+2+k)/(2(n+2-k)) omega_n ((n+1-k)/omega_n)^{(n+2-k)/(n+1-k)}
          W_k^{(n+2-k)/(n+1-k)}, euclidean.
     """
-    if space.kind != "euclidean":
+    if rep.space.kind != "euclidean":
         raise ValueError("this bound is a euclidean statement")
-    rep = _positive_W(QuantityReport(space, graph, fields), k)
+    _require_positive_W(rep, k)
     n = rep.n
     omega = sphere_area(n)
     expo = (n + 2 - k) / (n + 1 - k)
@@ -206,10 +200,10 @@ def deficit_phi_quermass_euclidean(space: WarpedSpace, graph: RadialGraph, k: in
     return _deficit("phi_quermass_euclidean", rep, phi_quermass_value(k)(rep), rhs, k=k)
 
 
-def minkowski_residual(space: WarpedSpace, fields: GeometryFields, k: int) -> float:
+def minkowski_residual(rep: QuantityReport, k: int) -> float:
     """Normalized gap of the integral Minkowski identity
     int lambda' E_{k-1} dmu = int u_s E_k dmu (exact in the continuum)."""
-    n = fields.n
+    fields, n = rep.fields, rep.n
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n = {n}")
     lhs = surface_integral(fields, fields.dlam * fields.E[k - 1])
@@ -217,13 +211,11 @@ def minkowski_residual(space: WarpedSpace, fields: GeometryFields, k: int) -> fl
     return abs(lhs - rhs) / (abs(lhs) + abs(rhs))
 
 
-def kwong_miao_deficit(space: WarpedSpace, graph: RadialGraph, k: int,
-                       fields: GeometryFields | None = None) -> DeficitReport:
+def kwong_miao_deficit(rep: QuantityReport, k: int) -> DeficitReport:
     """Weighted curvature integral against one quermassintegral:
     int Phi E_k dmu >= (n+2-k)/2 W_{k-1}, euclidean."""
-    if space.kind != "euclidean":
+    if rep.space.kind != "euclidean":
         raise ValueError("this bound is a euclidean statement")
-    rep = QuantityReport(space, graph, fields)
     n = rep.n
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n = {n}")
@@ -325,17 +317,15 @@ def _ball_reference_deficit(name: str, rep: QuantityReport, k: int,
     return _deficit(name, rep, lhs, rhs, k=k, ell=ell, aux={"ball_radius": radius})
 
 
-def deficit_hyperbolic_ref(space: WarpedSpace, graph: RadialGraph, k: int, ell: int,
-                           fields: GeometryFields | None = None) -> DeficitReport:
+def deficit_hyperbolic_ref(rep: QuantityReport, k: int, ell: int) -> DeficitReport:
     """Hyperbolic weighted-curvature bound through ball reference functions:
     int Phi E_k dmu + k W_{k-1} >= (xi_k + k chi_{k-1})(chi_ell^{-1}(W_ell)).
 
     Proved for static convex domains; evaluating outside that class is a
     legitimate probe and the flags say which class the input is in.
     """
-    if space.kind != "hyperbolic":
+    if rep.space.kind != "hyperbolic":
         raise ValueError("this bound is a hyperbolic statement")
-    rep = QuantityReport(space, graph, fields)
     if not 1 <= k <= rep.n:
         raise ValueError(f"need 1 <= k <= n = {rep.n}")
     if not 0 <= ell <= k:
@@ -343,24 +333,20 @@ def deficit_hyperbolic_ref(space: WarpedSpace, graph: RadialGraph, k: int, ell: 
     return _ball_reference_deficit("hyperbolic_ref", rep, k, ell)
 
 
-def deficit_sphere_ref(space: WarpedSpace, graph: RadialGraph, ell: int,
-                       fields: GeometryFields | None = None) -> DeficitReport:
+def deficit_sphere_ref(rep: QuantityReport, ell: int) -> DeficitReport:
     """Sphere-ambient top-order weighted-curvature bound (k = n):
     int Phi E_n dmu + n W_{n-1} >= (xi_n + n chi_{n-1})(chi_ell^{-1}(W_ell))."""
-    if space.kind != "sphere":
+    if rep.space.kind != "sphere":
         raise ValueError("this bound is a sphere statement")
-    rep = QuantityReport(space, graph, fields)
     if not 0 <= ell <= rep.n:
         raise ValueError(f"need 0 <= ell <= n = {rep.n}")
     return _ball_reference_deficit("sphere_ref", rep, rep.n, ell)
 
 
-def curve_kwww_deficit(space: WarpedSpace, graph: RadialGraph,
-                       fields: GeometryFields | None = None) -> DeficitReport:
+def curve_kwww_deficit(rep: QuantityReport) -> DeficitReport:
     """Convex-curve bound int Phi kappa ds >= (L^2 - 2 pi A) / (2 pi)."""
-    if not space.is_space_form:
+    if not rep.space.is_space_form:
         raise ValueError("the curve bound is stated in space forms")
-    rep = QuantityReport(space, graph, fields)
     if rep.n != 1:
         raise ValueError("the curve bound needs n = 1")
     kappa = rep.fields.kappa[0]
@@ -373,15 +359,14 @@ def curve_kwww_deficit(space: WarpedSpace, graph: RadialGraph,
                     (L**2 - 2 * math.pi * A) / (2 * math.pi))
 
 
-def monotone_series(space: WarpedSpace, trace: FlowTrace, spec: FlowSpec,
+def monotone_series(trace: FlowTrace, spec: FlowSpec,
                     ks=None, ells=(0, 1)) -> dict[str, np.ndarray]:
     """Per-sample values of the quantities that are monotone along the flow.
 
     The rows come from the flow's `flows.FLOWS` entry, which the step guard
     and the evolve trace columns read too; README lists them per flow kind.  ks
     picks the imcf exponents (default the flow's k) and ells the hyperbolic
-    quermassintegrals.  Values are read from the samples' reports, so
-    `space` is not used.
+    quermassintegrals.  Values are read from the samples' reports.
 
     Plus, for n >= 2, the pointwise Newton-MacLaurin margin
     min(E_k^2 - E_{k+1} E_{k-1}) recorded with each sample, nonnegative

@@ -214,9 +214,7 @@ class ClassReport:
         }
 
 
-def convexity_class(fields: GeometryFields, space: WarpedSpace,
-                    graph: RadialGraph, k: int,
-                    require_static: bool = False) -> ClassReport:
+def convexity_class(fields: GeometryFields, space: WarpedSpace, k: int) -> ClassReport:
     """Classify a surface by its nodal curvature minima."""
     n = fields.n
     if not 1 <= k <= n:
@@ -229,7 +227,7 @@ def convexity_class(fields: GeometryFields, space: WarpedSpace,
     if np.all(dlam > 0):
         static_margin = float((fields.kappa[-1] - fields.support / dlam).min())
     else:
-        if require_static or space.kind == "hyperbolic":
+        if space.kind == "hyperbolic":
             idx = int(np.argmax((dlam <= 0).ravel()))
             raise ValueError(
                 f"static convexity undefined: lambda' <= 0 at {fields.grid.node_label(idx)}"

@@ -28,7 +28,12 @@ from warpflow.inequalities import (
     minkowski_residual,
     monotone_series,
 )
-from warpflow.quantities import full_report, quermassintegrals, surface_integral
+from warpflow.quantities import (
+    QuantityReport,
+    full_report,
+    quermassintegrals,
+    surface_integral,
+)
 from warpflow.surface import geometry, make_seed_surface
 
 EU = make_space_form(0)
@@ -89,34 +94,28 @@ def test_A01_equality_cases(fine):
         "hyperbolic": make_seed_surface(HY, fine, "round", r0=1.0),
         "sphere": make_seed_surface(SP, fine, "round", r0=0.7),
     }
-    fields = {name: geometry(space, balls[name])
-              for name, space in (("euclidean", EU), ("hyperbolic", HY),
-                                  ("sphere", SP))}
+    reps = {name: QuantityReport(space, balls[name])
+            for name, space in (("euclidean", EU), ("hyperbolic", HY),
+                                ("sphere", SP))}
     reports = []
-    for name, space in (("euclidean", EU), ("hyperbolic", HY), ("sphere", SP)):
+    for name in ("euclidean", "hyperbolic", "sphere"):
         for k in (1.0, 1.5, 2.0, 3.0):
-            reports.append(deficit_boundary_momentum(space, balls[name], k,
-                                                     fields[name]))
-    reports.append(deficit_weinstock_iso(EU, balls["euclidean"], fields["euclidean"]))
+            reports.append(deficit_boundary_momentum(reps[name], k))
+    reports.append(deficit_weinstock_iso(reps["euclidean"]))
     # Girao case is the k = 1 boundary momentum, already included above
-    km3_1 = deficit_phi_quermass_euclidean(EU, balls["euclidean"], 1,
-                                           fields["euclidean"])
-    km3_2 = deficit_phi_quermass_euclidean(EU, balls["euclidean"], 2,
-                                           fields["euclidean"])
+    km3_1 = deficit_phi_quermass_euclidean(reps["euclidean"], 1)
+    km3_2 = deficit_phi_quermass_euclidean(reps["euclidean"], 2)
     assert km3_1.lhs == pytest.approx(10 * math.pi / 3, rel=1e-9)
     assert km3_2.lhs == pytest.approx(6 * math.pi, rel=1e-9)
     reports += [km3_1, km3_2]
     for k in (1, 2):
-        reports.append(kwong_miao_deficit(EU, balls["euclidean"], k,
-                                          fields["euclidean"]))
+        reports.append(kwong_miao_deficit(reps["euclidean"], k))
     for ell in (0, 1):
-        reports.append(deficit_hyperbolic_ref(HY, balls["hyperbolic"], 1, ell,
-                                              fields["hyperbolic"]))
+        reports.append(deficit_hyperbolic_ref(reps["hyperbolic"], 1, ell))
     for ell in (0, 1, 2):
-        reports.append(deficit_sphere_ref(SP, balls["sphere"], ell,
-                                          fields["sphere"]))
+        reports.append(deficit_sphere_ref(reps["sphere"], ell))
     circle = make_seed_surface(EU, circle_grid(512), "round", r0=1.0)
-    reports.append(curve_kwww_deficit(EU, circle))
+    reports.append(curve_kwww_deficit(QuantityReport(EU, circle)))
 
     for rep in reports:
         assert abs(rep.relative_deficit) <= 1e-6, rep.name
@@ -128,7 +127,7 @@ def test_A01_equality_cases(fine):
 def test_A02_imcf_monotone_and_limit(imcf_trace):
     trace, spec = imcf_trace
     assert trace.termination == ("reached_t_final",)
-    series = monotone_series(EU, trace, spec, ks=(1.0, 2.0))
+    series = monotone_series(trace, spec, ks=(1.0, 2.0))
     limits = {1.0: 2 / 3 * sphere_area(2) ** -0.5, 2.0: 0.5 * sphere_area(2) ** -1}
     assert limits[1.0] == pytest.approx(0.188063, abs=1e-6)
     assert limits[2.0] == pytest.approx(0.0397887, abs=1e-7)
@@ -174,7 +173,7 @@ def test_A03_exponential_laws(imcf_trace, einv_trace):
 def test_A04_Qk_monotone_and_limit(einv_trace):
     trace, spec = einv_trace
     assert trace.termination == ("reached_t_final",)
-    series = monotone_series(EU, trace, spec)
+    series = monotone_series(trace, spec)
     q = series["Qk_euclid_1"]
     assert np.all(per_step_increase(q) <= 1e-6)
     n, k = 2, 1
@@ -183,7 +182,7 @@ def test_A04_Qk_monotone_and_limit(einv_trace):
     rel = abs(q[-1] - round_value) / round_value
     assert rel <= 0.01
     final = trace.sample_graph(len(trace.samples) - 1)
-    km3 = deficit_phi_quermass_euclidean(EU, final, 1)
+    km3 = deficit_phi_quermass_euclidean(QuantityReport(EU, final), 1)
     assert abs(km3.relative_deficit) <= 0.01
     report("A4", f"Q_1 max step {per_step_increase(q).max():.1e} <= 1e-6, "
                  f"|Q_1(2)-round|/round = {rel:.1e} <= 1e-2, "
@@ -195,7 +194,7 @@ def test_A05_hyperbolic_monotone_pair(sx_trace):
     assert trace.termination == ("reached_t_final",)
     start = trace.samples[0].class_report
     assert start.static_convex, "seed must be static convex"
-    series = monotone_series(HY, trace, spec, ells=(0, 1))
+    series = monotone_series(trace, spec, ells=(0, 1))
     lhs = series["phiE1_plus_1W0"]
     assert np.all(per_step_increase(lhs) <= 1e-6)
     for name in ("W_0", "W_1"):
@@ -210,7 +209,7 @@ def test_A06_sphere_monotone(bgl_trace):
     trace, spec = bgl_trace
     assert trace.termination == ("reached_t_final",)
     assert trace.samples[0].class_report.convex
-    series = monotone_series(SP, trace, spec)
+    series = monotone_series(trace, spec)
     lhs = series["phiE2_plus_2W1"]
     assert np.all(per_step_increase(lhs) <= 1e-6)
     report("A6", f"phi E_2 + 2 W_1 max per-step increase "
@@ -232,13 +231,13 @@ def test_A07_minkowski_formula(fine):
     details = []
     for space, name, r0 in ((EU, "euclidean", 1.0), (HY, "hyperbolic", 1.0),
                             (SP, "sphere", 1.0)):
-        f_fine = geometry(space, make_seed_surface(space, fine, "bandlimited",
-                                                   seed=7, r0=r0, amp=0.05, lmax=4))
-        f_coarse = geometry(space, make_seed_surface(space, coarse, "bandlimited",
-                                                     seed=7, r0=r0, amp=0.05, lmax=4))
+        rep_fine, rep_coarse = (
+            QuantityReport(space, make_seed_surface(space, g, "bandlimited",
+                                                    seed=7, r0=r0, amp=0.05, lmax=4))
+            for g in (fine, coarse))
         for k in (1, 2):
-            r128 = minkowski_residual(space, f_fine, k)
-            r64 = minkowski_residual(space, f_coarse, k)
+            r128 = minkowski_residual(rep_fine, k)
+            r64 = minkowski_residual(rep_coarse, k)
             assert r128 <= 1e-6
             order = math.log2(r64 / r128)
             # empirical order of an exactly 4th-order scheme fluctuates a

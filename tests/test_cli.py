@@ -6,6 +6,7 @@ import resource
 import numpy as np
 import pytest
 
+import warpflow.quantities
 from warpflow.cli import (
     EXIT_FINDING, EXIT_OK, EXIT_USAGE, RunConfig, main, steady_allocator,
 )
@@ -296,6 +297,25 @@ def test_verify_probing_negative_exit(capsys, tmp_path):
     # equality case deficits hover at roundoff of either sign
     assert code in (EXIT_OK, EXIT_FINDING)
     capsys.readouterr()
+
+
+def test_verify_checks_of_one_surface_share_one_report(capsys, monkeypatch):
+    # the three checks read their W_ell from one report: one quermassintegral run
+    calls = []
+    quermassintegrals = warpflow.quantities.quermassintegrals
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return quermassintegrals(*args, **kwargs)
+
+    monkeypatch.setattr(warpflow.quantities, "quermassintegrals", counted)
+    code = run(["verify", "--space", "hyperbolic", "--grid", "16x32",
+                "--surface", "bandlimited:seed=7,r0=1,amp=0.03,lmax=4",
+                "--check", "hyperbolic-ref:k=1,ell=0", "--check", "hyperbolic-ref:k=1,ell=1",
+                "--check", "hyperbolic-ref:k=2,ell=2"])
+    assert code == EXIT_OK
+    assert len(calls) == 1
+    assert len(capsys.readouterr().out.splitlines()) == 4
 
 
 def test_steady_allocator_reuses_heap_pages():

@@ -218,7 +218,7 @@ def test_monotone_table_read_by_guard_series_and_cli(kind):
 
     guard = monotones(spec, 2)
     assert {m.name: m.direction for m in guard} == expected
-    series = monotone_series(space, trace, spec)
+    series = monotone_series(trace, spec)
     assert list(series) == [m.name for m in guard] + ["newton_maclaurin_margin"]
     at_start = QuantityReport(space, graph)
     for m in guard:
@@ -227,7 +227,7 @@ def test_monotone_table_read_by_guard_series_and_cli(kind):
     ks = sorted(trace.samples[0].report.momenta)
     rows = monotones(spec, 2, ks)
     cli_rows = {m.name: m for m in rows}
-    columns = dict(_trace_columns(trace, monotone_series(space, trace, spec, ks), rows))
+    columns = dict(_trace_columns(trace, monotone_series(trace, spec, ks), rows))
     for m in guard:
         assert cli_rows[m.name].direction == m.direction
         assert columns[cli_rows[m.name].label or m.name] == list(series[m.name])

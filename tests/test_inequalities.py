@@ -23,7 +23,7 @@ from warpflow.inequalities import (
     q_imcf,
     q_k_euclidean,
 )
-from warpflow.quantities import full_report, surface_integral
+from warpflow.quantities import QuantityReport, full_report, surface_integral
 from warpflow.surface import RadialGraph, geometry, make_seed_surface
 
 EU = make_space_form(0)
@@ -38,41 +38,41 @@ def fine_grid():
 
 def test_q_imcf_equality_value_and_scale_invariance(fine_grid):
     ball = make_seed_surface(EU, fine_grid, "round", r0=1.0)
-    q = q_imcf(EU, ball, 1.0)
+    q = q_imcf(QuantityReport(EU, ball), 1.0)
     assert q == pytest.approx(2 / 3 * (4 * math.pi) ** -0.5, rel=1e-12)
     assert q == pytest.approx(0.18806, abs=1e-5)
     scaled = make_seed_surface(EU, fine_grid, "round", r0=3.7)
-    assert q_imcf(EU, scaled, 1.0) == pytest.approx(q, rel=1e-10)
+    assert q_imcf(QuantityReport(EU, scaled), 1.0) == pytest.approx(q, rel=1e-10)
     pert = make_seed_surface(EU, fine_grid, "legendre", r0=1, eps=0.2, l=2)
-    assert q_imcf(EU, pert, 1.0) > q * (1 + 1e-4)
+    assert q_imcf(QuantityReport(EU, pert), 1.0) > q * (1 + 1e-4)
 
 
 def test_boundary_momentum_equality_cases(fine_grid):
     ball = make_seed_surface(EU, fine_grid, "round", r0=1.0)
     for k in (1.0, 1.5, 2.0, 3.0):
-        rep = deficit_boundary_momentum(EU, ball, k)
+        rep = deficit_boundary_momentum(QuantityReport(EU, ball), k)
         assert abs(rep.relative_deficit) <= 1e-10
         assert rep.equality_expected
-    rep = deficit_boundary_momentum(EU, ball, 2.0)
+    rep = deficit_boundary_momentum(QuantityReport(EU, ball), 2.0)
     assert rep.lhs == pytest.approx(4 * math.pi, rel=1e-10)
-    rep = deficit_boundary_momentum(EU, ball, 1.0)
+    rep = deficit_boundary_momentum(QuantityReport(EU, ball), 1.0)
     assert rep.rhs == pytest.approx(8 * math.pi / 3 + 4 * math.pi / 3, rel=1e-10)
 
 
 def test_boundary_momentum_custom_ambient(fine_grid):
     cu = make_custom("cosh", a=0.1)
     pert = make_seed_surface(cu, fine_grid, "legendre", r0=1, eps=0.1, l=2)
-    rep = deficit_boundary_momentum(cu, pert, 1.0)
+    rep = deficit_boundary_momentum(QuantityReport(cu, pert), 1.0)
     assert rep.deficit > 1e-3
     assert not rep.equality_expected
     ball = make_seed_surface(cu, fine_grid, "round", r0=1.0)
-    rep = deficit_boundary_momentum(cu, ball, 1.0)
+    rep = deficit_boundary_momentum(QuantityReport(cu, ball), 1.0)
     assert abs(rep.relative_deficit) <= 1e-10
 
 
 def test_weinstock_chain(fine_grid):
     ball = make_seed_surface(EU, fine_grid, "round", r0=1.0)
-    rep = deficit_weinstock_iso(EU, ball)
+    rep = deficit_weinstock_iso(QuantityReport(EU, ball))
     assert abs(rep.relative_deficit) <= 1e-12
     assert rep.lhs == pytest.approx(4 * math.pi, rel=1e-10)
     assert abs(rep.aux["hoelder"]) < 1e-8 and abs(rep.aux["young"]) < 1e-10
@@ -80,36 +80,37 @@ def test_weinstock_chain(fine_grid):
     # scale covariance: both sides scale like r0^{n+2}
     for r0 in (0.5, 2.0, 3.3):
         scaled = make_seed_surface(EU, fine_grid, "round", r0=r0)
-        assert abs(deficit_weinstock_iso(EU, scaled).relative_deficit) <= 1e-12
+        assert abs(deficit_weinstock_iso(QuantityReport(EU, scaled)).relative_deficit) <= 1e-12
 
     pert = make_seed_surface(EU, fine_grid, "legendre", r0=1, eps=0.2, l=2)
-    rep = deficit_weinstock_iso(EU, pert)
+    rep = deficit_weinstock_iso(QuantityReport(EU, pert))
     assert rep.deficit > 1e-2
     assert rep.aux["hoelder"] >= -1e-8
     assert rep.aux["young"] >= -1e-8
-    girao = deficit_boundary_momentum(EU, pert, 1.0)
+    girao = deficit_boundary_momentum(QuantityReport(EU, pert), 1.0)
     assert girao.deficit >= -1e-8
 
     with pytest.raises(ValueError, match="euclidean"):
-        deficit_weinstock_iso(HY, make_seed_surface(HY, fine_grid, "round", r0=1.0))
+        deficit_weinstock_iso(
+            QuantityReport(HY, make_seed_surface(HY, fine_grid, "round", r0=1.0)))
 
 
 def test_phi_quermass_exact_values(fine_grid):
     ball = make_seed_surface(EU, fine_grid, "round", r0=1.0)
-    rep1 = deficit_phi_quermass_euclidean(EU, ball, 1)
+    rep1 = deficit_phi_quermass_euclidean(QuantityReport(EU, ball), 1)
     assert rep1.lhs == pytest.approx(10 * math.pi / 3, rel=1e-9)
     assert abs(rep1.relative_deficit) <= 1e-9
-    rep2 = deficit_phi_quermass_euclidean(EU, ball, 2)
+    rep2 = deficit_phi_quermass_euclidean(QuantityReport(EU, ball), 2)
     assert rep2.lhs == pytest.approx(6 * math.pi, rel=1e-9)
     assert abs(rep2.relative_deficit) <= 1e-9
     pert = make_seed_surface(EU, fine_grid, "legendre", r0=1, eps=0.15, l=2)
-    assert deficit_phi_quermass_euclidean(EU, pert, 1).deficit > 1e-3
+    assert deficit_phi_quermass_euclidean(QuantityReport(EU, pert), 1).deficit > 1e-3
 
 
 def test_q_k_scale_invariance(fine_grid):
     for r0 in (1.0, 2.7):
         ball = make_seed_surface(EU, fine_grid, "round", r0=r0)
-        val = q_k_euclidean(EU, ball, 1)
+        val = q_k_euclidean(QuantityReport(EU, ball), 1)
         ref = (5 / 6) * 4 * math.pi * (2 / (4 * math.pi)) ** 1.5
         assert val == pytest.approx(ref, rel=1e-10)
 
@@ -117,21 +118,21 @@ def test_q_k_scale_invariance(fine_grid):
 def test_kwong_miao(fine_grid):
     ball = make_seed_surface(EU, fine_grid, "round", r0=1.0)
     for k, lhs in ((1, 2 * math.pi), (2, 2 * math.pi)):
-        rep = kwong_miao_deficit(EU, ball, k)
+        rep = kwong_miao_deficit(QuantityReport(EU, ball), k)
         assert rep.lhs == pytest.approx(lhs, rel=1e-10)
         assert abs(rep.relative_deficit) <= 1e-10
     pert = make_seed_surface(EU, fine_grid, "legendre", r0=1, eps=0.2, l=2)
-    assert kwong_miao_deficit(EU, pert, 1).deficit > 1e-3
+    assert kwong_miao_deficit(QuantityReport(EU, pert), 1).deficit > 1e-3
 
 
 def test_minkowski_residuals(fine_grid):
     ball = make_seed_surface(EU, fine_grid, "round", r0=1.0)
-    assert minkowski_residual(EU, geometry(EU, ball), 1) < 1e-14
+    assert minkowski_residual(QuantityReport(EU, ball), 1) < 1e-14
     hball = make_seed_surface(HY, fine_grid, "round", r0=1.0)
-    assert minkowski_residual(HY, geometry(HY, hball), 2) < 1e-12
+    assert minkowski_residual(QuantityReport(HY, hball), 2) < 1e-12
     pert = make_seed_surface(EU, fine_grid, "bandlimited",
                              seed=7, r0=1, amp=0.05, lmax=4)
-    assert minkowski_residual(EU, geometry(EU, pert), 2) < 1e-6
+    assert minkowski_residual(QuantityReport(EU, pert), 2) < 1e-6
 
 
 def test_ball_reference_functions():
@@ -193,25 +194,25 @@ def test_chi_inverse_range_errors():
 def test_hyperbolic_ref_deficits(fine_grid):
     ball = make_seed_surface(HY, fine_grid, "round", r0=1.0)
     for ell in (0, 1):
-        rep = deficit_hyperbolic_ref(HY, ball, 1, ell)
+        rep = deficit_hyperbolic_ref(QuantityReport(HY, ball), 1, ell)
         assert abs(rep.relative_deficit) <= 1e-8
         assert rep.aux["ball_radius"] == pytest.approx(1.0, abs=1e-9)
     pert = make_seed_surface(HY, fine_grid, "legendre", r0=1, eps=0.1, l=2)
-    rep = deficit_hyperbolic_ref(HY, pert, 1, 0)
+    rep = deficit_hyperbolic_ref(QuantityReport(HY, pert), 1, 0)
     assert rep.deficit > 1e-3
     assert rep.flags["static_convex"] is True
     with pytest.raises(ValueError, match="ell"):
-        deficit_hyperbolic_ref(HY, ball, 1, 2)
+        deficit_hyperbolic_ref(QuantityReport(HY, ball), 1, 2)
 
 
 def test_sphere_ref_deficits(fine_grid):
     ball = make_seed_surface(SP, fine_grid, "round", r0=0.7)
     for ell in (0, 1, 2):
-        rep = deficit_sphere_ref(SP, ball, ell)
+        rep = deficit_sphere_ref(QuantityReport(SP, ball), ell)
         assert abs(rep.relative_deficit) <= 1e-8
     pert = make_seed_surface(SP, fine_grid, "bandlimited",
                              seed=7, r0=0.7, amp=0.03, lmax=4)
-    rep = deficit_sphere_ref(SP, pert, 1)
+    rep = deficit_sphere_ref(QuantityReport(SP, pert), 1)
     assert rep.deficit > 0
     assert rep.flags["convex"] is True
 
@@ -219,28 +220,28 @@ def test_sphere_ref_deficits(fine_grid):
 def test_curve_deficits():
     c = circle_grid(512)
     circle = make_seed_surface(EU, c, "round", r0=1.0)
-    rep = curve_kwww_deficit(EU, circle)
+    rep = curve_kwww_deficit(QuantityReport(EU, circle))
     assert rep.lhs == pytest.approx(math.pi, rel=1e-12)
     assert rep.rhs == pytest.approx(math.pi, rel=1e-10)
     circle2 = make_seed_surface(EU, c, "round", r0=2.0)
-    rep2 = curve_kwww_deficit(EU, circle2)
+    rep2 = curve_kwww_deficit(QuantityReport(EU, circle2))
     assert rep2.lhs == pytest.approx(4 * math.pi, rel=1e-12)
     assert abs(rep2.relative_deficit) <= 1e-10
 
     u = 1 + 0.2 * np.cos(2 * c.theta)
     ellipse = RadialGraph(grid=c, u=u, space_kind="euclidean")
-    assert curve_kwww_deficit(EU, ellipse).deficit > 1e-3
+    assert curve_kwww_deficit(QuantityReport(EU, ellipse)).deficit > 1e-3
 
     u_bad = 1 + 0.45 * np.cos(2 * c.theta)
     nonconvex = RadialGraph(grid=c, u=u_bad, space_kind="euclidean")
     with pytest.raises(ValueError, match="convex"):
-        curve_kwww_deficit(EU, nonconvex)
+        curve_kwww_deficit(QuantityReport(EU, nonconvex))
 
 
 def test_curve_deficit_hyperbolic_circle():
     c = circle_grid(512)
     circle = make_seed_surface(HY, c, "round", r0=0.8)
-    rep = curve_kwww_deficit(HY, circle)
+    rep = curve_kwww_deficit(QuantityReport(HY, circle))
     assert abs(rep.relative_deficit) <= 1e-10
 
 
@@ -248,7 +249,7 @@ def test_curve_deficit_sphere_circle():
     # hemisphere circles are the sphere-ambient equality case
     c = circle_grid(512)
     circle = make_seed_surface(SP, c, "round", r0=0.7)
-    rep = curve_kwww_deficit(SP, circle)
+    rep = curve_kwww_deficit(QuantityReport(SP, circle))
     assert abs(rep.relative_deficit) <= 1e-10
 
 
@@ -256,10 +257,11 @@ def test_equality_detection_margins(fine_grid):
     # every deficit on the perturbed seed clears 10x the grid-error scale
     pert = make_seed_surface(EU, fine_grid, "legendre", r0=1, eps=0.2, l=2)
     grid_error = 1e-6
-    assert deficit_boundary_momentum(EU, pert, 1.0).deficit > 10 * grid_error
-    assert deficit_weinstock_iso(EU, pert).deficit > 10 * grid_error
-    assert deficit_phi_quermass_euclidean(EU, pert, 1).deficit > 10 * grid_error
-    assert kwong_miao_deficit(EU, pert, 1).deficit > 10 * grid_error
+    rep = QuantityReport(EU, pert)
+    assert deficit_boundary_momentum(rep, 1.0).deficit > 10 * grid_error
+    assert deficit_weinstock_iso(rep).deficit > 10 * grid_error
+    assert deficit_phi_quermass_euclidean(rep, 1).deficit > 10 * grid_error
+    assert kwong_miao_deficit(rep, 1).deficit > 10 * grid_error
 
 
 def test_monotone_series_mismatch_guard():
@@ -268,8 +270,8 @@ def test_monotone_series_mismatch_guard():
     spec = FlowSpec(kind="imcf", k=1, t_final=0.1, report_dt=0.05)
     trace = evolve(EU, graph, spec)
     with pytest.raises(ValueError, match="produced by"):
-        monotone_series(EU, trace, FlowSpec(kind="euclidean_inverse", k=1))
-    series = monotone_series(EU, trace, spec, ks=(1.0,))
+        monotone_series(trace, FlowSpec(kind="euclidean_inverse", k=1))
+    series = monotone_series(trace, spec, ks=(1.0,))
     assert "Q_imcf_1" in series
     assert series["newton_maclaurin_margin"].min() >= -1e-10
 
@@ -287,12 +289,13 @@ def _bandlimited(space, n, seed, r0, amp, lmax):
 @given(scale=st.floats(0.25, 4.0), r0=st.floats(0.3, 2.0), **_BANDLIMITED)
 def test_euclidean_functionals_scale_invariant(scale, r0, seed, amp, lmax, n):
     graph = _bandlimited(EU, n, seed, r0, amp, lmax)
-    scaled = graph.with_values(scale * graph.u)
+    rep = QuantityReport(EU, graph)
+    scaled = QuantityReport(EU, graph.with_values(scale * graph.u))
     for k in (1.0, 2.0, 2.5):
-        assert q_imcf(EU, scaled, k) == pytest.approx(q_imcf(EU, graph, k), rel=1e-12)
+        assert q_imcf(scaled, k) == pytest.approx(q_imcf(rep, k), rel=1e-12)
     for k in range(1, n + 1):
-        assert q_k_euclidean(EU, scaled, k) == pytest.approx(q_k_euclidean(EU, graph, k),
-                                                             rel=1e-12)
+        assert q_k_euclidean(scaled, k) == pytest.approx(q_k_euclidean(rep, k),
+                                                         rel=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -302,21 +305,22 @@ def test_deficit_lhs_is_the_report_value(K, r0, seed, amp, lmax, n):
     space = make_space_form(K)
     graph = _bandlimited(space, n, seed, r0, amp, lmax)
     rep = full_report(space, graph, ks=(1.0, 1.5, 2.0))
+    live = QuantityReport(space, graph)
 
     def phi_quermass(k):
         return rep.phi_curvature(k) + k * rep.W(k - 1)
 
     for k in (1.0, 1.5):
-        assert deficit_boundary_momentum(space, graph, k).lhs == rep.momentum(k)
+        assert deficit_boundary_momentum(live, k).lhs == rep.momentum(k)
     if space.kind == "euclidean":
-        assert deficit_weinstock_iso(space, graph).lhs == rep.momentum(2)
+        assert deficit_weinstock_iso(live).lhs == rep.momentum(2)
         for k in range(1, n + 1):
-            assert deficit_phi_quermass_euclidean(space, graph, k).lhs == phi_quermass(k)
-            assert kwong_miao_deficit(space, graph, k).lhs == rep.phi_curvature(k)
+            assert deficit_phi_quermass_euclidean(live, k).lhs == phi_quermass(k)
+            assert kwong_miao_deficit(live, k).lhs == rep.phi_curvature(k)
     elif space.kind == "hyperbolic":
         for k in range(1, n + 1):
-            assert deficit_hyperbolic_ref(space, graph, k, 0).lhs == phi_quermass(k)
+            assert deficit_hyperbolic_ref(live, k, 0).lhs == phi_quermass(k)
     else:
-        assert deficit_sphere_ref(space, graph, 0).lhs == phi_quermass(n)
+        assert deficit_sphere_ref(live, 0).lhs == phi_quermass(n)
     if n == 1 and geometry(space, graph).kappa.min() > 0:
-        assert curve_kwww_deficit(space, graph).lhs == rep.phi_curvature(1)
+        assert curve_kwww_deficit(live).lhs == rep.phi_curvature(1)

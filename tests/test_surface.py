@@ -1,11 +1,15 @@
+import dataclasses
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import eval_legendre
 
 from warpflow.ambient import make_custom, make_space_form
-from warpflow.grid import circle_grid, sphere_grid
+from warpflow.grid import circle_grid, differentiate, sphere_grid
 from warpflow.quantities import surface_integral
 from warpflow.surface import (
     RadialGraph,
@@ -128,7 +132,7 @@ def test_geometry_richardson_refinement():
 def test_convexity_class_unit_sphere():
     g = sphere_grid(32, 64)
     graph = make_seed_surface(EU, g, "round", r0=1.0)
-    rep = convexity_class(geometry(EU, graph), EU, graph, 2)
+    rep = convexity_class(geometry(EU, graph), EU, 2)
     assert rep.mean_convex and rep.k_convex and rep.convex
     assert rep.min_kappa == pytest.approx(1.0, rel=1e-11)
     assert rep.min_E[1] == pytest.approx(1.0, rel=1e-11)
@@ -139,7 +143,7 @@ def test_convexity_class_unit_sphere():
 def test_convexity_class_static_margin():
     g = sphere_grid(32, 64)
     graph = make_seed_surface(HY, g, "round", r0=1.0)
-    rep = convexity_class(geometry(HY, graph), HY, graph, 1)
+    rep = convexity_class(geometry(HY, graph), HY, 1)
     expected = math.cosh(1) / math.sinh(1) - math.tanh(1)
     assert rep.static_margin == pytest.approx(expected, abs=1e-10)
     assert rep.static_convex
@@ -148,7 +152,7 @@ def test_convexity_class_static_margin():
 def test_convexity_lost_but_mean_convex():
     g = sphere_grid(128, 256)
     graph = make_seed_surface(EU, g, "legendre", r0=1, eps=0.45, l=2)
-    rep = convexity_class(geometry(EU, graph), EU, graph, 2)
+    rep = convexity_class(geometry(EU, graph), EU, 2)
     assert rep.min_kappa < 0
     assert not rep.convex
     assert rep.mean_convex
@@ -189,6 +193,21 @@ def test_rotational_equivariance_bitwise():
     assert np.array_equal(np.roll(f.area_weight, 1, axis=1), fr.area_weight)
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), shift=st.integers(1, 31))
+def test_roll_equivariance_bitwise_any_shift(seed, shift):
+    # a longitude roll of u by any shift rolls every derivative and field bit for bit
+    g = sphere_grid(16, 32)
+    graph = make_seed_surface(EU, g, "bandlimited", seed=seed, r0=1, amp=0.05, lmax=4)
+    rolled = graph.with_values(np.roll(graph.u, shift, axis=1))
+    for out, out_r in zip(differentiate(g, graph.u), differentiate(g, rolled.u)):
+        assert np.array_equal(np.roll(out, shift, axis=-1), out_r)
+    f, fr = geometry(EU, graph), geometry(EU, rolled)
+    for name in (fld.name for fld in dataclasses.fields(f) if fld.name != "grid"):
+        expected = np.roll(getattr(f, name), shift, axis=-1)
+        assert np.array_equal(expected, getattr(fr, name)), name
+
+
 def test_parse_surface_spec():
     fam, kv = parse_surface_spec("legendre:r0=1,eps=0.2,l=2")
     assert fam == "legendre" and kv == {"r0": 1.0, "eps": 0.2, "l": 2.0}
@@ -208,6 +227,21 @@ def test_parse_grid_spec():
         parse_grid_spec("64", 2)
     with pytest.raises(ValueError):
         parse_grid_spec("64x128", 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(order=st.permutations(range(16 * 32)))
+def test_surface_csv_roundtrip_any_row_order(order):
+    graph = make_seed_surface(EU, sphere_grid(16, 32), "bandlimited",
+                              seed=3, r0=1, amp=0.05, lmax=3)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "surf.csv")
+        dump_surface_csv(graph, path)
+        with open(path) as fh:
+            header, *rows = fh.readlines()
+        with open(path, "w") as fh:
+            fh.write(header + "".join(rows[i] for i in order))
+        assert np.array_equal(load_surface_csv(path, EU).u, graph.u)
 
 
 def test_surface_csv_roundtrip(tmp_path):
