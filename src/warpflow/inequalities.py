@@ -14,10 +14,13 @@ Reference functions of geodesic balls: xi_k(r) is the weighted curvature
 integral int Phi E_k over the boundary sphere, in closed umbilic form
 omega_n Phi(r) lambda^{n-k} lambda'^k, and chi_l(r) = W_l(B(r)) through the
 curvature-integral recursion.  Both are strictly increasing on the relevant
-ranges and are inverted by bisection.  In the sphere ambient chi_1 (the
-boundary area over n) decreases past the equator, so the inverse is taken
-on the monotone branch [0, pi/2] for that case and values beyond its range
-are rejected.
+ranges.  chi_l is inverted by a safeguarded Newton iteration with its
+closed-form radial derivative d chi_l/dr = omega_n lambda^{n-l} lambda'^l,
+the int E_l dmu of the boundary sphere (the recursion differentiates to it
+because lambda'' = -K lambda).  In the sphere ambient chi_1 (the boundary
+area over n) decreases past the equator, so the inverse is taken on the
+monotone branch [0, pi/2] for that case and values beyond its range are
+rejected.
 """
 
 from __future__ import annotations
@@ -246,65 +249,106 @@ def ball_xi(space: WarpedSpace, k: int, r: float, n: int = 2) -> float:
     return float(sphere_area(n) * space.phi(r) * lam ** (n - k) * dlam**k)
 
 
+def _ball_chi(space: WarpedSpace, ell: int, r: float, n: int) -> tuple[float, float]:
+    """chi_ell(r) and its slope d chi_ell/dr = omega_n lambda^{n-ell} lambda'^ell
+    (the int E_ell dmu of the geodesic sphere), from one warp evaluation."""
+    omega = sphere_area(n)
+    if ell == n + 1:
+        return omega / (n + 1), 0.0
+    lam, dlam, _ = space.warp(np.asarray(r, dtype=float))
+    lam, dlam = float(lam), float(dlam)
+
+    def curvature(j: int) -> float:
+        return omega * lam ** (n - j) * dlam**j
+
+    W = [0.0] * (n + 1)
+    if ell != 1:                    # W_1 = |S_r| / n alone does not read W_0
+        W[0] = omega * float(radial_integral(space, n, r))
+    W[1] = omega * lam**n / n
+    quermass_recursion(W, n, space.K, curvature)
+    return W[ell], curvature(ell)
+
+
 def ball_chi(space: WarpedSpace, ell: int, r: float, n: int = 2) -> float:
     """W_ell of the geodesic ball of radius r via the curvature recursion."""
     _require_curved_reference_space(space)
     _check_ball_radius(space, r)
     if not 0 <= ell <= n + 1:
         raise ValueError(f"need 0 <= ell <= n + 1 = {n + 1}")
-    omega = sphere_area(n)
-    if ell == n + 1:
-        return omega / (n + 1)
-    lam, dlam, _ = space.warp(np.asarray(r, dtype=float))
-    W = np.zeros(n + 1)
-    W[0] = omega * float(radial_integral(space, n, r))
-    if n >= 1:
-        W[1] = omega * float(lam) ** n / n
-    quermass_recursion(W, n, space.K, lambda j: omega * float(lam) ** (n - j) * float(dlam) ** j)
-    return float(W[ell])
+    return _ball_chi(space, ell, r, n)[0]
 
 
 def ball_chi_inverse(space: WarpedSpace, ell: int, w: float, n: int = 2) -> float:
-    """Radius of the geodesic ball with W_ell = w, by bisection.
+    """Radius of the geodesic ball with W_ell = w, by safeguarded Newton.
 
     chi_ell is strictly increasing on (0, infinity) in the hyperbolic space.
     In the sphere the inverse is taken on (0, pi/2] whenever chi_ell turns
     over at the equator (as the area functional does); beyond-range values
     are rejected.
+
+    Newton runs on log chi_ell with the closed-form slope
+    d chi_ell/dr = omega_n lambda^{n-ell} lambda'^ell, inside the bracket of
+    the range checks.  It starts from the euclidean inverse
+    ((n+1-ell) w / omega_n)^{1/(n+1-ell)}, exact as r -> 0, or, when the
+    bracket no longer starts at the floor 1e-8, from its end whose chi_ell
+    is nearer w.  A step that leaves the bracket, a zero slope, or a step
+    longer than half the one before it bisects instead.  The iteration stops
+    when chi_ell(r) equals w to rounding or the step is at most 1e-15 r.
     """
     _require_curved_reference_space(space)
-    tiny = 1e-8
-    lo_val = ball_chi(space, ell, tiny, n)
-    if w < lo_val:
+    if not 0 <= ell <= n:
+        raise ValueError(f"need 0 <= ell <= n = {n}")
+    lo = tiny = 1e-8
+    at_lo = _ball_chi(space, ell, lo, n)
+    if w < at_lo[0]:
         raise ValueError(f"target {w} below the range of chi_{ell}")
 
     if space.kind == "hyperbolic":
         hi = 1.0
-        while ball_chi(space, ell, hi, n) < w:
-            hi *= 2.0
+        at_hi = _ball_chi(space, ell, hi, n)
+        while at_hi[0] < w:
+            lo, at_lo = hi, at_hi
+            hi = 2.0 * hi
             if hi > 1e4:
                 raise ValueError(f"target {w} above the searchable range of chi_{ell}")
-        lo = tiny
+            at_hi = _ball_chi(space, ell, hi, n)
     else:
-        half = math.pi / 2
-        top = math.pi - 1e-9
-        val_half = ball_chi(space, ell, half, n)
-        if w <= val_half:
-            lo, hi = tiny, half
-        elif ball_chi(space, ell, top, n) >= w:
-            lo, hi = half, top
-        else:
-            raise ValueError(f"target {w} outside the invertible range of chi_{ell}")
+        hi = math.pi / 2
+        at_hi = _ball_chi(space, ell, hi, n)
+        if w > at_hi[0]:
+            lo, at_lo = hi, at_hi
+            hi = math.pi - 1e-9
+            at_hi = _ball_chi(space, ell, hi, n)
+            if at_hi[0] < w:
+                raise ValueError(f"target {w} outside the invertible range of chi_{ell}")
 
+    if lo == tiny:                      # the euclidean inverse, exact as r -> 0
+        m = n + 1 - ell
+        r = min(max((m * w / sphere_area(n)) ** (1.0 / m), lo), hi)
+    else:                               # the bracket end nearer w in log chi_ell
+        r = lo if w / at_lo[0] < at_hi[0] / w else hi
+    chi, slope = at_lo if r == lo else at_hi if r == hi else _ball_chi(space, ell, r, n)
+    step = math.inf
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-12:
-            break
-        if ball_chi(space, ell, mid, n) < w:
-            lo = mid
+        if chi < w:
+            lo = r
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi = r
+        f = math.log(chi / w)
+        if abs(f) <= 2.0 * math.ulp(1.0):      # chi_ell(r) is w to rounding
+            return r
+        newton = f * chi / slope if slope else math.inf
+        if abs(newton) <= 1e-15 * r:
+            return r - newton
+        if lo < r - newton < hi and abs(newton) <= 0.5 * abs(step):
+            step = newton
+        else:
+            step = r - 0.5 * (lo + hi)
+        r -= step
+        if abs(step) <= 1e-15 * r:
+            break
+        chi, slope = _ball_chi(space, ell, r, n)
+    return r
 
 
 def _ball_reference_deficit(name: str, rep: QuantityReport, k: int,

@@ -159,14 +159,14 @@ def quermass_recursion(W: np.ndarray, n: int, K: int, curvature: Callable[[int],
         W[j + 1] = (curvature(j) + j * K * W[j - 1]) / (n - j)
 
 
-def quermassintegrals(space: WarpedSpace, graph: RadialGraph,
-                      fields: GeometryFields | None = None) -> tuple[np.ndarray, float]:
-    """W_0..W_{n+1} and the top curvature-integral residual (space forms only)."""
+def quermassintegrals(rep: QuantityReport) -> tuple[np.ndarray, float]:
+    """W_0..W_{n+1} and the top curvature-integral residual (space forms only),
+    from the volume, area and curvature integrals that rep holds or computes."""
+    space = rep.space
     if not space.is_space_form:
         raise UnsupportedAmbientError(
             "quermassintegrals beyond W_1 are only defined in space forms"
         )
-    rep = QuantityReport(space, graph, fields)
     n = rep.n
     K = space.K
     W = np.zeros(n + 2)
@@ -225,10 +225,8 @@ class QuantityReport:
     @property
     @_kept
     def volume(self) -> float:
-        """|Omega|: W_0 if the quermassintegrals are already computed (they are
-        not run for a volume alone), else one radial quadrature."""
-        W = self._values.get(("quermass",), (None,))[0]
-        return volume(self.space, self.graph) if W is None else float(W[0])
+        """|Omega|, one radial quadrature; the quermassintegrals read it as W_0."""
+        return volume(self.space, self.graph)
 
     @_kept
     def momentum(self, k: float) -> float:  # int lambda^k dmu
@@ -259,7 +257,7 @@ class QuantityReport:
     def _quermass(self) -> tuple[np.ndarray | None, float | None]:
         if not self.space.is_space_form:
             return None, None
-        return quermassintegrals(self.space, self.graph, self.fields)
+        return quermassintegrals(self)
 
     @property
     def quermass(self) -> np.ndarray | None:  # W_0..W_{n+1}, space forms only
@@ -309,7 +307,6 @@ def full_report(space: WarpedSpace, graph: RadialGraph, ks=(1.0,),
     if any(k < 1 for k in ks):
         raise ValueError("boundary momentum exponents must satisfy k >= 1")
     rep = QuantityReport(space, graph, fields)
-    rep.quermass                    # first, so that the volume reads W_0
     for k in ks:
         rep.momentum(k), rep.weighted_vol(k), rep.gamma_term(k)
     rep.to_dict()                   # the rest of the recorded set

@@ -268,7 +268,7 @@ def test_A09_gauss_bonnet_closure(fine):
                                                     lmax=4)),
                                ("round", dict(r0=r0))):
             graph = make_seed_surface(space, fine, family, **params)
-            _, res = quermassintegrals(space, graph)
+            _, res = quermassintegrals(QuantityReport(space, graph))
             assert abs(res) <= budget, (name, family)
             details.append(f"{name}/{family}: {abs(res):.1e}")
     report("A9", "max |Gauss-Bonnet residual| per case: " + ", ".join(details)

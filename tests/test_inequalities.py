@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from warpflow.ambient import make_custom, make_space_form
+import warpflow.inequalities as ineq
+from warpflow.ambient import make_custom, make_space_form, sphere_area
 from warpflow.flows import FlowSpec, evolve
 from warpflow.grid import circle_grid, sphere_grid
 from warpflow.inequalities import (
@@ -185,10 +186,126 @@ def test_chi_inverse_range_errors():
         ball_chi_inverse(SP, 1, top * 1.01)
     with pytest.raises(ValueError, match="below"):
         ball_chi_inverse(HY, 0, -1.0)
+    with pytest.raises(ValueError, match="ell <= n"):     # chi_{n+1} is constant
+        ball_chi_inverse(HY, 3, 4 * math.pi / 3)
     with pytest.raises(ValueError, match="sphere|pi"):
         ball_chi(SP, 0, 3.5)
     with pytest.raises(ValueError):
         ball_xi(EU, 1, 1.0)
+
+
+def test_ball_chi_slope_matches_central_differences():
+    # d chi_ell/dr = omega_n lambda^{n-ell} lambda'^ell, the slope Newton reads
+    h = 1e-5
+    for space in (HY, SP):
+        for n in (1, 2):
+            for ell in range(n + 1):
+                for r in (0.3, 1.0, 2.0):
+                    diff = (ball_chi(space, ell, r + h, n)
+                            - ball_chi(space, ell, r - h, n)) / (2 * h)
+                    assert ineq._ball_chi(space, ell, r, n)[1] == pytest.approx(
+                        diff, rel=1e-8), (space.kind, n, ell, r)
+
+
+def test_ball_chi_reads_the_volume_only_when_needed(monkeypatch):
+    # W_1 = |S_r| / n needs no radial integral; W_0 and, through the
+    # recursion, W_2 do
+    calls = []
+    radial_integral = ineq.radial_integral
+
+    def counted(*args):
+        calls.append(args)
+        return radial_integral(*args)
+
+    monkeypatch.setattr(ineq, "radial_integral", counted)
+    for ell, expected in ((1, 0), (0, 1), (2, 1)):
+        calls.clear()
+        ball_chi(HY, ell, 0.7)
+        assert len(calls) == expected, ell
+
+
+def _chi_slope(space, ell, r, n):
+    return abs(sphere_area(n) * float(space.lam(r)) ** (n - ell)
+               * float(space.dlam(r)) ** ell)
+
+
+@st.composite
+def _ball_radii(draw):
+    n = draw(st.sampled_from((1, 2)))
+    ell = draw(st.integers(0, n))
+    space = draw(st.sampled_from((HY, SP)))
+    if space is HY:
+        r = draw(st.floats(0.05, 3.0))
+    elif ell == 1:              # the inverse of chi_1 lives below the equator
+        r = draw(st.floats(0.05, math.pi / 2 - 0.05))
+    else:
+        r = draw(st.one_of(st.floats(0.05, math.pi / 2 - 0.05),
+                           st.floats(math.pi / 2 + 0.05, math.pi - 0.05)))
+    return space, n, ell, r
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_ball_radii())
+def test_chi_inverse_roundtrip_generated(case):
+    # 1e-14 relative, or the rounding of w carried through the inverse's
+    # condition number kappa = w / (r chi_ell'(r)) where that is larger: the
+    # sphere's chi_0 and chi_2 flatten towards pi and pi/2, where kappa
+    # reaches about 200
+    space, n, ell, r = case
+    w = ball_chi(space, ell, r, n)
+    kappa = w / (r * _chi_slope(space, ell, r, n))
+    tol = max(1e-14, 4 * np.finfo(float).eps * kappa)
+    assert abs(ball_chi_inverse(space, ell, w, n) - r) <= tol * r
+
+
+def _count_chi_evaluations(monkeypatch):
+    calls = []
+    chi = ineq._ball_chi
+
+    def counted(*args):
+        calls.append(args)
+        return chi(*args)
+
+    monkeypatch.setattr(ineq, "_ball_chi", counted)
+    return calls
+
+
+def _inversion_count(calls, space, ell, r, n=2):
+    w = ball_chi(space, ell, r, n)
+    calls.clear()
+    back = ball_chi_inverse(space, ell, w, n)
+    return len(calls), back
+
+
+def test_chi_inverse_evaluations_on_A10_grid(monkeypatch):
+    # every chi_ell evaluation of one inversion, range checks included.
+    # chi_2 in the sphere has slope omega cos^2 r, flat at the equator: its
+    # radii 1.5 and 1.7 take up to 12
+    calls = _count_chi_evaluations(monkeypatch)
+    grid = [(HY, ell, r) for r in np.linspace(0.1, 3.0, 13) for ell in (0, 1, 2)]
+    grid += [(SP, ell, r) for r in np.linspace(0.1, 2.5, 13) for ell in (0, 2)]
+    grid += [(SP, 1, r) for r in np.linspace(0.1, 1.5, 8)]
+    for space, ell, r in grid:
+        count, _ = _inversion_count(calls, space, ell, r)
+        near_equator = space is SP and ell == 2 and abs(r - math.pi / 2) < 0.15
+        assert count <= (12 if near_equator else 10), (space.kind, ell, r, count)
+
+
+def test_chi_inverse_terminates_at_critical_points(monkeypatch):
+    calls = _count_chi_evaluations(monkeypatch)
+    # chi_1 peaks and chi_2 has a flat inflection at the equator: Newton
+    # slows there and the bisection fallback bounds the work
+    for ell, n in ((1, 2), (2, 2), (1, 1)):
+        for r in (math.pi / 2, math.pi / 2 - 1e-6):
+            count, back = _inversion_count(calls, SP, ell, r, n)
+            assert count <= 32, (ell, n, r, count)
+            assert abs(back - r) <= 1e-5
+    # the euclidean start is exact as r -> 0
+    for space in (HY, SP):
+        for ell in (0, 1, 2):
+            count, back = _inversion_count(calls, space, ell, 1e-6)
+            assert count <= 5, (space.kind, ell, count)
+            assert abs(back - 1e-6) <= 1e-14 * 1e-6
 
 
 def test_hyperbolic_ref_deficits(fine_grid):

@@ -115,7 +115,8 @@ def test_weighted_volume_k1_equals_volume_euclidean():
 
 def test_quermass_unit_sphere():
     g = sphere_grid(64, 128)
-    W, res = quermassintegrals(EU, make_seed_surface(EU, g, "round", r0=1.0))
+    W, res = quermassintegrals(
+        QuantityReport(EU, make_seed_surface(EU, g, "round", r0=1.0)))
     assert W[0] == pytest.approx(4 * math.pi / 3, rel=1e-10)
     assert W[1] == pytest.approx(2 * math.pi, rel=1e-12)
     assert W[2] == pytest.approx(4 * math.pi, rel=1e-10)
@@ -126,7 +127,7 @@ def test_quermass_unit_sphere():
 def test_quermass_hyperbolic_geodesic_sphere():
     g = sphere_grid(64, 128)
     graph = make_seed_surface(HY, g, "round", r0=1.0)
-    W, res = quermassintegrals(HY, graph)
+    W, res = quermassintegrals(QuantityReport(HY, graph))
     W2_exact = 4 * math.pi * math.sinh(1) * math.cosh(1) - math.pi * (math.sinh(2) - 2)
     assert W[2] == pytest.approx(W2_exact, rel=1e-10)
     assert abs(res) <= 1e-8
@@ -136,7 +137,7 @@ def test_quermass_hyperbolic_geodesic_sphere():
 def test_gauss_bonnet_residual_legendre(space, r0):
     g = sphere_grid(128, 256)
     graph = make_seed_surface(space, g, "legendre", r0=r0, eps=0.2, l=2)
-    _, res = quermassintegrals(space, graph)
+    _, res = quermassintegrals(QuantityReport(space, graph))
     assert abs(res) <= 1e-6
 
 
@@ -145,7 +146,7 @@ def test_gauss_bonnet_residual_fourth_order():
     for M in (64, 128):
         g = sphere_grid(M, 2 * M)
         graph = make_seed_surface(EU, g, "legendre", r0=1, eps=0.2, l=2)
-        _, res[M] = quermassintegrals(EU, graph)
+        _, res[M] = quermassintegrals(QuantityReport(EU, graph))
     assert np.log2(abs(res[64]) / abs(res[128])) > 3.5
 
 
@@ -154,7 +155,7 @@ def test_quermass_refuses_custom_space():
     g = sphere_grid(32, 64)
     graph = make_seed_surface(cu, g, "round", r0=1.0)
     with pytest.raises(UnsupportedAmbientError):
-        quermassintegrals(cu, graph)
+        quermassintegrals(QuantityReport(cu, graph))
 
 
 def test_full_report_euclidean_round():
@@ -248,7 +249,7 @@ def test_round_report_closed_forms(space, r0):
 def test_circle_quermass():
     c = circle_grid(256)
     graph = make_seed_surface(EU, c, "round", r0=1.0)
-    W, res = quermassintegrals(EU, graph)
+    W, res = quermassintegrals(QuantityReport(EU, graph))
     assert W[0] == pytest.approx(math.pi, rel=1e-12)       # area enclosed
     assert W[1] == pytest.approx(2 * math.pi, rel=1e-12)   # length
     assert W[2] == pytest.approx(math.pi, rel=1e-15)       # omega_1 / 2
@@ -311,3 +312,28 @@ def test_full_report_detached(seed, r0, amp, lmax, space, n):
                         (lambda: rep.fields, "fields")):
         with pytest.raises(KeyError, match=re.escape(label)):
             read()
+
+
+def test_quermassintegrals_read_the_report_they_fill(monkeypatch):
+    # a volume read before W is the W_0 of the recursion: one quadrature,
+    # and the curvature integrals the recursion read stay in the report
+    import warpflow.quantities as quantities
+    from warpflow.inequalities import (deficit_phi_quermass_euclidean,
+                                       deficit_weinstock_iso)
+
+    calls = []
+    volume_fn = quantities.volume
+
+    def counted(*args):
+        calls.append(args)
+        return volume_fn(*args)
+
+    monkeypatch.setattr(quantities, "volume", counted)
+    graph = make_seed_surface(EU, sphere_grid(16, 32), "bandlimited",
+                              seed=3, r0=1.0, amp=0.05, lmax=4)
+    rep = QuantityReport(EU, graph)
+    deficit_weinstock_iso(rep)
+    deficit_phi_quermass_euclidean(rep, 1)
+    assert len(calls) == 1
+    assert set(rep._computed("curvature")) == {1.0, 2.0}
+    assert rep.W(0) == rep.volume

@@ -1,0 +1,99 @@
+"""Alternating parent/change runs of the benchmark, summarized into one JSON file.
+
+    python tools/bench_pairs.py --parent DIR --change DIR --workload flow_sx \
+        --seeds 901 902 903 --seconds 20 --out BENCH_name.json --label flow_sx
+
+DIR is a checkout of the repository (each needs its own perfbench/ and src/).
+Each seed is one pair: both checkouts run ``perfbench/run.py --trace 0`` on that
+seed, the parent first on even pairs and the change first on odd ones, so a
+drift of the machine's speed does not favour either side.  The summary gives,
+per end-to-end metric of BENCHMARK.json, the median and quartiles of each side
+and the number of pairs the change wins.  The runs land under ``--label`` in
+the output file, which keeps the labels already there.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    return {"correct": result["correct"], "failed": result["failed"],
+            "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
+    out = {}
+    for spec in metrics:
+        name = spec["name"]
+        rows = [(p["parent"]["metrics"].get(name), p["change"]["metrics"].get(name))
+                for p in pairs]
+        rows = [(a, b) for a, b in rows if a is not None and b is not None]
+        if not rows:
+            continue
+        lower = spec["better"] == "lower"
+        wins = sum((b < a) if lower else (b > a) for a, b in rows)
+        parent, change = quartiles([a for a, _ in rows]), quartiles([b for _, b in rows])
+        out[name] = {"unit": spec["unit"], "better": spec["better"], "parent": parent,
+                     "change": change, "change_wins": f"{wins}/{len(rows)}",
+                     "median_rel": change["median"] / parent["median"] - 1.0}
+    return out
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", type=Path, required=True)
+    p.add_argument("--change", type=Path, required=True)
+    p.add_argument("--workload", required=True)
+    p.add_argument("--seeds", type=int, nargs="+", required=True)
+    p.add_argument("--seconds", type=float, default=20.0)
+    p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--label", required=True)
+    args = p.parse_args(argv)
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    pairs = []
+    for i, seed in enumerate(args.seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            pair[side] = run_once(getattr(args, side), args.workload, seed, args.seconds)
+        pairs.append(pair)
+        print(f"{args.label} seed {seed}: " + ", ".join(
+            f"{side} {pair[side]['metrics'].get('verify_ms_p50', float('nan')):.2f}"
+            for side in ("parent", "change")), file=sys.stderr)
+
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    doc.setdefault("runs", {})[args.label] = {
+        "command": (f"python3 perfbench/run.py --workload {args.workload} --seed SEED "
+                    f"--seconds {args.seconds:g} --trace 0"),
+        "workload": args.workload,
+        "seeds": args.seeds,
+        "cores": os.cpu_count(),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "summary": summarize(pairs, spec["end_to_end"]),
+        "pairs": pairs,
+    }
+    args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
