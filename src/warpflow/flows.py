@@ -48,12 +48,16 @@ Two stabilization details beyond the plain scheme:
   truncation error.  The floor of 4 keeps the stiffest modes on the two
   polar rings, and rho_est accounts for them.
 
-* In the euclidean ambient the speeds above are 1-homogeneous in the graph,
-  so the stored graph is renormalized by the round-sphere growth factor with
-  the scale tracked in log space, keeping the nodal values O(1) on long
-  runs.  Physical values are reconstructed at sample times.  By the same
-  homogeneity the unrenormalized end of a step has the tendency
-  e^{r dt} F(u_cand), which the error estimate uses.
+* In the euclidean ambient the speeds above are 1-homogeneous in the graph
+  and expand a round sphere at the rate r (1/n for imcf, 1 for
+  euclidean_inverse), so the stored graph is w = u e^{-rt}, with the scale
+  tracked in log space.  The stepped equation is the renormalized one,
+  dw/dt = F(w) - r w, of which every round sphere is a fixed point: the
+  relative-step cap max |F(w)/w - r| and the error estimate see only the
+  departure from round growth, not the growth itself.  The controller has
+  no error yet before the first step, so its first proposal is the cap
+  with r = 0.  Physical values are reconstructed at sample times.
+  Elsewhere r = 0.
 """
 
 from __future__ import annotations
@@ -271,9 +275,10 @@ def _rkc_step(u: np.ndarray, F0: np.ndarray, dt: float, s: int,
     return y
 
 
-def _dt_bound(spec: FlowSpec, fields: GeometryFields, f: np.ndarray) -> float:
-    """The relative-step cap: no node moves by more than max_rel_step of its radius."""
-    rate = float(np.max(np.abs(f) * fields.v / fields.u))
+def _dt_bound(spec: FlowSpec, fields: GeometryFields, f: np.ndarray, r: float) -> float:
+    """The relative-step cap: no node of the graph renormalized at the rate r
+    moves by more than max_rel_step of its radius."""
+    rate = float(np.max(np.abs(f * fields.v / fields.u - r)))
     return spec.max_rel_step / rate if rate > 0 else math.inf
 
 
@@ -464,9 +469,13 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
     polar_filter = _make_polar_filter(grid)
     c_grid = _stencil_constant(grid)
 
+    def tendency(flds: GeometryFields, f: np.ndarray) -> np.ndarray:
+        """The stepped right-hand side at a graph with fields flds and speed f."""
+        return polar_filter(f * flds.v) - renorm_rate * flds.u
+
     def rhs(u_arr: np.ndarray) -> np.ndarray:
         flds = geom(RadialGraph(grid=grid, u=u_arr, space_kind=space.kind))
-        return polar_filter(speed(spec, space, flds) * flds.v)
+        return tendency(flds, speed(spec, space, flds))
 
     def record(t: float, u_arr: np.ndarray, log_scale: float, dt_used: float,
                flds: GeometryFields) -> None:
@@ -504,9 +513,11 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
     fields = fields0
     graph = graph0
     f_now = speed(spec, space, fields)
-    F0 = polar_filter(f_now * fields.v)
+    F0 = tendency(fields, f_now)
     monitors = guard_values(graph, fields)
-    dt_ctrl = math.inf       # the controller's proposal for the next step
+    # the controller's proposal for the next step; the first is the cap with
+    # r = 0, which the first step's stages and error resolve
+    dt_ctrl = _dt_bound(spec, fields, f_now, 0.0)
     e_prev = 1.0             # the scaled error of the last step the controller saw
     eps_t = 1e-12 * spec.t_final
     next_report = min(spec.report_dt, spec.t_final)
@@ -517,7 +528,7 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
         return trace
 
     while t < spec.t_final - eps_t:
-        dt_base = min(_dt_bound(spec, fields, f_now), dt_ctrl)
+        dt_base = min(_dt_bound(spec, fields, f_now, renorm_rate), dt_ctrl)
         dt = min(dt_base, next_report - t)
         rho = _spectral_radius(spec, fields, c_grid)
         rejections = 0           # step error, cone, domain and non-finite
@@ -531,8 +542,7 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
             stages = 0
             try:
                 stages = _stage_count(dt, rho, spec.cfl)
-                u_end = _rkc_step(u, F0, dt, stages, rhs)
-                u_cand = u_end * math.exp(-renorm_rate * dt) if renorm_rate else u_end
+                u_cand = _rkc_step(u, F0, dt, stages, rhs)
                 graph_cand = RadialGraph(grid=grid, u=u_cand, space_kind=space.kind)
                 fields_cand = geom(graph_cand)
                 off = _off_cone(spec, fields_cand)
@@ -540,10 +550,8 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
                     reason, detail = "cone", f"{off[0]} > 0 fails on the candidate"
                 else:
                     f_cand = speed(spec, space, fields_cand)
-                    F_cand = polar_filter(f_cand * fields_cand.v)
-                    # F(u_end) = e^{r dt} F(u_cand) by 1-homogeneity
-                    F_end = math.exp(renorm_rate * dt) * F_cand
-                    est = 0.8 * (u - u_end) + 0.4 * dt * (F0 + F_end)
+                    F_cand = tendency(fields_cand, f_cand)
+                    est = 0.8 * (u - u_cand) + 0.4 * dt * (F0 + F_cand)
                     err = float(np.max(np.abs(est))) / max(float(np.max(np.abs(u))), 1e-300)
                     if not math.isfinite(err):
                         reason, detail = "non_finite", f"step error {err}"

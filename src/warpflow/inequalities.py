@@ -291,9 +291,12 @@ def ball_chi_inverse(space: WarpedSpace, ell: int, w: float, n: int = 2) -> floa
     the range checks.  It starts from the euclidean inverse
     ((n+1-ell) w / omega_n)^{1/(n+1-ell)}, exact as r -> 0, or, when the
     bracket no longer starts at the floor 1e-8, from its end whose chi_ell
-    is nearer w.  A step that leaves the bracket, a zero slope, or a step
-    longer than half the one before it bisects instead.  The iteration stops
-    when chi_ell(r) equals w to rounding or the step is at most 1e-15 r.
+    is nearer w.  In the sphere that top end is pi - 1e-9, where chi_0 is
+    flat, so the start there is the euclidean inverse measured from it,
+    hi - ((n+1-ell) (chi_ell(hi) - w) / omega_n)^{1/(n+1-ell)}.  A step that
+    leaves the bracket, a zero slope, or a step longer than half the one
+    before it bisects instead.  The iteration stops when chi_ell(r) equals
+    w to rounding or the step is at most 1e-15 r.
     """
     _require_curved_reference_space(space)
     if not 0 <= ell <= n:
@@ -322,11 +325,15 @@ def ball_chi_inverse(space: WarpedSpace, ell: int, w: float, n: int = 2) -> floa
             if at_hi[0] < w:
                 raise ValueError(f"target {w} outside the invertible range of chi_{ell}")
 
+    m = n + 1 - ell
     if lo == tiny:                      # the euclidean inverse, exact as r -> 0
-        m = n + 1 - ell
         r = min(max((m * w / sphere_area(n)) ** (1.0 / m), lo), hi)
-    else:                               # the bracket end nearer w in log chi_ell
-        r = lo if w / at_lo[0] < at_hi[0] / w else hi
+    elif w / at_lo[0] < at_hi[0] / w:   # the bracket end nearer w in log chi_ell
+        r = lo
+    elif space.kind == "sphere":        # the euclidean inverse from the antipode
+        r = min(max(hi - (m * (at_hi[0] - w) / sphere_area(n)) ** (1.0 / m), lo), hi)
+    else:
+        r = hi
     chi, slope = at_lo if r == lo else at_hi if r == hi else _ball_chi(space, ell, r, n)
     step = math.inf
     for _ in range(200):

@@ -118,8 +118,9 @@ def radial_integral(space: WarpedSpace, power: int, upper) -> np.ndarray:
     """int_a^{upper} lambda(s)^power ds per node: exact in space forms,
     Gauss-Legendre quadrature for custom warpings."""
     if space.is_space_form:
-        return (_space_form_antiderivative(space.K, power, upper)
-                - _space_form_antiderivative(space.K, power, space.a))
+        F = _space_form_antiderivative(space.K, power, upper)
+        # F(0) = 0.0 exactly, so without an inner boundary F(u) is the integral
+        return F if space.a == 0 else F - _space_form_antiderivative(space.K, power, space.a)
     return _radial_integral(space, power, space.a, upper)
 
 

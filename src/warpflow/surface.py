@@ -89,8 +89,6 @@ class GeometryFields:
     u: np.ndarray
     lam: np.ndarray
     dlam: np.ndarray
-    Du: np.ndarray
-    Hu: np.ndarray
     v: np.ndarray
     kappa: np.ndarray          # (n,) + grid.shape, descending
     E: np.ndarray              # (n+1,) + grid.shape
@@ -182,7 +180,7 @@ def geometry(space: WarpedSpace, graph: RadialGraph) -> GeometryFields:
             raise FloatingPointError(f"non-finite {name} at {grid.node_label(idx)}")
 
     return GeometryFields(
-        grid=grid, u=u, lam=lam, dlam=dlam, Du=Du, Hu=Hu, v=v,
+        grid=grid, u=u, lam=lam, dlam=dlam, v=v,
         kappa=kappa, E=E, support=support, area_weight=area_weight,
     )
 

@@ -108,6 +108,22 @@ def test_imcf_round_sphere_exponential():
     assert np.abs(np.log(area / area[0]) - trace.times).max() < 1e-5
 
 
+@pytest.mark.parametrize("kind, rate", [("imcf", 0.5), ("euclidean_inverse", 1.0)])
+def test_round_sphere_is_a_fixed_point_of_the_renormalized_flow(kind, rate):
+    # the stepped equation is du/dt = F(u) - r u, which a round sphere solves
+    # with zero tendency: the graph stays round to the bit, the controller
+    # grows dt without a rejection, and all growth is in the log scale
+    g = sphere_grid(32, 64)
+    graph = make_seed_surface(EU, g, "round", r0=1.0)
+    trace = evolve(EU, graph, FlowSpec(kind=kind, k=1, t_final=0.1, report_dt=0.05))
+    counts = trace.step_counts()
+    assert sum(counts["rejected"].values()) == 0
+    assert counts["accepted"] <= 10
+    for s in trace.samples:
+        assert s.u.max() / s.u.min() - 1.0 == 0.0, s.t
+        assert abs(math.log(s.u[0, 0]) - rate * s.t) <= 1e-12, s.t
+
+
 def test_evolve_stationary_trace():
     g = sphere_grid(32, 64)
     graph = make_seed_surface(HY, g, "round", r0=1.0)

@@ -291,6 +291,17 @@ def test_chi_inverse_evaluations_on_A10_grid(monkeypatch):
         assert count <= (12 if near_equator else 10), (space.kind, ell, r, count)
 
 
+def test_chi_inverse_far_branch_starts_from_the_antipode(monkeypatch):
+    # chi_0 in the sphere is flat at the antipode (slope omega sin^2 r); the
+    # euclidean inverse measured from pi - 1e-9 starts Newton near the root
+    calls = _count_chi_evaluations(monkeypatch)
+    for r in (3.04, 3.13, 3.14):
+        count, back = _inversion_count(calls, SP, 0, r)
+        assert count <= 8, (r, count)
+        kappa = ball_chi(SP, 0, r) / (r * _chi_slope(SP, 0, r, 2))
+        assert abs(back - r) <= 4 * np.finfo(float).eps * kappa * r, r
+
+
 def test_chi_inverse_terminates_at_critical_points(monkeypatch):
     calls = _count_chi_evaluations(monkeypatch)
     # chi_1 peaks and chi_2 has a flat inflection at the equator: Newton

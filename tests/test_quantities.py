@@ -16,6 +16,7 @@ from warpflow.quantities import (
     _space_form_antiderivative,
     full_report,
     quermassintegrals,
+    radial_integral,
     surface_integral,
     volume,
     weighted_volume,
@@ -104,6 +105,25 @@ def test_space_form_antiderivatives_match_quadrature(K, power):
     for u, val in zip(us, got):
         ref = quad(lambda s: lam(s) ** power, 0.0, u, epsabs=0.0, epsrel=2e-14, limit=200)[0]
         assert val == pytest.approx(ref, rel=1e-14, abs=0.0), (K, power, u)
+
+
+@pytest.mark.parametrize("K", (-1, 0, 1))
+@pytest.mark.parametrize("power", (1, 2))
+def test_radial_integral_is_bitwise_the_two_term_form(K, power):
+    # without an inner boundary the F(0) term is skipped; F(0) = 0.0 exactly
+    # in every closed form, so the one-term result has the same bits, for
+    # arrays and for scalars
+    space = make_space_form(K)
+    top = math.pi - 1e-6 if K == 1 else 3.0
+    us = np.concatenate([np.geomspace(1e-8, top, 61), [0.0, 0.49, 0.5, 0.51]])
+    assert _space_form_antiderivative(K, power, 0.0) == 0.0
+    two_term = (_space_form_antiderivative(K, power, us)
+                - _space_form_antiderivative(K, power, space.a))
+    assert radial_integral(space, power, us).tobytes() == two_term.tobytes()
+    for u in (1e-8, 0.5, 0.9, top):
+        got = radial_integral(space, power, u)
+        ref = _space_form_antiderivative(K, power, u) - _space_form_antiderivative(K, power, 0.0)
+        assert type(got) is type(ref) and np.float64(got).tobytes() == np.float64(ref).tobytes()
 
 
 def test_weighted_volume_k1_equals_volume_euclidean():
