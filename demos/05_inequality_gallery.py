@@ -51,6 +51,5 @@ for eps in (0.0, 0.1, 0.2):
     import numpy as np
     from warpflow import RadialGraph
     u = 1 + eps * np.cos(2 * c.theta)
-    rep = curve_kwww_deficit(QuantityReport(eu, RadialGraph(grid=c, u=u,
-                                                            space_kind="euclidean")))
+    rep = curve_kwww_deficit(QuantityReport(eu, RadialGraph(grid=c, u=u)))
     print(f"  u = 1 + {eps} cos(2t): deficit {rep.deficit:+.6f}")

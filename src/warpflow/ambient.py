@@ -29,6 +29,7 @@ __all__ = [
     "make_space_form",
     "make_custom",
     "probe_assumptions",
+    "parse_options",
     "parse_space_spec",
 ]
 
@@ -330,41 +331,48 @@ def probe_assumptions(space: WarpedSpace, r_max: float, samples: int = 100) -> A
     )
 
 
+def parse_options(spec: str, table: dict, what: str, value=float) -> tuple[str, dict]:
+    """Split ``name[:key=value,...]`` into the name and its options.
+
+    `table` maps each known name to the keys it allows.  A name may hold a
+    colon (``custom:cosh,a=0.5``); its options then follow a comma.  `value`
+    reads each value.  An unknown name, an unknown or repeated key and an
+    option without ``=`` raise ValueError naming the item.
+    """
+    s = spec.strip()
+    name, sep, body = s.partition(":")
+    if name not in table:
+        name, sep, body = s.partition(",")
+    if name not in table or (sep == "," and ":" not in name):
+        raise ValueError(f"no known {what} named in {spec!r}; known: {', '.join(table)}")
+    options = {}
+    for item in body.split(",") if body else ():
+        key, eq, val = item.partition("=")
+        key = key.strip()
+        if not eq:
+            raise ValueError(f"{what} option {item!r} in {spec!r} is not key=value")
+        if key not in table[name]:
+            allowed = ", ".join(sorted(table[name])) or "none"
+            raise ValueError(f"unknown {what} option {key!r} in {spec!r}; {name} takes {allowed}")
+        if key in options:
+            raise ValueError(f"{what} option {key!r} given twice in {spec!r}")
+        options[key] = value(val)
+    return name, options
+
+
+_SPACE_OPTIONS = {
+    "euclidean": (), "hyperbolic": (), "sphere": (),
+    "custom:power_cubic": ("beta", "a", "c"), "custom:cosh": ("a", "c"),
+}
+
+
 def parse_space_spec(spec: str) -> WarpedSpace:
     """Parse the CLI space grammar.
 
     Accepted: ``euclidean``, ``hyperbolic``, ``sphere``,
     ``custom:power_cubic,beta=<f>,a=<f>,c=<f>``, ``custom:cosh,a=<f>,c=<f>``.
     """
-    s = spec.strip()
-    if s == "euclidean":
-        return make_space_form(0)
-    if s == "hyperbolic":
-        return make_space_form(-1)
-    if s == "sphere":
-        return make_space_form(1)
-    if not s.startswith("custom:"):
-        raise ValueError(f"unknown space spec {spec!r}")
-    body = s[len("custom:"):]
-    parts = body.split(",")
-    family = parts[0].strip()
-    kv: dict[str, float] = {}
-    for item in parts[1:]:
-        if "=" not in item:
-            raise ValueError(f"malformed space option {item!r} in {spec!r}")
-        key, val = item.split("=", 1)
-        kv[key.strip()] = float(val)
-    a = kv.pop("a", 0.0)
-    c = kv.pop("c", 1.0)
-    if family == "power_cubic":
-        beta = kv.pop("beta", None)
-        if beta is None:
-            raise ValueError("custom:power_cubic requires beta=<f>")
-        if kv:
-            raise ValueError(f"unknown options {sorted(kv)} in {spec!r}")
-        return make_custom("power_cubic", a=a, c=c, beta=beta)
-    if family == "cosh":
-        if kv:
-            raise ValueError(f"unknown options {sorted(kv)} in {spec!r}")
-        return make_custom("cosh", a=a, c=c)
-    raise ValueError(f"unknown custom family {family!r} in {spec!r}")
+    name, options = parse_options(spec, _SPACE_OPTIONS, "space")
+    if name.startswith("custom:"):
+        return make_custom(name[len("custom:"):], **options)
+    return make_space_form({kind: K for K, kind in _SPACE_FORM_KIND.items()}[name])

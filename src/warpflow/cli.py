@@ -25,12 +25,11 @@ from multiprocessing import Pool
 import numpy as np
 
 from . import inequalities as ineq
-from .ambient import WarpedSpace, parse_space_spec, probe_assumptions
+from .ambient import WarpedSpace, parse_options, parse_space_spec, probe_assumptions
 from .flows import FLOWS, FlowSpec, FlowTrace, Monotone, evolve, monotones
 from .quantities import QuantityReport
 from .surface import (
     RadialGraph,
-    check_surface_options,
     dump_surface_csv,
     geometry,
     load_surface_csv,
@@ -102,7 +101,7 @@ class RunConfig:
     command: str
     space: str = "euclidean"
     n: int = 2
-    grid: str = "64x128"
+    grid: str | None = None           # 64x128 for n = 2, 512 for n = 1
     surface: str = "round:r0=1"
     surface_file: str | None = None
     flow: str | None = None
@@ -167,24 +166,25 @@ def _build_parser() -> _Parser:
                      description="star-shaped hypersurface flows and inequality checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, surface=True):
+    def common(p):
         p.add_argument("--config", default=None, help="JSON file of flag defaults")
         p.add_argument("--space", default=argparse.SUPPRESS)
         p.add_argument("--n", type=int, choices=(1, 2), default=argparse.SUPPRESS)
         p.add_argument("--grid", default=argparse.SUPPRESS,
-                       help="MxP for n=2, node count for n=1")
-        if surface:
-            p.add_argument("--surface", default=argparse.SUPPRESS)
-            p.add_argument("--surface-file", dest="surface_file",
-                           default=argparse.SUPPRESS,
-                           help="load the surface from a dumped CSV instead")
+                       help="MxP for n=2 (default 64x128), node count for n=1 (default 512)")
+        p.add_argument("--surface", default=argparse.SUPPRESS)
+        p.add_argument("--surface-file", dest="surface_file",
+                       default=argparse.SUPPRESS,
+                       help="load the surface from a dumped CSV instead")
         p.add_argument("--out", default=argparse.SUPPRESS)
+
+    def formats(p):
         p.add_argument("--format", dest="fmt", choices=("csv", "json"),
                        default=argparse.SUPPRESS)
-        p.add_argument("--workers", type=int, default=argparse.SUPPRESS)
 
     p = sub.add_parser("evolve", help="run a flow and write its trace")
     common(p)
+    formats(p)
     p.add_argument("--flow", default=argparse.SUPPRESS,
                    help="imcf | euclidean-inverse | sx | bgl")
     p.add_argument("--k", type=int, default=argparse.SUPPRESS)
@@ -197,8 +197,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="evaluate inequality deficits on one surface")
     common(p)
+    formats(p)
     p.add_argument("--check", action="append", dest="checks", default=argparse.SUPPRESS,
-                   help="name[:k=..][,ell=..]; repeatable")
+                   help="name[:key=value,...]; repeatable")
     p.add_argument("--tol", type=float, default=argparse.SUPPRESS)
 
     p = sub.add_parser("reference", help="geodesic-ball reference functions")
@@ -210,21 +211,22 @@ def _build_parser() -> _Parser:
     p.add_argument("--r", type=float, default=argparse.SUPPRESS)
     p.add_argument("--invert", type=float, default=argparse.SUPPRESS,
                    help="invert chi_ell at this value instead of evaluating at --r")
-    p.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                   default=argparse.SUPPRESS)
+    formats(p)
 
     p = sub.add_parser("probe", help="sample warping-function assumptions")
     p.add_argument("--config", default=None)
     p.add_argument("--space", default=argparse.SUPPRESS)
     p.add_argument("--r-max", dest="r_max", type=float, default=argparse.SUPPRESS)
     p.add_argument("--samples", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                   default=argparse.SUPPRESS)
+    formats(p)
 
     p = sub.add_parser("sweep", help="min deficit over a surface family")
     common(p)
+    formats(p)
     p.add_argument("--check", action="append", dest="checks", default=argparse.SUPPRESS)
     p.add_argument("--tol", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--workers", type=int, default=argparse.SUPPRESS,
+                   help="worker processes (default $WARPFLOW_WORKERS or 1)")
 
     p = sub.add_parser("dump-surface", help="write a surface as CSV")
     common(p)
@@ -257,11 +259,11 @@ def _merge_config(ns: argparse.Namespace) -> RunConfig:
         setattr(cfg, key, val)
     if "workers" in vars(ns) or "workers" in file_values:
         _positive_workers(cfg.workers)
-    else:
+    elif cfg.command == "sweep":     # the one command with worker processes
         cfg.workers = _positive_workers(os.environ.get("WARPFLOW_WORKERS", "1"),
                                         "WARPFLOW_WORKERS")
-    if cfg.grid == "64x128" and cfg.n == 1:
-        cfg.grid = "512"
+    if cfg.grid is None:
+        cfg.grid = "512" if cfg.n == 1 else "64x128"
     return cfg
 
 
@@ -406,37 +408,26 @@ def cmd_evolve(cfg: RunConfig) -> int:
 
 # ---------------------------------------------------------------- verify
 
-def _parse_check(item: str) -> tuple[str, dict]:
-    name, _, body = item.partition(":")
-    name = name.strip().lower().replace("_", "-")
-    params: dict[str, float] = {}
-    if body:
-        for piece in body.split(","):
-            if "=" not in piece:
-                raise UsageError(f"malformed check option {piece!r} in {item!r}")
-            key, val = piece.split("=", 1)
-            params[key.strip()] = float(val)
-    return name, params
-
-
-# check name -> (deficit of (report, k, ell), default k, default ell); the
-# deficits are looked up in `ineq` at call time, where tracers rebind them
+# check name -> (deficit of the report and the options, options with their
+# defaults); the deficits are looked up in `ineq` at call time, where tracers
+# rebind them
 _CHECKS = {
-    "boundary-momentum": (lambda rep, k, ell:
-                          ineq.deficit_boundary_momentum(rep, float(k)), 1.0, None),
-    "weinstock": (lambda rep, k, ell: ineq.deficit_weinstock_iso(rep), None, None),
-    "phi-quermass": (lambda rep, k, ell:
-                     ineq.deficit_phi_quermass_euclidean(rep, int(k)), 1, None),
-    "kwong-miao": (lambda rep, k, ell: ineq.kwong_miao_deficit(rep, int(k)), 1, None),
-    "hyperbolic-ref": (lambda rep, k, ell:
-                       ineq.deficit_hyperbolic_ref(rep, int(k), int(ell)), 1, 0),
-    "sphere-ref": (lambda rep, k, ell: ineq.deficit_sphere_ref(rep, int(ell)), None, 0),
-    "minkowski": (lambda rep, k, ell: ineq.DeficitReport(
+    "boundary-momentum": (lambda rep, k: ineq.deficit_boundary_momentum(rep, float(k)),
+                          {"k": 1.0}),
+    "weinstock": (lambda rep: ineq.deficit_weinstock_iso(rep), {}),
+    "phi-quermass": (lambda rep, k: ineq.deficit_phi_quermass_euclidean(rep, int(k)),
+                     {"k": 1}),
+    "kwong-miao": (lambda rep, k: ineq.kwong_miao_deficit(rep, int(k)), {"k": 1}),
+    "hyperbolic-ref": (lambda rep, k, ell: ineq.deficit_hyperbolic_ref(rep, int(k), int(ell)),
+                       {"k": 1, "ell": 0}),
+    "sphere-ref": (lambda rep, ell: ineq.deficit_sphere_ref(rep, int(ell)), {"ell": 0}),
+    "minkowski": (lambda rep, k: ineq.DeficitReport(
         name="minkowski", lhs=ineq.minkowski_residual(rep, int(k)), rhs=0.0, k=int(k),
-        equality_expected=True), 1, None),
-    "curve": (lambda rep, k, ell: ineq.curve_kwww_deficit(rep), None, None),
+        equality_expected=True), {"k": 1}),
+    "curve": (lambda rep: ineq.curve_kwww_deficit(rep), {}),
 }
 _CHECKS["girao"] = _CHECKS["boundary-momentum"]
+_CHECK_OPTIONS = {name: defaults for name, (_, defaults) in _CHECKS.items()}
 
 
 def _check_reports(space: WarpedSpace, graph: RadialGraph,
@@ -445,12 +436,12 @@ def _check_reports(space: WarpedSpace, graph: RadialGraph,
     rep = QuantityReport(space, graph, geometry(space, graph))
     reports = []
     for item in checks:
+        name, sep, body = item.partition(":")
         with _usage_errors():
-            name, params = _parse_check(item)
-            if name not in _CHECKS:
-                raise UsageError(f"unknown check {name!r}")
-            deficit, k, ell = _CHECKS[name]
-            reports.append(deficit(rep, params.get("k", k), params.get("ell", ell)))
+            name, options = parse_options(name.strip().lower().replace("_", "-") + sep + body,
+                                          _CHECK_OPTIONS, "check")
+            deficit, defaults = _CHECKS[name]
+            reports.append(deficit(rep, **{**defaults, **options}))
     return reports
 
 
@@ -570,26 +561,14 @@ def _expand_range(text: str) -> list[float]:
 
 
 def _sweep_members(surface_spec: str) -> list[tuple[str, dict]]:
-    family, _, body = surface_spec.partition(":")
-    family = family.strip()
-    fixed: dict[str, float] = {}
-    swept: tuple[str, list[float]] | None = None
-    for item in body.split(","):
-        if "=" not in item:
-            raise UsageError(f"malformed surface option {item!r}")
-        key, val = item.split("=", 1)
-        key = key.strip()
-        vals = _expand_range(val)
-        if len(vals) == 1:
-            fixed[key] = vals[0]
-        elif swept is None:
-            swept = (key, vals)
-        else:
-            raise UsageError("sweep supports one swept parameter at a time")
-    if swept is None:
-        return [(family, fixed)]
-    key, vals = swept
-    return [(family, {**fixed, key: v}) for v in vals]
+    with _usage_errors():
+        family, ranges = parse_surface_spec(surface_spec, _expand_range)
+    swept = [key for key, vals in ranges.items() if len(vals) > 1]
+    if len(swept) > 1:
+        raise UsageError("sweep supports one swept parameter at a time")
+    key = swept[0] if swept else next(iter(ranges))
+    fixed = {k: vals[0] for k, vals in ranges.items()}
+    return [(family, {**fixed, key: v}) for v in ranges[key]]
 
 
 def _sweep_one(args) -> tuple[dict, list[dict]]:
@@ -604,11 +583,9 @@ def _sweep_one(args) -> tuple[dict, list[dict]]:
 def cmd_sweep(cfg: RunConfig) -> int:
     if not cfg.checks:
         raise UsageError("sweep requires at least one --check")
-    members = _sweep_members(cfg.surface)
     # validate in the parent, so that bad input exits 64 before any worker starts
+    members = _sweep_members(cfg.surface)
     _build_space_grid(cfg)
-    with _usage_errors():
-        check_surface_options(*members[0])
     tasks = [(cfg.space, cfg.n, cfg.grid, family, params, cfg.checks)
              for family, params in members]
     if cfg.workers > 1:

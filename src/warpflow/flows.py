@@ -408,7 +408,6 @@ class TraceSample:
 class FlowTrace:
     """Time series of one flow run."""
 
-    space_kind: str
     n: int
     spec: FlowSpec
     grid: SphereGrid
@@ -440,8 +439,7 @@ class FlowTrace:
         return np.array([s.report.W(k) for s in self.samples])
 
     def sample_graph(self, i: int) -> RadialGraph:
-        return RadialGraph(grid=self.grid, u=self.samples[i].u,
-                           space_kind=self.space_kind)
+        return RadialGraph(grid=self.grid, u=self.samples[i].u)
 
 
 def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace:
@@ -450,7 +448,7 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
     n = grid.n
     spec.validate(space, n)
     flow = FLOWS[spec.kind]
-    trace = FlowTrace(space_kind=space.kind, n=n, spec=spec, grid=grid)
+    trace = FlowTrace(n=n, spec=spec, grid=grid)
 
     def geom(g: RadialGraph) -> GeometryFields:
         trace.geometry_calls += 1
@@ -474,7 +472,7 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
         return polar_filter(f * flds.v) - renorm_rate * flds.u
 
     def rhs(u_arr: np.ndarray) -> np.ndarray:
-        flds = geom(RadialGraph(grid=grid, u=u_arr, space_kind=space.kind))
+        flds = geom(RadialGraph(grid=grid, u=u_arr))
         return tendency(flds, speed(spec, space, flds))
 
     def record(t: float, u_arr: np.ndarray, log_scale: float, dt_used: float,
@@ -483,7 +481,7 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
         if trace.samples and t <= trace.samples[-1].t + 1e-15 * spec.t_final:
             return
         u_phys = u_arr * math.exp(log_scale) if renorm_rate else u_arr
-        g_phys = RadialGraph(grid=grid, u=u_phys, space_kind=space.kind)
+        g_phys = RadialGraph(grid=grid, u=u_phys)
         f_phys = geom(g_phys) if renorm_rate else flds
         rep = full_report(space, g_phys, ks=(*_REPORT_KS, spec.k), fields=f_phys)
         cls = convexity_class(f_phys, space, spec.k)
@@ -543,7 +541,7 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
             try:
                 stages = _stage_count(dt, rho, spec.cfl)
                 u_cand = _rkc_step(u, F0, dt, stages, rhs)
-                graph_cand = RadialGraph(grid=grid, u=u_cand, space_kind=space.kind)
+                graph_cand = RadialGraph(grid=grid, u=u_cand)
                 fields_cand = geom(graph_cand)
                 off = _off_cone(spec, fields_cand)
                 if off is not None:

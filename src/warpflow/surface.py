@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import eval_legendre, lpmv
 
-from .ambient import WarpedSpace
+from .ambient import WarpedSpace, parse_options
 from .grid import SphereGrid, circle_grid, differentiate, sphere_grid
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "convexity_class",
     "make_seed_surface",
     "parse_surface_spec",
-    "check_surface_options",
     "parse_grid_spec",
     "dump_surface_csv",
     "load_surface_csv",
@@ -48,7 +47,6 @@ class RadialGraph:
 
     grid: SphereGrid
     u: np.ndarray
-    space_kind: str
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)
@@ -57,7 +55,7 @@ class RadialGraph:
         object.__setattr__(self, "u", u)
 
     def with_values(self, u: np.ndarray) -> "RadialGraph":
-        return RadialGraph(grid=self.grid, u=u, space_kind=self.space_kind)
+        return RadialGraph(grid=self.grid, u=u)
 
 
 class DomainError(ValueError):
@@ -301,28 +299,7 @@ def make_seed_surface(space: WarpedSpace, grid: SphereGrid, family: str,
     else:
         raise ValueError(f"unknown seed family {family!r}")
     _validate_graph_range(space, grid, u)
-    return RadialGraph(grid=grid, u=u, space_kind=space.kind)
-
-
-def parse_surface_spec(spec: str) -> tuple[str, dict[str, float]]:
-    """Parse the CLI surface grammar into (family, params).
-
-    Accepted: ``round:r0=<f>``, ``legendre:r0=<f>,eps=<f>,l=<int>``,
-    ``bandlimited:seed=<int>,r0=<f>,amp=<f>,lmax=<int>``.
-    """
-    s = spec.strip()
-    if ":" not in s:
-        raise ValueError(f"malformed surface spec {spec!r}")
-    family, body = s.split(":", 1)
-    family = family.strip()
-    kv: dict[str, float] = {}
-    for item in body.split(","):
-        if "=" not in item:
-            raise ValueError(f"malformed surface option {item!r} in {spec!r}")
-        key, val = item.split("=", 1)
-        kv[key.strip()] = float(val)
-    check_surface_options(family, kv)
-    return family, kv
+    return RadialGraph(grid=grid, u=u)
 
 
 _SURFACE_OPTIONS = {
@@ -332,15 +309,18 @@ _SURFACE_OPTIONS = {
 }
 
 
-def check_surface_options(family: str, keys) -> None:
-    """Reject an unknown seed family or a wrong set of option names."""
-    if family not in _SURFACE_OPTIONS:
-        raise ValueError(f"unknown surface family {family!r}")
-    if set(keys) != _SURFACE_OPTIONS[family]:
-        raise ValueError(
-            f"surface {family!r} needs options {sorted(_SURFACE_OPTIONS[family])}, "
-            f"got {sorted(keys)}"
-        )
+def parse_surface_spec(spec: str, value=float) -> tuple[str, dict]:
+    """Parse the CLI surface grammar into (family, params); every option is required.
+
+    Accepted: ``round:r0=<f>``, ``legendre:r0=<f>,eps=<f>,l=<int>``,
+    ``bandlimited:seed=<int>,r0=<f>,amp=<f>,lmax=<int>``.  `value` reads
+    each value.
+    """
+    family, params = parse_options(spec, _SURFACE_OPTIONS, "surface", value)
+    missing = _SURFACE_OPTIONS[family] - params.keys()
+    if missing:
+        raise ValueError(f"surface options {sorted(missing)} missing in {spec!r}")
+    return family, params
 
 
 def parse_grid_spec(spec: str, n: int, fiber_scale: float = 1.0) -> SphereGrid:
@@ -408,4 +388,4 @@ def load_surface_csv(path: str, space: WarpedSpace) -> RadialGraph:
     u[flat] = data[:, -1]
     u = u.reshape(grid.shape)
     _validate_graph_range(space, grid, u)
-    return RadialGraph(grid=grid, u=u, space_kind=space.kind)
+    return RadialGraph(grid=grid, u=u)

@@ -169,9 +169,11 @@ def test_parse_space_spec():
     assert cu.lam(2.0) == pytest.approx(2 + 0.5 * 8, rel=1e-15)
     ch = parse_space_spec("custom:cosh,a=0.1,c=1")
     assert ch.a == 0.1
-    for bad in ("flat", "custom:weird,a=1", "custom:power_cubic,beta=1,x=2",
-                "custom:cosh,a=0"):
-        with pytest.raises(ValueError):
+    for bad, named in (("flat", "'flat'"), ("custom:weird,a=1", "custom:weird"),
+                       ("custom:power_cubic,beta=1,x=2", "'x'"), ("custom:cosh,a=0", "a > 0"),
+                       ("custom:power_cubic,a=1", "beta"), ("euclidean,c=2", "euclidean"),
+                       ("custom:cosh,a=0.5,a=1", "'a' given twice"), ("euclidean:c=2", "'c'")):
+        with pytest.raises(ValueError, match=named):
             parse_space_spec(bad)
 
 

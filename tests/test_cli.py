@@ -5,11 +5,15 @@ import resource
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import warpflow.quantities
+from warpflow.ambient import _SPACE_OPTIONS, parse_options, parse_space_spec
 from warpflow.cli import (
-    EXIT_FINDING, EXIT_OK, EXIT_USAGE, RunConfig, main, steady_allocator,
+    _CHECK_OPTIONS, EXIT_FINDING, EXIT_OK, EXIT_USAGE, RunConfig, _sweep_members, main,
+    steady_allocator,
 )
+from warpflow.surface import _SURFACE_OPTIONS, parse_surface_spec
 
 
 def run(args):
@@ -30,6 +34,25 @@ def test_usage_errors_exit_64(capsys, tmp_path, monkeypatch):
                 "--surface", "round:r0=1", "--t-final", "1",
                 "--grid", "8x16"]) == EXIT_USAGE
     capsys.readouterr()
+    # an explicit n = 2 grid with --n 1 is refused, not replaced by the n = 1 default
+    assert run(["verify", "--n", "1", "--grid", "64x128", "--check", "girao"]) == EXIT_USAGE
+    assert "'64x128'" in capsys.readouterr().err
+    # an unknown, repeated or misspelt option is refused and named
+    for args, named in ((["--space", "hyperbolic", "--check", "hyperbolic-ref:k=1,el=1"], "'el'"),
+                        (["--check", "weinstock:k=7"], "'k'"),
+                        (["--check", "girao:k=1,k=2"], "'k' given twice"),
+                        (["--check", "kwong_miao:k"], "'k'"),
+                        (["--check", "blob"], "'blob'"),
+                        (["--surface", "round:r0=1,r0=2"], "'r0' given twice"),
+                        (["--space", "custom:cosh,a=0.5,a=1"], "'a' given twice")):
+        assert run(["verify", "--grid", "16x32", "--check", "girao", *args]) == EXIT_USAGE
+        assert named in capsys.readouterr().err, args
+    for spec, named in (("legendre:r0=1,eps=0:0.1:0.05,l=2,l=3", "'l' given twice"),
+                        ("legendre:r0=1,eps=0:0.1:0.05,ell=2", "'ell'"),
+                        ("legendre:r0=1:2,eps=0:0.1:0.05,l=2", "one swept parameter")):
+        assert run(["sweep", "--grid", "16x32", "--surface", spec,
+                    "--check", "girao"]) == EXIT_USAGE
+        assert named in capsys.readouterr().err, spec
     for bad in ("0.5:2.5", "1:2:0", "2:1:1"):
         assert run(["sweep", "--space", "euclidean", "--grid", "16x32",
                     "--surface", f"legendre:r0=1,eps=0.1,l={bad}",
@@ -146,14 +169,18 @@ def test_evolve_writes_parseable_trace(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_evolve_worker_count_bytewise_identical(tmp_path, capsys):
-    args = ["evolve", "--space", "euclidean", "--flow", "imcf", "--k", "1",
-            "--grid", "32x64", "--surface", "legendre:r0=1,eps=0.1,l=2",
-            "--t-final", "0.1", "--report-dt", "0.05"]
-    out1, out4 = tmp_path / "w1.csv", tmp_path / "w4.csv"
-    assert run(args + ["--out", str(out1), "--workers", "1"]) == EXIT_OK
-    assert run(args + ["--out", str(out4), "--workers", "4"]) == EXIT_OK
-    assert out1.read_bytes() == out4.read_bytes()
+def test_options_only_where_read(tmp_path, capsys, monkeypatch):
+    # --workers belongs to sweep, the one command with worker processes, and
+    # dump-surface writes CSV only
+    assert run(["evolve", "--flow", "imcf", "--workers", "4"]) == EXIT_USAGE
+    assert "--workers" in capsys.readouterr().err
+    assert run(["dump-surface", "--format", "json",
+                "--out", str(tmp_path / "surf.csv")]) == EXIT_USAGE
+    assert "--format" in capsys.readouterr().err
+    # so the worker count from the environment is read by sweep alone
+    monkeypatch.setenv("WARPFLOW_WORKERS", "x")
+    assert run(["probe", "--space", "hyperbolic"]) == EXIT_OK
+    assert run(["reference", "--space", "hyperbolic", "--r", "1"]) == EXIT_OK
     capsys.readouterr()
 
 
@@ -333,3 +360,38 @@ def test_steady_allocator_reuses_heap_pages():
         burst()
     # the default thresholds fault in about 4000 pages here
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+
+
+def _space_values(spec):
+    space = parse_space_spec(spec)
+    return space.kind, space.a, space.fiber_scale, float(space.lam(2.0))
+
+
+# grammar -> (parse, table of names and their keys); every value drawn below
+# is valid for every key
+_GRAMMARS = {
+    "space": (_space_values, _SPACE_OPTIONS),
+    "surface": (parse_surface_spec, _SURFACE_OPTIONS),
+    "check": (lambda spec: parse_options(spec, _CHECK_OPTIONS, "check"), _CHECK_OPTIONS),
+    "sweep": (_sweep_members, _SURFACE_OPTIONS),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_option_grammars_ignore_order_and_refuse_repeats(data):
+    parse, table = _GRAMMARS[data.draw(st.sampled_from(sorted(_GRAMMARS)))]
+    name = data.draw(st.sampled_from(sorted(name for name, keys in table.items() if keys)))
+    value = st.floats(0.125, 4.0).map(repr)
+    items = [(key, data.draw(value)) for key in sorted(table[name])]
+
+    def spec(items):
+        return name + ("," if ":" in name else ":") + ",".join(f"{k}={v}" for k, v in items)
+
+    want = parse(spec(items))
+    shuffled = data.draw(st.permutations(items))
+    assert parse(spec(shuffled)) == want
+    key = data.draw(st.sampled_from(sorted(table[name])))
+    shuffled.insert(data.draw(st.integers(0, len(shuffled))), (key, data.draw(value)))
+    with pytest.raises(ValueError, match=f"'{key}' given twice"):
+        parse(spec(shuffled))

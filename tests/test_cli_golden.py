@@ -52,7 +52,7 @@ _VERIFY = {
     "power_cubic": ("custom:power_cubic,beta=0.5,a=0,c=1", _BOTH),
 }
 
-_GRID = ["--n", "2", "--grid", "16x32", "--workers", "1"]
+_GRID = ["--n", "2", "--grid", "16x32"]
 
 
 def _cases() -> dict[str, list[str]]:
@@ -66,7 +66,7 @@ def _cases() -> dict[str, list[str]]:
                 argv += ["--check", check]
             cases[f"verify_{name}.{fmt}"] = argv + ["--format", fmt]
         cases[f"verify_curve.{fmt}"] = [
-            "verify", "--space", "euclidean", "--n", "1", "--grid", "64", "--workers", "1",
+            "verify", "--space", "euclidean", "--n", "1", "--grid", "64",
             "--surface", "legendre:r0=1,eps=0.1,l=2", "--check", "curve", "--check", "girao",
             "--format", fmt]
         sweep = ["sweep", *_GRID, "--space", "euclidean",

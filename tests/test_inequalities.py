@@ -357,11 +357,11 @@ def test_curve_deficits():
     assert abs(rep2.relative_deficit) <= 1e-10
 
     u = 1 + 0.2 * np.cos(2 * c.theta)
-    ellipse = RadialGraph(grid=c, u=u, space_kind="euclidean")
+    ellipse = RadialGraph(grid=c, u=u)
     assert curve_kwww_deficit(QuantityReport(EU, ellipse)).deficit > 1e-3
 
     u_bad = 1 + 0.45 * np.cos(2 * c.theta)
-    nonconvex = RadialGraph(grid=c, u=u_bad, space_kind="euclidean")
+    nonconvex = RadialGraph(grid=c, u=u_bad)
     with pytest.raises(ValueError, match="convex"):
         curve_kwww_deficit(QuantityReport(EU, nonconvex))
 

@@ -93,7 +93,7 @@ def test_circle_geometry():
     du = -0.4 * np.sin(2 * c.theta)
     d2u = -0.8 * np.cos(2 * c.theta)
     kappa_exact = (u**2 + 2 * du**2 - u * d2u) / (u**2 + du**2) ** 1.5
-    f = geometry(EU, RadialGraph(grid=c, u=u, space_kind="euclidean"))
+    f = geometry(EU, RadialGraph(grid=c, u=u))
     assert np.abs(f.kappa[0] - kappa_exact).max() < 1e-8
 
 
@@ -213,8 +213,11 @@ def test_parse_surface_spec():
     assert fam == "legendre" and kv == {"r0": 1.0, "eps": 0.2, "l": 2.0}
     fam, kv = parse_surface_spec("bandlimited:seed=7,r0=1,amp=0.05,lmax=4")
     assert fam == "bandlimited"
-    for bad in ("round", "round:r=1", "legendre:r0=1", "blob:r0=1"):
-        with pytest.raises(ValueError):
+    for bad, named in (("round", "'r0'"), ("round:r=1", "'r'"), ("legendre:r0=1", "'eps', 'l'"),
+                       ("blob:r0=1", "'blob:r0=1'"), ("round:r0", "'r0'"),
+                       ("round:r0=1,r0=2", "'r0' given twice"),
+                       ("legendre:r0=1,eps=0.1,l=2,x=1", "'x'")):
+        with pytest.raises(ValueError, match=named):
             parse_surface_spec(bad)
 
 
