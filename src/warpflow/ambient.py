@@ -334,10 +334,12 @@ def probe_assumptions(space: WarpedSpace, r_max: float, samples: int = 100) -> A
 def parse_options(spec: str, table: dict, what: str, value=float) -> tuple[str, dict]:
     """Split ``name[:key=value,...]`` into the name and its options.
 
-    `table` maps each known name to the keys it allows.  A name may hold a
-    colon (``custom:cosh,a=0.5``); its options then follow a comma.  `value`
-    reads each value.  An unknown name, an unknown or repeated key and an
-    option without ``=`` raise ValueError naming the item.
+    `table` maps each known name to the keys it allows, each to ``float`` or
+    ``int``.  A name may hold a colon (``custom:cosh,a=0.5``); its options
+    then follow a comma.  `value` reads each value into a number or a list
+    of numbers.  An unknown name, an unknown or repeated key, an option
+    without ``=`` and a fraction for an ``int`` key raise ValueError naming
+    the item.
     """
     s = spec.strip()
     name, sep, body = s.partition(":")
@@ -357,12 +359,16 @@ def parse_options(spec: str, table: dict, what: str, value=float) -> tuple[str, 
         if key in options:
             raise ValueError(f"{what} option {key!r} given twice in {spec!r}")
         options[key] = value(val)
+        if table[name][key] is int and not all(
+                float(v).is_integer() for v in np.atleast_1d(options[key])):
+            raise ValueError(f"{what} option {key!r} in {spec!r} takes integers, got {val!r}")
     return name, options
 
 
 _SPACE_OPTIONS = {
-    "euclidean": (), "hyperbolic": (), "sphere": (),
-    "custom:power_cubic": ("beta", "a", "c"), "custom:cosh": ("a", "c"),
+    "euclidean": {}, "hyperbolic": {}, "sphere": {},
+    "custom:power_cubic": dict.fromkeys(("beta", "a", "c"), float),
+    "custom:cosh": dict.fromkeys(("a", "c"), float),
 }
 
 

@@ -161,7 +161,9 @@ def _config_value(key: str, val, hint):
     raise UsageError(f"config key {key!r} must be {name}, got {val!r}")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser; built once per process, as nothing changes it after."""
     parser = _Parser(prog="warpflow",
                      description="star-shaped hypersurface flows and inequality checks")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -427,7 +429,9 @@ _CHECKS = {
     "curve": (lambda rep: ineq.curve_kwww_deficit(rep), {}),
 }
 _CHECKS["girao"] = _CHECKS["boundary-momentum"]
-_CHECK_OPTIONS = {name: defaults for name, (_, defaults) in _CHECKS.items()}
+# an option with an int default takes integers only
+_CHECK_OPTIONS = {name: {key: type(default) for key, default in defaults.items()}
+                  for name, (_, defaults) in _CHECKS.items()}
 
 
 def _check_reports(space: WarpedSpace, graph: RadialGraph,

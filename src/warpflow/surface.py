@@ -18,10 +18,10 @@ so the eigenvalues are real by construction.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_legendre, lpmv
 
 from .ambient import WarpedSpace, parse_options
 from .grid import SphereGrid, circle_grid, differentiate, sphere_grid
@@ -243,10 +243,91 @@ def convexity_class(fields: GeometryFields, space: WarpedSpace, k: int) -> Class
     )
 
 
+def _legendre(n: int, x: np.ndarray) -> np.ndarray:
+    """Legendre polynomial P_n(x) for integer n, by the upward recurrence.
+
+    The operations and their order are those of ``scipy.special.eval_legendre``
+    for an integer degree, so the results are the same bits, except where
+    |x| < 1e-5: scipy sums a power series there whose beta-function
+    constants are off by an ulp, and the two differ by at most 2.1e-16 for
+    n <= 8 (the nodes theta = pi/2, 3pi/2 of a circle grid).
+    """
+    if n < 0:
+        n = -n - 1                    # P_n = P_{-n-1}
+    if n == 0:
+        return np.ones_like(x)
+    d = x - 1
+    p = x
+    for kk in range(n - 1):
+        k = kk + 1.0
+        d = ((2 * k + 1) / (k + 1)) * (x - 1) * p + (k / (k + 1)) * d
+        p = p + d
+    return p
+
+
+def _lpmv_series(v: int, m: int, x: np.ndarray) -> np.ndarray:
+    """P_v^m(x), Condon-Shortley phase, for integers 0 <= m, v, by its terminating
+    hypergeometric series, in the operations and order of specfun's LPMV0."""
+    c0 = 1.0
+    if m != 0:
+        fv = float(v)
+        rg = fv * (fv + m)
+        for j in range(1, m):
+            rg = rg * (fv * fv - j * j)
+        xq = np.sqrt(1.0 - x * x)
+        r0 = 1.0
+        for j in range(1, m + 1):
+            r0 = 0.5 * r0 * xq / j
+        c0 = r0 * rg
+    pmv = np.ones_like(x)
+    r = 1.0
+    for k in range(1, v - m + 1):
+        r = 0.5 * r * (-v + m + k - 1.0) * (v + m + k) / (k * (k + m)) * (1.0 + x)
+        pmv = pmv + r
+    return (-1.0) ** v * c0 * pmv
+
+
+def _lpmv(m: int, v: int, x: np.ndarray) -> np.ndarray:
+    """Associated Legendre function P_v^m(x) for integers 0 <= m, v.
+
+    The same bits as ``scipy.special.lpmv``: the series above for v <= 2 or
+    v <= m, otherwise the upward recurrence in the degree started from it
+    at degrees m and m + 1, as specfun's LPMV does.
+    """
+    if v <= 2 or v <= m:
+        return _lpmv_series(v, m, x)
+    p0 = _lpmv_series(m, m, x)
+    p1 = _lpmv_series(m + 1, m, x)
+    for j in range(m + 2, v + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1 + m) * p0) / (j - m)
+    return p1
+
+
+@functools.lru_cache(maxsize=16)
+def _assoc_legendre_table(theta: bytes, lmax: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """P_l^m(cos theta) / max(1, max |P_l^m|) as (M, 1) columns, row l-1 holding m = 0..l.
+
+    Keyed on the bytes of the colatitude nodes: every grid with the same
+    nodes reads one table, whatever the seed.  The arrays are read-only.
+    """
+    x = np.cos(np.frombuffer(theta)[:, None])
+    rows = []
+    for ell in range(1, lmax + 1):
+        row = []
+        for m in range(0, ell + 1):
+            assoc = _lpmv(m, ell, x)
+            # keep coefficients O(1) despite the lpmv normalization
+            assoc = assoc / max(1.0, np.abs(assoc).max())
+            assoc.flags.writeable = False
+            row.append(assoc)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def _legendre_profile(grid: SphereGrid, ell: int) -> np.ndarray:
+    prof = _legendre(ell, np.cos(grid.theta))
     if grid.n == 1:
-        return eval_legendre(ell, np.cos(grid.theta))
-    prof = eval_legendre(ell, np.cos(grid.theta))
+        return prof
     return np.repeat(prof[:, None], grid.shape[1], axis=1)
 
 
@@ -260,16 +341,13 @@ def _bandlimited_profile(grid: SphereGrid, seed: int, lmax: int) -> np.ndarray:
             a, b = rng.standard_normal(2)
             pert += a * np.cos(ell * t) + b * np.sin(ell * t)
     else:
-        t = grid.theta[:, None]
         p = grid.phi[None, :]
-        x = np.cos(t)
+        table = _assoc_legendre_table(grid.theta.tobytes(), lmax)
         pert = np.zeros(grid.shape)
         for ell in range(1, lmax + 1):
             for m in range(0, ell + 1):
                 a, b = rng.standard_normal(2)
-                assoc = lpmv(m, ell, x)
-                # keep coefficients O(1) despite the lpmv normalization
-                assoc = assoc / max(1.0, np.abs(assoc).max())
+                assoc = table[ell - 1][m]
                 if m == 0:
                     pert += a * assoc
                 else:
@@ -303,9 +381,9 @@ def make_seed_surface(space: WarpedSpace, grid: SphereGrid, family: str,
 
 
 _SURFACE_OPTIONS = {
-    "round": {"r0"},
-    "legendre": {"r0", "eps", "l"},
-    "bandlimited": {"seed", "r0", "amp", "lmax"},
+    "round": {"r0": float},
+    "legendre": {"r0": float, "eps": float, "l": int},
+    "bandlimited": {"seed": int, "r0": float, "amp": float, "lmax": int},
 }
 
 
@@ -317,7 +395,7 @@ def parse_surface_spec(spec: str, value=float) -> tuple[str, dict]:
     each value.
     """
     family, params = parse_options(spec, _SURFACE_OPTIONS, "surface", value)
-    missing = _SURFACE_OPTIONS[family] - params.keys()
+    missing = _SURFACE_OPTIONS[family].keys() - params.keys()
     if missing:
         raise ValueError(f"surface options {sorted(missing)} missing in {spec!r}")
     return family, params

@@ -1,12 +1,17 @@
 import csv
 import json
 import math
+import os
 import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import warpflow.cli
 import warpflow.quantities
 from warpflow.ambient import _SPACE_OPTIONS, parse_options, parse_space_spec
 from warpflow.cli import (
@@ -44,12 +49,24 @@ def test_usage_errors_exit_64(capsys, tmp_path, monkeypatch):
                         (["--check", "kwong_miao:k"], "'k'"),
                         (["--check", "blob"], "'blob'"),
                         (["--surface", "round:r0=1,r0=2"], "'r0' given twice"),
-                        (["--space", "custom:cosh,a=0.5,a=1"], "'a' given twice")):
+                        (["--space", "custom:cosh,a=0.5,a=1"], "'a' given twice"),
+                        # a fraction for an integer key is refused, not truncated
+                        (["--check", "minkowski:k=1.5"],
+                         "'k' in 'minkowski:k=1.5' takes integers, got '1.5'"),
+                        (["--check", "phi-quermass:k=0.5"], "'k'"),
+                        (["--check", "kwong-miao:k=2.5"], "'k'"),
+                        (["--space", "hyperbolic", "--check", "hyperbolic-ref:k=1,ell=0.7"],
+                         "'ell'"),
+                        (["--space", "sphere", "--check", "sphere-ref:ell=1.5"], "'ell'"),
+                        (["--surface", "legendre:r0=1,eps=0.1,l=2.5"], "'l'"),
+                        (["--surface", "bandlimited:seed=1.7,r0=1,amp=0.05,lmax=4"], "'seed'"),
+                        (["--surface", "bandlimited:seed=1,r0=1,amp=0.05,lmax=inf"], "'lmax'")):
         assert run(["verify", "--grid", "16x32", "--check", "girao", *args]) == EXIT_USAGE
         assert named in capsys.readouterr().err, args
     for spec, named in (("legendre:r0=1,eps=0:0.1:0.05,l=2,l=3", "'l' given twice"),
                         ("legendre:r0=1,eps=0:0.1:0.05,ell=2", "'ell'"),
-                        ("legendre:r0=1:2,eps=0:0.1:0.05,l=2", "one swept parameter")):
+                        ("legendre:r0=1:2,eps=0:0.1:0.05,l=2", "one swept parameter"),
+                        ("legendre:r0=1,eps=0.1,l=2:3:0.5", "'l' in")):
         assert run(["sweep", "--grid", "16x32", "--surface", spec,
                     "--check", "girao"]) == EXIT_USAGE
         assert named in capsys.readouterr().err, spec
@@ -115,6 +132,51 @@ def test_usage_errors_exit_64(capsys, tmp_path, monkeypatch):
         config.write_text(json.dumps(values))
         assert run(sweep + ["--config", str(config)]) == EXIT_USAGE, values
         assert message in capsys.readouterr().err
+
+
+def test_integer_options_take_whole_numbers(capsys):
+    # fractions are refused (test_usage_errors_exit_64); whole numbers pass in any
+    # spelling, and the boundary-momentum exponent is real
+    sweep = ["sweep", "--grid", "16x32", "--check", "girao", "--surface"]
+    assert run(sweep + ["legendre:r0=1,eps=0.1,l=2:4"]) == EXIT_OK
+    assert run(sweep + ["bandlimited:seed=1:3,r0=1,amp=0.05,lmax=4.0"]) == EXIT_OK
+    assert run(["verify", "--grid", "16x32", "--check", "minkowski:k=2.0"]) == EXIT_OK
+    assert run(["verify", "--grid", "16x32", "--check", "boundary-momentum:k=1.5"]) == EXIT_OK
+    capsys.readouterr()
+
+
+_IMPORT_PATH_SCRIPT = """
+import contextlib, io, sys
+import warpflow.cli as cli
+
+runs = []
+for space, flow, k, t_final in (("euclidean", "imcf", "1", "0.01"),
+                                ("hyperbolic", "sx", "1", "0.005"),
+                                ("sphere", "bgl", "2", "0.01")):
+    common = ["--space", space, "--grid", "16x32"]
+    surface = "bandlimited:seed={},r0=0.5,amp=0.02,lmax=4"
+    for argv in (["verify", *common, "--surface", surface.format(7), "--check", "girao"],
+                 ["sweep", *common, "--surface", surface.format("1:2"), "--check", "girao"],
+                 ["evolve", *common, "--surface", surface.format(7), "--flow", flow,
+                  "--k", k, "--t-final", t_final]):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            runs.append(cli.main(argv))
+print(runs)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_cli_runs_without_importing_scipy():
+    """Importing scipy.special tripled the start-up of a warpflow call; nothing on
+    the CLI path of the built-in ambients may import any of scipy."""
+    src = str(Path(warpflow.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PATH_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    codes, modules = proc.stdout.splitlines()
+    assert codes == str([EXIT_OK] * 9)
+    assert modules == "[]"
 
 
 def test_verify_round_equalities(tmp_path, capsys):
@@ -368,7 +430,7 @@ def _space_values(spec):
 
 
 # grammar -> (parse, table of names and their keys); every value drawn below
-# is valid for every key
+# is valid for its key: a whole number for an int key
 _GRAMMARS = {
     "space": (_space_values, _SPACE_OPTIONS),
     "surface": (parse_surface_spec, _SURFACE_OPTIONS),
@@ -382,8 +444,12 @@ _GRAMMARS = {
 def test_option_grammars_ignore_order_and_refuse_repeats(data):
     parse, table = _GRAMMARS[data.draw(st.sampled_from(sorted(_GRAMMARS)))]
     name = data.draw(st.sampled_from(sorted(name for name, keys in table.items() if keys)))
-    value = st.floats(0.125, 4.0).map(repr)
-    items = [(key, data.draw(value)) for key in sorted(table[name])]
+
+    def value(key):
+        return (st.integers(1, 4).map(str) if table[name][key] is int
+                else st.floats(0.125, 4.0).map(repr))
+
+    items = [(key, data.draw(value(key))) for key in sorted(table[name])]
 
     def spec(items):
         return name + ("," if ":" in name else ":") + ",".join(f"{k}={v}" for k, v in items)
@@ -392,6 +458,6 @@ def test_option_grammars_ignore_order_and_refuse_repeats(data):
     shuffled = data.draw(st.permutations(items))
     assert parse(spec(shuffled)) == want
     key = data.draw(st.sampled_from(sorted(table[name])))
-    shuffled.insert(data.draw(st.integers(0, len(shuffled))), (key, data.draw(value)))
+    shuffled.insert(data.draw(st.integers(0, len(shuffled))), (key, data.draw(value(key))))
     with pytest.raises(ValueError, match=f"'{key}' given twice"):
         parse(spec(shuffled))

@@ -56,6 +56,16 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def progress_line(label: str, pair: dict, metrics: list[dict]) -> str:
+    """Every end-to-end metric of one pair, parent -> change."""
+    def value(side, name):
+        return pair[side]["metrics"].get(name, float("nan"))
+
+    return f"{label} seed {pair['seed']} (parent -> change): " + ", ".join(
+        f"{m['name']} {value('parent', m['name']):.4g} -> {value('change', m['name']):.4g}"
+        for m in metrics)
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", type=Path, required=True)
@@ -75,9 +85,7 @@ def main(argv=None) -> int:
         for side in order:
             pair[side] = run_once(getattr(args, side), args.workload, seed, args.seconds)
         pairs.append(pair)
-        print(f"{args.label} seed {seed}: " + ", ".join(
-            f"{side} {pair[side]['metrics'].get('verify_ms_p50', float('nan')):.2f}"
-            for side in ("parent", "change")), file=sys.stderr)
+        print(progress_line(args.label, pair, spec["end_to_end"]), file=sys.stderr)
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.setdefault("runs", {})[args.label] = {
