@@ -7,12 +7,16 @@ P uniform longitudes.
 
 Differentiation:
   n = 1: periodic 4th-order centered differences.
-  n = 2: exact trigonometric (spectral) differentiation in phi, applied as a
-         circulant stencil accumulated in a fixed offset order, and 4th-order
-         centered differences in theta with the antipodal ghost extension
-         u(-theta, phi) = u(theta, phi + pi).  The fixed accumulation order
-         makes every derivative field bitwise-equivariant under rotation of
-         the nodal values by one longitude step.
+  n = 2: exact trigonometric (spectral) differentiation in phi, applied as
+         circulant stencils in difference form, where one subtraction per
+         offset serves both the first and the second derivative, each sum
+         accumulated in a fixed offset order; and 4th-order centered
+         differences in theta with the antipodal ghost extension
+         u(-theta, phi) = u(theta, phi + pi), built once per field.  The fixed
+         accumulation order makes every derivative field bitwise-equivariant
+         under rotation of the nodal values by one longitude step.
+
+Grids are cached per size and fiber scale, and their arrays are read-only.
 
 Quadrature: longitude weights are uniform (trapezoid rule, exact for the
 periodic direction); colatitude weights solve the moment conditions
@@ -22,6 +26,7 @@ integrands are integrated spectrally and the weights sum to |N| at roundoff.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,64 +78,57 @@ def _fourier_diff_coeffs(P: int) -> tuple[np.ndarray, np.ndarray]:
     return d1, d2
 
 
-def _longitude_major(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """u with the periodic (last) axis moved first, and two periods of it.
+def _phi_derivatives(ut: np.ndarray, d1: np.ndarray, d2: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """First and second circulant phi-derivatives of longitude-major values.
 
-    A shift by o longitudes is then a slice of whole leading rows, one
-    contiguous block, so each ufunc call of the stencils below runs one
-    inner loop over every node instead of one per colatitude row.  Every
-    node sees the same operations in the same order as in the natural
-    layout, so the results are the same bits.
+    ut holds the nodal values with the periodic axis first, shape (P, ...), so a
+    shift by o longitudes is a slice of whole leading rows and each ufunc call
+    runs one inner loop over every node.  For d1[P - o] = -d1[o] and
+    d2[P - o] = d2[o] (sum_o d2[o] = 0 analytically) the stencils are applied
+    in difference form,
+
+        u_phi[j]    = sum_{o=1}^{P/2-1} d1[o] (u[j - o] - u[j + o]),
+        u_phiphi[j] = sum_{q=1}^{P/2-1} d2[q] ((u[j - q] - u[j]) + (u[j + q] - u[j]))
+                      + d2[P/2] (u[j + P/2] - u[j]),
+
+    so constants are annihilated term by term, which matters at the pole rings
+    where cot(theta) and 1/sin^2(theta) metric factors would amplify stencil
+    roundoff.  Both sums share one subtraction per offset q: a[k] = u[k - q] - u[k]
+    for k < P + q gives the second-derivative term as a[j] - a[j + q], since
+    u[j + q] - u[j] = -a[j + q] exactly, and for even q, a[j + q/2] is the
+    first-derivative difference at offset q/2.  The Nyquist differences, with
+    P/4 extra rows, serve offset P/4.  Each sum accumulates in ascending offset
+    order with the same operands at every node, so rolling the input along the
+    periodic axis rolls the outputs bitwise.
     """
-    ut = np.ascontiguousarray(np.moveaxis(u, -1, 0))
-    return ut, np.concatenate([ut, ut], axis=0)
-
-
-def _circulant_apply_antisym(u: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Antisymmetric circulant stencil, offsets paired into exact differences.
-
-    Computes sum_o d[o] u[j - o] for coefficients with d[P - o] = -d[o] as
-    sum_{o=1}^{P/2-1} d[o] (u[j - o] - u[j + o]).  Constants are annihilated
-    term by term, which matters at the pole rings where cot(theta) and
-    1/sin^2(theta) metric factors would amplify stencil roundoff.  The offset
-    loop runs in a fixed order with identical per-node operand sequences, so
-    rolling the input along the axis rolls the output bitwise.
-    """
-    P = u.shape[-1]
-    ut, doubled = _longitude_major(u)
-    acc = np.zeros_like(ut)
+    P = ut.shape[0]
+    half, quarter = P // 2, P // 4
+    ext = np.concatenate([ut[half:], ut, ut[:half]])   # ext[i] = u[i - P/2]
+    up = np.zeros_like(ut)
+    upp = np.zeros_like(ut)
     tmp = np.empty_like(ut)
-    for o in range(1, P // 2):
-        np.subtract(doubled[P - o:2 * P - o],      # u[j - o]
-                    doubled[o:o + P], out=tmp)     # u[j + o]
-        np.multiply(tmp, d[o], out=tmp)
-        np.add(acc, tmp, out=acc)
-    return np.ascontiguousarray(np.moveaxis(acc, 0, -1))
-
-
-def _circulant_apply_sym_diff(u: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Symmetric circulant stencil in the center-difference form.
-
-    Computes sum_{o != 0} d[o] (u[j - o] - u[j]) for coefficients with
-    d[P - o] = d[o] and sum_o d[o] = 0 analytically, pairing o with P - o.
-    Same exact-on-constants and bitwise-equivariance properties as the
-    antisymmetric variant.
-    """
-    P = u.shape[-1]
-    ut, doubled = _longitude_major(u)
-    acc = np.zeros_like(ut)
-    tmp = np.empty_like(ut)
-    tmp2 = np.empty_like(ut)
-    for o in range(1, P // 2):
-        np.subtract(doubled[P - o:2 * P - o], ut, out=tmp)   # u[j-o] - u[j]
-        np.subtract(doubled[o:o + P], ut, out=tmp2)          # u[j+o] - u[j]
-        np.add(tmp, tmp2, out=tmp)
-        np.multiply(tmp, d[o], out=tmp)
-        np.add(acc, tmp, out=acc)
-    np.subtract(doubled[P // 2:P // 2 + P], ut, out=tmp)
-    np.multiply(tmp, d[P // 2], out=tmp)
-    np.add(acc, tmp, out=acc)
-    return np.ascontiguousarray(np.moveaxis(acc, 0, -1))
+    a = np.empty((P + half - 1,) + ut.shape[1:])          # P + q rows for q < P/2
+    for q in range(1, half):
+        np.subtract(ext[half - q:half + P], ext[half:half + P + q], out=a[:P + q])
+        np.subtract(a[:P], a[q:q + P], out=tmp)
+        np.multiply(tmp, d2[q], out=tmp)
+        np.add(upp, tmp, out=upp)
+        if q % 2 == 0:
+            np.multiply(a[q // 2:q // 2 + P], d1[q // 2], out=tmp)
+            np.add(up, tmp, out=up)
+    rows = P + quarter if half % 2 == 0 else P
+    np.subtract(ext[:rows], ext[half:half + rows], out=a[:rows])   # u[k - P/2] - u[k]
+    np.multiply(a[:P], d2[half], out=tmp)
+    np.add(upp, tmp, out=upp)
+    if half % 2 == 0:
+        np.multiply(a[quarter:quarter + P], d1[quarter], out=tmp)
+        np.add(up, tmp, out=up)
+    for o in range(quarter + 1, half):
+        np.subtract(ext[half - o:half - o + P], ext[half + o:half + o + P], out=tmp)
+        np.multiply(tmp, d1[o], out=tmp)
+        np.add(up, tmp, out=up)
+    return up, upp
 
 
 @dataclass(frozen=True)
@@ -168,18 +166,36 @@ class SphereGrid:
         return f"node (i={i}, j={j}) (theta={self.theta[i]:.6g}, phi={self.phi[j]:.6g})"
 
 
+def _read_only(grid: SphereGrid) -> SphereGrid:
+    for arr in (grid.theta, grid.phi, grid.weights, grid._d1phi, grid._d2phi):
+        if arr is not None:
+            arr.flags.writeable = False
+    return grid
+
+
+@functools.lru_cache(maxsize=16)
 def circle_grid(m: int, fiber_scale: float = 1.0) -> SphereGrid:
-    """Uniform periodic grid on the scaled circle (n = 1)."""
+    """Uniform periodic grid on the scaled circle (n = 1).
+
+    Cached per (m, fiber_scale): every caller shares one grid, whose arrays
+    are read-only.
+    """
     if m < 16 or m % 2 != 0:
         raise ValueError(f"n=1 grid needs even m >= 16, got {m}")
     theta = 2.0 * np.pi * np.arange(m) / m
     weights = np.full(m, fiber_scale * 2.0 * np.pi / m)
-    return SphereGrid(n=1, fiber_scale=float(fiber_scale), theta=theta,
-                      phi=None, weights=weights)
+    return _read_only(SphereGrid(n=1, fiber_scale=float(fiber_scale), theta=theta,
+                                 phi=None, weights=weights))
 
 
+@functools.lru_cache(maxsize=16)
 def sphere_grid(M: int, P: int, fiber_scale: float = 1.0) -> SphereGrid:
-    """Shifted equiangular grid on the scaled 2-sphere, poles excluded."""
+    """Shifted equiangular grid on the scaled 2-sphere, poles excluded.
+
+    Cached per (M, P, fiber_scale), since the colatitude weights take an
+    M x M cosine matrix: every caller shares one grid, whose arrays are
+    read-only.
+    """
     if M < 16:
         raise ValueError(f"n=2 grid needs M >= 16, got {M}")
     if P < 32 or P % 2 != 0:
@@ -189,30 +205,34 @@ def sphere_grid(M: int, P: int, fiber_scale: float = 1.0) -> SphereGrid:
     w_theta = _polar_weights(M)
     weights = fiber_scale**2 * (2.0 * np.pi / P) * np.repeat(w_theta[:, None], P, axis=1)
     d1, d2 = _fourier_diff_coeffs(P)
-    return SphereGrid(n=2, fiber_scale=float(fiber_scale), theta=theta,
-                      phi=phi, weights=weights, _d1phi=d1, _d2phi=d2)
+    return _read_only(SphereGrid(n=2, fiber_scale=float(fiber_scale), theta=theta,
+                                 phi=phi, weights=weights, _d1phi=d1, _d2phi=d2))
 
 
 def _theta_extend(u: np.ndarray) -> np.ndarray:
     """Two antipodal ghost rows on each side: u(-t, p) = u(t, p + pi)."""
-    P = u.shape[1]
+    M, P = u.shape
     half = P // 2
-    top = np.roll(u[1::-1], half, axis=1)        # rows theta_1, theta_0 -> ghosts -2, -1
-    bot = np.roll(u[:-3:-1], half, axis=1)       # rows theta_{M-1}, theta_{M-2} -> ghosts M, M+1
-    return np.concatenate([top, u, bot], axis=0)
+    x = np.empty((M + 4, P))
+    x[2:M + 2] = u
+    # ghosts -2, -1 are rows theta_1, theta_0 and ghosts M, M+1 are rows
+    # theta_{M-1}, theta_{M-2}, each turned by half a period
+    for ghosts, rows in ((x[:2], u[1::-1]), (x[M + 2:], u[:-3:-1])):
+        ghosts[:, :half] = rows[:, half:]
+        ghosts[:, half:] = rows[:, :half]
+    return x
 
 
-def _dtheta(u: np.ndarray, h: float) -> np.ndarray:
-    x = _theta_extend(u)
-    M = u.shape[0]
-    return (x[0:M] - 8.0 * x[1:M + 1] + 8.0 * x[3:M + 3] - x[4:M + 4]) / (12.0 * h)
+def _dtheta(x: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
+    M = x.shape[0] - 4
+    return np.divide(x[0:M] - 8.0 * x[1:M + 1] + 8.0 * x[3:M + 3] - x[4:M + 4],
+                     12.0 * h, out=out)
 
 
-def _d2theta(u: np.ndarray, h: float) -> np.ndarray:
-    x = _theta_extend(u)
-    M = u.shape[0]
-    return (-x[0:M] + 16.0 * x[1:M + 1] - 30.0 * x[2:M + 2]
-            + 16.0 * x[3:M + 3] - x[4:M + 4]) / (12.0 * h * h)
+def _d2theta(x: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
+    M = x.shape[0] - 4
+    return np.divide(-x[0:M] + 16.0 * x[1:M + 1] - 30.0 * x[2:M + 2]
+                     + 16.0 * x[3:M + 3] - x[4:M + 4], 12.0 * h * h, out=out)
 
 
 def differentiate(grid: SphereGrid, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -244,14 +264,17 @@ def differentiate(grid: SphereGrid, u: np.ndarray) -> tuple[np.ndarray, np.ndarr
     h_t = np.pi / M
     sin_t = np.sin(grid.theta)[:, None]
     cos_t = np.cos(grid.theta)[:, None]
+    Du = np.empty((2, M, P))
+    Hu = np.empty((3, M, P))
+    ut, up = Du
+    htt, htp, hpp = Hu
 
-    ut = _dtheta(u, h_t)
-    up = _circulant_apply_antisym(u, grid._d1phi)
-    upp = _circulant_apply_sym_diff(u, grid._d2phi)
-    utp = _dtheta(up, h_t)
-
-    htt = _d2theta(u, h_t)
-    htp = utp - (cos_t / sin_t) * up
-    hpp = upp + sin_t * cos_t * ut
-
-    return np.stack([ut, up]), np.stack([htt, htp, hpp])
+    x = _theta_extend(u)
+    _dtheta(x, h_t, out=ut)
+    _d2theta(x, h_t, out=htt)
+    up_t, upp_t = _phi_derivatives(np.ascontiguousarray(u.T), grid._d1phi, grid._d2phi)
+    up[...] = up_t.T
+    _dtheta(_theta_extend(up), h_t, out=htp)                 # u_theta phi
+    np.subtract(htp, (cos_t / sin_t) * up, out=htp)
+    np.add(upp_t.T, sin_t * cos_t * ut, out=hpp)
+    return Du, Hu

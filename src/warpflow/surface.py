@@ -343,6 +343,8 @@ def _bandlimited_profile(grid: SphereGrid, seed: int, lmax: int) -> np.ndarray:
     else:
         p = grid.phi[None, :]
         table = _assoc_legendre_table(grid.theta.tobytes(), lmax)
+        cos_mp = [np.cos(m * p) for m in range(lmax + 1)]
+        sin_mp = [np.sin(m * p) for m in range(lmax + 1)]
         pert = np.zeros(grid.shape)
         for ell in range(1, lmax + 1):
             for m in range(0, ell + 1):
@@ -351,7 +353,7 @@ def _bandlimited_profile(grid: SphereGrid, seed: int, lmax: int) -> np.ndarray:
                 if m == 0:
                     pert += a * assoc
                 else:
-                    pert += assoc * (a * np.cos(m * p) + b * np.sin(m * p))
+                    pert += assoc * (a * cos_mp[m] + b * sin_mp[m])
     return pert / np.abs(pert).max()
 
 
@@ -364,6 +366,7 @@ def make_seed_surface(space: WarpedSpace, grid: SphereGrid, family: str,
     bandlimited:  u = r0 (1 + amp * w), w a seeded random combination of
                   harmonics up to degree lmax with max |w| = 1
     """
+    _check_seed_options(family, params)
     if family == "round":
         u = np.full(grid.shape, float(params["r0"]))
     elif family == "legendre":
@@ -385,6 +388,22 @@ _SURFACE_OPTIONS = {
     "legendre": {"r0": float, "eps": float, "l": int},
     "bandlimited": {"seed": int, "r0": float, "amp": float, "lmax": int},
 }
+_SURFACE_MINIMA = {"bandlimited": {"seed": 0, "lmax": 1}}
+
+
+def _check_seed_options(family: str, params: dict) -> None:
+    """Refuse a fraction for an integer option, or a value below its minimum.
+
+    Each value may be a number or a list of them (a sweep range); the error
+    names the key.  An unknown family passes, for the caller to refuse.
+    """
+    minima = _SURFACE_MINIMA.get(family, {})
+    for key, kind in _SURFACE_OPTIONS.get(family, {}).items():
+        for v in np.atleast_1d(params.get(key, ())).tolist():
+            if kind is int and not float(v).is_integer():
+                raise ValueError(f"surface option {key!r} takes integers, got {v!r}")
+            if key in minima and v < minima[key]:
+                raise ValueError(f"surface option {key!r} must be >= {minima[key]}, got {v!r}")
 
 
 def parse_surface_spec(spec: str, value=float) -> tuple[str, dict]:
@@ -398,6 +417,7 @@ def parse_surface_spec(spec: str, value=float) -> tuple[str, dict]:
     missing = _SURFACE_OPTIONS[family].keys() - params.keys()
     if missing:
         raise ValueError(f"surface options {sorted(missing)} missing in {spec!r}")
+    _check_seed_options(family, params)
     return family, params
 
 

@@ -60,13 +60,19 @@ def test_usage_errors_exit_64(capsys, tmp_path, monkeypatch):
                         (["--space", "sphere", "--check", "sphere-ref:ell=1.5"], "'ell'"),
                         (["--surface", "legendre:r0=1,eps=0.1,l=2.5"], "'l'"),
                         (["--surface", "bandlimited:seed=1.7,r0=1,amp=0.05,lmax=4"], "'seed'"),
-                        (["--surface", "bandlimited:seed=1,r0=1,amp=0.05,lmax=inf"], "'lmax'")):
+                        (["--surface", "bandlimited:seed=1,r0=1,amp=0.05,lmax=inf"], "'lmax'"),
+                        # out of range is refused before any numpy runs
+                        (["--surface", "bandlimited:seed=1,r0=1,amp=0.05,lmax=0"],
+                         "'lmax' must be >= 1, got 0"),
+                        (["--surface", "bandlimited:seed=-1,r0=1,amp=0.05,lmax=4"],
+                         "'seed' must be >= 0, got -1")):
         assert run(["verify", "--grid", "16x32", "--check", "girao", *args]) == EXIT_USAGE
         assert named in capsys.readouterr().err, args
     for spec, named in (("legendre:r0=1,eps=0:0.1:0.05,l=2,l=3", "'l' given twice"),
                         ("legendre:r0=1,eps=0:0.1:0.05,ell=2", "'ell'"),
                         ("legendre:r0=1:2,eps=0:0.1:0.05,l=2", "one swept parameter"),
-                        ("legendre:r0=1,eps=0.1,l=2:3:0.5", "'l' in")):
+                        ("legendre:r0=1,eps=0.1,l=2:3:0.5", "'l' in"),
+                        ("bandlimited:seed=-1:1,r0=1,amp=0.05,lmax=4", "'seed' must be")):
         assert run(["sweep", "--grid", "16x32", "--surface", spec,
                     "--check", "girao"]) == EXIT_USAGE
         assert named in capsys.readouterr().err, spec

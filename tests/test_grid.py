@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from warpflow.grid import circle_grid, differentiate, sphere_grid
+from warpflow.grid import _phi_derivatives, circle_grid, differentiate, sphere_grid
 
 
 def nodes(grid):
@@ -120,6 +120,68 @@ def test_differentiate_bitwise_roll_equivariance():
     Du_r, Hu_r = differentiate(g, np.roll(u, 1, axis=1))
     assert np.array_equal(np.roll(Du, 1, axis=2), Du_r)
     assert np.array_equal(np.roll(Hu, 1, axis=2), Hu_r)
+
+
+def _oracle_antisym(u, d):
+    """sum_{o=1}^{P/2-1} d[o] (u[j - o] - u[j + o]), one offset at a time."""
+    P = u.shape[-1]
+    ut = np.ascontiguousarray(np.moveaxis(u, -1, 0))
+    doubled = np.concatenate([ut, ut], axis=0)
+    acc = np.zeros_like(ut)
+    tmp = np.empty_like(ut)
+    for o in range(1, P // 2):
+        np.subtract(doubled[P - o:2 * P - o], doubled[o:o + P], out=tmp)
+        np.multiply(tmp, d[o], out=tmp)
+        np.add(acc, tmp, out=acc)
+    return np.ascontiguousarray(np.moveaxis(acc, 0, -1))
+
+
+def _oracle_sym_diff(u, d):
+    """sum_{o != 0} d[o] (u[j - o] - u[j]), pairing o with P - o, then the Nyquist term."""
+    P = u.shape[-1]
+    ut = np.ascontiguousarray(np.moveaxis(u, -1, 0))
+    doubled = np.concatenate([ut, ut], axis=0)
+    acc = np.zeros_like(ut)
+    tmp = np.empty_like(ut)
+    tmp2 = np.empty_like(ut)
+    for o in range(1, P // 2):
+        np.subtract(doubled[P - o:2 * P - o], ut, out=tmp)
+        np.subtract(doubled[o:o + P], ut, out=tmp2)
+        np.add(tmp, tmp2, out=tmp)
+        np.multiply(tmp, d[o], out=tmp)
+        np.add(acc, tmp, out=acc)
+    np.subtract(doubled[P // 2:P // 2 + P], ut, out=tmp)
+    np.multiply(tmp, d[P // 2], out=tmp)
+    np.add(acc, tmp, out=acc)
+    return np.ascontiguousarray(np.moveaxis(acc, 0, -1))
+
+
+# P = 0 and 2 mod 4 take different branches for the Nyquist term and offset P/4
+@pytest.mark.parametrize("M,P", [(16, 32), (16, 34), (32, 66), (64, 128), (128, 256)])
+def test_shared_difference_stencils_match_oracle_bytewise(M, P):
+    g = sphere_grid(M, P)
+    rng = np.random.default_rng(P)
+    for u in (rng.standard_normal((M, P)), 1.0 + 0.1 * rng.random((M, P)),
+              np.full((M, P), 2.7), np.ones((M, P))):
+        up, upp = _phi_derivatives(np.ascontiguousarray(u.T), g._d1phi, g._d2phi)
+        assert up.T.tobytes() == _oracle_antisym(u, g._d1phi).tobytes()
+        assert upp.T.tobytes() == _oracle_sym_diff(u, g._d2phi).tobytes()
+        if np.all(u == u[0, 0]):
+            assert not up.any() and not upp.any()
+        Du, Hu = differentiate(g, u)
+        assert Du[1].tobytes() == up.T.tobytes()
+
+
+def test_grids_are_cached_and_read_only():
+    g = sphere_grid(16, 32, 2.0)
+    assert sphere_grid(16, 32, 2.0) is g
+    other = sphere_grid(16, 32, 3.0)
+    assert other is not g and other.fiber_area != g.fiber_area
+    c = circle_grid(16, 2.0)
+    assert circle_grid(16, 2.0) is c and circle_grid(16, 3.0) is not c
+    for arr in (g.theta, g.phi, g.weights, g._d1phi, g._d2phi, c.theta, c.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
 
 
 def test_shape_mismatch_rejected():

@@ -239,6 +239,22 @@ def test_seed_domain_violation():
         make_seed_surface(SP, g, "legendre", r0=2.0, eps=0.8, l=2)
 
 
+def test_seed_options_refused_by_name():
+    # a fraction is refused, not truncated to another surface, and so is a
+    # bandlimited seed or degree out of range; whole numbers pass in any spelling
+    g = sphere_grid(16, 32)
+    for family, params, key in (
+            ("legendre", dict(r0=1, eps=0.1, l=2.5), "'l' takes integers"),
+            ("bandlimited", dict(seed=7.5, r0=1, amp=0.05, lmax=4), "'seed' takes integers"),
+            ("bandlimited", dict(seed=7, r0=1, amp=0.05, lmax=3.5), "'lmax' takes integers"),
+            ("bandlimited", dict(seed=-1, r0=1, amp=0.05, lmax=4), "'seed' must be >= 0"),
+            ("bandlimited", dict(seed=7, r0=1, amp=0.05, lmax=0), "'lmax' must be >= 1")):
+        with pytest.raises(ValueError, match=key):
+            make_seed_surface(EU, g, family, **params)
+    assert np.array_equal(make_seed_surface(EU, g, "legendre", r0=1, eps=0.1, l=2.0).u,
+                          make_seed_surface(EU, g, "legendre", r0=1, eps=0.1, l=2).u)
+
+
 def test_rotational_equivariance_bitwise():
     g = sphere_grid(32, 64)
     graph = make_seed_surface(EU, g, "bandlimited", seed=7, r0=1, amp=0.05, lmax=4)

@@ -24,10 +24,18 @@ import sys
 from pathlib import Path
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+STDERR_TAIL = 20          # lines of a failed run's stderr that are shown
+
+
+def run_once(side: str, checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run; a run that fails ends the script, naming it and its stderr."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if out.returncode != 0:
+        tail = "\n".join(out.stderr.splitlines()[-STDERR_TAIL:])
+        raise SystemExit(f"{side} run of {workload} seed {seed} in {checkout} exited "
+                         f"{out.returncode}; the last lines of its stderr:\n{tail}")
     result = json.loads(out.stdout.strip().splitlines()[-1])
     return {"correct": result["correct"], "failed": result["failed"],
             "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
@@ -83,7 +91,7 @@ def main(argv=None) -> int:
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"seed": seed, "first": order[0]}
         for side in order:
-            pair[side] = run_once(getattr(args, side), args.workload, seed, args.seconds)
+            pair[side] = run_once(side, getattr(args, side), args.workload, seed, args.seconds)
         pairs.append(pair)
         print(progress_line(args.label, pair, spec["end_to_end"]), file=sys.stderr)
 
