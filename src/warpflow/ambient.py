@@ -53,7 +53,9 @@ class WarpedSpace:
 
     `warp` returns (lambda, lambda', lambda'') at radius r, `potential`
     returns Phi(r).  Both accept scalars or arrays and are pure, so a
-    space is safe to share between any number of workers.
+    space is safe to share between any number of workers.  The arrays that
+    `warp` returns may be r itself or one another (lambda'' is lambda in
+    hyperbolic space), so a caller never writes into them.
     """
 
     kind: str                 # euclidean | hyperbolic | sphere | custom
@@ -102,7 +104,8 @@ def _space_form_evaluators(K: int):
     elif K == -1:
         def warp(r):
             r = np.asarray(r, dtype=float)
-            return np.sinh(r), np.cosh(r), np.sinh(r)
+            s = np.sinh(r)
+            return s, np.cosh(r), s           # lambda'' = lambda, one array
 
         def potential(r):
             return np.cosh(np.asarray(r, dtype=float)) - 1.0
@@ -110,7 +113,8 @@ def _space_form_evaluators(K: int):
     elif K == 1:
         def warp(r):
             r = np.asarray(r, dtype=float)
-            return np.sin(r), np.cos(r), -np.sin(r)
+            s = np.sin(r)
+            return s, np.cos(r), -s
 
         def potential(r):
             return 1.0 - np.cos(np.asarray(r, dtype=float))

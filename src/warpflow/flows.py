@@ -476,14 +476,16 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
         return tendency(flds, speed(spec, space, flds))
 
     def record(t: float, u_arr: np.ndarray, log_scale: float, dt_used: float,
-               flds: GeometryFields) -> None:
-        """Sample the state u_arr; flds are its fields, reused unless renormalized."""
+               flds: GeometryFields, live: QuantityReport) -> None:
+        """Sample the state u_arr; flds are its fields and live its guard's
+        report, both reused unless renormalized."""
         if trace.samples and t <= trace.samples[-1].t + 1e-15 * spec.t_final:
             return
         u_phys = u_arr * math.exp(log_scale) if renorm_rate else u_arr
         g_phys = RadialGraph(grid=grid, u=u_phys)
         f_phys = geom(g_phys) if renorm_rate else flds
-        rep = full_report(space, g_phys, ks=(*_REPORT_KS, spec.k), fields=f_phys)
+        rep = full_report(space, g_phys, ks=(*_REPORT_KS, spec.k), fields=f_phys,
+                          report=None if renorm_rate else live)
         cls = convexity_class(f_phys, space, spec.k)
         f_speed = speed(spec, space, f_phys)
         E = f_phys.E
@@ -499,20 +501,20 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
     # scale-invariant monotone quantities only
     guard = monotones(spec, n)
 
-    def guard_values(g: RadialGraph, flds: GeometryFields) -> list[float]:
+    def guarded(g: RadialGraph, flds: GeometryFields) -> tuple[QuantityReport, list[float]]:
+        """A report of g and the guard's values read from it."""
         rep = QuantityReport(space, g, flds)
-        return [m.value(rep) for m in guard]
+        return rep, [m.value(rep) for m in guard]
 
     u = graph0.u.copy()
     log_scale = 0.0
     t = 0.0
-    record(0.0, u, 0.0, 0.0, fields0)
-
     fields = fields0
-    graph = graph0
+    report, monitors = guarded(graph0, fields)
+    record(0.0, u, 0.0, 0.0, fields, report)
+
     f_now = speed(spec, space, fields)
     F0 = tendency(fields, f_now)
-    monitors = guard_values(graph, fields)
     # the controller's proposal for the next step; the first is the cap with
     # r = 0, which the first step's stages and error resolve
     dt_ctrl = _dt_bound(spec, fields, f_now, 0.0)
@@ -522,7 +524,7 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
 
     def stop(termination: tuple, dt_used: float) -> FlowTrace:
         trace.termination = termination
-        record(t, u, log_scale, dt_used, fields)
+        record(t, u, log_scale, dt_used, fields, report)
         return trace
 
     while t < spec.t_final - eps_t:
@@ -563,7 +565,7 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
                 reason, detail = "non_finite", str(exc)
 
             if reason is None:
-                monitors_cand = guard_values(graph_cand, fields_cand)
+                report_cand, monitors_cand = guarded(graph_cand, fields_cand)
                 bad = next((i for i, m in enumerate(guard)
                             if m.wrong_way(monitors[i], monitors_cand[i], spec.eps_mono)), None)
                 if bad is None or guard_halvings == _MAX_GUARD_HALVINGS:
@@ -605,23 +607,23 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
         u = u_cand
         if renorm_rate:
             log_scale += renorm_rate * dt
-        graph, fields, monitors = graph_cand, fields_cand, monitors_cand
+        fields, report, monitors = fields_cand, report_cand, monitors_cand
         f_now, F0 = f_cand, F_cand
 
         if t >= next_report - eps_t:
-            record(t, u, log_scale, dt, fields)
+            record(t, u, log_scale, dt, fields, report)
             next_report = min(next_report + spec.report_dt, spec.t_final)
 
         if (spec.kind == "imcf" and space.kind == "sphere"
                 and float(fields.H.min()) <= _SPHERE_IMCF_MIN_H):
             trace.termination = ("equator_stop", t)
             if trace.samples[-1].t < t - eps_t:
-                record(t, u, log_scale, dt, fields)
+                record(t, u, log_scale, dt, fields, report)
             return trace
 
     trace.termination = ("reached_t_final",)
     if trace.samples[-1].t < spec.t_final - eps_t:
-        record(t, u, log_scale, dt, fields)
+        record(t, u, log_scale, dt, fields, report)
     return trace
 
 

@@ -47,7 +47,6 @@ from .quantities import (
     surface_integral,
     volume,  # noqa: F401  rebound here by perfbench/tracer.py
 )
-from .surface import RadialGraph, convexity_class
 from .surface import geometry  # noqa: F401  rebound here by perfbench/tracer.py
 
 __all__ = [
@@ -105,20 +104,11 @@ class DeficitReport:
         }
 
 
-def _is_round(graph: RadialGraph) -> bool:
-    u = graph.u
-    return float(np.ptp(u)) <= 1e-10 * abs(float(u.mean()))
-
-
 def _deficit(name: str, rep: QuantityReport, lhs: float, rhs: float,
              **kw) -> DeficitReport:
     """lhs >= rhs on rep's surface, with its round flag and convexity flags."""
-    try:
-        flags = convexity_class(rep.fields, rep.space, rep.n).flags()
-    except ValueError:
-        flags = {}
-    return DeficitReport(name=name, lhs=lhs, rhs=rhs,
-                         equality_expected=_is_round(rep.graph), flags=flags, **kw)
+    return DeficitReport(name=name, lhs=lhs, rhs=rhs, equality_expected=rep.is_round,
+                         flags=dict(rep.class_flags), **kw)
 
 
 def q_imcf(rep: QuantityReport, k: float) -> float:

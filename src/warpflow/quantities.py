@@ -18,8 +18,13 @@ relation int E_n dmu = omega_n - n K W_{n-1} kept aside as a Gauss-Bonnet
 style residual check (`quermass_recursion`, shared with the geodesic balls).
 
 `QuantityReport` is the one report: each value is computed on first read and
-kept.  `full_report` computes what a trace sample records and then detaches
-it, so a sample keeps numbers and no nodal arrays.
+kept.  Besides the integrals it keeps what several of them, or every deficit
+of one surface, would otherwise compute again: Phi(u) per node for every
+int Phi E_k, the convexity flags and the round flag; lambda(u) is read from
+its geometry fields.  `full_report` computes what a trace sample records and
+then detaches it, dropping the fields and Phi(u), so a sample keeps numbers
+and no nodal arrays.  It can fill a report that already holds values: a flow
+hands it the step guard's report of the accepted surface.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .ambient import WarpedSpace, sphere_area
-from .surface import GeometryFields, RadialGraph, geometry
+from .surface import GeometryFields, RadialGraph, convexity_class, geometry
 
 __all__ = [
     "QuantityReport",
@@ -96,6 +101,7 @@ def _space_form_antiderivative(K: int, power: int, u) -> np.ndarray:
     forms are summed as their odd Taylor series in x = 2u (truncation error
     below 1e-17 relative), because there the direct difference loses a factor
     6/x^2 to cancellation; a switch at x = 0.5 would leave 2.4e-15 relative.
+    The series is summed at those nodes only.
     """
     u = np.asarray(u, dtype=float)
     if K == 0:
@@ -106,12 +112,16 @@ def _space_form_antiderivative(K: int, power: int, u) -> np.ndarray:
     if power != 2:
         raise ValueError(f"no closed-form antiderivative of lambda^{power}")
     x = 2.0 * u
-    x2 = -K * x * x
-    acc = np.ones_like(x)
-    for ratio in reversed(_ODD_SERIES_RATIOS):
-        acc = 1.0 + x2 * ratio * acc
-    direct = np.sinh(x) - x if K == -1 else x - np.sin(x)
-    return 0.25 * np.where(np.abs(x) < 1.0, x * x * x / 6.0 * acc, direct)
+    F = np.asarray(np.sinh(x) - x if K == -1 else x - np.sin(x))
+    small = np.abs(x) < 1.0
+    if small.any():
+        xs = x[small]
+        x2 = -K * xs * xs
+        acc = np.ones_like(xs)
+        for ratio in reversed(_ODD_SERIES_RATIOS):
+            acc = 1.0 + x2 * ratio * acc
+        F[small] = xs * xs * xs / 6.0 * acc
+    return 0.25 * F
 
 
 def radial_integral(space: WarpedSpace, power: int, upper) -> np.ndarray:
@@ -130,16 +140,19 @@ def volume(space: WarpedSpace, graph: RadialGraph) -> float:
     return float(np.sum(inner * graph.grid.weights))
 
 
-def weighted_volume(space: WarpedSpace, graph: RadialGraph, k: float) -> float:
+def weighted_volume(space: WarpedSpace, graph: RadialGraph, k: float,
+                    lam_u: np.ndarray | None = None) -> float:
     """int_Omega lambda^{k-1} lambda' dv via the exact radial antiderivative.
 
     d/ds lambda^{n+k} = (n+k) lambda^{n+k-1} lambda' turns the radial
-    integral into boundary terms, leaving one fiber quadrature.
+    integral into boundary terms, leaving one fiber quadrature.  lam_u is
+    lambda(u) per node when the caller holds it.
     """
     if k < 1:
         raise ValueError(f"weighted volume needs k >= 1, got {k}")
     n = graph.grid.n
-    lam_u = space.lam(graph.u)
+    if lam_u is None:
+        lam_u = space.lam(graph.u)
     lam_a = float(space.lam(space.a))
     vals = (lam_u ** (n + k) - lam_a ** (n + k)) / (n + k)
     return float(np.sum(vals * graph.grid.weights))
@@ -198,7 +211,8 @@ def _kept(method):
 
 class QuantityReport:
     """Every scalar integral of one surface that the inequalities, the flow
-    monotone quantities and the trace columns read.
+    monotone quantities and the trace columns read, with the flags that the
+    deficits carry.
 
     Each value is computed on first read and kept, so a reader pays only for
     what it reads and the quermassintegrals run at most once; the geometry
@@ -235,7 +249,7 @@ class QuantityReport:
 
     @_kept
     def weighted_vol(self, k: float) -> float:  # int_Omega lambda^{k-1} lambda' dv
-        return weighted_volume(self.space, self.graph, k)
+        return weighted_volume(self.space, self.graph, k, self.fields.lam)
 
     @_kept
     def gamma_term(self, k: float) -> float:  # lambda(a)^k |Gamma|
@@ -252,7 +266,28 @@ class QuantityReport:
 
     @_kept
     def phi_curvature(self, k: int) -> float:  # int Phi E_k dmu
-        return surface_integral(self.fields, self.space.phi(self.graph.u) * self.fields.E[k])
+        return surface_integral(self.fields, self._phi() * self.fields.E[k])
+
+    @_kept
+    def _phi(self) -> np.ndarray:  # Phi(u) per node, for every phi_curvature
+        return self.space.phi(self.graph.u)
+
+    @property
+    @_kept
+    def class_flags(self) -> dict[str, bool | None]:
+        """The convexity flags at k = n that every deficit carries; {} where
+        they are undefined (lambda' <= 0 somewhere in hyperbolic space)."""
+        try:
+            return convexity_class(self.fields, self.space, self.n).flags()
+        except ValueError:
+            return {}
+
+    @property
+    @_kept
+    def is_round(self) -> bool:
+        """Whether u is constant to 1e-10 relative: the equality case of the checks."""
+        u = self.graph.u
+        return float(np.ptp(u)) <= 1e-10 * abs(float(u.mean()))
 
     @_kept
     def _quermass(self) -> tuple[np.ndarray | None, float | None]:
@@ -301,16 +336,20 @@ class QuantityReport:
 
 
 def full_report(space: WarpedSpace, graph: RadialGraph, ks=(1.0,),
-                fields: GeometryFields | None = None) -> QuantityReport:
+                fields: GeometryFields | None = None,
+                report: QuantityReport | None = None) -> QuantityReport:
     """A detached report of every value `to_dict` lists, with the momenta,
-    weighted volumes and Gamma terms at the exponents ks."""
+    weighted volumes and Gamma terms at the exponents ks.  `report`, a live
+    report of the same surface, is filled and detached instead of a new one,
+    so the values it already holds are not computed again."""
     ks = sorted({float(k) for k in ks})
     if any(k < 1 for k in ks):
         raise ValueError("boundary momentum exponents must satisfy k >= 1")
-    rep = QuantityReport(space, graph, fields)
+    rep = QuantityReport(space, graph, fields) if report is None else report
     for k in ks:
         rep.momentum(k), rep.weighted_vol(k), rep.gamma_term(k)
     rep.to_dict()                   # the rest of the recorded set
     rep.space = rep.graph = None    # detached: numbers only
-    rep._values.pop(("fields",))
+    for nodal in (("fields",), ("phi",)):
+        rep._values.pop(nodal, None)
     return rep

@@ -244,7 +244,7 @@ def convexity_class(fields: GeometryFields, space: WarpedSpace, k: int) -> Class
 
 
 def _legendre(n: int, x: np.ndarray) -> np.ndarray:
-    """Legendre polynomial P_n(x) for integer n, by the upward recurrence.
+    """Legendre polynomial P_n(x) for an integer n >= 0, by the upward recurrence.
 
     The operations and their order are those of ``scipy.special.eval_legendre``
     for an integer degree, so the results are the same bits, except where
@@ -252,8 +252,6 @@ def _legendre(n: int, x: np.ndarray) -> np.ndarray:
     constants are off by an ulp, and the two differ by at most 2.1e-16 for
     n <= 8 (the nodes theta = pi/2, 3pi/2 of a circle grid).
     """
-    if n < 0:
-        n = -n - 1                    # P_n = P_{-n-1}
     if n == 0:
         return np.ones_like(x)
     d = x - 1
@@ -388,7 +386,7 @@ _SURFACE_OPTIONS = {
     "legendre": {"r0": float, "eps": float, "l": int},
     "bandlimited": {"seed": int, "r0": float, "amp": float, "lmax": int},
 }
-_SURFACE_MINIMA = {"bandlimited": {"seed": 0, "lmax": 1}}
+_SURFACE_MINIMA = {"legendre": {"l": 0}, "bandlimited": {"seed": 0, "lmax": 1}}
 
 
 def _check_seed_options(family: str, params: dict) -> None:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -65,14 +66,17 @@ def test_usage_errors_exit_64(capsys, tmp_path, monkeypatch):
                         (["--surface", "bandlimited:seed=1,r0=1,amp=0.05,lmax=0"],
                          "'lmax' must be >= 1, got 0"),
                         (["--surface", "bandlimited:seed=-1,r0=1,amp=0.05,lmax=4"],
-                         "'seed' must be >= 0, got -1")):
+                         "'seed' must be >= 0, got -1"),
+                        # a negative degree is refused, not read as P_{-l-1}
+                        (["--surface", "legendre:r0=1,eps=0.1,l=-3"], "'l' must be >= 0")):
         assert run(["verify", "--grid", "16x32", "--check", "girao", *args]) == EXIT_USAGE
         assert named in capsys.readouterr().err, args
     for spec, named in (("legendre:r0=1,eps=0:0.1:0.05,l=2,l=3", "'l' given twice"),
                         ("legendre:r0=1,eps=0:0.1:0.05,ell=2", "'ell'"),
                         ("legendre:r0=1:2,eps=0:0.1:0.05,l=2", "one swept parameter"),
                         ("legendre:r0=1,eps=0.1,l=2:3:0.5", "'l' in"),
-                        ("bandlimited:seed=-1:1,r0=1,amp=0.05,lmax=4", "'seed' must be")):
+                        ("bandlimited:seed=-1:1,r0=1,amp=0.05,lmax=4", "'seed' must be"),
+                        ("legendre:r0=1,eps=0.1,l=-3:2", "'l' must be >= 0")):
         assert run(["sweep", "--grid", "16x32", "--surface", spec,
                     "--check", "girao"]) == EXIT_USAGE
         assert named in capsys.readouterr().err, spec
@@ -411,6 +415,39 @@ def test_verify_checks_of_one_surface_share_one_report(capsys, monkeypatch):
     assert code == EXIT_OK
     assert len(calls) == 1
     assert len(capsys.readouterr().out.splitlines()) == 4
+
+
+def test_verify_evaluates_each_nodal_value_once(capsys, monkeypatch):
+    # six checks on one surface: lambda(u) comes from the one geometry call,
+    # and the convexity flags are classified once for all five deficits
+    nodal_warps, classes = [], []
+
+    def counted_space(spec):
+        space = parse_space_spec(spec)
+
+        def warp(r):
+            if np.size(r) == 16 * 32:
+                nodal_warps.append(r)
+            return space.warp(r)
+        return dataclasses.replace(space, warp=warp)
+
+    convexity_class = warpflow.quantities.convexity_class
+
+    def counted_class(*args):
+        classes.append(args)
+        return convexity_class(*args)
+
+    monkeypatch.setattr(warpflow.cli, "parse_space_spec", counted_space)
+    monkeypatch.setattr(warpflow.quantities, "convexity_class", counted_class)
+    checks = ("girao", "boundary-momentum:k=2", "hyperbolic-ref:k=1,ell=0",
+              "hyperbolic-ref:k=1,ell=1", "hyperbolic-ref:k=2,ell=2", "minkowski:k=1")
+    code = run(["verify", "--space", "hyperbolic", "--grid", "16x32",
+                "--surface", "bandlimited:seed=7,r0=1,amp=0.03,lmax=4",
+                *(arg for check in checks for arg in ("--check", check))])
+    assert code == EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 1 + len(checks)
+    assert len(nodal_warps) == 1
+    assert len(classes) == 1
 
 
 def test_steady_allocator_reuses_heap_pages():

@@ -17,7 +17,7 @@ from warpflow.flows import (
 )
 from warpflow.grid import sphere_grid
 from warpflow.inequalities import monotone_series
-from warpflow.quantities import QuantityReport
+from warpflow.quantities import QuantityReport, full_report
 from warpflow.surface import DomainError, geometry, make_seed_surface
 
 EU = make_space_form(0)
@@ -177,6 +177,32 @@ def test_hyperbolic_sx_converges_to_round():
     spreads = [np.ptp(s.u) for s in trace.samples]
     assert all(b <= a * (1 + 1e-9) for a, b in zip(spreads, spreads[1:]))
     assert spreads[-1] < 1e-3
+
+
+def test_sx_samples_fill_the_guard_report(monkeypatch):
+    # the guard's report of an accepted step is the one its sample fills, so
+    # an evolve reads one volume per accepted step plus one at the start, and
+    # every sample holds the values of a fresh report of its surface
+    import warpflow.quantities as quantities
+
+    calls = []
+    volume = quantities.volume
+
+    def counted(*args):
+        calls.append(args)
+        return volume(*args)
+
+    monkeypatch.setattr(quantities, "volume", counted)
+    graph = make_seed_surface(HY, sphere_grid(16, 32), "bandlimited",
+                              seed=7, r0=1, amp=0.03, lmax=4)
+    spec = FlowSpec(kind="hyperbolic_sx", k=1, t_final=0.2, report_dt=0.05)
+    trace = evolve(HY, graph, spec)
+    counts = trace.step_counts()
+    assert counts["rejected"]["guard"] == 0 and len(trace.samples) == 5
+    assert len(calls) == counts["accepted"] + 1
+    for i, sample in enumerate(trace.samples):
+        fresh = full_report(HY, trace.sample_graph(i), ks=(1.0, 2.0, spec.k))
+        assert sample.report.to_dict() == fresh.to_dict(), sample.t
 
 
 def test_area_law_other_ambients():

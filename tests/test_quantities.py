@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from warpflow.ambient import make_custom, make_space_form, sphere_area
 from warpflow.grid import circle_grid, sphere_grid
 from warpflow.quantities import (
+    _ODD_SERIES_RATIOS,
     QuantityReport,
     UnsupportedAmbientError,
     _radial_integral,
@@ -124,6 +125,40 @@ def test_radial_integral_is_bitwise_the_two_term_form(K, power):
         got = radial_integral(space, power, u)
         ref = _space_form_antiderivative(K, power, u) - _space_form_antiderivative(K, power, 0.0)
         assert type(got) is type(ref) and np.float64(got).tobytes() == np.float64(ref).tobytes()
+
+
+def _both_branches(K, u):
+    """The p = 2 antiderivative with the series summed at every node and then
+    discarded where |2u| >= 1."""
+    x = 2.0 * np.asarray(u, dtype=float)
+    x2 = -K * x * x
+    acc = np.ones_like(x)
+    for ratio in reversed(_ODD_SERIES_RATIOS):
+        acc = 1.0 + x2 * ratio * acc
+    direct = np.sinh(x) - x if K == -1 else x - np.sin(x)
+    return 0.25 * np.where(np.abs(x) < 1.0, x * x * x / 6.0 * acc, direct)
+
+
+_SERIES_SIDE = st.floats(-0.4999999, 0.4999999)       # |2u| < 1
+_DIRECT_SIDE = st.floats(0.5, 3.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(K=st.sampled_from((-1, 1)),
+       values=st.one_of(st.lists(st.one_of(_SERIES_SIDE, _DIRECT_SIDE), min_size=1, max_size=12),
+                        st.lists(_SERIES_SIDE, min_size=1, max_size=12),
+                        st.lists(_DIRECT_SIDE, min_size=1, max_size=12)),
+       form=st.sampled_from(("1-d", "2-d", "0-d", "float")))
+def test_antiderivative_sums_the_series_only_where_it_is_used(K, values, form):
+    if form == "2-d":
+        u = np.array(values * 2).reshape(2, -1)
+    elif form == "1-d":
+        u = np.array(values)
+    else:
+        u = np.array(values[0]) if form == "0-d" else values[0]
+    got, ref = _space_form_antiderivative(K, 2, u), _both_branches(K, u)
+    assert type(got) is type(ref)
+    assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
 
 
 def test_weighted_volume_k1_equals_volume_euclidean():

@@ -241,14 +241,16 @@ def test_seed_domain_violation():
 
 def test_seed_options_refused_by_name():
     # a fraction is refused, not truncated to another surface, and so is a
-    # bandlimited seed or degree out of range; whole numbers pass in any spelling
+    # negative legendre degree or a bandlimited seed or degree out of range;
+    # whole numbers pass in any spelling
     g = sphere_grid(16, 32)
     for family, params, key in (
             ("legendre", dict(r0=1, eps=0.1, l=2.5), "'l' takes integers"),
             ("bandlimited", dict(seed=7.5, r0=1, amp=0.05, lmax=4), "'seed' takes integers"),
             ("bandlimited", dict(seed=7, r0=1, amp=0.05, lmax=3.5), "'lmax' takes integers"),
             ("bandlimited", dict(seed=-1, r0=1, amp=0.05, lmax=4), "'seed' must be >= 0"),
-            ("bandlimited", dict(seed=7, r0=1, amp=0.05, lmax=0), "'lmax' must be >= 1")):
+            ("bandlimited", dict(seed=7, r0=1, amp=0.05, lmax=0), "'lmax' must be >= 1"),
+            ("legendre", dict(r0=1, eps=0.1, l=-3), "'l' must be >= 0")):
         with pytest.raises(ValueError, match=key):
             make_seed_surface(EU, g, family, **params)
     assert np.array_equal(make_seed_surface(EU, g, "legendre", r0=1, eps=0.1, l=2.0).u,

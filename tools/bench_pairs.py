@@ -1,15 +1,19 @@
 """Alternating parent/change runs of the benchmark, summarized into one JSON file.
 
     python tools/bench_pairs.py --parent DIR --change DIR --workload flow_sx \
-        --seeds 901 902 903 --seconds 20 --out BENCH_name.json --label flow_sx
+        --seeds 901 902 903 --seconds 20 --out BENCH_name.json --label flow_sx \
+        [--traced-seed 1]
 
 DIR is a checkout of the repository (each needs its own perfbench/ and src/).
 Each seed is one pair: both checkouts run ``perfbench/run.py --trace 0`` on that
 seed, the parent first on even pairs and the change first on odd ones, so a
 drift of the machine's speed does not favour either side.  The summary gives,
 per end-to-end metric of BENCHMARK.json, the median and quartiles of each side
-and the number of pairs the change wins.  The runs land under ``--label`` in
-the output file, which keeps the labels already there.
+and the number of pairs the change wins.  ``--traced-seed N`` adds one
+``--trace 1`` run per side on seed N and keeps its per-layer metrics (call
+counts, layer times) next to the pairs, so a claim about a layer cites them.
+The runs land under ``--label`` in the output file, which keeps the labels
+already there.
 """
 
 from __future__ import annotations
@@ -25,12 +29,14 @@ from pathlib import Path
 
 
 STDERR_TAIL = 20          # lines of a failed run's stderr that are shown
+COUNT_UNITS = ("count", "flop", "B")   # per-layer metrics that are exact counts
 
 
-def run_once(side: str, checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(side: str, checkout: Path, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> dict:
     """One benchmark run; a run that fails ends the script, naming it and its stderr."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if out.returncode != 0:
         tail = "\n".join(out.stderr.splitlines()[-STDERR_TAIL:])
@@ -74,6 +80,18 @@ def progress_line(label: str, pair: dict, metrics: list[dict]) -> str:
         for m in metrics)
 
 
+def traced_counts_line(label: str, traced: dict, metrics: list[dict]) -> str:
+    """The per-layer counts of the traced runs that differ, parent -> change."""
+    def count(side, name):
+        return traced[side]["metrics"].get(name)
+
+    moved = [f"{m['name']} {count('parent', m['name'])} -> {count('change', m['name'])}"
+             for m in metrics if m["unit"] in COUNT_UNITS
+             and count("parent", m["name"]) != count("change", m["name"])]
+    return (f"{label} traced seed {traced['seed']}: "
+            + (", ".join(moved) if moved else "every count equal"))
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", type=Path, required=True)
@@ -83,6 +101,8 @@ def main(argv=None) -> int:
     p.add_argument("--seconds", type=float, default=20.0)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--label", required=True)
+    p.add_argument("--traced-seed", type=int, default=None,
+                   help="also run --trace 1 once per side on this seed")
     args = p.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
@@ -96,7 +116,7 @@ def main(argv=None) -> int:
         print(progress_line(args.label, pair, spec["end_to_end"]), file=sys.stderr)
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc.setdefault("runs", {})[args.label] = {
+    run = doc.setdefault("runs", {})[args.label] = {
         "command": (f"python3 perfbench/run.py --workload {args.workload} --seed SEED "
                     f"--seconds {args.seconds:g} --trace 0"),
         "workload": args.workload,
@@ -107,6 +127,16 @@ def main(argv=None) -> int:
         "summary": summarize(pairs, spec["end_to_end"]),
         "pairs": pairs,
     }
+    if args.traced_seed is not None:
+        traced = {"seed": args.traced_seed,
+                  "command": (f"python3 perfbench/run.py --workload {args.workload} "
+                              f"--seed {args.traced_seed} --seconds {args.seconds:g} "
+                              f"--trace 1")}
+        for side in ("parent", "change"):
+            traced[side] = run_once(side, getattr(args, side), args.workload,
+                                    args.traced_seed, args.seconds, trace=1)
+        run["traced"] = traced
+        print(traced_counts_line(args.label, traced, spec["per_layer"]), file=sys.stderr)
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
 
