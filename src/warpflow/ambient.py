@@ -233,9 +233,10 @@ def make_custom(
     return space
 
 
-def _check_positive_warp(space: WarpedSpace, samples: int = 64) -> None:
+def _check_positive_warp(space: WarpedSpace) -> None:
+    """lambda finite and positive at 64 radii in (a, min(b, max(2(a + 1), 10))]."""
     hi = min(space.b, max(2.0 * (space.a + 1.0), 10.0))
-    r = np.linspace(space.a, hi, samples + 1)[1:]
+    r = np.linspace(space.a, hi, 65)[1:]
     lam = space.lam(r)
     if not np.all(np.isfinite(lam)):
         raise ValueError("warping function not finite on the sampled domain")

@@ -35,8 +35,16 @@ when the flow's cone condition breaks, a tracked monotone quantity moves the
 wrong way by more than eps_mono relative (the guard), the graph leaves the
 ambient domain (DomainError), or a value turns non-finite; a persistent
 wrong-way move is recorded as a finding instead of being smoothed away.
-Every attempt, its outcome and its stage count is kept in
+The cone is checked once per evaluated surface, inside `speed`, whose
+ConeViolation names the first node off the cone; an attempt files it as a
+cone rejection.  Every attempt, its outcome and its stage count is kept in
 FlowTrace.attempts.
+
+A sample is taken at each report time and once more when the run stops,
+whatever the reason, unless the last sample lies within 1e-12 t_final of
+it.  It reads the accepted state: in the r = 0 flows that state's fields,
+the guard's report of it and its speed, so a sample costs no geometry or
+speed call of its own.
 
 Two stabilization details beyond the plain scheme:
 
@@ -330,8 +338,7 @@ class Flow:
     cone: Callable           # -> [(quantity, nodal values that must be > 0)]
     speed: Callable          # -> nodal normal speed, on the cone
     diffusion: Callable      # -> nodal |df/dkappa_i| / lambda^2, for rho_est
-    monotones: Callable      # (n, k, ks, ells) -> [Monotone]; ks: imcf exponents,
-                             # ells: hyperbolic quermassintegrals to track
+    monotones: Callable      # (n, k, ks) -> [Monotone]; ks: imcf exponents
     euclidean_growth: Callable = lambda n: 0.0   # round-sphere growth rate of u
     top_order_only: bool = False                 # k = n only
 
@@ -355,7 +362,7 @@ FLOWS = {
         cone=lambda f, k: [("H", f.H)],
         speed=lambda f, k: 1.0 / f.H,
         diffusion=lambda f, k: 1.0 / (f.H**2 * f.lam**2 * f.v**2),
-        monotones=lambda n, k, ks, ells: [
+        monotones=lambda n, k, ks: [
             Monotone(f"Q_imcf_{j:g}", -1, q_imcf_value(n, j)) for j in ks],
         euclidean_growth=lambda n: 1.0 / n),
     "euclidean_inverse": Flow(
@@ -363,7 +370,7 @@ FLOWS = {
         cone=_ratio_cone,
         speed=lambda f, k: f.E[k - 1] / f.E[k],
         diffusion=lambda f, k: _ratio_diffusion(f, k) / f.lam**2,
-        monotones=lambda n, k, ks, ells: [
+        monotones=lambda n, k, ks: [
             Monotone(f"Qk_euclid_{k}", -1, q_k_value(n, k))],
         euclidean_growth=lambda n: 1.0),
     "hyperbolic_sx": Flow(
@@ -371,24 +378,25 @@ FLOWS = {
         cone=lambda f, k: _ratio_cone(f, k) + [("lambda'", f.dlam)],
         speed=lambda f, k: f.E[k - 1] / f.E[k] - f.support / f.dlam,
         diffusion=lambda f, k: _ratio_diffusion(f, k) / f.lam**2,
-        monotones=lambda n, k, ks, ells: [
+        monotones=lambda n, k, ks: [
             _phi_quermass_row(k, "monotone_hyp_lhs"),
             *(Monotone(f"W_{ell}", +1, lambda r, ell=ell: r.W(ell), f"monotone_hyp_W_{ell}")
-              for ell in ells)]),
+              for ell in (0, 1))]),
     "sphere_bgl": Flow(
         ambient="sphere", start_class="strictly convex",
         cone=_ratio_cone,
         speed=lambda f, k: f.dlam * (f.E[k - 1] / f.E[k]) - f.support,
         diffusion=lambda f, k: f.dlam * _ratio_diffusion(f, k) / f.lam**2,
-        monotones=lambda n, k, ks, ells: [_phi_quermass_row(k, "monotone_sph_lhs")],
+        monotones=lambda n, k, ks: [_phi_quermass_row(k, "monotone_sph_lhs")],
         top_order_only=True),
 }
 
 
-def monotones(spec: FlowSpec, n: int, ks=None, ells=(0, 1)) -> list[Monotone]:
-    """The monotone quantities of spec's flow; imcf tracks ks (default spec.k)."""
+def monotones(spec: FlowSpec, n: int, ks=None) -> list[Monotone]:
+    """The monotone quantities of spec's flow; imcf tracks ks (default spec.k)
+    and hyperbolic_sx the quermassintegrals W_0 and W_1."""
     ks = (float(spec.k),) if ks is None else tuple(ks)
-    return FLOWS[spec.kind].monotones(n, spec.k, ks, ells)
+    return FLOWS[spec.kind].monotones(n, spec.k, ks)
 
 
 @dataclass(frozen=True)
@@ -454,8 +462,8 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
         trace.geometry_calls += 1
         return geometry(space, g)
 
-    fields0 = geom(graph0)
-    off = _off_cone(spec, fields0)
+    fields = geom(graph0)
+    off = _off_cone(spec, fields)
     if off is not None:
         quantity, values = off
         raise ValueError(f"inadmissible initial surface: {spec.kind} needs a "
@@ -475,27 +483,32 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
         flds = geom(RadialGraph(grid=grid, u=u_arr))
         return tendency(flds, speed(spec, space, flds))
 
-    def record(t: float, u_arr: np.ndarray, log_scale: float, dt_used: float,
-               flds: GeometryFields, live: QuantityReport) -> None:
-        """Sample the state u_arr; flds are its fields and live its guard's
-        report, both reused unless renormalized."""
-        if trace.samples and t <= trace.samples[-1].t + 1e-15 * spec.t_final:
+    def record(dt_used: float) -> None:
+        """Sample the accepted state unless the last sample lies within eps_t;
+        the renormalized flows evaluate the physical-scale graph."""
+        if trace.samples and t <= trace.samples[-1].t + eps_t:
             return
-        u_phys = u_arr * math.exp(log_scale) if renorm_rate else u_arr
-        g_phys = RadialGraph(grid=grid, u=u_phys)
-        f_phys = geom(g_phys) if renorm_rate else flds
-        rep = full_report(space, g_phys, ks=(*_REPORT_KS, spec.k), fields=f_phys,
-                          report=None if renorm_rate else live)
-        cls = convexity_class(f_phys, space, spec.k)
-        f_speed = speed(spec, space, f_phys)
-        E = f_phys.E
+        if renorm_rate:
+            g_phys = RadialGraph(grid=grid, u=u * math.exp(log_scale))
+            flds = geom(g_phys)
+            live, f_speed = QuantityReport(space, g_phys, flds), speed(spec, space, flds)
+        else:
+            flds, live, f_speed = fields, report, f_now
+        E = flds.E
         margin = (min(float((E[j]**2 - E[j + 1] * E[j - 1]).min()) for j in range(1, n))
                   if n >= 2 else None)
         trace.samples.append(TraceSample(
-            t=t, u=u_phys.copy(), report=rep,
-            class_report=cls, max_speed=float(np.max(np.abs(f_speed))),
+            t=t, u=flds.u.copy(),
+            report=full_report(space, live.graph, ks=(*_REPORT_KS, spec.k), report=live),
+            class_report=convexity_class(flds, space, spec.k),
+            max_speed=float(np.max(np.abs(f_speed))),
             dt=dt_used, newton_maclaurin_margin=margin,
         ))
+
+    def stop(termination: tuple, dt_used: float) -> FlowTrace:
+        trace.termination = termination
+        record(dt_used)
+        return trace
 
     # evaluated on the stored graph: the renormalized euclidean flows have
     # scale-invariant monotone quantities only
@@ -509,23 +522,17 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
     u = graph0.u.copy()
     log_scale = 0.0
     t = 0.0
-    fields = fields0
     report, monitors = guarded(graph0, fields)
-    record(0.0, u, 0.0, 0.0, fields, report)
-
     f_now = speed(spec, space, fields)
+    eps_t = 1e-12 * spec.t_final
+    record(0.0)
+
     F0 = tendency(fields, f_now)
     # the controller's proposal for the next step; the first is the cap with
     # r = 0, which the first step's stages and error resolve
     dt_ctrl = _dt_bound(spec, fields, f_now, 0.0)
     e_prev = 1.0             # the scaled error of the last step the controller saw
-    eps_t = 1e-12 * spec.t_final
     next_report = min(spec.report_dt, spec.t_final)
-
-    def stop(termination: tuple, dt_used: float) -> FlowTrace:
-        trace.termination = termination
-        record(t, u, log_scale, dt_used, fields, report)
-        return trace
 
     while t < spec.t_final - eps_t:
         dt_base = min(_dt_bound(spec, fields, f_now, renorm_rate), dt_ctrl)
@@ -536,7 +543,7 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
         guard_halvings = 0
         reason = detail = None
         while True:
-            if dt < 1e-12 * spec.t_final or rejections > _MAX_REJECTIONS:
+            if dt < eps_t or rejections > _MAX_REJECTIONS:
                 return stop(("step_underflow", t, reason), dt)
             reason = None
             stages = 0
@@ -545,18 +552,14 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
                 u_cand = _rkc_step(u, F0, dt, stages, rhs)
                 graph_cand = RadialGraph(grid=grid, u=u_cand)
                 fields_cand = geom(graph_cand)
-                off = _off_cone(spec, fields_cand)
-                if off is not None:
-                    reason, detail = "cone", f"{off[0]} > 0 fails on the candidate"
-                else:
-                    f_cand = speed(spec, space, fields_cand)
-                    F_cand = tendency(fields_cand, f_cand)
-                    est = 0.8 * (u - u_cand) + 0.4 * dt * (F0 + F_cand)
-                    err = float(np.max(np.abs(est))) / max(float(np.max(np.abs(u))), 1e-300)
-                    if not math.isfinite(err):
-                        reason, detail = "non_finite", f"step error {err}"
-                    elif err > _STEP_TOL:
-                        reason = "step_error"
+                f_cand = speed(spec, space, fields_cand)
+                F_cand = tendency(fields_cand, f_cand)
+                est = 0.8 * (u - u_cand) + 0.4 * dt * (F0 + F_cand)
+                err = float(np.max(np.abs(est))) / max(float(np.max(np.abs(u))), 1e-300)
+                if not math.isfinite(err):
+                    reason, detail = "non_finite", f"step error {err}"
+                elif err > _STEP_TOL:
+                    reason = "step_error"
             except ConeViolation as exc:
                 reason, detail = "cone", str(exc)
             except DomainError as exc:
@@ -611,20 +614,14 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
         f_now, F0 = f_cand, F_cand
 
         if t >= next_report - eps_t:
-            record(t, u, log_scale, dt, fields, report)
+            record(dt)
             next_report = min(next_report + spec.report_dt, spec.t_final)
 
         if (spec.kind == "imcf" and space.kind == "sphere"
                 and float(fields.H.min()) <= _SPHERE_IMCF_MIN_H):
-            trace.termination = ("equator_stop", t)
-            if trace.samples[-1].t < t - eps_t:
-                record(t, u, log_scale, dt, fields, report)
-            return trace
+            return stop(("equator_stop", t), dt)
 
-    trace.termination = ("reached_t_final",)
-    if trace.samples[-1].t < spec.t_final - eps_t:
-        record(t, u, log_scale, dt, fields, report)
-    return trace
+    return stop(("reached_t_final",), dt)
 
 
 def variational_check(space: WarpedSpace, trace: FlowTrace, spec: FlowSpec,

@@ -6,7 +6,8 @@ equiangular grid theta_i = (i + 1/2) pi / M (poles excluded) crossed with
 P uniform longitudes.
 
 Differentiation:
-  n = 1: periodic 4th-order centered differences.
+  n = 1: periodic 4th-order centered differences, the colatitude stencils
+         below applied to the circle with two periodic ghost nodes per side.
   n = 2: exact trigonometric (spectral) differentiation in phi, applied as
          circulant stencils in difference form, where one subtraction per
          offset serves both the first and the second derivative, each sum
@@ -223,13 +224,15 @@ def _theta_extend(u: np.ndarray) -> np.ndarray:
     return x
 
 
-def _dtheta(x: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
+def _dtheta(x: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
+    """4th-order first difference along axis 0 of values with two ghost rows per side."""
     M = x.shape[0] - 4
     return np.divide(x[0:M] - 8.0 * x[1:M + 1] + 8.0 * x[3:M + 3] - x[4:M + 4],
                      12.0 * h, out=out)
 
 
-def _d2theta(x: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
+def _d2theta(x: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
+    """4th-order second difference along axis 0 of values with two ghost rows per side."""
     M = x.shape[0] - 4
     return np.divide(-x[0:M] + 16.0 * x[1:M + 1] - 30.0 * x[2:M + 2]
                      + 16.0 * x[3:M + 3] - x[4:M + 4], 12.0 * h * h, out=out)
@@ -252,13 +255,9 @@ def differentiate(grid: SphereGrid, u: np.ndarray) -> tuple[np.ndarray, np.ndarr
     if u.shape != grid.shape:
         raise ValueError(f"nodal array shape {u.shape} does not match grid {grid.shape}")
     if grid.n == 1:
-        m = grid.theta.size
-        h = 2.0 * np.pi / m
-        du = (np.roll(u, 2) - 8.0 * np.roll(u, 1)
-              + 8.0 * np.roll(u, -1) - np.roll(u, -2)) / (12.0 * h)
-        d2u = (-np.roll(u, 2) + 16.0 * np.roll(u, 1) - 30.0 * u
-               + 16.0 * np.roll(u, -1) - np.roll(u, -2)) / (12.0 * h * h)
-        return du, d2u
+        h = 2.0 * np.pi / u.size
+        x = np.concatenate([u[-2:], u, u[:2]])
+        return _dtheta(x, h), _d2theta(x, h)
 
     M, P = grid.shape
     h_t = np.pi / M

@@ -400,14 +400,13 @@ def curve_kwww_deficit(rep: QuantityReport) -> DeficitReport:
                     (L**2 - 2 * math.pi * A) / (2 * math.pi))
 
 
-def monotone_series(trace: FlowTrace, spec: FlowSpec,
-                    ks=None, ells=(0, 1)) -> dict[str, np.ndarray]:
+def monotone_series(trace: FlowTrace, spec: FlowSpec, ks=None) -> dict[str, np.ndarray]:
     """Per-sample values of the quantities that are monotone along the flow.
 
     The rows come from the flow's `flows.FLOWS` entry, which the step guard
     and the evolve trace columns read too; README lists them per flow kind.  ks
-    picks the imcf exponents (default the flow's k) and ells the hyperbolic
-    quermassintegrals.  Values are read from the samples' reports.
+    picks the imcf exponents (default the flow's k); hyperbolic_sx tracks W_0
+    and W_1.  Values are read from the samples' reports.
 
     Plus, for n >= 2, the pointwise Newton-MacLaurin margin
     min(E_k^2 - E_{k+1} E_{k-1}) recorded with each sample, nonnegative
@@ -419,7 +418,7 @@ def monotone_series(trace: FlowTrace, spec: FlowSpec,
             f"not {spec.kind}(k={spec.k})"
         )
     out = {m.name: np.array([m.value(s.report) for s in trace.samples])
-           for m in monotones(spec, trace.n, ks, ells)}
+           for m in monotones(spec, trace.n, ks)}
     if trace.n >= 2:
         out["newton_maclaurin_margin"] = np.array(
             [s.newton_maclaurin_margin for s in trace.samples])

@@ -69,9 +69,9 @@ def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _radial_integral(space: WarpedSpace, power: int, a: float, upper: np.ndarray,
-                     rel_tol: float = 1e-12) -> np.ndarray:
-    """int_a^{upper} lambda(s)^power ds per node, Gauss order doubling."""
+def _radial_integral(space: WarpedSpace, power: int, a: float, upper: np.ndarray) -> np.ndarray:
+    """int_a^{upper} lambda(s)^power ds per node, Gauss order doubling until
+    the total moves by at most 1e-12 relative."""
     upper = np.asarray(upper, dtype=float)
     span = upper - a
     prev = None
@@ -82,7 +82,7 @@ def _radial_integral(space: WarpedSpace, power: int, a: float, upper: np.ndarray
         vals = span * np.sum(w * lam**power, axis=-1)
         if prev is not None:
             total, total_prev = float(np.sum(vals)), float(np.sum(prev))
-            if abs(total - total_prev) <= rel_tol * max(abs(total), 1e-300):
+            if abs(total - total_prev) <= 1e-12 * max(abs(total), 1e-300):
                 return vals
         prev = vals
     return vals
@@ -336,7 +336,6 @@ class QuantityReport:
 
 
 def full_report(space: WarpedSpace, graph: RadialGraph, ks=(1.0,),
-                fields: GeometryFields | None = None,
                 report: QuantityReport | None = None) -> QuantityReport:
     """A detached report of every value `to_dict` lists, with the momenta,
     weighted volumes and Gamma terms at the exponents ks.  `report`, a live
@@ -345,7 +344,7 @@ def full_report(space: WarpedSpace, graph: RadialGraph, ks=(1.0,),
     ks = sorted({float(k) for k in ks})
     if any(k < 1 for k in ks):
         raise ValueError("boundary momentum exponents must satisfy k >= 1")
-    rep = QuantityReport(space, graph, fields) if report is None else report
+    rep = QuantityReport(space, graph) if report is None else report
     for k in ks:
         rep.momentum(k), rep.weighted_vol(k), rep.gamma_term(k)
     rep.to_dict()                   # the rest of the recorded set

@@ -194,7 +194,7 @@ def test_A05_hyperbolic_monotone_pair(sx_trace):
     assert trace.termination == ("reached_t_final",)
     start = trace.samples[0].class_report
     assert start.static_convex, "seed must be static convex"
-    series = monotone_series(trace, spec, ells=(0, 1))
+    series = monotone_series(trace, spec)
     lhs = series["phiE1_plus_1W0"]
     assert np.all(per_step_increase(lhs) <= 1e-6)
     for name in ("W_0", "W_1"):

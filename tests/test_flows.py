@@ -368,6 +368,101 @@ def test_domain_failure_counted_as_domain(monkeypatch):
     assert not isinstance(info.value, DomainError)
 
 
+def test_r0_evolve_makes_one_speed_call_per_geometry_call(monkeypatch):
+    # a sample of an r = 0 flow reads the accepted step's speed, and a
+    # candidate's cone is checked once, inside speed
+    counts = {"speed": 0, "_off_cone": 0}
+
+    def counted(name):
+        inner = getattr(flows, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(flows, name, wrapper)
+
+    counted("speed")
+    counted("_off_cone")
+    graph = make_seed_surface(HY, sphere_grid(16, 32), "bandlimited",
+                              seed=7, r0=1, amp=0.05, lmax=4)
+    trace = evolve(HY, graph, FlowSpec(kind="hyperbolic_sx", k=1, t_final=0.2,
+                                       report_dt=0.05))
+    assert len(trace.samples) == 5
+    assert counts["speed"] == trace.geometry_calls
+    assert counts["_off_cone"] == counts["speed"] + 1      # plus the start check
+
+
+def _ends_with_one_sample_at(trace, t_stop):
+    """The last sample is taken at t_stop, and no two samples share a time."""
+    assert trace.times[-1] == t_stop
+    assert np.all(np.diff(trace.times) > 0)
+
+
+_STOP_SPEC = FlowSpec(kind="imcf", k=1, t_final=0.02, report_dt=0.02)
+
+
+def _stop_seed():
+    return make_seed_surface(HY, sphere_grid(16, 32), "legendre", r0=1, eps=0.05, l=2)
+
+
+def test_reached_t_final_ends_with_one_sample():
+    trace = evolve(HY, _stop_seed(), _STOP_SPEC)
+    assert trace.termination == ("reached_t_final",)
+    t, dt, outcome, _ = trace.attempts[-1]
+    assert outcome == "accepted"
+    _ends_with_one_sample_at(trace, t + dt)
+    assert len(trace.samples) == 2
+
+
+def test_equator_stop_ends_with_one_sample():
+    graph = make_seed_surface(SP, sphere_grid(16, 32), "round", r0=1.2)
+    trace = evolve(SP, graph, FlowSpec(kind="imcf", k=1, t_final=0.5, report_dt=0.05))
+    reason, t_stop = trace.termination
+    assert reason == "equator_stop"
+    assert np.allclose(trace.times, [0.0, 0.05, 0.1, 0.1407614], atol=1e-7)
+    _ends_with_one_sample_at(trace, t_stop)
+
+
+@pytest.mark.parametrize("error,reason", [(DomainError, "domain"), (ConeViolation, "cone")])
+def test_violation_ends_with_one_sample(monkeypatch, error, reason):
+    # two geometry calls per step here: calls 2..7 are three accepted steps,
+    # and every call after them fails
+    _failing_geometry(monkeypatch, lambda call: call >= 8, error)
+    trace = evolve(HY, _stop_seed(), _STOP_SPEC)
+    name, t_stop, detail = trace.termination
+    assert name == f"{reason}_violation"
+    assert detail == (f"imcf: {reason} failure after 21 halvings: "
+                      "graph radius outside the ambient domain (forced)")
+    counts = trace.step_counts()
+    assert counts["accepted"] == 3 and counts["rejected"][reason] == 21
+    assert 0 < t_stop < _STOP_SPEC.report_dt
+    _ends_with_one_sample_at(trace, t_stop)
+    assert len(trace.samples) == 2
+
+
+def test_step_underflow_ends_with_one_sample(monkeypatch):
+    # after three accepted steps every candidate is pushed off by 1e-3
+    # relative, so each attempt fails on step error until dt underflows
+    step = flows._rkc_step
+    calls = [0]
+
+    def spoiled(*args):
+        calls[0] += 1
+        u = step(*args)
+        return u * (1.0 + 1e-3) if calls[0] > 3 else u
+
+    monkeypatch.setattr(flows, "_rkc_step", spoiled)
+    trace = evolve(HY, _stop_seed(), _STOP_SPEC)
+    name, t_stop, last_reason = trace.termination
+    assert (name, last_reason) == ("step_underflow", "step_error")
+    counts = trace.step_counts()
+    assert counts["accepted"] == 3 and counts["rejected"]["step_error"] > 0
+    assert 0 < t_stop < _STOP_SPEC.report_dt
+    _ends_with_one_sample_at(trace, t_stop)
+    assert len(trace.samples) == 2
+
+
 def test_rkc_stability_and_order():
     """The stage recursion on y' = z y, for s = 2..40 stages: |R(z)| <= 1 on
     [-beta(s), 0], and R(z) = 1 + z + z^2/2 + O(z^3)."""

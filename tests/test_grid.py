@@ -188,3 +188,25 @@ def test_shape_mismatch_rejected():
     g = sphere_grid(16, 32)
     with pytest.raises(ValueError, match="shape"):
         differentiate(g, np.zeros((16, 30)))
+
+
+def _oracle_circle(u):
+    """The n = 1 stencils written with np.roll: the byte-for-byte reference."""
+    h = 2.0 * np.pi / u.size
+    du = (np.roll(u, 2) - 8.0 * np.roll(u, 1)
+          + 8.0 * np.roll(u, -1) - np.roll(u, -2)) / (12.0 * h)
+    d2u = (-np.roll(u, 2) + 16.0 * np.roll(u, 1) - 30.0 * u
+           + 16.0 * np.roll(u, -1) - np.roll(u, -2)) / (12.0 * h * h)
+    return du, d2u
+
+
+@pytest.mark.parametrize("m", [16, 18, 64, 256, 1024])
+def test_circle_stencils_match_roll_oracle_bytewise(m):
+    g = circle_grid(m)
+    rng = np.random.default_rng(m)
+    for u in (rng.standard_normal(m), 1.0 + 0.1 * np.cos(3 * g.theta) + 0.05 * np.sin(g.theta),
+              np.full(m, 2.7)):
+        du, d2u = differentiate(g, u)
+        want_du, want_d2u = _oracle_circle(u)
+        assert du.tobytes() == want_du.tobytes()
+        assert d2u.tobytes() == want_d2u.tobytes()
