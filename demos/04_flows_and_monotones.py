@@ -4,7 +4,7 @@ Runs inverse mean curvature flow from a perturbed sphere, watches the
 scale-invariant momentum functional Q decrease to its round-sphere limit,
 and shows the exact exponential area law.  Then runs the hyperbolic flow
 whose stationary points are geodesic spheres and watches the surface round
-itself out.  (A few minutes at this resolution.)
+itself out.  (About 5 s at this resolution on a 2-vCPU x86_64 host.)
 """
 
 import numpy as np

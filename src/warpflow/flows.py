@@ -82,7 +82,7 @@ from .ambient import WarpedSpace
 from .grid import SphereGrid
 from .quantities import (
     QuantityReport,
-    full_report,
+    full_report,  # noqa: F401  rebound here by perfbench/tracer.py
     quermassintegrals,  # noqa: F401  rebound here by perfbench/tracer.py
     surface_integral,
 )
@@ -499,7 +499,7 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
                   if n >= 2 else None)
         trace.samples.append(TraceSample(
             t=t, u=flds.u.copy(),
-            report=full_report(space, live.graph, ks=(*_REPORT_KS, spec.k), report=live),
+            report=live.detach((*_REPORT_KS, spec.k)),
             class_report=convexity_class(flds, space, spec.k),
             max_speed=float(np.max(np.abs(f_speed))),
             dt=dt_used, newton_maclaurin_margin=margin,

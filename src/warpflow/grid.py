@@ -8,14 +8,17 @@ P uniform longitudes.
 Differentiation:
   n = 1: periodic 4th-order centered differences, the colatitude stencils
          below applied to the circle with two periodic ghost nodes per side.
-  n = 2: exact trigonometric (spectral) differentiation in phi, applied as
-         circulant stencils in difference form, where one subtraction per
-         offset serves both the first and the second derivative, each sum
-         accumulated in a fixed offset order; and 4th-order centered
-         differences in theta with the antipodal ghost extension
-         u(-theta, phi) = u(theta, phi + pi), built once per field.  The fixed
-         accumulation order makes every derivative field bitwise-equivariant
-         under rotation of the nodal values by one longitude step.
+  n = 2: exact trigonometric (spectral) differentiation in phi, one (2 x P)
+         stencil matrix per grid applied to each longitude's window of P
+         neighbours as one matrix product, after each ring's maximum is
+         subtracted; and 4th-order centered differences in theta with the
+         antipodal ghost extension u(-theta, phi) = u(theta, phi + pi), built
+         once per field.  Every window starts at its own longitude, so each
+         longitude sums the same numbers in the same order wherever it sits,
+         and every derivative field is bitwise-equivariant under rotation of
+         the nodal values by any number of longitude steps.  The ring
+         maximum is exact and the same under rotation, and it maps a field
+         constant along a ring to exact zeros.
 
 Grids are cached per size and fiber scale, and their arrays are read-only.
 
@@ -79,57 +82,50 @@ def _fourier_diff_coeffs(P: int) -> tuple[np.ndarray, np.ndarray]:
     return d1, d2
 
 
-def _phi_derivatives(ut: np.ndarray, d1: np.ndarray, d2: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray]:
+def _phi_stencil_matrix(P: int) -> np.ndarray:
+    """The (2, P) matrix of first- and second-derivative taps in offset order.
+
+    Tap k sits at offset k - P/2, so row r applied to u[j - P/2 : j + P/2] gives
+    the r-th derivative at longitude j: row 0 holds d1[o] at P/2 - o and -d1[o]
+    at P/2 + o; row 1 holds d2[o] at P/2 +- o, d2[0] at P/2 and the Nyquist
+    tap d2[P/2] at 0.
+    """
+    d1, d2 = _fourier_diff_coeffs(P)
+    half = P // 2
+    o = np.arange(1, half)
+    C = np.zeros((2, P))
+    C[0, half - o] = d1[o]
+    C[0, half + o] = -d1[o]
+    C[1, half - o] = d2[o]
+    C[1, half + o] = d2[o]
+    C[1, 0] = d2[half]
+    C[1, half] = d2[0]
+    return C
+
+
+def _phi_derivatives(ut: np.ndarray, C: np.ndarray) -> np.ndarray:
     """First and second circulant phi-derivatives of longitude-major values.
 
-    ut holds the nodal values with the periodic axis first, shape (P, ...), so a
-    shift by o longitudes is a slice of whole leading rows and each ufunc call
-    runs one inner loop over every node.  For d1[P - o] = -d1[o] and
-    d2[P - o] = d2[o] (sum_o d2[o] = 0 analytically) the stencils are applied
-    in difference form,
-
-        u_phi[j]    = sum_{o=1}^{P/2-1} d1[o] (u[j - o] - u[j + o]),
-        u_phiphi[j] = sum_{q=1}^{P/2-1} d2[q] ((u[j - q] - u[j]) + (u[j + q] - u[j]))
-                      + d2[P/2] (u[j + P/2] - u[j]),
-
-    so constants are annihilated term by term, which matters at the pole rings
-    where cot(theta) and 1/sin^2(theta) metric factors would amplify stencil
-    roundoff.  Both sums share one subtraction per offset q: a[k] = u[k - q] - u[k]
-    for k < P + q gives the second-derivative term as a[j] - a[j + q], since
-    u[j + q] - u[j] = -a[j + q] exactly, and for even q, a[j + q/2] is the
-    first-derivative difference at offset q/2.  The Nyquist differences, with
-    P/4 extra rows, serve offset P/4.  Each sum accumulates in ascending offset
-    order with the same operands at every node, so rolling the input along the
-    periodic axis rolls the outputs bitwise.
+    ut holds the nodal values with the periodic axis first, shape (P, M); the
+    result has shape (P, 2, M), u_phi in [:, 0] and u_phiphi in [:, 1].  Each
+    ring's maximum is subtracted first: a maximum selects a value, so the
+    shift is exact and the same under any longitude roll, and a field constant
+    along a ring becomes exactly 0, so its phi-derivatives are exactly 0 (the
+    pole rings' cot(theta) and 1/sin^2(theta) factors would amplify any
+    residue).  Longitude j then reads the window ext[j : j + P] of the
+    periodic extension ext[i] = v[i - P/2], an ordinary row-major P x M
+    matrix viewed in place, and gets both derivatives from one (2 x P)(P x M)
+    product with the stencil matrix C of `_phi_stencil_matrix`.  Every window
+    starts at its own longitude, so rolling the input hands each longitude
+    the same numbers in the same order and rolls the outputs bitwise.
     """
-    P = ut.shape[0]
-    half, quarter = P // 2, P // 4
-    ext = np.concatenate([ut[half:], ut, ut[:half]])   # ext[i] = u[i - P/2]
-    up = np.zeros_like(ut)
-    upp = np.zeros_like(ut)
-    tmp = np.empty_like(ut)
-    a = np.empty((P + half - 1,) + ut.shape[1:])          # P + q rows for q < P/2
-    for q in range(1, half):
-        np.subtract(ext[half - q:half + P], ext[half:half + P + q], out=a[:P + q])
-        np.subtract(a[:P], a[q:q + P], out=tmp)
-        np.multiply(tmp, d2[q], out=tmp)
-        np.add(upp, tmp, out=upp)
-        if q % 2 == 0:
-            np.multiply(a[q // 2:q // 2 + P], d1[q // 2], out=tmp)
-            np.add(up, tmp, out=up)
-    rows = P + quarter if half % 2 == 0 else P
-    np.subtract(ext[:rows], ext[half:half + rows], out=a[:rows])   # u[k - P/2] - u[k]
-    np.multiply(a[:P], d2[half], out=tmp)
-    np.add(upp, tmp, out=upp)
-    if half % 2 == 0:
-        np.multiply(a[quarter:quarter + P], d1[quarter], out=tmp)
-        np.add(up, tmp, out=up)
-    for o in range(quarter + 1, half):
-        np.subtract(ext[half - o:half - o + P], ext[half + o:half + o + P], out=tmp)
-        np.multiply(tmp, d1[o], out=tmp)
-        np.add(up, tmp, out=up)
-    return up, upp
+    P, M = ut.shape
+    half = P // 2
+    v = ut - ut.max(axis=0)
+    ext = np.concatenate([v[half:], v, v[:half]])
+    s0, s1 = ext.strides
+    windows = np.lib.stride_tricks.as_strided(ext, (P, P, M), (s0, s0, s1), writeable=False)
+    return np.matmul(C, windows)
 
 
 @dataclass(frozen=True)
@@ -145,8 +141,7 @@ class SphereGrid:
     theta: np.ndarray                    # (m,) or (M,)
     phi: np.ndarray | None               # None for n = 1, (P,) for n = 2
     weights: np.ndarray                  # per-node, sums to |N|
-    _d1phi: np.ndarray | None = field(default=None, repr=False)
-    _d2phi: np.ndarray | None = field(default=None, repr=False)
+    _phi_stencil: np.ndarray | None = field(default=None, repr=False)   # (2, P)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -168,7 +163,7 @@ class SphereGrid:
 
 
 def _read_only(grid: SphereGrid) -> SphereGrid:
-    for arr in (grid.theta, grid.phi, grid.weights, grid._d1phi, grid._d2phi):
+    for arr in (grid.theta, grid.phi, grid.weights, grid._phi_stencil):
         if arr is not None:
             arr.flags.writeable = False
     return grid
@@ -205,9 +200,8 @@ def sphere_grid(M: int, P: int, fiber_scale: float = 1.0) -> SphereGrid:
     phi = 2.0 * np.pi * np.arange(P) / P
     w_theta = _polar_weights(M)
     weights = fiber_scale**2 * (2.0 * np.pi / P) * np.repeat(w_theta[:, None], P, axis=1)
-    d1, d2 = _fourier_diff_coeffs(P)
     return _read_only(SphereGrid(n=2, fiber_scale=float(fiber_scale), theta=theta,
-                                 phi=phi, weights=weights, _d1phi=d1, _d2phi=d2))
+                                 phi=phi, weights=weights, _phi_stencil=_phi_stencil_matrix(P)))
 
 
 def _theta_extend(u: np.ndarray) -> np.ndarray:
@@ -271,9 +265,9 @@ def differentiate(grid: SphereGrid, u: np.ndarray) -> tuple[np.ndarray, np.ndarr
     x = _theta_extend(u)
     _dtheta(x, h_t, out=ut)
     _d2theta(x, h_t, out=htt)
-    up_t, upp_t = _phi_derivatives(np.ascontiguousarray(u.T), grid._d1phi, grid._d2phi)
-    up[...] = up_t.T
+    phi_t = _phi_derivatives(np.ascontiguousarray(u.T), grid._phi_stencil)
+    up[...] = phi_t[:, 0].T
     _dtheta(_theta_extend(up), h_t, out=htp)                 # u_theta phi
     np.subtract(htp, (cos_t / sin_t) * up, out=htp)
-    np.add(upp_t.T, sin_t * cos_t * ut, out=hpp)
+    np.add(phi_t[:, 1].T, sin_t * cos_t * ut, out=hpp)
     return Du, Hu

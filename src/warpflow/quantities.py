@@ -21,10 +21,10 @@ style residual check (`quermass_recursion`, shared with the geodesic balls).
 kept.  Besides the integrals it keeps what several of them, or every deficit
 of one surface, would otherwise compute again: Phi(u) per node for every
 int Phi E_k, the convexity flags and the round flag; lambda(u) is read from
-its geometry fields.  `full_report` computes what a trace sample records and
-then detaches it, dropping the fields and Phi(u), so a sample keeps numbers
-and no nodal arrays.  It can fill a report that already holds values: a flow
-hands it the step guard's report of the accepted surface.
+its geometry fields.  `QuantityReport.detach` computes what a trace sample
+records and then drops the fields and Phi(u), so a sample keeps numbers and no
+nodal arrays; a flow detaches the step guard's report of the accepted surface,
+and `full_report` detaches a new report of a given surface.
 """
 
 from __future__ import annotations
@@ -334,21 +334,23 @@ class QuantityReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
+    def detach(self, ks=(1.0,)) -> QuantityReport:
+        """Fill every value `to_dict` lists, with the momenta, weighted volumes
+        and Gamma terms at the exponents ks, then drop the surface, its fields
+        and Phi(u), so the report keeps numbers and no nodal arrays; returns
+        the report.  Values it already holds are not computed again."""
+        ks = sorted({float(k) for k in ks})
+        if any(k < 1 for k in ks):
+            raise ValueError("boundary momentum exponents must satisfy k >= 1")
+        for k in ks:
+            self.momentum(k), self.weighted_vol(k), self.gamma_term(k)
+        self.to_dict()                    # the rest of the recorded set
+        self.space = self.graph = None    # detached: numbers only
+        for nodal in (("fields",), ("phi",)):
+            self._values.pop(nodal, None)
+        return self
 
-def full_report(space: WarpedSpace, graph: RadialGraph, ks=(1.0,),
-                report: QuantityReport | None = None) -> QuantityReport:
-    """A detached report of every value `to_dict` lists, with the momenta,
-    weighted volumes and Gamma terms at the exponents ks.  `report`, a live
-    report of the same surface, is filled and detached instead of a new one,
-    so the values it already holds are not computed again."""
-    ks = sorted({float(k) for k in ks})
-    if any(k < 1 for k in ks):
-        raise ValueError("boundary momentum exponents must satisfy k >= 1")
-    rep = QuantityReport(space, graph) if report is None else report
-    for k in ks:
-        rep.momentum(k), rep.weighted_vol(k), rep.gamma_term(k)
-    rep.to_dict()                   # the rest of the recorded set
-    rep.space = rep.graph = None    # detached: numbers only
-    for nodal in (("fields",), ("phi",)):
-        rep._values.pop(nodal, None)
-    return rep
+
+def full_report(space: WarpedSpace, graph: RadialGraph, ks=(1.0,)) -> QuantityReport:
+    """A detached report of graph: `QuantityReport.detach` on a new report."""
+    return QuantityReport(space, graph).detach(ks)

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from warpflow.grid import _phi_derivatives, circle_grid, differentiate, sphere_grid
+from warpflow.grid import (_fourier_diff_coeffs, _phi_derivatives, circle_grid,
+                           differentiate, sphere_grid)
 
 
 def nodes(grid):
@@ -156,20 +163,87 @@ def _oracle_sym_diff(u, d):
     return np.ascontiguousarray(np.moveaxis(acc, 0, -1))
 
 
-# P = 0 and 2 mod 4 take different branches for the Nyquist term and offset P/4
+def _gamma(n):
+    """Higham's gamma_n = n eps / (1 - n eps), the relative error of an n-term dot product."""
+    eps = np.finfo(float).eps
+    return n * eps / (1 - n * eps)
+
+
+# P = 0 and P = 2 mod 4, with even and odd numbers of taps on each side of the centre
 @pytest.mark.parametrize("M,P", [(16, 32), (16, 34), (32, 66), (64, 128), (128, 256)])
-def test_shared_difference_stencils_match_oracle_bytewise(M, P):
+def test_phi_stencil_matches_oracle_within_dot_product_bound(M, P):
+    # The stencil product and the oracles' difference form sum the same taps in
+    # different orders; each side is within gamma_{P+2} sum|d| max|u - ring max|
+    # of the exact sum, so they differ by at most twice that.
     g = sphere_grid(M, P)
+    d1, d2 = _fourier_diff_coeffs(P)
     rng = np.random.default_rng(P)
     for u in (rng.standard_normal((M, P)), 1.0 + 0.1 * rng.random((M, P)),
               np.full((M, P), 2.7), np.ones((M, P))):
-        up, upp = _phi_derivatives(np.ascontiguousarray(u.T), g._d1phi, g._d2phi)
-        assert up.T.tobytes() == _oracle_antisym(u, g._d1phi).tobytes()
-        assert upp.T.tobytes() == _oracle_sym_diff(u, g._d2phi).tobytes()
+        up, upp = _phi_derivatives(np.ascontiguousarray(u.T), g._phi_stencil).transpose(1, 2, 0)
+        spread = np.abs(u - u.max(axis=1, keepdims=True)).max()
+        for got, want, d in ((up, _oracle_antisym(u, d1), d1),
+                             (upp, _oracle_sym_diff(u, d2), d2)):
+            assert np.abs(got - want).max() <= 2 * _gamma(P + 2) * np.abs(d).sum() * spread
         if np.all(u == u[0, 0]):
             assert not up.any() and not upp.any()
         Du, Hu = differentiate(g, u)
-        assert Du[1].tobytes() == up.T.tobytes()
+        assert Du[1].tobytes() == up.tobytes()
+
+
+# odd M starts most longitude windows off a 32-byte boundary
+@settings(max_examples=20, deadline=None)
+@given(grid=st.sampled_from([(16, 32), (17, 34), (19, 38), (33, 66), (64, 128)]),
+       seed=st.integers(0, 2**31 - 1), scale=st.integers(-3, 3))
+def test_differentiate_roll_equivariant_bitwise_every_shift(grid, seed, scale):
+    M, P = grid
+    g = sphere_grid(M, P)
+    rng = np.random.default_rng(seed)
+    u = 1.0 + 10.0**scale * rng.standard_normal((M, P))
+    Du, Hu = differentiate(g, u)
+    for shift in range(1, P):
+        Du_r, Hu_r = differentiate(g, np.roll(u, shift, axis=1))
+        assert np.array_equal(np.roll(Du, shift, axis=2), Du_r), shift
+        assert np.array_equal(np.roll(Hu, shift, axis=2), Hu_r), shift
+
+
+@settings(max_examples=20, deadline=None)
+@given(grid=st.sampled_from([(16, 32), (17, 34), (33, 66), (64, 128)]),
+       seed=st.integers(0, 2**31 - 1))
+def test_ring_constant_fields_have_exactly_zero_phi_derivatives(grid, seed):
+    M, P = grid
+    g = sphere_grid(M, P)
+    rings = np.random.default_rng(seed).uniform(0.5, 2.0, M)
+    Du, Hu = differentiate(g, np.repeat(rings[:, None], P, axis=1))
+    assert not Du[1].any()
+    assert not Hu[1].any()
+    sin_t, cos_t = np.sin(g.theta)[:, None], np.cos(g.theta)[:, None]
+    assert np.array_equal(Hu[2], sin_t * cos_t * Du[0])
+
+
+_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+from warpflow.grid import differentiate, sphere_grid
+for M, P in ((64, 128), (256, 512)):
+    u = 1.0 + 0.1 * np.random.default_rng(M).standard_normal((M, P))
+    Du, Hu = differentiate(sphere_grid(M, P), u)
+    print(M, P, hashlib.sha256(Du.tobytes() + Hu.tobytes()).hexdigest())
+"""
+
+
+def test_differentiate_bytes_independent_of_blas_threads():
+    """The stencil product runs in BLAS; its thread count must not move a bit."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        digests.append(proc.stdout)
+    assert len(digests[0].splitlines()) == 2
+    assert digests[0] == digests[1]
 
 
 def test_grids_are_cached_and_read_only():
@@ -179,7 +253,7 @@ def test_grids_are_cached_and_read_only():
     assert other is not g and other.fiber_area != g.fiber_area
     c = circle_grid(16, 2.0)
     assert circle_grid(16, 2.0) is c and circle_grid(16, 3.0) is not c
-    for arr in (g.theta, g.phi, g.weights, g._d1phi, g._d2phi, c.theta, c.weights):
+    for arr in (g.theta, g.phi, g.weights, g._phi_stencil, c.theta, c.weights):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
 

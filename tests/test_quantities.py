@@ -361,6 +361,11 @@ def test_full_report_detached(seed, r0, amp, lmax, space, n):
     for k in (2.0, 1.0):
         lazy.gamma_term(k), lazy.weighted_vol(k), lazy.momentum(k)
     assert rep.to_dict() == lazy.to_dict()
+    # detaching a live report fills and returns that report
+    live = QuantityReport(space, graph)
+    live.area
+    assert live.detach((2.0, 1.0)) is live and live.graph is None
+    assert live.to_dict() == rep.to_dict()
     for read, label in ((lambda: rep.momentum(3), "momentum(3)"),
                         (lambda: rep.weighted_vol(1.5), "weighted_vol(1.5)"),
                         (lambda: rep.gamma_term(2.5), "gamma_term(2.5)"),
