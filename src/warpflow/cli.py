@@ -15,12 +15,12 @@ import ctypes
 import functools
 import json
 import math
+import multiprocessing
 import os
 import sys
 import types
 import typing
 from dataclasses import asdict, dataclass, field
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -584,6 +584,78 @@ def _sweep_one(args) -> tuple[dict, list[dict]]:
     return params, [rep.to_dict() for rep in _check_reports(space, graph, checks)]
 
 
+def _pool_child(conn, initializer, fn, items) -> None:
+    """A Pool child: run the initializer, map fn over its share, send one message."""
+    try:
+        if initializer is not None:
+            initializer()
+        message = (True, [fn(x) for x in items])
+    except Exception as exc:
+        message = (False, exc)
+    conn.send(message)
+    conn.close()
+
+
+class Pool:
+    """A process pool of ``processes`` workers, the calling process included.
+
+    ``map`` cuts the items into min(processes, len(items)) contiguous shares,
+    starts one child per share after the first, runs the first share in the
+    caller (warm: its caches and heap are already in place) and then gathers
+    the children's lists in order.  A share stops at its first exception,
+    which is raised as it is, so a failure is the one a sequential map meets
+    first.  A child that exits without sending its results is a
+    RuntimeError naming its exit code and its members.  The initializer
+    runs in each child; the caller is expected to have set itself up.
+    """
+
+    def __init__(self, processes: int, initializer=None):
+        self._processes = processes
+        self._initializer = initializer
+        self._children: list = []        # (process, receiving end, first member, end)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for proc, *_ in self._children:
+            if proc.is_alive():
+                proc.terminate()
+        for proc, receiver, *_ in self._children:
+            proc.join()
+            receiver.close()
+        self._children.clear()
+
+    def map(self, fn, items) -> list:
+        items = list(items)
+        k = max(1, min(self._processes, len(items)))
+        # ceiling bounds, so that the caller's share is the largest: a child
+        # pays for its fork and for faulting in its pages on top of its share
+        bounds = [-(-i * len(items) // k) for i in range(k + 1)]
+        children = []
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            receiver, sender = multiprocessing.Pipe(duplex=False)
+            proc = multiprocessing.Process(target=_pool_child, daemon=True,
+                                           args=(sender, self._initializer, fn, items[lo:hi]))
+            proc.start()
+            sender.close()      # the child holds the only sending end: EOF means it died
+            children.append((proc, receiver, lo, hi))
+            self._children.append(children[-1])
+        results = [fn(x) for x in items[:bounds[1]]]
+        for proc, receiver, lo, hi in children:
+            try:
+                ok, payload = receiver.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"sweep worker for members {lo + 1}-{hi} of {len(items)} exited "
+                    f"with code {proc.exitcode} before sending its results") from None
+            if not ok:
+                raise payload
+            results += payload
+        return results
+
+
 def cmd_sweep(cfg: RunConfig) -> int:
     if not cfg.checks:
         raise UsageError("sweep requires at least one --check")
@@ -592,11 +664,13 @@ def cmd_sweep(cfg: RunConfig) -> int:
     _build_space_grid(cfg)
     tasks = [(cfg.space, cfg.n, cfg.grid, family, params, cfg.checks)
              for family, params in members]
-    if cfg.workers > 1:
-        with Pool(cfg.workers, initializer=steady_allocator) as pool:
-            results = pool.map(_sweep_one, tasks)
-    else:
-        results = [_sweep_one(t) for t in tasks]
+    # --workers counts processes, the calling one included: N forks N - 1
+    # children (1 forks none), and a child that dies exits 1.  On a 2-vCPU
+    # host one process is still as fast or faster for a small 128x256
+    # family: a child pays for its fork and its page faults, and two busy
+    # processes do not both run at full speed.
+    with Pool(cfg.workers, initializer=steady_allocator) as pool:
+        results = pool.map(_sweep_one, tasks)
 
     param_keys = sorted({k for _, params in members for k in params})
     check_names = [f"{rep['name']}" + (f"_k{format(rep['k'], 'g')}" if rep["k"] else "")

@@ -2,11 +2,14 @@ import csv
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
 import resource
+import signal
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,8 +19,8 @@ import warpflow.cli
 import warpflow.quantities
 from warpflow.ambient import _SPACE_OPTIONS, parse_options, parse_space_spec
 from warpflow.cli import (
-    _CHECK_OPTIONS, EXIT_FINDING, EXIT_OK, EXIT_USAGE, RunConfig, _sweep_members, main,
-    steady_allocator,
+    _CHECK_OPTIONS, EXIT_ERROR, EXIT_FINDING, EXIT_OK, EXIT_USAGE, Pool, RunConfig,
+    _sweep_members, main, steady_allocator,
 )
 from warpflow.surface import _SURFACE_OPTIONS, parse_surface_spec
 
@@ -341,6 +344,101 @@ def test_sweep_worker_count_bytewise_identical(tmp_path, capsys):
     assert run(base + ["--out", str(out4), "--workers", "4"]) == EXIT_OK
     assert out1.read_bytes() == out4.read_bytes()
     capsys.readouterr()
+
+
+def _square(x):
+    return x * x
+
+
+def _square_and_pid(x):
+    return x * x, os.getpid()
+
+
+@settings(max_examples=40, deadline=None)
+@given(items=st.lists(st.integers(-1000, 1000), max_size=7), processes=st.integers(1, 4))
+def test_pool_map_is_the_sequential_map_and_forks_one_less(items, processes):
+    # the calling process is one of the workers: --workers 4 over 3 members
+    # forks 2 children, and a one-member sweep forks none
+    started, start = [], multiprocessing.Process.start
+
+    def counting(proc):
+        started.append(proc)
+        return start(proc)
+
+    with mock.patch.object(multiprocessing.Process, "start", counting), Pool(processes) as pool:
+        assert pool.map(_square, items) == [_square(x) for x in items]
+    assert len(started) == max(0, min(processes, len(items)) - 1)
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_caller_runs_the_first_and_largest_share():
+    with Pool(3) as pool:
+        out = pool.map(_square_and_pid, range(7))
+    assert [v for v, _ in out] == [x * x for x in range(7)]
+    pids = [pid for _, pid in out]
+    assert pids[:3] == [os.getpid()] * 3
+    assert pids[3] == pids[4] != pids[5] == pids[6]
+    assert os.getpid() not in pids[3:]
+
+
+def _die_in_a_child(monkeypatch, seed):
+    """Make the sweep member with this seed end its process with code 3, in a child only."""
+    sweep_one, parent = warpflow.cli._sweep_one, os.getpid()
+
+    def dying(task):
+        if os.getpid() != parent and task[4]["seed"] == seed:
+            os._exit(3)
+        return sweep_one(task)
+
+    monkeypatch.setattr(warpflow.cli, "_sweep_one", dying)
+
+
+def _timeout(signum, frame):
+    raise TimeoutError("the sweep was still running after 30 s")
+
+
+def run_bounded(args):
+    """run(args), interrupted after 30 s, so that a sweep waiting on a dead child fails."""
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    signal.alarm(30)
+    try:
+        return run(args)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+_SWEEP4 = ["sweep", "--space", "euclidean", "--grid", "16x32", "--workers", "2",
+           "--surface", "bandlimited:seed=1:4,r0=1,amp=0.05,lmax=4", "--check", "girao"]
+_FORK_ONLY = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                                reason="the patched member function reaches a child by fork only")
+
+
+@_FORK_ONLY
+def test_sweep_worker_death_is_an_error_not_a_hang(monkeypatch, capsys):
+    # members 1-2 run in the caller, 3-4 in the one child, which dies on its second
+    _die_in_a_child(monkeypatch, 4.0)
+    assert run_bounded(_SWEEP4) == EXIT_ERROR
+    assert "members 3-4 of 4 exited with code 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", [
+    "clean", "usage_in_caller_share", "usage_in_child_share",
+    pytest.param("child_death", marks=_FORK_ONLY)])
+def test_no_process_outlives_a_sweep(case, monkeypatch, capsys):
+    argv, expected, message = _SWEEP4, EXIT_OK, ""
+    if case == "child_death":
+        _die_in_a_child(monkeypatch, 3.0)
+        expected, message = EXIT_ERROR, "exited with code 3"
+    elif case != "clean":
+        # of three members the caller runs the first two, the child the last
+        radii = "4:2:-1" if case == "usage_in_caller_share" else "2:4"
+        argv = ["sweep", "--space", "sphere", "--grid", "16x32", "--workers", "2",
+                "--surface", f"round:r0={radii}", "--check", "girao"]
+        expected, message = EXIT_USAGE, "graph radius 4.0"
+    assert run_bounded(argv) == expected
+    assert message in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
 
 
 def test_dump_surface_roundtrip(tmp_path, capsys):

@@ -28,13 +28,17 @@ import sys
 from pathlib import Path
 
 
-STDERR_TAIL = 20          # lines of a failed run's stderr that are shown
+STDERR_TAIL = 20          # lines of a failed run's stderr or FAIL lines that are shown
 COUNT_UNITS = ("count", "flop", "B")   # per-layer metrics that are exact counts
 
 
 def run_once(side: str, checkout: Path, workload: str, seed: int, seconds: float,
              trace: int = 0) -> dict:
-    """One benchmark run; a run that fails ends the script, naming it and its stderr."""
+    """One benchmark run.
+
+    A run that exits non-zero ends the script, naming it and its stderr, and
+    so does one that reports a wrong result or a failed operation: its
+    metrics must not be summarized as if it had passed."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -43,6 +47,12 @@ def run_once(side: str, checkout: Path, workload: str, seed: int, seconds: float
         raise SystemExit(f"{side} run of {workload} seed {seed} in {checkout} exited "
                          f"{out.returncode}; the last lines of its stderr:\n{tail}")
     result = json.loads(out.stdout.strip().splitlines()[-1])
+    if not result["correct"] or result["failed"] > 0:
+        fails = "\n".join([line for line in out.stdout.splitlines()
+                           if line.startswith("FAIL ")][:STDERR_TAIL])
+        raise SystemExit(f"{side} run of {workload} seed {seed} in {checkout} reported "
+                         f"correct {result['correct']} with {result['failed']} failed "
+                         f"operations:\n{fails}")
     return {"correct": result["correct"], "failed": result["failed"],
             "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
 
