@@ -35,10 +35,14 @@ when the flow's cone condition breaks, a tracked monotone quantity moves the
 wrong way by more than eps_mono relative (the guard), the graph leaves the
 ambient domain (DomainError), or a value turns non-finite; a persistent
 wrong-way move is recorded as a finding instead of being smoothed away.
-The cone is checked once per evaluated surface, inside `speed`, whose
-ConeViolation names the first node off the cone; an attempt files it as a
-cone rejection.  Every attempt, its outcome and its stage count is kept in
-FlowTrace.attempts.
+Non-finite covers v and E_k of every stage and candidate surface (checked
+by `geometry`), the step error, and the candidate's area weight, which the
+guard's report reads first.  The principal curvatures are computed only
+when read: by a sample's convexity class, and for k = 2 by rho_est of an
+accepted surface, never by a stage.  The cone is checked once per
+evaluated surface, inside `speed`, whose ConeViolation names the first
+node off the cone; an attempt files it as a cone rejection.  Every
+attempt, its outcome and its stage count is kept in FlowTrace.attempts.
 
 A sample is taken at each report time and once more when the run stops,
 whatever the reason, unless the last sample lies within 1e-12 t_final of
@@ -560,6 +564,9 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
                     reason, detail = "non_finite", f"step error {err}"
                 elif err > _STEP_TOL:
                     reason = "step_error"
+                else:
+                    # the guard's report is the first reader of the area weight
+                    report_cand, monitors_cand = guarded(graph_cand, fields_cand)
             except ConeViolation as exc:
                 reason, detail = "cone", str(exc)
             except DomainError as exc:
@@ -568,7 +575,6 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
                 reason, detail = "non_finite", str(exc)
 
             if reason is None:
-                report_cand, monitors_cand = guarded(graph_cand, fields_cand)
                 bad = next((i for i, m in enumerate(guard)
                             if m.wrong_way(monitors[i], monitors_cand[i], spec.eps_mono)), None)
                 if bad is None or guard_halvings == _MAX_GUARD_HALVINGS:

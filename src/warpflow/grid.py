@@ -142,6 +142,7 @@ class SphereGrid:
     phi: np.ndarray | None               # None for n = 1, (P,) for n = 2
     weights: np.ndarray                  # per-node, sums to |N|
     _phi_stencil: np.ndarray | None = field(default=None, repr=False)   # (2, P)
+    _frame_factors: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -163,7 +164,8 @@ class SphereGrid:
 
 
 def _read_only(grid: SphereGrid) -> SphereGrid:
-    for arr in (grid.theta, grid.phi, grid.weights, grid._phi_stencil):
+    for arr in (grid.theta, grid.phi, grid.weights, grid._phi_stencil,
+                *(grid._frame_factors or ())):
         if arr is not None:
             arr.flags.writeable = False
     return grid
@@ -200,8 +202,20 @@ def sphere_grid(M: int, P: int, fiber_scale: float = 1.0) -> SphereGrid:
     phi = 2.0 * np.pi * np.arange(P) / P
     w_theta = _polar_weights(M)
     weights = fiber_scale**2 * (2.0 * np.pi / P) * np.repeat(w_theta[:, None], P, axis=1)
-    return _read_only(SphereGrid(n=2, fiber_scale=float(fiber_scale), theta=theta,
-                                 phi=phi, weights=weights, _phi_stencil=_phi_stencil_matrix(P)))
+    return _read_only(SphereGrid(
+        n=2, fiber_scale=float(fiber_scale), theta=theta, phi=phi, weights=weights,
+        _phi_stencil=_phi_stencil_matrix(P),
+        _frame_factors=_orthonormal_frame_factors(theta, float(fiber_scale))))
+
+
+def _orthonormal_frame_factors(theta: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-ring factors that take coordinate components to the sigma-orthonormal
+    frame (d_theta/c, d_phi/(c sin theta)): (1/c, 1/(c sin theta)) for a gradient,
+    shape (2, M, 1), and minus (1/c^2, 1/(c^2 sin theta), 1/(c^2 sin^2 theta))
+    for a Hessian, shape (3, M, 1)."""
+    r = 1.0 / (c * np.sin(theta))[:, None]
+    ic = np.full_like(r, 1.0 / c)
+    return np.stack([ic, r]), -np.stack([ic * ic, ic * r, r * r])
 
 
 def _theta_extend(u: np.ndarray) -> np.ndarray:

@@ -10,16 +10,23 @@ metric and second fundamental form of the graph are
     h_ij = ( -Hu_ij + lambda lambda' sigma_ij + 2 (lambda'/lambda) u_i u_j ) / v,
 
 with the outward orientation, so round graphs have principal curvatures
-lambda'/lambda > 0.  Principal curvatures are the eigenvalues of g^{-1} h;
-for n = 2 the pencil (h, g) is reduced with an explicit Cholesky whitening
-so the eigenvalues are real by construction.
+lambda'/lambda > 0.  Principal curvatures are the eigenvalues of g^{-1} h.
+
+For n = 2, `geometry` works in the sigma-orthonormal frame (d_theta/c,
+d_phi/(c sin theta)), where the gradient is w = (u_theta/c, u_phi/(c sin theta))
+and g = lambda^2 I + w w^T has a closed-form inverse and square root.  It
+computes v and the mean curvatures E_1, E_2 from the trace and determinant
+of the frame second fundamental form, which is all a flow stage reads; the
+principal curvatures and the area weight are computed on first read (see
+`GeometryFields`).  The curvature half-gap is a square root of a sum of
+squares, so kappa is real by construction.  For n = 1, kappa = h/g.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,11 +83,15 @@ def _validate_graph_range(space: WarpedSpace, grid: SphereGrid, u: np.ndarray) -
 class GeometryFields:
     """Pointwise extrinsic geometry of one radial graph.
 
-    kappa holds principal curvatures sorted descending along axis 0 and E the
-    normalized mean curvatures E_0..E_n (E_0 identically 1).  area_weight is
-    the nodal measure lambda^n v times the grid quadrature weight, so plain
-    weighted sums integrate over the surface.  lam/dlam are the warping
-    values at u, kept here because every consumer needs them.
+    E holds the normalized mean curvatures E_0..E_n (E_0 identically 1), v
+    and support = lambda / v the graph's slope factor and support function;
+    lam/dlam are the warping values at u, kept here because every consumer
+    needs them.  These are computed by `geometry`, which checks v and E for
+    finite values.  kappa (principal curvatures sorted descending along axis
+    0) and area_weight (the nodal measure lambda^n v times the grid
+    quadrature weight, so plain weighted sums integrate over the surface)
+    are computed on first read and kept; that read raises FloatingPointError
+    naming the first non-finite node.  A flow stage reads neither.
     """
 
     grid: SphereGrid
@@ -88,10 +99,10 @@ class GeometryFields:
     lam: np.ndarray
     dlam: np.ndarray
     v: np.ndarray
-    kappa: np.ndarray          # (n,) + grid.shape, descending
     E: np.ndarray              # (n+1,) + grid.shape
     support: np.ndarray        # lambda / v
-    area_weight: np.ndarray
+    # n = 2: (w_1, w_2, K_11, K_12, K_22) in the sigma-orthonormal frame, for kappa
+    _frame: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -102,9 +113,33 @@ class GeometryFields:
         """Unnormalized mean curvature n * E_1."""
         return self.grid.n * self.E[1]
 
+    @functools.cached_property
+    def kappa(self) -> np.ndarray:        # (n,) + grid.shape, descending
+        kappa = self.E[1:] if self.n == 1 else _principal_curvatures(self)
+        _require_finite(self.grid, "kappa", kappa)
+        return kappa
+
+    @functools.cached_property
+    def area_weight(self) -> np.ndarray:
+        weight = self.lam**self.n * self.v * self.grid.weights
+        _require_finite(self.grid, "area weight", weight)
+        return weight
+
     @property
     def area(self) -> float:
         return float(self.area_weight.sum())
+
+
+def _require_finite(grid: SphereGrid, name: str, arr: np.ndarray) -> None:
+    """Raise FloatingPointError naming the first node where arr, nodal values
+    or a stack of them, is not finite."""
+    if np.isfinite(arr).all():
+        return
+    bad = ~np.isfinite(arr)
+    while bad.ndim > grid.weights.ndim:
+        bad = bad.any(axis=0)
+    idx = int(np.argmax(bad.ravel()))
+    raise FloatingPointError(f"non-finite {name} at {grid.node_label(idx)}")
 
 
 def geometry(space: WarpedSpace, graph: RadialGraph) -> GeometryFields:
@@ -117,70 +152,105 @@ def geometry(space: WarpedSpace, graph: RadialGraph) -> GeometryFields:
         idx = int(np.argmax((lam <= 0).ravel()))
         raise DomainError(f"warping nonpositive at {grid.node_label(idx)}")
 
-    c = grid.fiber_scale
     Du, Hu = differentiate(grid, u)
-
+    E = np.empty((grid.n + 1,) + grid.shape)
+    E[0] = 1.0
     if grid.n == 1:
+        c = grid.fiber_scale
         ut = Du
         grad2 = ut * ut / c**2                      # |Du|^2_sigma
         v = np.sqrt(1.0 + grad2 / lam**2)
         h = (-Hu + lam * dlam * c**2 + 2.0 * (dlam / lam) * ut * ut) / v
         g = ut * ut + lam * lam * c**2
-        kappa = (h / g)[None, :]
-        E = np.stack([np.ones_like(u), kappa[0]])
+        np.divide(h, g, out=E[1])
+        frame = None
     else:
-        sin_t = np.sin(grid.theta)[:, None]
-        ut, up = Du
-        htt_u, htp_u, hpp_u = Hu
-        sig_tt = c**2
-        sig_pp = c**2 * sin_t**2
-        grad2 = (ut * ut + (up / sin_t) ** 2) / c**2
-        v = np.sqrt(1.0 + grad2 / lam**2)
+        v, frame = _frame_curvatures(grid, lam, dlam, Du, Hu, E)
+    _require_finite(grid, "v", v)
+    _require_finite(grid, "E_k", E[1:])
+    return GeometryFields(grid=grid, u=u, lam=lam, dlam=dlam, v=v, E=E,
+                          support=lam / v, _frame=frame)
 
-        two_dll = 2.0 * dlam / lam
-        h_tt = (-htt_u + lam * dlam * sig_tt + two_dll * ut * ut) / v
-        h_tp = (-htp_u + two_dll * ut * up) / v
-        h_pp = (-hpp_u + lam * dlam * sig_pp + two_dll * up * up) / v
 
-        g_tt = ut * ut + lam * lam * sig_tt
-        g_tp = ut * up
-        g_pp = up * up + lam * lam * sig_pp
+def _frame_curvatures(grid: SphereGrid, lam, dlam, Du, Hu, E) -> tuple[np.ndarray, np.ndarray]:
+    """v, and E_1, E_2 written into E, of an n = 2 graph; returns (v, frame).
 
-        # Cholesky whitening of the pencil (h, g): kappa = eig(L^-1 h L^-T)
-        l11 = np.sqrt(g_tt)
-        l21 = g_tp / l11
-        l22 = np.sqrt(g_pp - l21 * l21)
-        a11 = h_tt / l11
-        a12 = h_tp / l11
-        a21 = (h_tp - l21 * a11) / l22
-        a22 = (h_pp - l21 * a12) / l22
-        b11 = a11 / l11
-        b12 = (a12 - a11 * (l21 / l11)) / l22
-        b21 = a21 / l11
-        b22 = (a22 - a21 * (l21 / l11)) / l22
-        off = 0.5 * (b12 + b21)
-        mean = 0.5 * (b11 + b22)
-        half_gap = np.sqrt((0.5 * (b11 - b22)) ** 2 + off * off)
-        kappa = np.stack([mean + half_gap, mean - half_gap])
-        E = np.stack([np.ones_like(u),
-                      0.5 * (kappa[0] + kappa[1]),
-                      kappa[0] * kappa[1]])
+    In the sigma-orthonormal frame the gradient is w and g = lambda^2 I + w w^T,
+    and v h = K = -Hu + lambda lambda' I + 2 (lambda'/lambda) w w^T.  With
+    g^{-1} = lambda^-2 (I - lambda^-2 v^-2 w w^T) and det g = lambda^4 v^2,
 
-    support = lam / v
-    area_weight = lam**grid.n * v * grid.weights
+        E_1 = 1/2 lambda^-2 v^-1 (tr K - lambda^-2 v^-2 w^T K w),
+        E_2 = det K (lambda^-2 v^-2)^2.
 
-    for name, arr in (("v", v), ("kappa", kappa), ("area weight", area_weight)):
-        if not np.all(np.isfinite(arr)):
-            flat_bad = ~np.isfinite(arr)
-            while flat_bad.ndim > grid.weights.ndim:
-                flat_bad = flat_bad.any(axis=0)
-            idx = int(np.argmax(flat_bad.ravel()))
-            raise FloatingPointError(f"non-finite {name} at {grid.node_label(idx)}")
+    frame stacks (w_1, w_2, K_11, K_12, K_22) for `_principal_curvatures`.
+    """
+    grad_f, hess_f = grid._frame_factors
+    frame = np.empty((5,) + grid.shape)
+    w = np.multiply(Du, grad_f, out=frame[:2])
+    K = np.multiply(Hu, hess_f, out=frame[2:])        # -Hu in the frame, K below
+    il = 1.0 / lam
+    il2 = il * il
+    ww = w * w
+    v = ww[0] + ww[1]
+    v *= il2
+    v += 1.0
+    v = np.sqrt(v, out=v)
+    iv = 1.0 / v
+    w12 = w[0] * w[1]
+    il *= 2.0 * dlam                                   # 2 lambda'/lambda
+    K[1] += il * w12
+    K[::2] += il * ww
+    K[::2] += lam * dlam
+    s = ww[0] * K[0]                                   # w^T K w
+    s += ww[1] * K[2]
+    w12 *= 2.0
+    w12 *= K[1]
+    s += w12
+    a = il2 * iv                                       # lambda^-2 v^-1
+    b = a * iv                                         # lambda^-2 v^-2
+    s *= b
+    np.subtract(K[0] + K[2], s, out=E[1])
+    a *= 0.5
+    E[1] *= a
+    np.multiply(K[0], K[2], out=E[2])
+    E[2] -= K[1] * K[1]
+    b *= b
+    E[2] *= b
+    return v, frame
 
-    return GeometryFields(
-        grid=grid, u=u, lam=lam, dlam=dlam, v=v,
-        kappa=kappa, E=E, support=support, area_weight=area_weight,
-    )
+
+def _principal_curvatures(fields: GeometryFields) -> np.ndarray:
+    """kappa_1 >= kappa_2 of an n = 2 graph from its frame quantities.
+
+    kappa = lambda^-2 eig(S) with S = lambda^2 g^{-1/2} h g^{-1/2} symmetric,
+    g^{-1/2} = (I - beta w w^T)/lambda and beta = lambda^-2 v^-1 / (1 + v).
+    So S = A K A / v with A = I - beta w w^T, and A K A = K - beta (w z^T + z w^T)
+    for q = K w, z = q - (beta/2)(w^T q) w.  The mean of kappa is E_1 and its
+    half-gap lambda^-2 v^-1 sqrt(d^2 + (AKA)_12^2), d = ((AKA)_11 - (AKA)_22)/2:
+    a sum of squares, real by construction, and exactly 0 where w = 0 and
+    K_11 = K_22, K_12 = 0, as on a round sphere.
+    """
+    w1, w2, k11, k12, k22 = fields._frame
+    a = 1.0 / (fields.lam * fields.lam * fields.v)     # lambda^-2 v^-1
+    beta = a / (1.0 + fields.v)
+    q1 = k11 * w1 + k12 * w2
+    q2 = k12 * w1 + k22 * w2
+    t = 0.5 * beta * (w1 * q1 + w2 * q2)
+    z1 = q1 - t * w1
+    z2 = q2 - t * w2
+    r1 = beta * w1
+    r2 = beta * w2
+    d = 0.5 * (k11 - k22) - (r1 * z1 - r2 * z2)
+    s12 = k12 - (r1 * z2 + r2 * z1)
+    d *= d
+    s12 *= s12
+    d += s12
+    half_gap = np.sqrt(d, out=d)
+    half_gap *= a
+    kappa = np.empty((2,) + half_gap.shape)
+    np.add(fields.E[1], half_gap, out=kappa[0])
+    np.subtract(fields.E[1], half_gap, out=kappa[1])
+    return kappa
 
 
 @dataclass(frozen=True)

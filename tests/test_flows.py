@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import warpflow.flows as flows
+import warpflow.surface as surface
 from warpflow.ambient import make_space_form
 from warpflow.cli import _series_monotone_ok, _trace_columns
 from warpflow.flows import (
@@ -391,6 +393,56 @@ def test_r0_evolve_makes_one_speed_call_per_geometry_call(monkeypatch):
     assert len(trace.samples) == 5
     assert counts["speed"] == trace.geometry_calls
     assert counts["_off_cone"] == counts["speed"] + 1      # plus the start check
+
+
+@pytest.mark.parametrize("space,kind", [(EU, "imcf"), (HY, "hyperbolic_sx")])
+def test_principal_curvatures_once_per_sample_never_in_a_stage(monkeypatch, space, kind):
+    # a stage reads E and v only; kappa is computed for a sample's convexity class
+    counts = {"in_step": 0, "elsewhere": 0}
+    stepping = [False]
+    kappa, step = surface._principal_curvatures, flows._rkc_step
+
+    def counted_kappa(fields):
+        counts["in_step" if stepping[0] else "elsewhere"] += 1
+        return kappa(fields)
+
+    def flagged_step(*args):
+        stepping[0] = True
+        try:
+            return step(*args)
+        finally:
+            stepping[0] = False
+
+    monkeypatch.setattr(surface, "_principal_curvatures", counted_kappa)
+    monkeypatch.setattr(flows, "_rkc_step", flagged_step)
+    graph = make_seed_surface(space, sphere_grid(16, 32), "bandlimited",
+                              seed=7, r0=1, amp=0.05, lmax=4)
+    trace = evolve(space, graph, FlowSpec(kind=kind, k=1, t_final=0.2, report_dt=0.05))
+    assert len(trace.samples) == 5
+    assert counts == {"in_step": 0, "elsewhere": len(trace.samples)}
+    assert trace.geometry_calls > 3 * len(trace.samples)
+
+
+def test_non_finite_area_weight_is_a_non_finite_rejection(monkeypatch):
+    # the guard's report is the first reader of a candidate's area weight, and a
+    # non-finite one there rejects the step as non-finite and halves it
+    calls = [0]
+
+    def patched(space, graph):
+        calls[0] += 1
+        fields = geometry(space, graph)
+        if calls[0] != 3:                 # call 3 is the first candidate
+            return fields
+        lam = fields.lam.copy()
+        lam[2, 4] = np.inf
+        return dataclasses.replace(fields, lam=lam)
+
+    monkeypatch.setattr(flows, "geometry", patched)
+    trace = evolve(HY, _stop_seed(), _STOP_SPEC)
+    assert trace.termination == ("reached_t_final",)
+    (_, dt0, outcome0, _), (_, dt1, outcome1, _) = trace.attempts[:2]
+    assert (outcome0, outcome1) == ("non_finite", "accepted") and dt1 == 0.5 * dt0
+    assert trace.step_counts()["rejected"]["non_finite"] == 1
 
 
 def _ends_with_one_sample_at(trace, t_stop):

@@ -279,9 +279,102 @@ def test_roll_equivariance_bitwise_any_shift(seed, shift):
     for out, out_r in zip(differentiate(g, graph.u), differentiate(g, rolled.u)):
         assert np.array_equal(np.roll(out, shift, axis=-1), out_r)
     f, fr = geometry(EU, graph), geometry(EU, rolled)
-    for name in (fld.name for fld in dataclasses.fields(f) if fld.name != "grid"):
+    # kappa and area_weight are computed on first read, not dataclass fields
+    names = [fld.name for fld in dataclasses.fields(f) if fld.name != "grid"]
+    for name in names + ["kappa", "area_weight"]:
         expected = np.roll(getattr(f, name), shift, axis=-1)
         assert np.array_equal(expected, getattr(fr, name)), name
+
+
+def _pencil_curvatures(space, grid, u):
+    """Descending principal curvatures from numpy's eigenvalues of g^-1 h, with
+    g and h the coordinate components of the module docstring."""
+    lam, dlam, _ = space.warp(u)
+    (ut, up), (htt, htp, hpp) = differentiate(grid, u)
+    c2 = grid.fiber_scale**2
+    s2 = np.sin(grid.theta)[:, None] ** 2
+    v = np.sqrt(1.0 + (ut * ut + up * up / s2) / (c2 * lam * lam))
+    two = 2.0 * dlam / lam
+    h = np.stack([-htt + lam * dlam * c2 + two * ut * ut, -htp + two * ut * up,
+                  -htp + two * ut * up, -hpp + lam * dlam * c2 * s2 + two * up * up], -1)
+    g = np.stack([ut * ut + lam * lam * c2, ut * up,
+                  ut * up, up * up + lam * lam * c2 * s2], -1)
+    pair = grid.shape + (2, 2)
+    ev = np.linalg.eigvals(np.linalg.solve(g.reshape(pair), (h / v[..., None]).reshape(pair)))
+    assert np.all(ev.imag == 0)
+    return np.moveaxis(-np.sort(-ev.real, axis=-1), -1, 0)
+
+
+_AMBIENTS = {"euclidean": lambda c: EU, "hyperbolic": lambda c: HY, "sphere": lambda c: SP,
+             "custom:cosh": lambda c: make_custom("cosh", a=0.5, c=c)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), amp=st.sampled_from([0.01, 0.1, 0.3]),
+       ambient=st.sampled_from(sorted(_AMBIENTS)), c=st.sampled_from([1.0, 2.0, 0.75]))
+def test_frame_curvatures_match_the_coordinate_pencil(seed, amp, ambient, c):
+    # E_1, E_2 and kappa from the orthonormal frame against numpy's eigenvalues of
+    # the coordinate pencil (h, g): at most 1.7e-15 of the field's scale over 480
+    # measured cases, held to 5e-15
+    space, grid = _AMBIENTS[ambient](c), sphere_grid(16, 32, c)
+    graph = make_seed_surface(space, grid, "bandlimited", seed=seed, r0=1, amp=amp, lmax=4)
+    f = geometry(space, graph)
+    k = _pencil_curvatures(space, grid, graph.u)
+    scale = np.abs(k).max()
+    assert np.abs(f.kappa - k).max() <= 5e-15 * scale
+    assert np.abs(f.E[1] - 0.5 * (k[0] + k[1])).max() <= 5e-15 * scale
+    assert np.abs(f.E[2] - k[0] * k[1]).max() <= 5e-15 * scale**2
+
+
+@pytest.mark.parametrize("space", [EU, HY, SP], ids=["euclidean", "hyperbolic", "sphere"])
+@pytest.mark.parametrize("c", [1.0, 2.0, 0.75])
+@pytest.mark.parametrize("r0", [0.5, 1.0, 2.5])
+def test_round_spheres_have_no_curvature_gap(space, c, r0):
+    # at these radii the colatitude stencil sums of a constant are exact, so
+    # every derivative is 0; then w = 0 and K = lambda lambda' I bit for bit,
+    # and the half-gap is exactly 0.  E_1 = lambda'/lambda to rounding
+    grid = sphere_grid(16, 32, c)
+    graph = make_seed_surface(space, grid, "round", r0=r0)
+    assert all(not np.any(d) for d in differentiate(grid, graph.u))
+    f = geometry(space, graph)
+    assert np.array_equal(f.kappa[0], f.kappa[1])
+    assert np.abs(f.E[1] * float(space.lam(r0) / space.dlam(r0)) - 1.0).max() <= 1e-15
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), j=st.integers(-4, 4), n=st.sampled_from([1, 2]),
+       c=st.sampled_from([1.0, 2.0, 0.75]))
+def test_euclidean_geometry_scales_bitwise(seed, j, n, c):
+    # u -> 2^j u is a dilation of R^{n+1}: v is invariant, support scales as u,
+    # E_k as 2^{-jk}, kappa as 2^{-j} and the area weight as 2^{jn}, and every
+    # factor is a power of two, so the scaling is exact
+    grid = circle_grid(64, c) if n == 1 else sphere_grid(16, 32, c)
+    graph = make_seed_surface(EU, grid, "bandlimited", seed=seed, r0=1, amp=0.1, lmax=4)
+    f, fs = geometry(EU, graph), geometry(EU, graph.with_values(2.0**j * graph.u))
+    assert np.array_equal(fs.v, f.v)
+    assert np.array_equal(fs.support, 2.0**j * f.support)
+    for k in range(n + 1):
+        assert np.array_equal(fs.E[k], 2.0 ** (-j * k) * f.E[k]), k
+    assert np.array_equal(fs.kappa, 2.0**-j * f.kappa)
+    assert np.array_equal(fs.area_weight, 2.0 ** (j * n) * f.area_weight)
+
+
+def test_non_finite_fields_raise_naming_the_node():
+    g = sphere_grid(16, 32)
+    # v and E are checked by geometry: sinh(720) overflows, so E_1 is nan
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(FloatingPointError, match=r"non-finite E_k at node \(i=0, j=0\)"):
+        geometry(HY, make_seed_surface(HY, g, "round", r0=720.0))
+    # kappa and the area weight are checked where they are first read
+    f = geometry(EU, make_seed_surface(EU, g, "bandlimited", seed=7, r0=1, amp=0.05, lmax=4))
+    v = f.v.copy()
+    v[3, 5] = np.nan
+    node = r"node \(i=3, j=5\)"
+    with pytest.raises(FloatingPointError, match=f"non-finite kappa at {node}"):
+        convexity_class(dataclasses.replace(f, v=v), EU, 2)
+    with pytest.raises(FloatingPointError, match=f"non-finite area weight at {node}"):
+        surface_integral(dataclasses.replace(f, v=v), 1.0)
+    assert np.isfinite(f.kappa).all() and np.isfinite(f.area_weight).all()
 
 
 def test_parse_surface_spec():

@@ -13,7 +13,9 @@ and the number of pairs the change wins.  ``--traced-seed N`` adds one
 ``--trace 1`` run per side on seed N and keeps its per-layer metrics (call
 counts, layer times) next to the pairs, so a claim about a layer cites them.
 The runs land under ``--label`` in the output file, which keeps the labels
-already there.
+already there.  The script ends with one stderr line per end-to-end metric:
+both medians, ``median_rel``, the pairs the change wins and the parent's
+quartile spread, the figures a no-regression statement cites.
 """
 
 from __future__ import annotations
@@ -102,6 +104,21 @@ def traced_counts_line(label: str, traced: dict, metrics: list[dict]) -> str:
             + (", ".join(moved) if moved else "every count equal"))
 
 
+def summary_lines(label: str, summary: dict) -> list[str]:
+    """One line per end-to-end metric: both medians, the relative change of the
+    median, the pairs the change wins, and the parent's quartile spread."""
+    lines = []
+    for name, m in summary.items():
+        parent, change = m["parent"], m["change"]
+        lines.append(f"{label} {name} ({m['unit']}, {m['better']} is better): "
+                     f"parent median {parent['median']:.4g}, change median "
+                     f"{change['median']:.4g}, median_rel {m['median_rel']:+.2%}, "
+                     f"change wins {m['change_wins']}, parent q1..q3 "
+                     f"{parent['q1']:.4g}..{parent['q3']:.4g} "
+                     f"(spread {parent['q3'] - parent['q1']:.4g})")
+    return lines
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", type=Path, required=True)
@@ -148,6 +165,8 @@ def main(argv=None) -> int:
         run["traced"] = traced
         print(traced_counts_line(args.label, traced, spec["per_layer"]), file=sys.stderr)
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    for line in summary_lines(args.label, run["summary"]):
+        print(line, file=sys.stderr)
     return 0
 
 
