@@ -25,7 +25,7 @@ seed = make_seed_surface(eu, g, "legendre", r0=1, eps=0.2, l=2)
 spec = FlowSpec(kind="imcf", k=1, t_final=2.0, report_dt=0.1)
 print("inverse mean curvature flow from legendre(1, 0.2, 2) in R^3 ...")
 trace = evolve(eu, seed, spec)
-series = monotone_series(trace, spec, ks=(1.0,))
+series = monotone_series(trace)
 q = series["Q_imcf_1"]
 limit = 2 / 3 * sphere_area(2) ** -0.5
 area = np.array([s.report.area for s in trace.samples])

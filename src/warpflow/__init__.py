@@ -2,10 +2,10 @@
 
 Library layout mirrors the pipeline: `ambient` describes the warped-product
 space, `grid` and `surface` discretize a radial graph and its extrinsic
-geometry, `quantities` integrates the scalar functionals, `flows` evolves
-graphs under inverse-curvature flows, `inequalities` turns the sharp
-three-term inequalities and monotone quantities into signed deficits, and
-`cli` wraps everything for the command line.
+geometry, `quantities` integrates the scalar functionals, `inequalities`
+turns the sharp three-term inequalities into signed deficits and defines the
+monotone functionals that guard the inverse-curvature flows of `flows`, and
+`cli` wraps everything for the command line; each imports only those before.
 """
 
 from .ambient import (
@@ -33,7 +33,6 @@ from .quantities import (
     volume,
     weighted_volume,
 )
-from .flows import FlowSpec, FlowTrace, evolve, speed, variational_check
 from .inequalities import (
     DeficitReport,
     ball_chi,
@@ -51,5 +50,6 @@ from .inequalities import (
     q_imcf,
     q_k_euclidean,
 )
+from .flows import FlowSpec, FlowTrace, evolve, speed, variational_check
 
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import inequalities as ineq
 from .ambient import WarpedSpace, parse_options, parse_space_spec, probe_assumptions
-from .flows import FLOWS, FlowSpec, FlowTrace, Monotone, evolve, monotones
+from .flows import FLOWS, FlowSpec, FlowTrace, evolve
 from .quantities import QuantityReport
 from .surface import (
     RadialGraph,
@@ -295,8 +295,7 @@ def _fmt_float(x) -> str:
 
 # ---------------------------------------------------------------- evolve
 
-def _trace_columns(trace: FlowTrace, series: dict[str, np.ndarray],
-                   rows: list[Monotone]) -> list[tuple[str, list]]:
+def _trace_columns(trace: FlowTrace, series: dict[str, np.ndarray]) -> list[tuple[str, list]]:
     spec = trace.spec
     n = trace.n
     first = trace.samples[0].report
@@ -313,7 +312,7 @@ def _trace_columns(trace: FlowTrace, series: dict[str, np.ndarray],
                      [s.report.momentum(k) for s in trace.samples]))
     for k in range(1, n + 1):
         cols.append((f"phiE{k}", [s.report.phi_curvature(k) for s in trace.samples]))
-    cols += [(m.label or m.name, list(series[m.name])) for m in rows]
+    cols += [(m.label or m.name, list(series[m.name])) for m in trace.monotones]
     cols.append(("minH", [s.class_report.min_H for s in trace.samples]))
     for j in range(1, spec.k + 1):
         cols.append((f"minE{j}", [s.class_report.min_E[j] for s in trace.samples]))
@@ -348,11 +347,10 @@ def _write_table(path, columns: list[tuple[str, list]], fmt: str, meta: dict) ->
             out.close()
 
 
-def _series_monotone_ok(series: dict[str, np.ndarray], spec: FlowSpec,
-                        rows: list[Monotone]) -> list[str]:
-    """Names of series that violate their expected direction beyond eps_mono."""
-    bad = [m.name for m in rows
-           if np.any(m.wrong_way(series[m.name][:-1], series[m.name][1:], spec.eps_mono))]
+def _series_monotone_ok(trace: FlowTrace, series: dict[str, np.ndarray]) -> list[str]:
+    """Names of the trace's series that violate their expected direction beyond eps_mono."""
+    bad = [m.name for m in trace.monotones
+           if np.any(m.wrong_way(series[m.name][:-1], series[m.name][1:], trace.spec.eps_mono))]
     margin = series.get("newton_maclaurin_margin")
     if margin is not None and np.min(margin) < -1e-10:
         bad.append("newton_maclaurin_margin")
@@ -385,17 +383,15 @@ def cmd_evolve(cfg: RunConfig) -> int:
     graph = _build_surface(cfg, space, grid)
 
     trace = evolve(space, graph, spec)
-    ks = sorted(trace.samples[0].report.momenta)
-    series = ineq.monotone_series(trace, spec, ks=ks)
-    rows = monotones(spec, trace.n, ks)
-    columns = _trace_columns(trace, series, rows)
+    series = ineq.monotone_series(trace)
+    columns = _trace_columns(trace, series)
     steps = trace.step_counts()
     meta = {"config": cfg.to_dict(), "termination": list(trace.termination),
             "findings": trace.findings, "steps": steps}
     _write_table(cfg.out, columns, cfg.fmt, meta)
     print(_steps_line(steps), file=sys.stderr)
 
-    bad = _series_monotone_ok(series, spec, rows)
+    bad = _series_monotone_ok(trace, series)
     if trace.findings or bad:
         for name in bad:
             print(f"finding: series {name} moves the wrong way", file=sys.stderr)
@@ -544,7 +540,7 @@ def cmd_probe(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------- sweep
 
 def _expand_range(text: str) -> list[float]:
-    """A sweep value: ``v``, integer ``lo:hi``, or ``lo:hi:step`` with hi reachable."""
+    """A sweep value: ``v``, integer ``lo:hi``, or ``lo:hi:step`` up to its last member in hi."""
     try:
         nums = [float(p) for p in text.split(":")]
     except ValueError:
@@ -558,7 +554,8 @@ def _expand_range(text: str) -> list[float]:
     lo, hi, step = nums if len(nums) == 3 else (*nums, 1.0)
     if step == 0:
         raise UsageError(f"sweep range {text!r} has step 0")
-    vals = [lo + i * step for i in range(int(round((hi - lo) / step)) + 1)]
+    # 1e-9 step of slack keeps hi when (hi - lo)/step rounds just below a whole number
+    vals = [lo + i * step for i in range(math.floor((hi - lo) / step + 1e-9) + 1)]
     if not vals:
         raise UsageError(f"sweep range {text!r} is empty")
     return vals
@@ -676,20 +673,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
     check_names = [f"{rep['name']}" + (f"_k{format(rep['k'], 'g')}" if rep["k"] else "")
                    + (f"_l{rep['ell']}" if rep["ell"] is not None else "")
                    for rep in results[0][1]]
-    columns: list[tuple[str, list]] = [(k, []) for k in param_keys]
-    columns += [(name, []) for name in check_names]
-    columns.append(("min_deficit", []))
-    for params, reports in results:
-        for idx, key in enumerate(param_keys):
-            columns[idx][1].append(_fmt_float(params.get(key)))
-        deficits = [rep["deficit"] for rep in reports]
-        for j, rep in enumerate(reports):
-            columns[len(param_keys) + j][1].append(_fmt_float(rep["deficit"]))
-        columns[-1][1].append(_fmt_float(min(deficits)))
+    deficits = [[rep["deficit"] for rep in reports] for _, reports in results]
+    columns = [(key, [params.get(key) for params, _ in results]) for key in param_keys]
+    columns += [(name, [row[j] for row in deficits]) for j, name in enumerate(check_names)]
+    columns.append(("min_deficit", [min(row) for row in deficits]))
     _write_table(cfg.out, columns, cfg.fmt, {"config": cfg.to_dict()})
-
-    worst = min(float(v) for v in columns[-1][1])
-    return EXIT_FINDING if worst < -cfg.tol else EXIT_OK
+    return EXIT_FINDING if min(columns[-1][1]) < -cfg.tol else EXIT_OK
 
 
 # ---------------------------------------------------------------- dump

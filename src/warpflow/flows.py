@@ -48,7 +48,9 @@ A sample is taken at each report time and once more when the run stops,
 whatever the reason, unless the last sample lies within 1e-12 t_final of
 it.  It reads the accepted state: in the r = 0 flows that state's fields,
 the guard's report of it and its speed, so a sample costs no geometry or
-speed call of its own.
+speed call of its own.  Its report records the momenta at k = 1 and 2, every
+k a flow accepts, and `FlowTrace.monotones` holds the flow's rows at both; the
+functionals the rows read are defined in `inequalities`.
 
 Two stabilization details beyond the plain scheme:
 
@@ -84,6 +86,7 @@ import numpy as np
 
 from .ambient import WarpedSpace
 from .grid import SphereGrid
+from .inequalities import phi_quermass, q_imcf, q_k
 from .quantities import (
     QuantityReport,
     full_report,  # noqa: F401  rebound here by perfbench/tracer.py
@@ -134,7 +137,7 @@ _MAX_REJECTIONS = 40
 # the others halve it
 REJECTIONS = ("step_error", "cone", "guard", "domain", "non_finite")
 _SPHERE_IMCF_MIN_H = 1e-3
-# momentum exponents every trace sample records, besides the flow's k
+# momentum exponents every trace sample records; they include every flow's k
 _REPORT_KS = (1.0, 2.0)
 
 
@@ -179,7 +182,7 @@ def _off_cone(spec: FlowSpec, fields: GeometryFields) -> tuple[str, np.ndarray] 
     return None
 
 
-def speed(spec: FlowSpec, space: WarpedSpace, fields: GeometryFields) -> np.ndarray:
+def speed(spec: FlowSpec, fields: GeometryFields) -> np.ndarray:
     """Nodal normal speed of the chosen flow; raises ConeViolation off-cone."""
     off = _off_cone(spec, fields)
     if off is not None:
@@ -294,24 +297,6 @@ def _dt_bound(spec: FlowSpec, fields: GeometryFields, f: np.ndarray, r: float) -
     return spec.max_rel_step / rate if rate > 0 else math.inf
 
 
-def q_imcf_value(n: int, k: float) -> Callable:
-    """|Sigma|^{-(n+k)/n} (int lambda^k dmu - k int lambda^{k-1} lambda' dv
-                          - k/(n+k) lambda^k(a) |Gamma|) of a report."""
-    return lambda r: r.area ** (-(n + k) / n) * (
-        r.momentum(k) - k * r.weighted_vol(k) - k / (n + k) * r.gamma_term(k))
-
-
-def phi_quermass_value(k: int) -> Callable:
-    """int Phi E_k dmu + k W_{k-1} of a report."""
-    return lambda r: r.phi_curvature(k) + k * r.W(k - 1)
-
-
-def q_k_value(n: int, k: int) -> Callable:
-    """W_k^{-(n+2-k)/(n+1-k)} (int Phi E_k dmu + k W_{k-1}) of a report."""
-    lhs = phi_quermass_value(k)
-    return lambda r: r.W(k) ** (-(n + 2 - k) / (n + 1 - k)) * lhs(r)
-
-
 @dataclass(frozen=True)
 class Monotone:
     """One quantity that a flow moves in one direction; `value` reads a
@@ -329,7 +314,7 @@ class Monotone:
 
 
 def _phi_quermass_row(k: int, label: str) -> Monotone:
-    return Monotone(f"phiE{k}_plus_{k}W{k - 1}", -1, phi_quermass_value(k), label)
+    return Monotone(f"phiE{k}_plus_{k}W{k - 1}", -1, lambda r: phi_quermass(r, k), label)
 
 
 @dataclass(frozen=True)
@@ -342,7 +327,7 @@ class Flow:
     cone: Callable           # -> [(quantity, nodal values that must be > 0)]
     speed: Callable          # -> nodal normal speed, on the cone
     diffusion: Callable      # -> nodal |df/dkappa_i| / lambda^2, for rho_est
-    monotones: Callable      # (n, k, ks) -> [Monotone]; ks: imcf exponents
+    monotones: Callable      # (k, ks) -> [Monotone]; ks: imcf exponents
     euclidean_growth: Callable = lambda n: 0.0   # round-sphere growth rate of u
     top_order_only: bool = False                 # k = n only
 
@@ -366,23 +351,23 @@ FLOWS = {
         cone=lambda f, k: [("H", f.H)],
         speed=lambda f, k: 1.0 / f.H,
         diffusion=lambda f, k: 1.0 / (f.H**2 * f.lam**2 * f.v**2),
-        monotones=lambda n, k, ks: [
-            Monotone(f"Q_imcf_{j:g}", -1, q_imcf_value(n, j)) for j in ks],
+        monotones=lambda k, ks: [
+            Monotone(f"Q_imcf_{j:g}", -1, lambda r, j=j: q_imcf(r, j)) for j in ks],
         euclidean_growth=lambda n: 1.0 / n),
     "euclidean_inverse": Flow(
         ambient="euclidean", start_class="{k}-convex",
         cone=_ratio_cone,
         speed=lambda f, k: f.E[k - 1] / f.E[k],
         diffusion=lambda f, k: _ratio_diffusion(f, k) / f.lam**2,
-        monotones=lambda n, k, ks: [
-            Monotone(f"Qk_euclid_{k}", -1, q_k_value(n, k))],
+        monotones=lambda k, ks: [
+            Monotone(f"Qk_euclid_{k}", -1, lambda r: q_k(r, k))],
         euclidean_growth=lambda n: 1.0),
     "hyperbolic_sx": Flow(
         ambient="hyperbolic", start_class="{k}-convex",
         cone=lambda f, k: _ratio_cone(f, k) + [("lambda'", f.dlam)],
         speed=lambda f, k: f.E[k - 1] / f.E[k] - f.support / f.dlam,
         diffusion=lambda f, k: _ratio_diffusion(f, k) / f.lam**2,
-        monotones=lambda n, k, ks: [
+        monotones=lambda k, ks: [
             _phi_quermass_row(k, "monotone_hyp_lhs"),
             *(Monotone(f"W_{ell}", +1, lambda r, ell=ell: r.W(ell), f"monotone_hyp_W_{ell}")
               for ell in (0, 1))]),
@@ -391,16 +376,16 @@ FLOWS = {
         cone=_ratio_cone,
         speed=lambda f, k: f.dlam * (f.E[k - 1] / f.E[k]) - f.support,
         diffusion=lambda f, k: f.dlam * _ratio_diffusion(f, k) / f.lam**2,
-        monotones=lambda n, k, ks: [_phi_quermass_row(k, "monotone_sph_lhs")],
+        monotones=lambda k, ks: [_phi_quermass_row(k, "monotone_sph_lhs")],
         top_order_only=True),
 }
 
 
-def monotones(spec: FlowSpec, n: int, ks=None) -> list[Monotone]:
+def monotones(spec: FlowSpec, ks=None) -> list[Monotone]:
     """The monotone quantities of spec's flow; imcf tracks ks (default spec.k)
     and hyperbolic_sx the quermassintegrals W_0 and W_1."""
     ks = (float(spec.k),) if ks is None else tuple(ks)
-    return FLOWS[spec.kind].monotones(n, spec.k, ks)
+    return FLOWS[spec.kind].monotones(spec.k, ks)
 
 
 @dataclass(frozen=True)
@@ -418,9 +403,9 @@ class TraceSample:
 
 @dataclass
 class FlowTrace:
-    """Time series of one flow run."""
+    """Time series of one flow run, with the space, spec and grid it ran on."""
 
-    n: int
+    space: WarpedSpace
     spec: FlowSpec
     grid: SphereGrid
     samples: list[TraceSample] = field(default_factory=list)
@@ -444,6 +429,15 @@ class FlowTrace:
                 "dt_min": min(dts, default=None), "dt_max": max(dts, default=None)}
 
     @property
+    def n(self) -> int:
+        return self.grid.n
+
+    @property
+    def monotones(self) -> list[Monotone]:
+        """The flow's monotone rows at the momentum exponents every sample records."""
+        return monotones(self.spec, _REPORT_KS)
+
+    @property
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.samples])
 
@@ -460,7 +454,7 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
     n = grid.n
     spec.validate(space, n)
     flow = FLOWS[spec.kind]
-    trace = FlowTrace(n=n, spec=spec, grid=grid)
+    trace = FlowTrace(space=space, spec=spec, grid=grid)
 
     def geom(g: RadialGraph) -> GeometryFields:
         trace.geometry_calls += 1
@@ -485,7 +479,7 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
 
     def rhs(u_arr: np.ndarray) -> np.ndarray:
         flds = geom(RadialGraph(grid=grid, u=u_arr))
-        return tendency(flds, speed(spec, space, flds))
+        return tendency(flds, speed(spec, flds))
 
     def record(dt_used: float) -> None:
         """Sample the accepted state unless the last sample lies within eps_t;
@@ -495,7 +489,7 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
         if renorm_rate:
             g_phys = RadialGraph(grid=grid, u=u * math.exp(log_scale))
             flds = geom(g_phys)
-            live, f_speed = QuantityReport(space, g_phys, flds), speed(spec, space, flds)
+            live, f_speed = QuantityReport(space, g_phys, flds), speed(spec, flds)
         else:
             flds, live, f_speed = fields, report, f_now
         E = flds.E
@@ -503,7 +497,7 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
                   if n >= 2 else None)
         trace.samples.append(TraceSample(
             t=t, u=flds.u.copy(),
-            report=live.detach((*_REPORT_KS, spec.k)),
+            report=live.detach(_REPORT_KS),
             class_report=convexity_class(flds, space, spec.k),
             max_speed=float(np.max(np.abs(f_speed))),
             dt=dt_used, newton_maclaurin_margin=margin,
@@ -516,7 +510,7 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
 
     # evaluated on the stored graph: the renormalized euclidean flows have
     # scale-invariant monotone quantities only
-    guard = monotones(spec, n)
+    guard = monotones(spec)
 
     def guarded(g: RadialGraph, flds: GeometryFields) -> tuple[QuantityReport, list[float]]:
         """A report of g and the guard's values read from it."""
@@ -527,7 +521,7 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
     log_scale = 0.0
     t = 0.0
     report, monitors = guarded(graph0, fields)
-    f_now = speed(spec, space, fields)
+    f_now = speed(spec, fields)
     eps_t = 1e-12 * spec.t_final
     record(0.0)
 
@@ -556,7 +550,7 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
                 u_cand = _rkc_step(u, F0, dt, stages, rhs)
                 graph_cand = RadialGraph(grid=grid, u=u_cand)
                 fields_cand = geom(graph_cand)
-                f_cand = speed(spec, space, fields_cand)
+                f_cand = speed(spec, fields_cand)
                 F_cand = tendency(fields_cand, f_cand)
                 est = 0.8 * (u - u_cand) + 0.4 * dt * (F0 + F_cand)
                 err = float(np.max(np.abs(est))) / max(float(np.max(np.abs(u))), 1e-300)
@@ -630,31 +624,31 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
     return stop(("reached_t_final",), dt)
 
 
-def variational_check(space: WarpedSpace, trace: FlowTrace, spec: FlowSpec,
-                      k: int) -> float:
-    """Max relative residual of dW_k/dt against int f E_k dmu over the trace.
+def variational_check(trace: FlowTrace, k: int) -> float:
+    """Max relative residual of dW_k/dt against int f E_k dmu over the trace,
+    f the speed of the trace's own flow.
 
     Uses centered differences across samples.  For k = n the same stencil is
     also checked against the weighted-curvature evolution identity
     d/dt (int Phi E_n + n W_{n-1}) = int (n+1) u_s E_n f dmu.
     """
+    space, spec, n = trace.space, trace.spec, trace.n
     if not space.is_space_form:
         raise ValueError("variational check needs a space-form ambient")
     if len(trace.samples) < 3:
         raise ValueError("need at least 3 trace samples")
-    n = trace.n
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in 0..{n}")
 
     times = trace.times
     Wk = trace.quermass_series(k)
     if k == n:
-        lhs_series = np.array([phi_quermass_value(n)(s.report) for s in trace.samples])
+        lhs_series = np.array([phi_quermass(s.report, n) for s in trace.samples])
 
     worst = 0.0
     for i in range(1, len(times) - 1):
         flds = geometry(space, trace.sample_graph(i))
-        f = speed(spec, space, flds)
+        f = speed(spec, flds)
         dt2 = times[i + 1] - times[i - 1]
         dW = (Wk[i + 1] - Wk[i - 1]) / dt2
         flux = surface_integral(flds, f * flds.E[k])

@@ -7,8 +7,10 @@ evaluated outside a theorem's hypothesis class on purpose (probing); the
 convexity flags of the input ride along in the report.
 
 Every deficit and functional takes one `quantities.QuantityReport` as its
-surface, and reads its ambient from `rep.space`: the checks of one surface
-share one report, so each integral they read is computed once.
+surface, and a deficit reads its ambient from `rep.space`: the checks of one
+surface share one report, so each integral they read is computed once.  The
+flows' monotone functionals `q_imcf`, `phi_quermass` and `q_k` read no ambient
+(a detached flow sample has none); `flows` imports them, not the reverse.
 
 Reference functions of geodesic balls: xi_k(r) is the weighted curvature
 integral int Phi E_k over the boundary sphere, in closed umbilic form
@@ -27,18 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .ambient import WarpedSpace, sphere_area
-from .flows import (
-    FlowSpec,
-    FlowTrace,
-    monotones,
-    phi_quermass_value,
-    q_imcf_value,
-    q_k_value,
-)
 from .quantities import (
     QuantityReport,
     quermass_recursion,
@@ -49,9 +44,14 @@ from .quantities import (
 )
 from .surface import geometry  # noqa: F401  rebound here by perfbench/tracer.py
 
+if TYPE_CHECKING:
+    from .flows import FlowTrace
+
 __all__ = [
     "DeficitReport",
     "q_imcf",
+    "phi_quermass",
+    "q_k",
     "deficit_boundary_momentum",
     "deficit_weinstock_iso",
     "q_k_euclidean",
@@ -119,7 +119,20 @@ def q_imcf(rep: QuantityReport, k: float) -> float:
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    return q_imcf_value(rep.n, k)(rep)
+    n = rep.n
+    return rep.area ** (-(n + k) / n) * (
+        rep.momentum(k) - k * rep.weighted_vol(k) - k / (n + k) * rep.gamma_term(k))
+
+
+def phi_quermass(rep: QuantityReport, k: int) -> float:
+    """Weighted curvature functional int Phi E_k dmu + k W_{k-1}."""
+    return rep.phi_curvature(k) + k * rep.W(k - 1)
+
+
+def q_k(rep: QuantityReport, k: int) -> float:
+    """`q_k_euclidean` without its checks: W_k^{-(n+2-k)/(n+1-k)} `phi_quermass`."""
+    n = rep.n
+    return rep.W(k) ** (-(n + 2 - k) / (n + 1 - k)) * phi_quermass(rep, k)
 
 
 def deficit_boundary_momentum(rep: QuantityReport, k: float) -> DeficitReport:
@@ -168,12 +181,11 @@ def _require_positive_W(rep: QuantityReport, k: int) -> None:
 
 
 def q_k_euclidean(rep: QuantityReport, k: int) -> float:
-    """Scale-invariant weighted-curvature functional
-    W_k^{-(n+2-k)/(n+1-k)} (int Phi E_k dmu + k W_{k-1})."""
+    """`q_k` of a euclidean surface with W_k > 0."""
     if rep.space.kind != "euclidean":
         raise ValueError("this functional is defined in the euclidean ambient")
     _require_positive_W(rep, k)
-    return q_k_value(rep.n, k)(rep)
+    return q_k(rep, k)
 
 
 def deficit_phi_quermass_euclidean(rep: QuantityReport, k: int) -> DeficitReport:
@@ -190,7 +202,7 @@ def deficit_phi_quermass_euclidean(rep: QuantityReport, k: int) -> DeficitReport
     expo = (n + 2 - k) / (n + 1 - k)
     rhs = ((n + 2 + k) / (2 * (n + 2 - k)) * omega
            * ((n + 1 - k) / omega) ** expo * rep.W(k) ** expo)
-    return _deficit("phi_quermass_euclidean", rep, phi_quermass_value(k)(rep), rhs, k=k)
+    return _deficit("phi_quermass_euclidean", rep, phi_quermass(rep, k), rhs, k=k)
 
 
 def minkowski_residual(rep: QuantityReport, k: int) -> float:
@@ -352,7 +364,7 @@ def _ball_reference_deficit(name: str, rep: QuantityReport, k: int,
                             ell: int) -> DeficitReport:
     """int Phi E_k dmu + k W_{k-1} against (xi_k + k chi_{k-1})(chi_ell^{-1}(W_ell))."""
     space, n = rep.space, rep.n
-    lhs = phi_quermass_value(k)(rep)
+    lhs = phi_quermass(rep, k)
     radius = ball_chi_inverse(space, ell, rep.W(ell), n)
     rhs = ball_xi(space, k, radius, n) + k * ball_chi(space, k - 1, radius, n)
     return _deficit(name, rep, lhs, rhs, k=k, ell=ell, aux={"ball_radius": radius})
@@ -400,26 +412,22 @@ def curve_kwww_deficit(rep: QuantityReport) -> DeficitReport:
                     (L**2 - 2 * math.pi * A) / (2 * math.pi))
 
 
-def monotone_series(trace: FlowTrace, spec: FlowSpec, ks=None) -> dict[str, np.ndarray]:
+def monotone_series(trace: FlowTrace) -> dict[str, np.ndarray]:
     """Per-sample values of the quantities that are monotone along the flow.
 
-    The rows come from the flow's `flows.FLOWS` entry, which the step guard
-    and the evolve trace columns read too; README lists them per flow kind.  ks
-    picks the imcf exponents (default the flow's k); hyperbolic_sx tracks W_0
-    and W_1.  Values are read from the samples' reports.
+    The rows are `trace.monotones`, the flow's `flows.FLOWS` rows at the
+    momentum exponents every sample records (imcf: Q_imcf at k = 1 and 2;
+    hyperbolic_sx: W_0 and W_1 beside its lhs); the step guard and the evolve
+    trace columns read the same table, and README lists it per flow kind.
+    Values are read from the samples' reports.
 
     Plus, for n >= 2, the pointwise Newton-MacLaurin margin
     min(E_k^2 - E_{k+1} E_{k-1}) recorded with each sample, nonnegative
     whenever the curvature vector is real.
     """
-    if spec.kind != trace.spec.kind or spec.k != trace.spec.k:
-        raise ValueError(
-            f"trace was produced by {trace.spec.kind}(k={trace.spec.k}), "
-            f"not {spec.kind}(k={spec.k})"
-        )
     out = {m.name: np.array([m.value(s.report) for s in trace.samples])
-           for m in monotones(spec, trace.n, ks)}
-    if trace.n >= 2:
-        out["newton_maclaurin_margin"] = np.array(
-            [s.newton_maclaurin_margin for s in trace.samples])
+           for m in trace.monotones}
+    margin = [s.newton_maclaurin_margin for s in trace.samples]
+    if None not in margin:                     # n = 1 records no margin
+        out["newton_maclaurin_margin"] = np.array(margin)
     return out

@@ -495,11 +495,13 @@ def parse_grid_spec(spec: str, n: int, fiber_scale: float = 1.0) -> SphereGrid:
     if n == 1:
         if "x" in s:
             raise ValueError(f"n=1 grid spec must be a single count, got {spec!r}")
-        return circle_grid(int(s), fiber_scale)
-    if "x" not in s:
+    elif "x" not in s:
         raise ValueError(f"n=2 grid spec must look like MxP, got {spec!r}")
-    m_str, p_str = s.split("x", 1)
-    return sphere_grid(int(m_str), int(p_str), fiber_scale)
+    try:
+        counts = [int(part) for part in s.split("x", 1)]
+    except ValueError:
+        raise ValueError(f"grid spec {spec!r} holds a count that is not an integer") from None
+    return circle_grid(counts[0], fiber_scale) if n == 1 else sphere_grid(*counts, fiber_scale)
 
 
 def dump_surface_csv(graph: RadialGraph, path: str) -> None:
@@ -527,13 +529,18 @@ def load_surface_csv(path: str, space: WarpedSpace) -> RadialGraph:
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        rows = [list(map(float, row)) for row in reader]
-    if header not in (["theta", "u"], ["theta", "phi", "u"]):
-        raise ValueError(f"{path}: unknown surface CSV header {header}")
-    for line, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise ValueError(f"{path}: line {line} has {len(row)} fields, not {len(header)}")
+        header = next(reader, [])
+        if header not in (["theta", "u"], ["theta", "phi", "u"]):
+            raise ValueError(f"{path}: unknown surface CSV header {header or '(empty file)'}")
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise ValueError(f"{path}: line {reader.line_num} has {len(row)} fields, "
+                                 f"not {len(header)}")
+            try:
+                rows.append([float(cell) for cell in row])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     data = np.asarray(rows).reshape(-1, len(header))
     axes = [np.unique(data[:, c], return_inverse=True) for c in range(len(header) - 1)]
     if len(axes) == 1:

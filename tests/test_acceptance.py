@@ -127,7 +127,7 @@ def test_A01_equality_cases(fine):
 def test_A02_imcf_monotone_and_limit(imcf_trace):
     trace, spec = imcf_trace
     assert trace.termination == ("reached_t_final",)
-    series = monotone_series(trace, spec, ks=(1.0, 2.0))
+    series = monotone_series(trace)
     limits = {1.0: 2 / 3 * sphere_area(2) ** -0.5, 2.0: 0.5 * sphere_area(2) ** -1}
     assert limits[1.0] == pytest.approx(0.188063, abs=1e-6)
     assert limits[2.0] == pytest.approx(0.0397887, abs=1e-7)
@@ -173,7 +173,7 @@ def test_A03_exponential_laws(imcf_trace, einv_trace):
 def test_A04_Qk_monotone_and_limit(einv_trace):
     trace, spec = einv_trace
     assert trace.termination == ("reached_t_final",)
-    series = monotone_series(trace, spec)
+    series = monotone_series(trace)
     q = series["Qk_euclid_1"]
     assert np.all(per_step_increase(q) <= 1e-6)
     n, k = 2, 1
@@ -194,7 +194,7 @@ def test_A05_hyperbolic_monotone_pair(sx_trace):
     assert trace.termination == ("reached_t_final",)
     start = trace.samples[0].class_report
     assert start.static_convex, "seed must be static convex"
-    series = monotone_series(trace, spec)
+    series = monotone_series(trace)
     lhs = series["phiE1_plus_1W0"]
     assert np.all(per_step_increase(lhs) <= 1e-6)
     for name in ("W_0", "W_1"):
@@ -209,7 +209,7 @@ def test_A06_sphere_monotone(bgl_trace):
     trace, spec = bgl_trace
     assert trace.termination == ("reached_t_final",)
     assert trace.samples[0].class_report.convex
-    series = monotone_series(trace, spec)
+    series = monotone_series(trace)
     lhs = series["phiE2_plus_2W1"]
     assert np.all(per_step_increase(lhs) <= 1e-6)
     report("A6", f"phi E_2 + 2 W_1 max per-step increase "
@@ -252,7 +252,7 @@ def test_A08_variational_formula(imcf_trace):
     assert spec.report_dt == 0.01
     worst = {}
     for k in (0, 1, 2):
-        worst[k] = variational_check(EU, trace, spec, k)
+        worst[k] = variational_check(trace, k)
         assert worst[k] <= 1e-3
     report("A8", "variational residuals " +
            ", ".join(f"k={k}: {v:.1e}" for k, v in worst.items()) + " <= 1e-3")

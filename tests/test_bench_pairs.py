@@ -1,5 +1,6 @@
-"""tools/bench_pairs.py refuses to summarize a run that failed an operation, and
-ends with one summary line per end-to-end metric.
+"""tools/bench_pairs.py refuses to summarize a run that failed an operation,
+keeps the medians of three traced runs per side and refuses counts that do not
+repeat, and ends with one summary line per end-to-end metric.
 
     python -m pytest tests/test_bench_pairs.py -q
 """
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-from bench_pairs import run_once, summarize, summary_lines  # noqa: E402
+from bench_pairs import main, run_once, summarize, summary_lines  # noqa: E402
 
 sys.path.pop(0)
 
@@ -61,3 +62,66 @@ def test_summary_line_per_metric_cites_medians_wins_and_spread():
     assert lines[1] == ("flow_imcf sweep_members_per_s (1/s, higher is better): "
                         "parent median 50.5, change median 51, median_rel +0.99%, "
                         "change wins 3/4, parent q1..q3 49.5..51.25 (spread 1.75)")
+
+
+_SPEC = {"end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}],
+         "per_layer": [{"name": "grid.differentiate.calls", "unit": "count", "better": "lower"},
+                       {"name": "grid.differentiate.s", "unit": "s", "better": "lower"}]}
+
+
+def traced_checkout(root: Path, log: Path, traced: list[dict]) -> Path:
+    """A checkout whose perfbench/run.py appends its name and --trace value to
+    log, and whose i-th traced run reports the metrics traced[i]."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "BENCHMARK.json").write_text(json.dumps(_SPEC))
+    (root / "perfbench" / "run.py").write_text(f"""import json, sys
+trace = sys.argv[sys.argv.index("--trace") + 1]
+with open({str(log)!r}, "a") as fh:
+    fh.write({root.name!r} + " " + trace + "\\n")
+with open({str(log)!r}) as fh:
+    done = sum(line.split() == [{root.name!r}, "1"] for line in fh) - 1
+metrics = {{"wall_s": 0.5}} if trace == "0" else {traced!r}[done]
+print(json.dumps({{"correct": True, "failed": 0,
+                  "metrics": {{k: {{"value": v}} for k, v in metrics.items()}}}}))
+""")
+    return root
+
+
+def _traced(calls, seconds):
+    return [{"grid.differentiate.calls": c, "grid.differentiate.s": t}
+            for c, t in zip(calls, seconds)]
+
+
+def test_traced_seed_keeps_medians_of_three_alternating_runs(tmp_path):
+    log = tmp_path / "runs.log"
+    parent = traced_checkout(tmp_path / "parent", log,
+                             _traced([154] * 3, [0.066, 0.061, 0.064]))
+    change = traced_checkout(tmp_path / "change", log,
+                             _traced([154] * 3, [0.065, 0.078, 0.070]))
+    out = tmp_path / "bench.json"
+    assert main(["--parent", str(parent), "--change", str(change), "--workload", "flow_imcf",
+                 "--seeds", "1", "7919", "--seconds", "1", "--out", str(out), "--label", "imcf",
+                 "--traced-seed", "1"]) == 0
+    traced = [line.split()[0] for line in log.read_text().splitlines()
+              if line.endswith(" 1")]
+    assert traced == ["parent", "change", "change", "parent", "parent", "change"]
+    record = json.loads(out.read_text())["runs"]["imcf"]["traced"]
+    assert record["parent"]["metrics"] == {"grid.differentiate.calls": 154,
+                                           "grid.differentiate.s": 0.064}
+    assert record["change"]["metrics"] == {"grid.differentiate.calls": 154,
+                                           "grid.differentiate.s": 0.070}
+    assert record["change"]["runs"] == 3
+
+
+def test_traced_seed_refuses_a_count_that_does_not_repeat(tmp_path):
+    log = tmp_path / "runs.log"
+    parent = traced_checkout(tmp_path / "parent", log, _traced([154] * 3, [0.06] * 3))
+    change = traced_checkout(tmp_path / "change", log, _traced([154, 155, 154], [0.06] * 3))
+    with pytest.raises(SystemExit) as exc:
+        main(["--parent", str(parent), "--change", str(change), "--workload", "flow_imcf",
+              "--seeds", "1", "7919", "--seconds", "1", "--out", str(tmp_path / "bench.json"),
+              "--label", "imcf", "--traced-seed", "1"])
+    message = str(exc.value)
+    assert "change" in message and "grid.differentiate.calls" in message
+    assert "[154, 155, 154]" in message
+    assert not (tmp_path / "bench.json").exists()

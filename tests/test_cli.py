@@ -320,6 +320,50 @@ def test_sweep_legendre_eps(tmp_path, capsys):
     assert abs(deficits[0]) < 1e-10
     assert all(b > a - 1e-12 for a, b in zip(deficits, deficits[1:]))
     capsys.readouterr()
+    # a range stops at its last member within hi, whatever the rounding of (hi - lo)/step
+    for text, members in (("0:1:0.6", [0.0, 0.6]), ("1:0:-0.6", [1.0, 0.4]),
+                          ("0:0.5:0.3", [0.0, 0.3]), ("0:0.1:0.05", [0.0, 0.05, 0.1]),
+                          ("0:0.3:0.1", [0.0, 0.1, 0.2, 0.30000000000000004])):
+        swept = _sweep_members(f"legendre:r0=1,eps={text},l=2")
+        assert [params["eps"] for _, params in swept] == members, text
+    assert run(["sweep", "--grid", "16x32", "--surface", "legendre:r0=1,eps=0:0.5:0.3,l=2",
+                "--check", "girao"]) == EXIT_OK
+    assert [row["eps"] for row in csv.DictReader(capsys.readouterr().out.splitlines())] == [
+        "0.0", "0.3"]
+
+
+def test_sweep_json_cells_are_numbers(capsys):
+    assert run(["sweep", "--grid", "16x32", "--surface", "legendre:r0=1,eps=0:0.1:0.05,l=2",
+                "--check", "girao", "--check", "weinstock", "--format", "json"]) == EXIT_OK
+    samples = json.loads(capsys.readouterr().out)["samples"]
+    assert [row["eps"] for row in samples] == [0.0, 0.05, 0.1]
+    for row in samples:
+        assert row.keys() == {"eps", "l", "r0", "boundary_momentum_k1", "weinstock_iso",
+                              "min_deficit"}
+        assert all(type(cell) is float for cell in row.values()), row
+        assert row["min_deficit"] == min(row["boundary_momentum_k1"], row["weinstock_iso"])
+
+
+def test_empty_surface_file_is_a_usage_error(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    assert run(["verify", "--surface-file", str(empty), "--check", "girao"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(empty) in err and "empty" in err
+
+
+def test_non_numeric_surface_cell_names_file_and_line(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("theta,phi,u\n0.1,0.2,1.0\n0.1,abc,1.0\n")
+    assert run(["verify", "--surface-file", str(bad), "--check", "girao"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{bad}: line 3" in err and "'abc'" in err
+
+
+def test_malformed_grid_spec_names_the_spec(capsys):
+    for n, spec in (("2", "64x"), ("2", "x128"), ("2", "64xabc"), ("1", "5l2")):
+        assert run(["verify", "--n", n, "--grid", spec, "--check", "girao"]) == EXIT_USAGE
+        assert f"grid spec {spec!r}" in capsys.readouterr().err, spec
 
 
 def test_sweep_bandlimited_seeds(tmp_path, capsys):

@@ -46,17 +46,17 @@ def test_spec_validation():
 def test_imcf_speed_unit_sphere():
     g = sphere_grid(32, 64)
     graph = make_seed_surface(EU, g, "round", r0=1.0)
-    f = speed(FlowSpec(kind="imcf"), EU, geometry(EU, graph))
+    f = speed(FlowSpec(kind="imcf"), geometry(EU, graph))
     assert np.abs(f - 0.5).max() < 1e-12
 
 
 def test_stationary_speeds_on_geodesic_spheres():
     g = sphere_grid(32, 64)
     graph = make_seed_surface(HY, g, "round", r0=1.0)
-    f = speed(FlowSpec(kind="hyperbolic_sx", k=1), HY, geometry(HY, graph))
+    f = speed(FlowSpec(kind="hyperbolic_sx", k=1), geometry(HY, graph))
     assert np.abs(f).max() < 1e-12
     graph = make_seed_surface(SP, g, "round", r0=1.0)
-    f = speed(FlowSpec(kind="sphere_bgl", k=2), SP, geometry(SP, graph))
+    f = speed(FlowSpec(kind="sphere_bgl", k=2), geometry(SP, graph))
     assert np.abs(f).max() < 1e-12
 
 
@@ -76,11 +76,11 @@ def test_cone_guards_speed_and_start(kind):
     spec = FlowSpec(kind=kind, k=k, t_final=1e-3, report_dt=1e-3)
     graph = make_seed_surface(space, g, "legendre", r0=1, eps=eps, l=l)
     with pytest.raises(ConeViolation, match=f"{kind}: cone condition {quantity} > 0 fails"):
-        speed(spec, space, geometry(space, graph))
+        speed(spec, geometry(space, graph))
     with pytest.raises(ValueError, match=f"needs a {start_class} start, min {quantity} ="):
         evolve(space, graph, spec)
     round_graph = make_seed_surface(space, g, "round", r0=1.0)
-    assert np.all(np.isfinite(speed(spec, space, geometry(space, round_graph))))
+    assert np.all(np.isfinite(speed(spec, geometry(space, round_graph))))
     assert evolve(space, round_graph, spec).termination == ("reached_t_final",)
 
 
@@ -88,14 +88,14 @@ def test_forward_euler_step():
     # the graph tendency du/dt = f v of imcf on the unit sphere is 1/2
     g = sphere_grid(32, 64)
     fields = geometry(EU, make_seed_surface(EU, g, "round", r0=1.0))
-    tendency = speed(FlowSpec(kind="imcf"), EU, fields) * fields.v
+    tendency = speed(FlowSpec(kind="imcf"), fields) * fields.v
     assert np.abs(tendency - 0.5).max() < 1e-12
 
 
 def test_stationary_step_hyperbolic():
     g = sphere_grid(32, 64)
     fields = geometry(HY, make_seed_surface(HY, g, "round", r0=1.0))
-    tendency = speed(FlowSpec(kind="hyperbolic_sx", k=1), HY, fields) * fields.v
+    tendency = speed(FlowSpec(kind="hyperbolic_sx", k=1), fields) * fields.v
     assert np.abs(tendency).max() < 3e-12
 
 
@@ -223,7 +223,7 @@ def test_variational_check_needs_samples():
     spec = FlowSpec(kind="imcf", k=1, t_final=0.1, report_dt=0.1)
     trace = evolve(EU, graph, spec)
     with pytest.raises(ValueError, match="samples"):
-        variational_check(EU, trace, spec, 1)
+        variational_check(trace, 1)
 
 
 def test_variational_check_round_imcf():
@@ -232,7 +232,18 @@ def test_variational_check_round_imcf():
     spec = FlowSpec(kind="imcf", k=1, t_final=0.2, report_dt=0.01)
     trace = evolve(EU, graph, spec)
     for k in (0, 1, 2):
-        assert variational_check(EU, trace, spec, k) < 1e-3
+        assert variational_check(trace, k) < 1e-3
+
+
+def test_variational_check_reads_the_traces_own_flow():
+    # a euclidean_inverse trace is checked against its own speed E_{k-1}/E_k
+    g = sphere_grid(16, 32)
+    graph = make_seed_surface(EU, g, "legendre", r0=1, eps=0.1, l=2)
+    spec = FlowSpec(kind="euclidean_inverse", k=1, t_final=0.05, report_dt=0.01)
+    trace = evolve(EU, graph, spec)
+    assert trace.space is EU and trace.spec is spec and trace.n == 2
+    for k in (0, 1, 2):
+        assert variational_check(trace, k) < 1e-3
 
 
 def test_accepted_steps_stay_in_cone():
@@ -260,25 +271,25 @@ def test_monotone_table_read_by_guard_series_and_cli(kind):
     spec = FlowSpec(kind=kind, k=k, t_final=1e-3, report_dt=1e-3)
     trace = evolve(space, graph, spec)
 
-    guard = monotones(spec, 2)
+    guard = monotones(spec)
     assert {m.name: m.direction for m in guard} == expected
-    series = monotone_series(trace, spec)
-    assert list(series) == [m.name for m in guard] + ["newton_maclaurin_margin"]
+    # the trace's rows are the flow's rows at the recorded exponents, the guard's among them
+    rows = {m.name: m for m in trace.monotones}
+    assert rows.keys() >= expected.keys()
+    assert all(rows[m.name].direction == m.direction for m in guard)
+    series = monotone_series(trace)
+    assert list(series) == list(rows) + ["newton_maclaurin_margin"]
     at_start = QuantityReport(space, graph)
     for m in guard:
         assert m.value(at_start) == series[m.name][0]
 
-    ks = sorted(trace.samples[0].report.momenta)
-    rows = monotones(spec, 2, ks)
-    cli_rows = {m.name: m for m in rows}
-    columns = dict(_trace_columns(trace, monotone_series(trace, spec, ks), rows))
-    for m in guard:
-        assert cli_rows[m.name].direction == m.direction
-        assert columns[cli_rows[m.name].label or m.name] == list(series[m.name])
-        against = {m.name: np.array([1.0, 1.0 - 0.01 * m.direction])}
-        along = {m.name: np.array([1.0, 1.0 + 0.01 * m.direction])}
-        assert _series_monotone_ok(against, spec, [m]) == [m.name]
-        assert _series_monotone_ok(along, spec, [m]) == []
+    columns = dict(_trace_columns(trace, series))
+    along = {name: np.array([1.0, 1.0 + 0.01 * m.direction]) for name, m in rows.items()}
+    assert _series_monotone_ok(trace, along) == []
+    for name, m in rows.items():
+        assert columns[m.label or name] == list(series[name])
+        against = {**along, name: np.array([1.0, 1.0 - 0.01 * m.direction])}
+        assert _series_monotone_ok(trace, against) == [name]
 
 
 def _imcf_bandlimited_input():
@@ -536,7 +547,7 @@ def _power_iteration(space, graph, spec, iters=60, delta=1e-7):
 
     def rhs(u):
         fields = geometry(space, graph.with_values(u))
-        return polar_filter(speed(spec, space, fields) * fields.v)
+        return polar_filter(speed(spec, fields) * fields.v)
 
     F0 = rhs(graph.u)
     v = np.random.default_rng(0).standard_normal(graph.u.shape)

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -392,14 +395,32 @@ def test_equality_detection_margins(fine_grid):
     assert kwong_miao_deficit(rep, 1).deficit > 10 * grid_error
 
 
+_IMPORT_INEQUALITIES_ALONE = """
+import sys, types
+package = types.ModuleType("warpflow")      # the package without its __init__
+package.__path__ = [sys.argv[1]]
+sys.modules["warpflow"] = package
+import warpflow.inequalities
+print(sorted(m for m in sys.modules if m.startswith("warpflow.")))
+"""
+
+
+def test_inequalities_do_not_import_flows():
+    # the dependency runs one way: flows -> inequalities -> quantities
+    package = str(Path(ineq.__file__).resolve().parent)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_INEQUALITIES_ALONE, package],
+                          capture_output=True, text=True, timeout=120, check=True)
+    loaded = proc.stdout.strip()
+    assert "'warpflow.inequalities'" in loaded and "'warpflow.quantities'" in loaded
+    assert "warpflow.flows" not in loaded
+
+
 def test_monotone_series_mismatch_guard():
     g = sphere_grid(32, 64)
     graph = make_seed_surface(EU, g, "round", r0=1.0)
     spec = FlowSpec(kind="imcf", k=1, t_final=0.1, report_dt=0.05)
     trace = evolve(EU, graph, spec)
-    with pytest.raises(ValueError, match="produced by"):
-        monotone_series(trace, FlowSpec(kind="euclidean_inverse", k=1))
-    series = monotone_series(trace, spec, ks=(1.0,))
+    series = monotone_series(trace)
     assert "Q_imcf_1" in series
     assert series["newton_maclaurin_margin"].min() >= -1e-10
 

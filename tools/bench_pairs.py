@@ -9,9 +9,13 @@ Each seed is one pair: both checkouts run ``perfbench/run.py --trace 0`` on that
 seed, the parent first on even pairs and the change first on odd ones, so a
 drift of the machine's speed does not favour either side.  The summary gives,
 per end-to-end metric of BENCHMARK.json, the median and quartiles of each side
-and the number of pairs the change wins.  ``--traced-seed N`` adds one
-``--trace 1`` run per side on seed N and keeps its per-layer metrics (call
-counts, layer times) next to the pairs, so a claim about a layer cites them.
+and the number of pairs the change wins.  ``--traced-seed N`` adds three
+``--trace 1`` runs per side on seed N, alternating which side goes first, and
+keeps the median of each per-layer metric (call counts, layer times) next to
+the pairs, so a claim about a layer cites them: one traced run's layer times
+vary by about 20% between runs of one checkout.  An exact count (a per-layer
+metric in count, flop or B) that differs between the runs of one side ends
+the script, naming the metric.
 The runs land under ``--label`` in the output file, which keeps the labels
 already there.  The script ends with one stderr line per end-to-end metric:
 both medians, ``median_rel``, the pairs the change wins and the parent's
@@ -32,6 +36,7 @@ from pathlib import Path
 
 STDERR_TAIL = 20          # lines of a failed run's stderr or FAIL lines that are shown
 COUNT_UNITS = ("count", "flop", "B")   # per-layer metrics that are exact counts
+TRACED_RUNS = 3           # --trace 1 runs per side on the traced seed
 
 
 def run_once(side: str, checkout: Path, workload: str, seed: int, seconds: float,
@@ -92,6 +97,21 @@ def progress_line(label: str, pair: dict, metrics: list[dict]) -> str:
         for m in metrics)
 
 
+def traced_medians(side: str, runs: list[dict], per_layer: list[dict]) -> dict:
+    """One side's traced runs as one run with the median of each metric.
+
+    A per-layer count that differs between the runs ends the script, naming
+    the metric: the counts of one checkout must repeat exactly."""
+    counts = {m["name"] for m in per_layer if m["unit"] in COUNT_UNITS}
+    medians = {}
+    for name in runs[0]["metrics"]:
+        values = [run["metrics"][name] for run in runs]
+        if name in counts and len(set(values)) > 1:
+            raise SystemExit(f"{side} traced runs disagree on the count {name}: {values}")
+        medians[name] = statistics.median(values)
+    return {"correct": True, "failed": 0, "runs": len(runs), "metrics": medians}
+
+
 def traced_counts_line(label: str, traced: dict, metrics: list[dict]) -> str:
     """The per-layer counts of the traced runs that differ, parent -> change."""
     def count(side, name):
@@ -129,7 +149,8 @@ def main(argv=None) -> int:
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--label", required=True)
     p.add_argument("--traced-seed", type=int, default=None,
-                   help="also run --trace 1 once per side on this seed")
+                   help=f"also run --trace 1 {TRACED_RUNS} times per side on this seed "
+                        "and keep the medians")
     args = p.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
@@ -159,9 +180,13 @@ def main(argv=None) -> int:
                   "command": (f"python3 perfbench/run.py --workload {args.workload} "
                               f"--seed {args.traced_seed} --seconds {args.seconds:g} "
                               f"--trace 1")}
-        for side in ("parent", "change"):
-            traced[side] = run_once(side, getattr(args, side), args.workload,
-                                    args.traced_seed, args.seconds, trace=1)
+        runs = {"parent": [], "change": []}
+        for i in range(TRACED_RUNS):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                runs[side].append(run_once(side, getattr(args, side), args.workload,
+                                           args.traced_seed, args.seconds, trace=1))
+        for side, side_runs in runs.items():
+            traced[side] = traced_medians(side, side_runs, spec["per_layer"])
         run["traced"] = traced
         print(traced_counts_line(args.label, traced, spec["per_layer"]), file=sys.stderr)
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
