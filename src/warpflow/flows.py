@@ -475,7 +475,8 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
 
     def tendency(flds: GeometryFields, f: np.ndarray) -> np.ndarray:
         """The stepped right-hand side at a graph with fields flds and speed f."""
-        return polar_filter(f * flds.v) - renorm_rate * flds.u
+        F = polar_filter(f * flds.v)
+        return F - renorm_rate * flds.u if renorm_rate else F
 
     def rhs(u_arr: np.ndarray) -> np.ndarray:
         flds = geom(RadialGraph(grid=grid, u=u_arr))

@@ -106,23 +106,27 @@ def _phi_stencil_matrix(P: int) -> np.ndarray:
 def _phi_derivatives(ut: np.ndarray, C: np.ndarray) -> np.ndarray:
     """First and second circulant phi-derivatives of longitude-major values.
 
-    ut holds the nodal values with the periodic axis first, shape (P, M); the
-    result has shape (P, 2, M), u_phi in [:, 0] and u_phiphi in [:, 1].  Each
-    ring's maximum is subtracted first: a maximum selects a value, so the
-    shift is exact and the same under any longitude roll, and a field constant
-    along a ring becomes exactly 0, so its phi-derivatives are exactly 0 (the
-    pole rings' cot(theta) and 1/sin^2(theta) factors would amplify any
-    residue).  Longitude j then reads the window ext[j : j + P] of the
-    periodic extension ext[i] = v[i - P/2], an ordinary row-major P x M
-    matrix viewed in place, and gets both derivatives from one (2 x P)(P x M)
-    product with the stencil matrix C of `_phi_stencil_matrix`.  Every window
-    starts at its own longitude, so rolling the input hands each longitude
-    the same numbers in the same order and rolls the outputs bitwise.
+    ut holds the nodal values with the periodic axis first, shape (P, M), and
+    may be the transposed view of (M, P) values; the result has shape
+    (P, 2, M), u_phi in [:, 0] and u_phiphi in [:, 1].  Each ring's maximum
+    is subtracted first: a maximum selects a value, so the shift is exact and
+    the same under any longitude roll, and a field constant along a ring
+    becomes exactly 0, so its phi-derivatives are exactly 0 (the pole rings'
+    cot(theta) and 1/sin^2(theta) factors would amplify any residue).  The
+    differences v are written straight into the periodic extension
+    ext[i] = v[i - P/2], 2P rows, and longitude j reads its window
+    ext[j : j + P], an ordinary row-major P x M matrix viewed in place, and
+    gets both derivatives from one (2 x P)(P x M) product with the stencil
+    matrix C of `_phi_stencil_matrix`.  Every window starts at its own
+    longitude, so rolling the input hands each longitude the same numbers in
+    the same order and rolls the outputs bitwise.
     """
     P, M = ut.shape
     half = P // 2
-    v = ut - ut.max(axis=0)
-    ext = np.concatenate([v[half:], v, v[:half]])
+    ext = np.empty((2 * P, M))
+    np.subtract(ut, ut.max(axis=0), out=ext[half:P + half])
+    ext[:half] = ext[P:P + half]
+    ext[P + half:] = ext[half:P]
     s0, s1 = ext.strides
     windows = np.lib.stride_tricks.as_strided(ext, (P, P, M), (s0, s0, s1), writeable=False)
     return np.matmul(C, windows)
@@ -279,7 +283,7 @@ def differentiate(grid: SphereGrid, u: np.ndarray) -> tuple[np.ndarray, np.ndarr
     x = _theta_extend(u)
     _dtheta(x, h_t, out=ut)
     _d2theta(x, h_t, out=htt)
-    phi_t = _phi_derivatives(np.ascontiguousarray(u.T), grid._phi_stencil)
+    phi_t = _phi_derivatives(u.T, grid._phi_stencil)
     up[...] = phi_t[:, 0].T
     _dtheta(_theta_extend(up), h_t, out=htp)                 # u_theta phi
     np.subtract(htp, (cos_t / sin_t) * up, out=htp)

@@ -30,6 +30,7 @@ and `full_report` detaches a new report of a given surface.
 from __future__ import annotations
 
 import json
+import math
 from functools import lru_cache, wraps
 from typing import Callable
 
@@ -54,12 +55,18 @@ class UnsupportedAmbientError(ValueError):
 
 
 def surface_integral(fields: GeometryFields, integrand) -> float:
-    """Integrate nodal values over the surface measure."""
+    """Integrate nodal values over the surface measure.
+
+    A non-finite integrand raises ValueError naming its first such node.  The
+    weighted sum is formed first and the integrand is scanned only when the
+    sum is not finite, so a finite integrand whose sum overflows returns inf.
+    """
     integrand = np.asarray(integrand, dtype=float)
-    if not np.all(np.isfinite(integrand)):
+    total = float(np.sum(integrand * fields.area_weight))
+    if not math.isfinite(total) and not np.all(np.isfinite(integrand)):
         idx = int(np.argmax(~np.isfinite(integrand).ravel()))
         raise ValueError(f"non-finite integrand at {fields.grid.node_label(idx)}")
-    return float(np.sum(integrand * fields.area_weight))
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -262,7 +269,7 @@ class QuantityReport:
 
     @_kept
     def curvature(self, k: int) -> float:  # int E_k dmu
-        return surface_integral(self.fields, self.fields.E[k])
+        return self.area if k == 0 else surface_integral(self.fields, self.fields.E[k])
 
     @_kept
     def phi_curvature(self, k: int) -> float:  # int Phi E_k dmu

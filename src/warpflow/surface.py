@@ -20,6 +20,13 @@ of the frame second fundamental form, which is all a flow stage reads; the
 principal curvatures and the area weight are computed on first read (see
 `GeometryFields`).  The curvature half-gap is a square root of a sum of
 squares, so kappa is real by construction.  For n = 1, kappa = h/g.
+
+The `bandlimited` seed family sums random harmonics up to degree lmax: all
+coefficients come from one draw, and the sum is two small matrix products
+with a cached, read-only (M, T) table of normalized associated Legendre
+columns, one per harmonic (`_bandlimited_profile`).  The checks that a
+graph's radii and warping are valid reduce first (extrema) and scan the
+nodes, to name the first faulty one, only when the reduction fails.
 """
 
 from __future__ import annotations
@@ -70,6 +77,11 @@ class DomainError(ValueError):
 
 
 def _validate_graph_range(space: WarpedSpace, grid: SphereGrid, u: np.ndarray) -> None:
+    """Raise DomainError naming the first node whose radius is not finite or
+    leaves (a, b).  The two extrema clear a valid graph (a NaN fails both
+    comparisons); the nodes are scanned only when they do not."""
+    if u.min() > space.a and u.max() < space.b:
+        return
     bad = ~np.isfinite(u) | (u <= space.a) | (u >= space.b)
     if np.any(bad):
         idx = int(np.argmax(bad.ravel()))
@@ -108,7 +120,7 @@ class GeometryFields:
     def n(self) -> int:
         return self.grid.n
 
-    @property
+    @functools.cached_property
     def H(self) -> np.ndarray:
         """Unnormalized mean curvature n * E_1."""
         return self.grid.n * self.E[1]
@@ -148,7 +160,7 @@ def geometry(space: WarpedSpace, graph: RadialGraph) -> GeometryFields:
     u = graph.u
     _validate_graph_range(space, grid, u)
     lam, dlam, _ = space.warp(u)
-    if np.any(lam <= 0):
+    if not lam.min() > 0 and np.any(lam <= 0):
         idx = int(np.argmax((lam <= 0).ravel()))
         raise DomainError(f"warping nonpositive at {grid.node_label(idx)}")
 
@@ -372,24 +384,24 @@ def _lpmv(m: int, v: int, x: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _assoc_legendre_table(theta: bytes, lmax: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """P_l^m(cos theta) / max(1, max |P_l^m|) as (M, 1) columns, row l-1 holding m = 0..l.
+def _assoc_legendre_table(theta: bytes, lmax: int) -> np.ndarray:
+    """P_l^m(cos theta) / max(1, max |P_l^m|) as one read-only (M, T) matrix.
 
-    Keyed on the bytes of the colatitude nodes: every grid with the same
-    nodes reads one table, whatever the seed.  The arrays are read-only.
+    Column t holds the t-th pair (l, m) in the order l = 1..lmax, m = 0..l,
+    T = lmax (lmax + 3) / 2 in all.  Keyed on the bytes of the colatitude
+    nodes: every grid with the same nodes reads one table, whatever the seed.
     """
-    x = np.cos(np.frombuffer(theta)[:, None])
-    rows = []
+    x = np.cos(np.frombuffer(theta))
+    table = np.empty((x.size, lmax * (lmax + 3) // 2))
+    t = 0
     for ell in range(1, lmax + 1):
-        row = []
         for m in range(0, ell + 1):
             assoc = _lpmv(m, ell, x)
             # keep coefficients O(1) despite the lpmv normalization
-            assoc = assoc / max(1.0, np.abs(assoc).max())
-            assoc.flags.writeable = False
-            row.append(assoc)
-        rows.append(tuple(row))
-    return tuple(rows)
+            np.divide(assoc, max(1.0, np.abs(assoc).max()), out=table[:, t])
+            t += 1
+    table.flags.writeable = False
+    return table
 
 
 def _legendre_profile(grid: SphereGrid, ell: int) -> np.ndarray:
@@ -400,28 +412,34 @@ def _legendre_profile(grid: SphereGrid, ell: int) -> np.ndarray:
 
 
 def _bandlimited_profile(grid: SphereGrid, seed: int, lmax: int) -> np.ndarray:
-    """Random low-order harmonic combination, normalized to unit max amplitude."""
+    """Random low-order harmonic combination, normalized to unit max amplitude.
+
+    One draw of standard normal pairs (a, b) gives every coefficient, one pair
+    per harmonic: a cos(l theta) + b sin(l theta), l = 1..lmax, for n = 1, and
+    P_l^m(cos theta) (a cos(m phi) + b sin(m phi)) in the column order of
+    `_assoc_legendre_table` for n = 2 (b unused at m = 0).  For n = 1 the sum
+    is one (m, 2 lmax) matrix-vector product.  For n = 2 it is two matrix
+    products: (M, T)(T, 2 lmax + 1) collects the coefficient of each longitude
+    harmonic 1, cos(m phi), sin(m phi) per ring, then (M, 2 lmax + 1) times
+    those harmonics' (2 lmax + 1, P) values.
+    """
     rng = np.random.default_rng(seed)
+    ell = np.arange(1, lmax + 1)
     if grid.n == 1:
-        t = grid.theta
-        pert = np.zeros_like(t)
-        for ell in range(1, lmax + 1):
-            a, b = rng.standard_normal(2)
-            pert += a * np.cos(ell * t) + b * np.sin(ell * t)
+        t = np.multiply.outer(grid.theta, ell)
+        basis = np.stack([np.cos(t), np.sin(t)], axis=-1).reshape(t.shape[0], 2 * lmax)
+        pert = basis @ rng.standard_normal((lmax, 2)).ravel()
     else:
-        p = grid.phi[None, :]
+        m = np.concatenate([np.arange(deg + 1) for deg in ell])
+        coef = rng.standard_normal((m.size, 2))
+        by_order = np.zeros((m.size, 2 * lmax + 1))
+        by_order[np.arange(m.size), m] = coef[:, 0]
+        sine = m > 0
+        by_order[sine, lmax + m[sine]] = coef[sine, 1]
+        mp = np.multiply.outer(ell, grid.phi)
+        harmonics = np.concatenate([np.ones((1, grid.phi.size)), np.cos(mp), np.sin(mp)])
         table = _assoc_legendre_table(grid.theta.tobytes(), lmax)
-        cos_mp = [np.cos(m * p) for m in range(lmax + 1)]
-        sin_mp = [np.sin(m * p) for m in range(lmax + 1)]
-        pert = np.zeros(grid.shape)
-        for ell in range(1, lmax + 1):
-            for m in range(0, ell + 1):
-                a, b = rng.standard_normal(2)
-                assoc = table[ell - 1][m]
-                if m == 0:
-                    pert += a * assoc
-                else:
-                    pert += assoc * (a * cos_mp[m] + b * sin_mp[m])
+        pert = (table @ by_order) @ harmonics
     return pert / np.abs(pert).max()
 
 

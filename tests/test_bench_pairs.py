@@ -113,6 +113,18 @@ def test_traced_seed_keeps_medians_of_three_alternating_runs(tmp_path):
     assert record["change"]["runs"] == 3
 
 
+def test_one_seed_is_its_own_median_and_quartiles(tmp_path):
+    log = tmp_path / "runs.log"
+    parent = traced_checkout(tmp_path / "parent", log, [])
+    change = traced_checkout(tmp_path / "change", log, [])
+    out = tmp_path / "bench.json"
+    assert main(["--parent", str(parent), "--change", str(change), "--workload", "flow_imcf",
+                 "--seeds", "7919", "--seconds", "1", "--out", str(out), "--label", "imcf"]) == 0
+    summary = json.loads(out.read_text())["runs"]["imcf"]["summary"]["wall_s"]
+    assert summary["parent"] == summary["change"] == {"q1": 0.5, "median": 0.5, "q3": 0.5}
+    assert summary["change_wins"] == "0/1" and summary["median_rel"] == 0.0
+
+
 def test_traced_seed_refuses_a_count_that_does_not_repeat(tmp_path):
     log = tmp_path / "runs.log"
     parent = traced_checkout(tmp_path / "parent", log, _traced([154] * 3, [0.06] * 3))

@@ -179,16 +179,40 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-def test_cli_runs_without_importing_scipy():
-    """Importing scipy.special tripled the start-up of a warpflow call; nothing on
-    the CLI path of the built-in ambients may import any of scipy."""
+def _fresh_python(script: str) -> str:
+    """The stdout of script run by a new interpreter that imports this warpflow."""
     src = str(Path(warpflow.cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PATH_SCRIPT], env=env,
-                          capture_output=True, text=True, timeout=300, check=True)
-    codes, modules = proc.stdout.splitlines()
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300, check=True).stdout
+
+
+def test_cli_runs_without_importing_scipy():
+    """Importing scipy.special tripled the start-up of a warpflow call; nothing on
+    the CLI path of the built-in ambients may import any of scipy."""
+    codes, modules = _fresh_python(_IMPORT_PATH_SCRIPT).splitlines()
     assert codes == str([EXIT_OK] * 9)
+    assert modules == "[]"
+
+
+def test_importing_every_module_loads_no_scipy():
+    # the Legendre ports in warpflow.surface stand in for scipy.special; scipy is
+    # imported only where a custom warping is interpolated, when one is built.
+    # warpflow.__main__ runs the CLI when imported and imports only warpflow.cli.
+    out = _fresh_python("""
+import importlib, pkgutil, sys
+import warpflow
+names = [info.name for info in pkgutil.iter_modules(warpflow.__path__, "warpflow.")
+         if info.name != "warpflow.__main__"]
+for name in names:
+    importlib.import_module(name)
+print(" ".join(names))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+""")
+    names, modules = out.splitlines()
+    assert {f"warpflow.{name}" for name in ("ambient", "cli", "flows", "grid", "inequalities",
+                                            "quantities", "surface")} <= set(names.split())
     assert modules == "[]"
 
 

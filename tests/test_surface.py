@@ -1,7 +1,9 @@
 import dataclasses
 import math
 import os
+import re
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,8 +14,10 @@ from warpflow.ambient import make_custom, make_space_form
 from warpflow.grid import circle_grid, differentiate, sphere_grid
 from warpflow.quantities import surface_integral
 from warpflow.surface import (
+    DomainError,
     RadialGraph,
     _assoc_legendre_table,
+    _bandlimited_profile,
     _legendre,
     _lpmv,
     convexity_class,
@@ -203,11 +207,41 @@ def test_legendre_port_on_circle_grids(m):
 
 
 def _scipy_bandlimited(grid, seed, lmax):
-    """The bandlimited profile as computed with scipy.special.lpmv, one call per term."""
+    """The bandlimited profile with its Legendre columns from scipy.special.lpmv,
+    summed by the two matrix products that warpflow uses."""
     rng = np.random.default_rng(seed)
+    x = np.cos(grid.theta)
+    columns, orders = [], []
+    for ell in range(1, lmax + 1):
+        for m in range(0, ell + 1):
+            assoc = lpmv(m, ell, x)
+            columns.append(assoc / max(1.0, np.abs(assoc).max()))
+            orders.append(m)
+    by_order = np.zeros((len(orders), 2 * lmax + 1))
+    for t, (m, (a, b)) in enumerate(zip(orders, rng.standard_normal((len(orders), 2)))):
+        by_order[t, m] = a
+        if m > 0:
+            by_order[t, lmax + m] = b
+    mp = np.multiply.outer(np.arange(1, lmax + 1), grid.phi)
+    harmonics = np.concatenate([np.ones((1, grid.phi.size)), np.cos(mp), np.sin(mp)])
+    pert = (np.stack(columns, axis=1) @ by_order) @ harmonics
+    return pert / np.abs(pert).max()
+
+
+def _per_term_bandlimited(grid, seed, lmax):
+    """The unnormalized bandlimited sum one harmonic at a time, and the sum of
+    the coefficients' magnitudes: an independent oracle for the products."""
+    rng = np.random.default_rng(seed)
+    pert, size = np.zeros(grid.shape), 0.0
+    if grid.n == 1:
+        t = grid.theta
+        for ell in range(1, lmax + 1):
+            a, b = rng.standard_normal(2)
+            pert += a * np.cos(ell * t) + b * np.sin(ell * t)
+            size += abs(a) + abs(b)
+        return pert, size
     p = grid.phi[None, :]
     x = np.cos(grid.theta[:, None])
-    pert = np.zeros(grid.shape)
     for ell in range(1, lmax + 1):
         for m in range(0, ell + 1):
             a, b = rng.standard_normal(2)
@@ -215,9 +249,11 @@ def _scipy_bandlimited(grid, seed, lmax):
             assoc = assoc / max(1.0, np.abs(assoc).max())
             if m == 0:
                 pert += a * assoc
+                size += abs(a)
             else:
                 pert += assoc * (a * np.cos(m * p) + b * np.sin(m * p))
-    return pert / np.abs(pert).max()
+                size += abs(a) + abs(b)
+    return pert, size
 
 
 @pytest.mark.parametrize("M,P", [(32, 64), (64, 128), (128, 256)])
@@ -226,11 +262,29 @@ def test_bandlimited_seeds_read_one_shared_table(M, P):
     for seed, lmax in ((7, 4), (11, 6)):
         u = make_seed_surface(EU, grid, "bandlimited", seed=seed, r0=1, amp=0.05, lmax=lmax).u
         assert np.array_equal(u, 1.0 * (1.0 + 0.05 * _scipy_bandlimited(grid, seed, lmax)))
-    # every grid with these colatitudes reads the same read-only table
+    # every grid with these colatitudes reads the same read-only (M, T) table,
+    # one column per (l, m) with l = 1..4, m = 0..l
     table = _assoc_legendre_table(grid.theta.tobytes(), 4)
     assert table is _assoc_legendre_table(sphere_grid(M, 2 * P).theta.tobytes(), 4)
-    assert [len(row) for row in table] == [2, 3, 4, 5]
-    assert not any(col.flags.writeable for row in table for col in row)
+    assert table.shape == (M, 14)
+    assert not table.flags.writeable
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=st.sampled_from([(17, 34), (33, 66), (34,)]),
+       seed=st.integers(0, 2**32 - 1), lmax=st.integers(1, 8))
+def test_bandlimited_products_match_the_per_term_sum(grid, seed, lmax):
+    # the products round in another order than the per-term sum; each sum's
+    # rounding error scales with the coefficients' magnitudes, so the profiles
+    # may differ by a few eps times that sum over max |pert|, which normalizes
+    # the profile to max |w| = 1.  Over 2100 draws on these grids the largest
+    # difference was 2.5 such units, and 6.5 ulp of max |w| = 1.
+    g = sphere_grid(*grid) if len(grid) == 2 else circle_grid(*grid)
+    w = _bandlimited_profile(g, seed, lmax)
+    pert, size = _per_term_bandlimited(g, seed, lmax)
+    scale = np.abs(pert).max()
+    assert np.abs(w - pert / scale).max() <= 4 * np.finfo(float).eps * size / scale
+    assert np.abs(w).max() == 1.0
 
 
 def test_seed_domain_violation():
@@ -375,6 +429,79 @@ def test_non_finite_fields_raise_naming_the_node():
     with pytest.raises(FloatingPointError, match=f"non-finite area weight at {node}"):
         surface_integral(dataclasses.replace(f, v=v), 1.0)
     assert np.isfinite(f.kappa).all() and np.isfinite(f.area_weight).all()
+
+
+_GRIDS = st.one_of(st.builds(circle_grid, st.sampled_from([16, 18, 34])),
+                   st.builds(sphere_grid, st.sampled_from([16, 17]), st.sampled_from([32, 34])))
+
+
+def _faults(data, grid, values):
+    """Distinct flat node indices, ascending, each paired with a value drawn from values."""
+    nodes = data.draw(st.lists(st.integers(0, grid.node_count - 1), min_size=1, max_size=3,
+                               unique=True))
+    return [(idx, data.draw(st.sampled_from(values))) for idx in sorted(nodes)]
+
+
+def _label(grid, faults):
+    return re.escape(grid.node_label(faults[0][0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=_GRIDS, space=st.sampled_from([EU, SP, make_custom("cosh", a=0.5)]),
+       data=st.data())
+def test_radius_faults_raise_naming_the_first_node(grid, space, data):
+    # the extrema clear a valid graph; a radius that is not finite or leaves
+    # (a, b) is found by the node scan, which names the first such node
+    faults = _faults(data, grid, [math.nan, math.inf, -math.inf, space.a, space.a - 0.25,
+                                  space.b, space.b + 0.25])
+    w = np.zeros(grid.shape)
+    w += 0.25 * np.cos(grid.theta).reshape(-1, *[1] * (grid.n - 1))
+    for idx, bad in faults:
+        w.flat[idx] = bad - 1.0                   # u = 1 + w is bad exactly
+    match = f"at {_label(grid, faults)} is outside the ambient domain"
+    with pytest.raises(DomainError, match=match):
+        geometry(space, RadialGraph(grid=grid, u=1.0 + w))
+    with mock.patch("warpflow.surface._bandlimited_profile", lambda *_: w), \
+            pytest.raises(DomainError, match=match):
+        make_seed_surface(space, grid, "bandlimited", seed=1, r0=1, amp=1, lmax=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=_GRIDS, data=st.data())
+def test_warping_faults_raise_naming_the_first_node(grid, data):
+    # lambda <= 0 anywhere is a DomainError at the first such node; a NaN lambda
+    # is not nonpositive, and the finiteness check of v names its node
+    faults = _faults(data, grid, [math.nan, 0.0, -0.5])
+    lam = np.full(grid.shape, math.sin(1.0))
+    for idx, bad in faults:
+        lam.flat[idx] = bad
+    space = dataclasses.replace(SP, warp=lambda r: (lam, *SP.warp(r)[1:]))
+    graph = make_seed_surface(SP, grid, "round", r0=1.0)
+    nonpositive = [(idx, bad) for idx, bad in faults if bad <= 0]
+    with np.errstate(invalid="ignore"):
+        if nonpositive:
+            with pytest.raises(DomainError,
+                               match=f"warping nonpositive at {_label(grid, nonpositive)}$"):
+                geometry(space, graph)
+        else:
+            with pytest.raises(FloatingPointError, match=f"non-finite v at {_label(grid, faults)}$"):
+                geometry(space, graph)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=_GRIDS, sign=st.sampled_from([1.0, -1.0]), data=st.data())
+def test_integrand_faults_raise_and_overflow_returns_inf(grid, sign, data):
+    f = geometry(EU, make_seed_surface(EU, grid, "round", r0=1.0))
+    faults = _faults(data, grid, [math.nan, math.inf, -math.inf])
+    integrand = np.ones(grid.shape)
+    for idx, bad in faults:
+        integrand.flat[idx] = bad
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(ValueError, match=f"non-finite integrand at {_label(grid, faults)}$"):
+        surface_integral(f, integrand)
+    # every value is finite but the weighted sum overflows: inf, and no error
+    with np.errstate(over="ignore"):
+        assert surface_integral(f, np.full(grid.shape, sign * 1e308)) == sign * math.inf
 
 
 def test_parse_surface_spec():

@@ -65,6 +65,9 @@ def run_once(side: str, checkout: Path, workload: str, seed: int, seconds: float
 
 
 def quartiles(values: list[float]) -> dict:
+    """q1, median and q3 of values; a single value is all three."""
+    if len(values) == 1:
+        return dict.fromkeys(("q1", "median", "q3"), values[0])
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": q1, "median": median, "q3": q3}
 
