@@ -4,19 +4,22 @@ An ambient space is the product [a, b) x N carrying the metric
 dr^2 + lambda(r)^2 g_N.  The fiber N is a round n-sphere whose metric is
 scaled by a constant factor c, so |N| = c^n |S^n|.  Everything downstream
 needs only the warping function lambda with two derivatives, the radial
-potential Phi(r) = int_0^r lambda(s) ds, and a few descriptor flags, so a
-space is bundled as those evaluators plus domain metadata.
+potential Phi(r) = int_0^r lambda(s) ds, the radial integrals
+int_a^r lambda(s)^p ds for p = 1, 2 that enclosed volumes read, and a few
+descriptor flags, so a space is bundled as those evaluators plus domain
+metadata.
 
 Space forms use the classical warpings (r, sinh r, sin r) with potentials
 (r^2/2, cosh r - 1, 1 - cos r).  Custom warpings form a closed menu
-(power_cubic, cosh, tabulated) so that first and second derivatives stay
-exact, or spline-consistent for tabulated input.
+(power_cubic, cosh) whose derivatives and radial integrals are all closed
+forms, so no evaluator needs quadrature.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -52,10 +55,12 @@ class WarpedSpace:
     """Descriptor of one warped-product ambient space.
 
     `warp` returns (lambda, lambda', lambda'') at radius r, `potential`
-    returns Phi(r).  Both accept scalars or arrays and are pure, so a
-    space is safe to share between any number of workers.  The arrays that
-    `warp` returns may be r itself or one another (lambda'' is lambda in
-    hyperbolic space), so a caller never writes into them.
+    returns Phi(r), and `radial(p, r)` returns int_a^r lambda(s)^p ds for
+    p = 1, 2 in closed form (exactly 0.0 at r = a).  All three accept
+    scalars or arrays and are pure, so a space is safe to share between any
+    number of workers.  The arrays that `warp` returns may be r itself or one
+    another (lambda'' is lambda in hyperbolic space), so a caller never
+    writes into them.
     """
 
     kind: str                 # euclidean | hyperbolic | sphere | custom
@@ -65,6 +70,7 @@ class WarpedSpace:
     fiber_scale: float        # c > 0; fiber metric is c^2 * round metric
     warp: WarpEvaluator
     potential: Callable[[np.ndarray], np.ndarray]
+    radial: Callable[[int, np.ndarray], np.ndarray]
 
     @property
     def has_inner_boundary(self) -> bool:
@@ -89,6 +95,42 @@ class WarpedSpace:
     def fiber_area(self, n: int) -> float:
         """|N| for fiber dimension n: c^n times the unit-sphere area."""
         return self.fiber_scale**n * sphere_area(n)
+
+
+# 1/((2j+2)(2j+3)), j = 1..8: ratios of consecutive terms of the odd Taylor
+# series sinh x - x = sum_{j >= 1} x^{2j+1}/(2j+1)!, kept through x^19
+_ODD_SERIES_RATIOS = tuple(1.0 / ((2 * j + 2) * (2 * j + 3)) for j in range(1, 9))
+
+
+def _space_form_antiderivative(K: int, power: int, u) -> np.ndarray:
+    """F(u) = int_0^u lambda(s)^power ds for the space-form warping of curvature K.
+
+    K = 0: u^{p+1}/(p+1).  K = -1, 1 with p = 1: 2 sinh^2(u/2), 2 sin^2(u/2);
+    with p = 2: (sinh 2u - 2u)/4, (2u - sin 2u)/4.  Below |2u| = 1 the p = 2
+    forms are summed as their odd Taylor series in x = 2u (truncation error
+    below 1e-17 relative), because there the direct difference loses a factor
+    6/x^2 to cancellation; a switch at x = 0.5 would leave 2.4e-15 relative.
+    The series is summed at those nodes only.
+    """
+    u = np.asarray(u, dtype=float)
+    if K == 0:
+        return u ** (power + 1) / (power + 1)
+    if power == 1:
+        half = np.sinh(0.5 * u) if K == -1 else np.sin(0.5 * u)
+        return 2.0 * half * half
+    if power != 2:
+        raise ValueError(f"no closed-form antiderivative of lambda^{power}")
+    x = 2.0 * u
+    F = np.asarray(np.sinh(x) - x if K == -1 else x - np.sin(x))
+    small = np.abs(x) < 1.0
+    if small.any():
+        xs = x[small]
+        x2 = -K * xs * xs
+        acc = np.ones_like(xs)
+        for ratio in reversed(_ODD_SERIES_RATIOS):
+            acc = 1.0 + x2 * ratio * acc
+        F[small] = xs * xs * xs / 6.0 * acc
+    return 0.25 * F
 
 
 def _space_form_evaluators(K: int):
@@ -121,7 +163,8 @@ def _space_form_evaluators(K: int):
 
     else:
         raise ValueError(f"curvature tag must be -1, 0 or +1, got {K}")
-    return warp, potential
+    # a = 0, and F(0) = 0.0 exactly, so F(r) is the radial integral itself
+    return warp, potential, partial(_space_form_antiderivative, K)
 
 
 _SPACE_FORM_KIND = {0: "euclidean", -1: "hyperbolic", 1: "sphere"}
@@ -129,7 +172,7 @@ _SPACE_FORM_KIND = {0: "euclidean", -1: "hyperbolic", 1: "sphere"}
 
 def make_space_form(K: int) -> WarpedSpace:
     """The simply connected space form of curvature K in {-1, 0, +1}."""
-    warp, potential = _space_form_evaluators(K)
+    warp, potential, radial = _space_form_evaluators(K)
     return WarpedSpace(
         kind=_SPACE_FORM_KIND[K],
         a=0.0,
@@ -138,6 +181,7 @@ def make_space_form(K: int) -> WarpedSpace:
         fiber_scale=1.0,
         warp=warp,
         potential=potential,
+        radial=radial,
     )
 
 
@@ -147,18 +191,25 @@ def make_custom(
     c: float = 1.0,
     *,
     beta: float | None = None,
-    table: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> WarpedSpace:
     """Custom warped product from the closed warping menu.
 
     power_cubic: lambda = r + beta r^3 with beta >= 0, increasing and convex.
     cosh:        lambda = cosh r; requires a > 0 since lambda'(0) = 0.
-    user_table:  cubic-spline fit of tabulated (r, lambda) samples.
+
+    Both are positive on (a, inf) for every finite a >= 0 and beta >= 0, the
+    parameters that are accepted.  Each radial integral int_a^r lambda^p ds
+    is written with r - a as a factor, so it keeps its relative accuracy as r
+    approaches a.
     """
+    for name, value in (("a", a), ("c", c), ("beta", beta)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"custom warping {name} must be finite, got {value}")
     if a < 0:
         raise ValueError("inner radius a must be nonnegative")
     if c <= 0:
         raise ValueError("fiber_scale must be positive")
+    a = float(a)
 
     if family == "power_cubic":
         if beta is None:
@@ -175,7 +226,21 @@ def make_custom(
             r = np.asarray(r, dtype=float)
             return 0.5 * r * r + 0.25 * bb * r**4
 
-        b = math.inf
+        def radial(power, r):
+            # int_a^r s^(k-1) ds = (r - a) S_k / k with S_k = sum_j r^j a^(k-1-j),
+            # summed by S_{k+2} = r^(k+1) + a^(k+1) + r a S_k: no cancellation
+            r = np.asarray(r, dtype=float)
+            r2, ra = r * r, r * a
+            if power == 1:
+                s2 = r + a
+                s4 = r2 * r + a**3 + ra * s2
+                return (r - a) * (s2 / 2.0 + bb * s4 / 4.0)
+            if power != 2:
+                raise ValueError(f"no closed-form antiderivative of lambda^{power}")
+            s3 = r2 + a * a + ra
+            s5 = r2 * r2 + a**4 + ra * s3
+            s7 = r2 * r2 * r2 + a**6 + ra * s5
+            return (r - a) * (s3 / 3.0 + 2.0 * bb * s5 / 5.0 + bb * bb * s7 / 7.0)
 
     elif family == "cosh":
         if a == 0:
@@ -190,59 +255,22 @@ def make_custom(
         def potential(r):
             return np.sinh(np.asarray(r, dtype=float))
 
-        b = math.inf
-
-    elif family == "user_table":
-        if table is None:
-            raise ValueError("user_table requires a (radii, values) table")
-        r_tab = np.asarray(table[0], dtype=float)
-        lam_tab = np.asarray(table[1], dtype=float)
-        if r_tab.ndim != 1 or r_tab.shape != lam_tab.shape or r_tab.size < 4:
-            raise ValueError("table must be two equal 1-d arrays of length >= 4")
-        if np.any(np.diff(r_tab) <= 0):
-            raise ValueError("table radii must be strictly increasing")
-        # imported here: scipy.interpolate roughly doubles the import cost of
-        # the package and only tabulated warpings use it
-        from scipy.interpolate import CubicSpline
-
-        spline = CubicSpline(r_tab, lam_tab)
-        d1 = spline.derivative(1)
-        d2 = spline.derivative(2)
-        anti = spline.antiderivative()
-        # Phi is normalized at max(0, table start); the spline antiderivative
-        # integrates the evaluator exactly, well inside the 1e-12 budget.
-        pivot = float(anti(max(0.0, r_tab[0])) if r_tab[0] <= 0 else anti(r_tab[0]))
-
-        def warp(r):
+        def radial(power, r):
+            # sinh r - sinh a and (sinh 2r - sinh 2a)/4 as products with sinh(r - a)
             r = np.asarray(r, dtype=float)
-            return spline(r), d1(r), d2(r)
-
-        def potential(r):
-            return anti(np.asarray(r, dtype=float)) - pivot
-
-        b = float(r_tab[-1])
+            if power == 1:
+                return 2.0 * np.cosh(0.5 * (r + a)) * np.sinh(0.5 * (r - a))
+            if power != 2:
+                raise ValueError(f"no closed-form antiderivative of lambda^{power}")
+            return 0.5 * (r - a) + 0.5 * np.cosh(r + a) * np.sinh(r - a)
 
     else:
         raise ValueError(f"unknown custom warping family {family!r}")
 
-    space = WarpedSpace(
-        kind="custom", a=float(a), b=b, K=None, fiber_scale=float(c),
-        warp=warp, potential=potential,
+    return WarpedSpace(
+        kind="custom", a=a, b=math.inf, K=None, fiber_scale=float(c),
+        warp=warp, potential=potential, radial=radial,
     )
-    _check_positive_warp(space)
-    return space
-
-
-def _check_positive_warp(space: WarpedSpace) -> None:
-    """lambda finite and positive at 64 radii in (a, min(b, max(2(a + 1), 10))]."""
-    hi = min(space.b, max(2.0 * (space.a + 1.0), 10.0))
-    r = np.linspace(space.a, hi, 65)[1:]
-    lam = space.lam(r)
-    if not np.all(np.isfinite(lam)):
-        raise ValueError("warping function not finite on the sampled domain")
-    if np.any(lam <= 0):
-        bad = float(r[np.argmax(lam <= 0)])
-        raise ValueError(f"warping function not positive at r = {bad}")
 
 
 @dataclass(frozen=True)

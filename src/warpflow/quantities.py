@@ -3,13 +3,10 @@
 Surface integrals are weighted nodal sums with the area weights from
 `GeometryFields`; numpy's pairwise summation keeps the reduction
 deterministic for a fixed grid shape.  Enclosed-volume integrals split into
-an exact fiber quadrature and a radial integral int_a^u lambda^n ds.  In
-space forms the radial integral is F(u) - F(a) with F an exact
-antiderivative of lambda^n (`_space_form_antiderivative`); for custom
-warpings it is evaluated by Gauss-Legendre panels whose order doubles until
-the total stops moving (the warpings in the menu are analytic, so this
-converges fast).  Weighted volumes use the radial antiderivative of
-lambda^{n+k-1} lambda', which is exact in every ambient.
+an exact fiber quadrature and a radial integral int_a^u lambda^n ds, which
+every ambient evaluates in closed form (`WarpedSpace.radial`).  Weighted
+volumes use the radial antiderivative of lambda^{n+k-1} lambda', which is
+exact in every ambient.
 
 Quermassintegrals in space forms follow the curvature-integral recursion
     int E_k dmu = (n - k) W_{k+1} - k K W_{k-1},    k = 1..n-1,
@@ -31,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from functools import lru_cache, wraps
+from functools import wraps
 from typing import Callable
 
 import numpy as np
@@ -69,76 +66,9 @@ def surface_integral(fields: GeometryFields, integrand) -> float:
     return total
 
 
-@lru_cache(maxsize=None)
-def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(order)
-    # map to [0, 1]
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
-def _radial_integral(space: WarpedSpace, power: int, a: float, upper: np.ndarray) -> np.ndarray:
-    """int_a^{upper} lambda(s)^power ds per node, Gauss order doubling until
-    the total moves by at most 1e-12 relative."""
-    upper = np.asarray(upper, dtype=float)
-    span = upper - a
-    prev = None
-    for order in (16, 32, 64, 128, 256):
-        x, w = _gauss_nodes(order)
-        s = a + span[..., None] * x
-        lam = space.lam(s)
-        vals = span * np.sum(w * lam**power, axis=-1)
-        if prev is not None:
-            total, total_prev = float(np.sum(vals)), float(np.sum(prev))
-            if abs(total - total_prev) <= 1e-12 * max(abs(total), 1e-300):
-                return vals
-        prev = vals
-    return vals
-
-
-# 1/((2j+2)(2j+3)), j = 1..8: ratios of consecutive terms of the odd Taylor
-# series sinh x - x = sum_{j >= 1} x^{2j+1}/(2j+1)!, kept through x^19
-_ODD_SERIES_RATIOS = tuple(1.0 / ((2 * j + 2) * (2 * j + 3)) for j in range(1, 9))
-
-
-def _space_form_antiderivative(K: int, power: int, u) -> np.ndarray:
-    """F(u) = int_0^u lambda(s)^power ds for the space-form warping of curvature K.
-
-    K = 0: u^{p+1}/(p+1).  K = -1, 1 with p = 1: 2 sinh^2(u/2), 2 sin^2(u/2);
-    with p = 2: (sinh 2u - 2u)/4, (2u - sin 2u)/4.  Below |2u| = 1 the p = 2
-    forms are summed as their odd Taylor series in x = 2u (truncation error
-    below 1e-17 relative), because there the direct difference loses a factor
-    6/x^2 to cancellation; a switch at x = 0.5 would leave 2.4e-15 relative.
-    The series is summed at those nodes only.
-    """
-    u = np.asarray(u, dtype=float)
-    if K == 0:
-        return u ** (power + 1) / (power + 1)
-    if power == 1:
-        half = np.sinh(0.5 * u) if K == -1 else np.sin(0.5 * u)
-        return 2.0 * half * half
-    if power != 2:
-        raise ValueError(f"no closed-form antiderivative of lambda^{power}")
-    x = 2.0 * u
-    F = np.asarray(np.sinh(x) - x if K == -1 else x - np.sin(x))
-    small = np.abs(x) < 1.0
-    if small.any():
-        xs = x[small]
-        x2 = -K * xs * xs
-        acc = np.ones_like(xs)
-        for ratio in reversed(_ODD_SERIES_RATIOS):
-            acc = 1.0 + x2 * ratio * acc
-        F[small] = xs * xs * xs / 6.0 * acc
-    return 0.25 * F
-
-
 def radial_integral(space: WarpedSpace, power: int, upper) -> np.ndarray:
-    """int_a^{upper} lambda(s)^power ds per node: exact in space forms,
-    Gauss-Legendre quadrature for custom warpings."""
-    if space.is_space_form:
-        F = _space_form_antiderivative(space.K, power, upper)
-        # F(0) = 0.0 exactly, so without an inner boundary F(u) is the integral
-        return F if space.a == 0 else F - _space_form_antiderivative(space.K, power, space.a)
-    return _radial_integral(space, power, space.a, upper)
+    """int_a^{upper} lambda(s)^power ds per node, in closed form in every ambient."""
+    return space.radial(power, upper)
 
 
 def volume(space: WarpedSpace, graph: RadialGraph) -> float:
@@ -247,7 +177,8 @@ class QuantityReport:
     @property
     @_kept
     def volume(self) -> float:
-        """|Omega|, one radial quadrature; the quermassintegrals read it as W_0."""
+        """|Omega|, one closed-form radial integral per node; the quermassintegrals
+        read it as W_0."""
         return volume(self.space, self.graph)
 
     @_kept

@@ -567,8 +567,9 @@ def load_surface_csv(path: str, space: WarpedSpace) -> RadialGraph:
     else:
         grid = sphere_grid(axes[0][0].size, axes[1][0].size, space.fiber_scale)
         nodes = (grid.theta, grid.phi)
-    if not all(np.allclose(want, got, atol=1e-12) for want, (got, _) in zip(nodes, axes)):
-        raise ValueError(f"{path}: node columns do not match an equiangular grid")
+    for name, want, (got, _) in zip(header, nodes, axes):
+        if not np.allclose(want, got, rtol=0.0, atol=1e-12):
+            raise ValueError(f"{path}: {name} column does not match an equiangular grid")
     flat = np.ravel_multi_index(tuple(inv for _, inv in axes), grid.shape)
     counts = np.bincount(flat, minlength=grid.node_count)
     if np.any(counts != 1):

@@ -104,21 +104,22 @@ def test_power_cubic_rejects_negative_beta():
         make_custom("power_cubic", beta=-0.5)
 
 
+@pytest.mark.parametrize("family, kwargs, name", [
+    ("power_cubic", {"beta": math.nan}, "beta"),
+    ("power_cubic", {"beta": math.inf}, "beta"),
+    ("cosh", {"a": math.inf}, "a"),
+    ("cosh", {"a": 0.5, "c": math.nan}, "c"),
+])
+def test_custom_rejects_nonfinite_parameters(family, kwargs, name):
+    with pytest.raises(ValueError, match=f"custom warping {name} must be finite"):
+        make_custom(family, **kwargs)
+
+
 def test_power_cubic_ratio_limit():
     cu = make_custom("power_cubic", beta=1.0)
     lam, dlam, d2lam = cu.warp(np.asarray(100.0))
     ratio = d2lam * lam / dlam**2
     assert ratio == pytest.approx(2.0 / 3.0, rel=0.01)
-
-
-def test_user_table_tracks_sampled_warp():
-    r_tab = np.linspace(0.0, 6.0, 400)
-    space = make_custom("user_table", a=0.0, table=(r_tab, np.sinh(r_tab)))
-    hy = make_space_form(-1)
-    r = np.linspace(0.5, 5.0, 50)
-    assert np.abs(space.lam(r) - hy.lam(r)).max() < 1e-6
-    assert np.abs(space.phi(r) - hy.phi(r)).max() < 1e-6
-    assert space.b == 6.0
 
 
 def test_probe_hyperbolic_all_hold():

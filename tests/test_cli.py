@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import json
@@ -197,23 +198,54 @@ def test_cli_runs_without_importing_scipy():
 
 
 def test_importing_every_module_loads_no_scipy():
-    # the Legendre ports in warpflow.surface stand in for scipy.special; scipy is
-    # imported only where a custom warping is interpolated, when one is built.
+    # the Legendre ports in warpflow.surface stand in for scipy.special, and
+    # every ambient's radial integrals are closed forms, so neither importing a
+    # module nor reading a custom ambient's volume loads scipy.
     # warpflow.__main__ runs the CLI when imported and imports only warpflow.cli.
     out = _fresh_python("""
-import importlib, pkgutil, sys
+import importlib, math, pkgutil, sys
 import warpflow
 names = [info.name for info in pkgutil.iter_modules(warpflow.__path__, "warpflow.")
          if info.name != "warpflow.__main__"]
 for name in names:
     importlib.import_module(name)
 print(" ".join(names))
+from warpflow.ambient import parse_space_spec
+from warpflow.grid import sphere_grid
+from warpflow.quantities import full_report
+from warpflow.surface import make_seed_surface
+volumes = []
+for spec in ("custom:cosh,a=0.5", "custom:power_cubic,beta=0.5"):
+    space = parse_space_spec(spec)
+    graph = make_seed_surface(space, sphere_grid(16, 32), "legendre", r0=1, eps=0.1, l=2)
+    volumes.append(full_report(space, graph).volume)
+print(all(math.isfinite(v) and v > 0 for v in volumes))
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """)
-    names, modules = out.splitlines()
+    names, volumes_ok, modules = out.splitlines()
     assert {f"warpflow.{name}" for name in ("ambient", "cli", "flows", "grid", "inequalities",
                                             "quantities", "surface")} <= set(names.split())
+    assert volumes_ok == "True"
     assert modules == "[]"
+
+
+def test_no_warpflow_module_imports_scipy():
+    """A lazy import inside a function runs only when that function does, so the
+    fresh-interpreter tests above cannot see it; every import statement of the
+    package is read from its source instead."""
+    package = Path(warpflow.cli.__file__).resolve().parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []
 
 
 def test_verify_round_equalities(tmp_path, capsys):

@@ -4,17 +4,20 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
-from warpflow.ambient import make_custom, make_space_form, sphere_area
+from warpflow.ambient import (
+    _ODD_SERIES_RATIOS,
+    _space_form_antiderivative,
+    make_custom,
+    make_space_form,
+    sphere_area,
+)
 from warpflow.grid import circle_grid, sphere_grid
 from warpflow.quantities import (
-    _ODD_SERIES_RATIOS,
     QuantityReport,
     UnsupportedAmbientError,
-    _radial_integral,
-    _space_form_antiderivative,
     full_report,
     quermassintegrals,
     radial_integral,
@@ -125,6 +128,26 @@ def test_radial_integral_is_bitwise_the_two_term_form(K, power):
         got = radial_integral(space, power, u)
         ref = _space_form_antiderivative(K, power, u) - _space_form_antiderivative(K, power, 0.0)
         assert type(got) is type(ref) and np.float64(got).tobytes() == np.float64(ref).tobytes()
+
+
+_CUSTOM_WARPS = {"cosh": lambda s, beta: math.cosh(s),
+                 "power_cubic": lambda s, beta: s + beta * s**3}
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=st.sampled_from(sorted(_CUSTOM_WARPS)), power=st.sampled_from((1, 2)),
+       beta=st.floats(0.0, 2.0), a=st.floats(0.0, 2.0), span=st.floats(1e-8, 5.0))
+def test_custom_radial_integrals_match_quad(family, power, beta, a, span):
+    # closed forms with r - a as a factor keep their relative accuracy down to
+    # r - a = 1e-8, where a difference F(r) - F(a) would lose half its digits
+    assume(family != "cosh" or a > 0)
+    space = (make_custom("cosh", a=a) if family == "cosh"
+             else make_custom("power_cubic", a=a, beta=beta))
+    r = a + span
+    lam = _CUSTOM_WARPS[family]
+    ref = quad(lambda s: lam(s, beta) ** power, a, r, epsabs=0.0, epsrel=2e-14, limit=200)[0]
+    assert radial_integral(space, power, r) == pytest.approx(ref, rel=1e-13, abs=0.0)
+    assert space.radial(power, a) == 0.0
 
 
 def _both_branches(K, u):
@@ -318,16 +341,27 @@ def test_full_report_validation():
         full_report(EU, graph, ks=(0.5,))
 
 
-@settings(max_examples=30, deadline=None)
+def _gauss_radial_integral(space, power, upper, order=64):
+    """Reference int_a^u lambda^power ds per node by one Gauss-Legendre rule on
+    [a, u]; the warpings are analytic, so 64 nodes reach roundoff on these spans."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    span = upper - space.a
+    s = space.a + span[..., None] * (0.5 * (x + 1.0))
+    return span * np.sum(0.5 * w * space.lam(s) ** power, axis=-1)
+
+
+@settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), r0=st.floats(0.05, 2.5),
-       amp=st.floats(0.0, 0.2), lmax=st.integers(1, 6), K=st.sampled_from((-1, 0, 1)),
+       amp=st.floats(0.0, 0.2), lmax=st.integers(1, 6),
+       space=st.sampled_from((EU, HY, SP, make_custom("cosh", a=0.5),
+                              make_custom("power_cubic", beta=0.5))),
        n=st.sampled_from((1, 2)))
-def test_volume_closed_form_matches_quadrature(seed, r0, amp, lmax, K, n):
-    space = make_space_form(K)
+def test_volume_closed_form_matches_quadrature(seed, r0, amp, lmax, space, n):
     grid = circle_grid(64) if n == 1 else sphere_grid(16, 32)
-    graph = make_seed_surface(space, grid, "bandlimited", seed=seed, r0=r0,
+    # (2a + r0)(1 - amp) > a keeps every node outside the inner boundary
+    graph = make_seed_surface(space, grid, "bandlimited", seed=seed, r0=2 * space.a + r0,
                               amp=amp, lmax=lmax)
-    quadrature = float(np.sum(_radial_integral(space, n, 0.0, graph.u) * grid.weights))
+    quadrature = float(np.sum(_gauss_radial_integral(space, n, graph.u) * grid.weights))
     assert volume(space, graph) == pytest.approx(quadrature, rel=1e-13, abs=0.0)
 
 

@@ -570,6 +570,15 @@ def test_surface_csv_roundtrip(tmp_path):
     with pytest.raises(ValueError, match="line 3 has 2 fields"):
         load_surface_csv(str(short), EU)
 
+    # a node column off the grid by more than 1e-12 absolute is refused, also
+    # when the offset is far inside numpy's default relative tolerance of 1e-5
+    skewed = tmp_path / "skewed.csv"
+    skewed.write_text(header + "".join(
+        f"{t},{repr(float(p) * (1.0 + 1e-9))},{u}\n"
+        for t, p, u in (row.strip().split(",") for row in rows)))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(skewed))}: phi column does not"):
+        load_surface_csv(str(skewed), EU)
+
     c = circle_grid(64)
     graph1 = make_seed_surface(EU, c, "legendre", r0=1, eps=0.1, l=2)
     path1 = tmp_path / "curve.csv"
