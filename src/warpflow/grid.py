@@ -56,50 +56,27 @@ def _polar_weights(M: int) -> np.ndarray:
     return w
 
 
-def _fourier_diff_coeffs(P: int) -> tuple[np.ndarray, np.ndarray]:
-    """Circulant first/second spectral-derivative stencils for an even P-grid.
-
-    deriv[j] = sum_o d[o] * u[j - o]; coefficients are the classical
-    cot / 1+sin^-2 trigonometric interpolant formulas, with the symmetry
-    d1[P-o] = -d1[o], d2[P-o] = d2[o] imposed exactly so constants map to
-    (near) zero and parity is preserved.
-    """
-    if P % 2 != 0:
-        raise ValueError("spectral stencil requires even P")
-    h = 2.0 * np.pi / P
-    d1 = np.zeros(P)
-    d2 = np.zeros(P)
-    o = np.arange(1, P // 2)
-    vals1 = 0.5 * (-1.0) ** o / np.tan(0.5 * o * h)
-    vals2 = -((-1.0) ** o) / (2.0 * np.sin(0.5 * o * h) ** 2)
-    d1[1:P // 2] = vals1
-    d1[P // 2 + 1:] = -vals1[::-1]
-    d1[P // 2] = 0.0
-    d2[1:P // 2] = vals2
-    d2[P // 2 + 1:] = vals2[::-1]
-    d2[P // 2] = -((-1.0) ** (P // 2)) / (2.0 * np.sin(0.25 * P * h) ** 2)
-    d2[0] = -np.pi**2 / (3.0 * h * h) - 1.0 / 6.0
-    return d1, d2
-
-
 def _phi_stencil_matrix(P: int) -> np.ndarray:
     """The (2, P) matrix of first- and second-derivative taps in offset order.
 
-    Tap k sits at offset k - P/2, so row r applied to u[j - P/2 : j + P/2] gives
-    the r-th derivative at longitude j: row 0 holds d1[o] at P/2 - o and -d1[o]
-    at P/2 + o; row 1 holds d2[o] at P/2 +- o, d2[0] at P/2 and the Nyquist
-    tap d2[P/2] at 0.
+    Tap k sits at offset k - P/2, so row r applied to u[j - P/2 : j + P/2]
+    gives the r-th spectral derivative at longitude j of an even P-grid with
+    spacing h.  The taps are the classical trigonometric-interpolant ones:
+    row 0 holds (-1)^o cot(o h/2) / 2 at P/2 - o and its negative at P/2 + o;
+    row 1 holds -(-1)^o / (2 sin^2(o h/2)) at P/2 +- o, -pi^2/(3 h^2) - 1/6
+    at P/2 and the Nyquist tap -(-1)^(P/2) / 2 at 0.  Writing each tap and
+    its mirror from one value keeps the antisymmetry of row 0 and the
+    symmetry of row 1 exact.
     """
-    d1, d2 = _fourier_diff_coeffs(P)
     half = P // 2
+    h = 2.0 * np.pi / P
     o = np.arange(1, half)
     C = np.zeros((2, P))
-    C[0, half - o] = d1[o]
-    C[0, half + o] = -d1[o]
-    C[1, half - o] = d2[o]
-    C[1, half + o] = d2[o]
-    C[1, 0] = d2[half]
-    C[1, half] = d2[0]
+    C[0, half - o] = 0.5 * (-1.0) ** o / np.tan(0.5 * o * h)
+    C[0, half + o] = -C[0, half - o]
+    C[1, half - o] = C[1, half + o] = -((-1.0) ** o) / (2.0 * np.sin(0.5 * o * h) ** 2)
+    C[1, 0] = -0.5 * (-1.0) ** half
+    C[1, half] = -np.pi**2 / (3.0 * h * h) - 1.0 / 6.0
     return C
 
 

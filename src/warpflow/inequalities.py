@@ -38,7 +38,6 @@ from .quantities import (
     QuantityReport,
     quermass_recursion,
     quermassintegrals,  # noqa: F401  rebound here by perfbench/tracer.py
-    radial_integral,
     surface_integral,
     volume,  # noqa: F401  rebound here by perfbench/tracer.py
 )
@@ -265,7 +264,7 @@ def _ball_chi(space: WarpedSpace, ell: int, r: float, n: int) -> tuple[float, fl
 
     W = [0.0] * (n + 1)
     if ell != 1:                    # W_1 = |S_r| / n alone does not read W_0
-        W[0] = omega * float(radial_integral(space, n, r))
+        W[0] = omega * float(space.radial(n, r))
     W[1] = omega * lam**n / n
     quermass_recursion(W, n, space.K, curvature)
     return W[ell], curvature(ell)

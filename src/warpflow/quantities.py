@@ -66,14 +66,9 @@ def surface_integral(fields: GeometryFields, integrand) -> float:
     return total
 
 
-def radial_integral(space: WarpedSpace, power: int, upper) -> np.ndarray:
-    """int_a^{upper} lambda(s)^power ds per node, in closed form in every ambient."""
-    return space.radial(power, upper)
-
-
 def volume(space: WarpedSpace, graph: RadialGraph) -> float:
     """Volume enclosed between the inner boundary and the graph."""
-    inner = radial_integral(space, graph.grid.n, graph.u)
+    inner = space.radial(graph.grid.n, graph.u)
     return float(np.sum(inner * graph.grid.weights))
 
 

@@ -24,7 +24,8 @@ squares, so kappa is real by construction.  For n = 1, kappa = h/g.
 The `bandlimited` seed family sums random harmonics up to degree lmax: all
 coefficients come from one draw, and the sum is two small matrix products
 with a cached, read-only (M, T) table of normalized associated Legendre
-columns, one per harmonic (`_bandlimited_profile`).  The checks that a
+columns, one per harmonic (`_bandlimited_profile`), built by the standard
+recurrences from sin(theta) (`_assoc_legendre_table`).  The checks that a
 graph's radii and warping are valid reduce first (extrema) and scan the
 nodes, to name the first faulty one, only when the reduction fails.
 """
@@ -345,42 +346,7 @@ def _legendre(n: int, x: np.ndarray) -> np.ndarray:
     return p
 
 
-def _lpmv_series(v: int, m: int, x: np.ndarray) -> np.ndarray:
-    """P_v^m(x), Condon-Shortley phase, for integers 0 <= m, v, by its terminating
-    hypergeometric series, in the operations and order of specfun's LPMV0."""
-    c0 = 1.0
-    if m != 0:
-        fv = float(v)
-        rg = fv * (fv + m)
-        for j in range(1, m):
-            rg = rg * (fv * fv - j * j)
-        xq = np.sqrt(1.0 - x * x)
-        r0 = 1.0
-        for j in range(1, m + 1):
-            r0 = 0.5 * r0 * xq / j
-        c0 = r0 * rg
-    pmv = np.ones_like(x)
-    r = 1.0
-    for k in range(1, v - m + 1):
-        r = 0.5 * r * (-v + m + k - 1.0) * (v + m + k) / (k * (k + m)) * (1.0 + x)
-        pmv = pmv + r
-    return (-1.0) ** v * c0 * pmv
-
-
-def _lpmv(m: int, v: int, x: np.ndarray) -> np.ndarray:
-    """Associated Legendre function P_v^m(x) for integers 0 <= m, v.
-
-    The same bits as ``scipy.special.lpmv``: the series above for v <= 2 or
-    v <= m, otherwise the upward recurrence in the degree started from it
-    at degrees m and m + 1, as specfun's LPMV does.
-    """
-    if v <= 2 or v <= m:
-        return _lpmv_series(v, m, x)
-    p0 = _lpmv_series(m, m, x)
-    p1 = _lpmv_series(m + 1, m, x)
-    for j in range(m + 2, v + 1):
-        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1 + m) * p0) / (j - m)
-    return p1
+_SPHERE_LMAX = 150     # P_151^151 = -301!! sin^151(theta) exceeds 1.8e308 near the equator
 
 
 @functools.lru_cache(maxsize=16)
@@ -388,18 +354,28 @@ def _assoc_legendre_table(theta: bytes, lmax: int) -> np.ndarray:
     """P_l^m(cos theta) / max(1, max |P_l^m|) as one read-only (M, T) matrix.
 
     Column t holds the t-th pair (l, m) in the order l = 1..lmax, m = 0..l,
-    T = lmax (lmax + 3) / 2 in all.  Keyed on the bytes of the colatitude
-    nodes: every grid with the same nodes reads one table, whatever the seed.
+    T = lmax (lmax + 3) / 2 in all.  P_l^m carries the Condon-Shortley phase
+    and comes from the standard recurrences (DLMF 14.10): P_m^m =
+    -(2m - 1) sin(theta) P_{m-1}^{m-1}, started from sin(theta) itself so the
+    polar rings keep full relative accuracy, then up in degree by
+    (l - m) P_l^m = (2l - 1) x P_{l-1}^m - (l + m - 1) P_{l-2}^m.  Keyed on
+    the bytes of the colatitude nodes: every grid with the same nodes reads
+    one table, whatever the seed.
     """
-    x = np.cos(np.frombuffer(theta))
+    theta = np.frombuffer(theta)
+    x, s = np.cos(theta), np.sin(theta)
     table = np.empty((x.size, lmax * (lmax + 3) // 2))
-    t = 0
-    for ell in range(1, lmax + 1):
-        for m in range(0, ell + 1):
-            assoc = _lpmv(m, ell, x)
-            # keep coefficients O(1) despite the lpmv normalization
-            np.divide(assoc, max(1.0, np.abs(assoc).max()), out=table[:, t])
-            t += 1
+    diag = np.ones_like(x)
+    for m in range(lmax + 1):
+        if m:
+            diag = -(2 * m - 1) * s * diag
+        p0, p1 = np.zeros_like(x), diag
+        for ell in range(max(m, 1), lmax + 1):
+            if ell > m:
+                p0, p1 = p1, ((2 * ell - 1) * x * p1 - (ell + m - 1) * p0) / (ell - m)
+            t = (ell - 1) * (ell + 2) // 2 + m      # the column of (l, m)
+            # keep coefficients O(1) despite the unnormalized P_l^m
+            np.divide(p1, max(1.0, np.abs(p1).max()), out=table[:, t])
     table.flags.writeable = False
     return table
 
@@ -430,6 +406,9 @@ def _bandlimited_profile(grid: SphereGrid, seed: int, lmax: int) -> np.ndarray:
         basis = np.stack([np.cos(t), np.sin(t)], axis=-1).reshape(t.shape[0], 2 * lmax)
         pert = basis @ rng.standard_normal((lmax, 2)).ravel()
     else:
+        if lmax > _SPHERE_LMAX:
+            raise ValueError(f"surface option 'lmax' must be <= {_SPHERE_LMAX} on a 2-sphere, "
+                             f"got {lmax}: P_l^l overflows a double beyond it")
         m = np.concatenate([np.arange(deg + 1) for deg in ell])
         coef = rng.standard_normal((m.size, 2))
         by_order = np.zeros((m.size, 2 * lmax + 1))

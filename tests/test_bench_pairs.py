@@ -1,6 +1,7 @@
 """tools/bench_pairs.py refuses to summarize a run that failed an operation,
 keeps the medians of three traced runs per side and refuses counts that do not
-repeat, and ends with one summary line per end-to-end metric.
+repeat, lists only counts of work that moved, and ends with one summary line per
+end-to-end metric.
 
     python -m pytest tests/test_bench_pairs.py -q
 """
@@ -12,7 +13,8 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-from bench_pairs import main, run_once, summarize, summary_lines  # noqa: E402
+from bench_pairs import (main, run_once, summarize, summary_lines,  # noqa: E402
+                         traced_counts_line)
 
 sys.path.pop(0)
 
@@ -137,3 +139,21 @@ def test_traced_seed_refuses_a_count_that_does_not_repeat(tmp_path):
     assert "change" in message and "grid.differentiate.calls" in message
     assert "[154, 155, 154]" in message
     assert not (tmp_path / "bench.json").exists()
+
+
+def test_output_bytes_are_not_a_count_of_work():
+    # cli.output_bytes sums the lengths of printed floats: a last-digit change
+    # moves it by a byte while every count of work stays equal
+    metrics = [{"name": "grid.differentiate.calls", "unit": "count", "better": "lower"},
+               {"name": "cli.output_bytes", "unit": "B", "better": "lower"}]
+
+    def traced(parent, change):
+        return {"seed": 1, **{side: {"metrics": {"grid.differentiate.calls": calls,
+                                                 "cli.output_bytes": size}}
+                              for side, (calls, size) in (("parent", parent),
+                                                          ("change", change))}}
+
+    assert (traced_counts_line("imcf", traced((154, 9481), (154, 9480)), metrics)
+            == "imcf traced seed 1: every count equal")
+    assert (traced_counts_line("imcf", traced((154, 9481), (155, 9480)), metrics)
+            == "imcf traced seed 1: grid.differentiate.calls 154 -> 155")

@@ -23,7 +23,8 @@ from warpflow.cli import (
     _CHECK_OPTIONS, EXIT_ERROR, EXIT_FINDING, EXIT_OK, EXIT_USAGE, Pool, RunConfig,
     _sweep_members, main, steady_allocator,
 )
-from warpflow.surface import _SURFACE_OPTIONS, parse_surface_spec
+from warpflow.grid import circle_grid, sphere_grid
+from warpflow.surface import _SURFACE_OPTIONS, make_seed_surface, parse_surface_spec
 
 
 def run(args):
@@ -198,7 +199,7 @@ def test_cli_runs_without_importing_scipy():
 
 
 def test_importing_every_module_loads_no_scipy():
-    # the Legendre ports in warpflow.surface stand in for scipy.special, and
+    # warpflow.surface computes its Legendre functions by recurrence, and
     # every ambient's radial integrals are closed forms, so neither importing a
     # module nor reading a custom ambient's volume loads scipy.
     # warpflow.__main__ runs the CLI when imported and imports only warpflow.cli.
@@ -434,6 +435,24 @@ def test_sweep_bandlimited_seeds(tmp_path, capsys):
     assert len(rows) == 5
     assert all(float(r["min_deficit"]) > 0 for r in rows)
     capsys.readouterr()
+
+
+def test_sphere_bandlimited_degree_above_150_is_refused_by_name(capsys):
+    # P_151^151 = -301!! sin^151(theta) overflows a double near the equator, so
+    # an n = 2 lmax above 150 is refused by name before the table is built and
+    # never reaches the radius check as NaN; 150 builds a finite surface with
+    # no floating-point warning, and the circle family has no such limit
+    space = parse_space_spec("euclidean")
+    with np.errstate(all="raise"):
+        u = make_seed_surface(space, sphere_grid(16, 32), "bandlimited",
+                              seed=1, r0=1, amp=0.05, lmax=150).u
+    assert np.all(np.isfinite(u))
+    assert np.all(np.isfinite(make_seed_surface(space, circle_grid(512), "bandlimited",
+                                                seed=1, r0=1, amp=0.05, lmax=151).u))
+    assert run(["verify", "--grid", "16x32", "--check", "girao",
+                "--surface", "bandlimited:seed=1,r0=1,amp=0.05,lmax=151"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "'lmax' must be <= 150" in err and "nan" not in err
 
 
 def test_sweep_worker_count_bytewise_identical(tmp_path, capsys):

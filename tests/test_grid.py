@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from warpflow.grid import (_fourier_diff_coeffs, _phi_derivatives, circle_grid,
-                           differentiate, sphere_grid)
+from warpflow.grid import _phi_derivatives, circle_grid, differentiate, sphere_grid
 
 
 def nodes(grid):
@@ -129,6 +128,19 @@ def test_differentiate_bitwise_roll_equivariance():
     assert np.array_equal(np.roll(Hu, 1, axis=2), Hu_r)
 
 
+def _classical_taps(P):
+    """Circulant taps d[o], o = 0..P-1, of the first and second derivatives of
+    the trigonometric interpolant on an even P-grid with spacing h (Trefethen,
+    Spectral Methods in MATLAB, ch. 3): d1[o] = (-1)^o cot(o h/2) / 2,
+    d2[o] = -(-1)^o / (2 sin^2(o h/2)) and d2[0] = -pi^2/(3 h^2) - 1/6."""
+    h = 2.0 * np.pi / P
+    o = np.arange(1, P)
+    d1 = np.concatenate([[0.0], 0.5 * (-1.0) ** o / np.tan(0.5 * o * h)])
+    d2 = np.concatenate([[-np.pi**2 / (3.0 * h * h) - 1.0 / 6.0],
+                         -((-1.0) ** o) / (2.0 * np.sin(0.5 * o * h) ** 2)])
+    return d1, d2
+
+
 def _oracle_antisym(u, d):
     """sum_{o=1}^{P/2-1} d[o] (u[j - o] - u[j + o]), one offset at a time."""
     P = u.shape[-1]
@@ -176,7 +188,7 @@ def test_phi_stencil_matches_oracle_within_dot_product_bound(M, P):
     # different orders; each side is within gamma_{P+2} sum|d| max|u - ring max|
     # of the exact sum, so they differ by at most twice that.
     g = sphere_grid(M, P)
-    d1, d2 = _fourier_diff_coeffs(P)
+    d1, d2 = _classical_taps(P)
     rng = np.random.default_rng(P)
     for u in (rng.standard_normal((M, P)), 1.0 + 0.1 * rng.random((M, P)),
               np.full((M, P), 2.7), np.ones((M, P))):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import subprocess
 import sys
@@ -210,20 +211,19 @@ def test_ball_chi_slope_matches_central_differences():
                         diff, rel=1e-8), (space.kind, n, ell, r)
 
 
-def test_ball_chi_reads_the_volume_only_when_needed(monkeypatch):
+def test_ball_chi_reads_the_volume_only_when_needed():
     # W_1 = |S_r| / n needs no radial integral; W_0 and, through the
     # recursion, W_2 do
     calls = []
-    radial_integral = ineq.radial_integral
 
     def counted(*args):
         calls.append(args)
-        return radial_integral(*args)
+        return HY.radial(*args)
 
-    monkeypatch.setattr(ineq, "radial_integral", counted)
+    space = dataclasses.replace(HY, radial=counted)
     for ell, expected in ((1, 0), (0, 1), (2, 1)):
         calls.clear()
-        ball_chi(HY, ell, 0.7)
+        assert ball_chi(space, ell, 0.7) == ball_chi(HY, ell, 0.7)
         assert len(calls) == expected, ell
 
 

@@ -20,7 +20,6 @@ from warpflow.quantities import (
     UnsupportedAmbientError,
     full_report,
     quermassintegrals,
-    radial_integral,
     surface_integral,
     volume,
     weighted_volume,
@@ -123,9 +122,9 @@ def test_radial_integral_is_bitwise_the_two_term_form(K, power):
     assert _space_form_antiderivative(K, power, 0.0) == 0.0
     two_term = (_space_form_antiderivative(K, power, us)
                 - _space_form_antiderivative(K, power, space.a))
-    assert radial_integral(space, power, us).tobytes() == two_term.tobytes()
+    assert space.radial(power, us).tobytes() == two_term.tobytes()
     for u in (1e-8, 0.5, 0.9, top):
-        got = radial_integral(space, power, u)
+        got = space.radial(power, u)
         ref = _space_form_antiderivative(K, power, u) - _space_form_antiderivative(K, power, 0.0)
         assert type(got) is type(ref) and np.float64(got).tobytes() == np.float64(ref).tobytes()
 
@@ -146,7 +145,7 @@ def test_custom_radial_integrals_match_quad(family, power, beta, a, span):
     r = a + span
     lam = _CUSTOM_WARPS[family]
     ref = quad(lambda s: lam(s, beta) ** power, a, r, epsabs=0.0, epsrel=2e-14, limit=200)[0]
-    assert radial_integral(space, power, r) == pytest.approx(ref, rel=1e-13, abs=0.0)
+    assert space.radial(power, r) == pytest.approx(ref, rel=1e-13, abs=0.0)
     assert space.radial(power, a) == 0.0
 
 

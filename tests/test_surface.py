@@ -3,6 +3,7 @@ import math
 import os
 import re
 import tempfile
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -19,7 +20,6 @@ from warpflow.surface import (
     _assoc_legendre_table,
     _bandlimited_profile,
     _legendre,
-    _lpmv,
     convexity_class,
     dump_surface_csv,
     geometry,
@@ -184,12 +184,39 @@ def test_seed_surfaces():
 
 @pytest.mark.parametrize("M", [16, 32, 64, 128, 256])
 def test_legendre_ports_match_scipy_on_sphere_grids(M):
-    # scipy.special is the oracle here only; warpflow itself does not import it
-    x = np.cos(sphere_grid(M, 32).theta[:, None])
+    # scipy.special is the oracle here only; warpflow itself does not import it.
+    # _legendre has scipy's bits.  The associated Legendre table does not:
+    # lpmv takes sqrt(1 - x^2), which loses relative accuracy near the poles,
+    # so its normalized columns are off by up to 4.4e-14 at M = 256 and
+    # 1.1e-13 at M = 512 (measured), an error that grows with M
+    theta = sphere_grid(M, 32).theta
+    x = np.cos(theta)
     for ell in range(9):
         assert np.array_equal(_legendre(ell, x), eval_legendre(ell, x)), ell
+    table = _assoc_legendre_table(theta.tobytes(), 8)
+    t = 0
+    for ell in range(1, 9):
         for m in range(ell + 1):
-            assert np.array_equal(_lpmv(m, ell, x), lpmv(m, ell, x)), (ell, m)
+            ref = lpmv(m, ell, x)
+            ref = ref / max(1.0, np.abs(ref).max())
+            assert np.abs(table[:, t] - ref).max() <= M * 1e-15, (ell, m)
+            t += 1
+
+
+@pytest.mark.parametrize("M", [16, 17, 32, 64, 128, 256, 512])
+def test_sectoral_legendre_columns_keep_relative_accuracy_at_the_poles(M):
+    # P_m^m = (-1)^m (2m - 1)!! sin^m(theta), here exact in rationals from each
+    # node's sin(theta); the recurrence from sin(theta) holds every ring, the
+    # polar ones too, within 1e-15 relative (3 ulp at most, measured).  The
+    # column is unnormalized by the reference's max(1, max |P_m^m|)
+    theta = sphere_grid(M, 32).theta
+    table = _assoc_legendre_table(theta.tobytes(), 8)
+    for m in range(1, 9):
+        double_factorial = math.prod(range(1, 2 * m, 2))
+        ref = np.array([float((-1) ** m * double_factorial * Fraction(s) ** m)
+                        for s in np.sin(theta)])
+        column = table[:, (m - 1) * (m + 2) // 2 + m] * max(1.0, np.abs(ref).max())
+        assert (np.abs(column - ref) / np.abs(ref)).max() <= 1e-15, m
 
 
 @pytest.mark.parametrize("m", [16, 64, 512])
@@ -261,7 +288,8 @@ def test_bandlimited_seeds_read_one_shared_table(M, P):
     grid = sphere_grid(M, P)
     for seed, lmax in ((7, 4), (11, 6)):
         u = make_seed_surface(EU, grid, "bandlimited", seed=seed, r0=1, amp=0.05, lmax=lmax).u
-        assert np.array_equal(u, 1.0 * (1.0 + 0.05 * _scipy_bandlimited(grid, seed, lmax)))
+        want = 1.0 * (1.0 + 0.05 * _scipy_bandlimited(grid, seed, lmax))
+        assert np.abs(u - want).max() <= 1e-15
     # every grid with these colatitudes reads the same read-only (M, T) table,
     # one column per (l, m) with l = 1..4, m = 0..l
     table = _assoc_legendre_table(grid.theta.tobytes(), 4)

@@ -14,8 +14,9 @@ and the number of pairs the change wins.  ``--traced-seed N`` adds three
 keeps the median of each per-layer metric (call counts, layer times) next to
 the pairs, so a claim about a layer cites them: one traced run's layer times
 vary by about 20% between runs of one checkout.  An exact count (a per-layer
-metric in count, flop or B) that differs between the runs of one side ends
-the script, naming the metric.
+metric in count or flop) that differs between the runs of one side ends the
+script, naming the metric.  Output bytes (unit B) are not such a count: they
+sum the lengths of printed floats, so a last-digit change moves them.
 The runs land under ``--label`` in the output file, which keeps the labels
 already there.  The script ends with one stderr line per end-to-end metric:
 both medians, ``median_rel``, the pairs the change wins and the parent's
@@ -35,7 +36,7 @@ from pathlib import Path
 
 
 STDERR_TAIL = 20          # lines of a failed run's stderr or FAIL lines that are shown
-COUNT_UNITS = ("count", "flop", "B")   # per-layer metrics that are exact counts
+COUNT_UNITS = ("count", "flop")   # per-layer metrics that are exact counts of work
 TRACED_RUNS = 3           # --trace 1 runs per side on the traced seed
 
 
