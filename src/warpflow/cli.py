@@ -27,6 +27,7 @@ import numpy as np
 from . import inequalities as ineq
 from .ambient import WarpedSpace, parse_options, parse_space_spec, probe_assumptions
 from .flows import FLOWS, FlowSpec, FlowTrace, evolve
+from .grid import DEFAULT_GRID_SPECS, parse_grid_spec
 from .quantities import QuantityReport
 from .surface import (
     RadialGraph,
@@ -34,7 +35,6 @@ from .surface import (
     geometry,
     load_surface_csv,
     make_seed_surface,
-    parse_grid_spec,
     parse_surface_spec,
 )
 
@@ -100,8 +100,8 @@ class RunConfig:
 
     command: str
     space: str = "euclidean"
-    n: int = 2
-    grid: str | None = None           # 64x128 for n = 2, 512 for n = 1
+    n: int | None = None              # None: 2, or the surface file's
+    grid: str | None = None           # None: the default of n, or the surface file's
     surface: str = "round:r0=1"
     surface_file: str | None = None
     flow: str | None = None
@@ -124,10 +124,6 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        return cls(**data)
 
 
 def _positive_workers(value: str | int, name: str = "workers") -> int:
@@ -177,7 +173,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--surface", default=argparse.SUPPRESS)
         p.add_argument("--surface-file", dest="surface_file",
                        default=argparse.SUPPRESS,
-                       help="load the surface from a dumped CSV instead")
+                       help="load the surface, and its n and grid, from a dumped CSV instead")
         p.add_argument("--out", default=argparse.SUPPRESS)
 
     def formats(p):
@@ -264,8 +260,9 @@ def _merge_config(ns: argparse.Namespace) -> RunConfig:
     elif cfg.command == "sweep":     # the one command with worker processes
         cfg.workers = _positive_workers(os.environ.get("WARPFLOW_WORKERS", "1"),
                                         "WARPFLOW_WORKERS")
-    if cfg.grid is None:
-        cfg.grid = "512" if cfg.n == 1 else "64x128"
+    if not (cfg.surface_file and cfg.command in ("evolve", "verify", "dump_surface")):
+        cfg.n = 2 if cfg.n is None else cfg.n       # else the file's: _build_surface
+        cfg.grid = DEFAULT_GRID_SPECS[cfg.n] if cfg.grid is None else cfg.grid
     return cfg
 
 
@@ -275,16 +272,28 @@ def _build_space_grid(cfg: RunConfig) -> tuple[WarpedSpace, "object"]:
         return space, parse_grid_spec(cfg.grid, cfg.n, space.fiber_scale)
 
 
-def _build_surface(cfg: RunConfig, space: WarpedSpace, grid) -> RadialGraph:
+def _build_surface(cfg: RunConfig) -> tuple[WarpedSpace, RadialGraph]:
+    """The space and the surface of a run: the seed on cfg's grid, or the surface
+    file's, whose n and grid go into cfg and must match an n or grid it sets."""
+    if not cfg.surface_file:
+        space, grid = _build_space_grid(cfg)
+        with _usage_errors():
+            family, params = parse_surface_spec(cfg.surface)
+            return space, make_seed_surface(space, grid, family, **params)
     with _usage_errors():
-        if cfg.surface_file:
-            try:
-                return load_surface_csv(cfg.surface_file, space)
-            except OSError as exc:
-                raise UsageError(
-                    f"cannot read surface file {cfg.surface_file}: {exc.strerror}") from exc
-        family, params = parse_surface_spec(cfg.surface)
-        return make_seed_surface(space, grid, family, **params)
+        space = parse_space_spec(cfg.space)
+        try:
+            graph = load_surface_csv(cfg.surface_file, space)
+        except OSError as exc:
+            raise UsageError(
+                f"cannot read surface file {cfg.surface_file}: {exc.strerror}") from exc
+        grid = graph.grid
+        if cfg.n not in (None, grid.n) or cfg.grid is not None and parse_grid_spec(
+                cfg.grid, cfg.n, space.fiber_scale) is not grid:
+            raise UsageError(f"surface file {cfg.surface_file} is on the n={grid.n} grid "
+                             f"{grid.spec}: leave --n and --grid unset, or set them to it")
+        cfg.n, cfg.grid = grid.n, grid.spec
+        return space, graph
 
 
 def _fmt_float(x) -> str:
@@ -374,13 +383,12 @@ def cmd_evolve(cfg: RunConfig) -> int:
     kind = _FLOW_ALIASES.get(kind, kind)
     if kind not in FLOWS:
         raise UsageError(f"unknown flow {cfg.flow!r}")
-    space, grid = _build_space_grid(cfg)
+    space, graph = _build_surface(cfg)
     report_dt = cfg.report_dt if cfg.report_dt is not None else cfg.t_final / 100.0
     spec = FlowSpec(kind=kind, k=cfg.k, t_final=cfg.t_final, report_dt=report_dt,
                     cfl=cfg.cfl, max_rel_step=cfg.max_rel_step, eps_mono=cfg.eps_mono)
     with _usage_errors():
-        spec.validate(space, cfg.n)
-    graph = _build_surface(cfg, space, grid)
+        spec.validate(space, graph.grid.n)
 
     trace = evolve(space, graph, spec)
     series = ineq.monotone_series(trace)
@@ -464,8 +472,7 @@ def _deficit_rows(reports: list[ineq.DeficitReport]) -> list[tuple[str, list]]:
 def cmd_verify(cfg: RunConfig) -> int:
     if not cfg.checks:
         raise UsageError("verify requires at least one --check")
-    space, grid = _build_space_grid(cfg)
-    reports = _check_reports(space, _build_surface(cfg, space, grid), cfg.checks)
+    reports = _check_reports(*_build_surface(cfg), cfg.checks)
 
     if cfg.fmt == "json":
         payload = [rep.to_dict() for rep in reports]
@@ -654,6 +661,8 @@ class Pool:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
+    if cfg.surface_file:
+        raise UsageError("sweep members come from a --surface family; it reads no --surface-file")
     if not cfg.checks:
         raise UsageError("sweep requires at least one --check")
     # validate in the parent, so that bad input exits 64 before any worker starts
@@ -686,9 +695,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
 def cmd_dump_surface(cfg: RunConfig) -> int:
     if cfg.out is None:
         raise UsageError("dump-surface requires --out")
-    space, grid = _build_space_grid(cfg)
-    graph = _build_surface(cfg, space, grid)
-    dump_surface_csv(graph, cfg.out)
+    dump_surface_csv(_build_surface(cfg)[1], cfg.out)
     return EXIT_OK
 
 

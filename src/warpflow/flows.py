@@ -16,16 +16,12 @@ for dt * rho <= beta(s) = (2/3)(s^2 - 1)(1 - 2 eps/15), rho the spectral
 radius of the linearized right-hand side, so each attempt takes the fewest
 s >= 2 with dt * rho_est <= cfl * beta(s): `cfl` is the safety fraction of
 the stability interval, and dt itself is capped only by max_rel_step and by
-the error controller.  The bound is
-
-    rho_est = C_grid max(diffusion) / (dtheta c)^2,
-    C_grid  = 16/3 + max_i (mcut_i / sin theta_i)^2 dtheta^2     (n = 2),
-
-16/3 for the 4th-order colatitude second difference and the second term for
-the longitude modes that the polar filter below keeps (n = 1: C_grid = 16/3,
-dtheta = 2 pi/m).  The local error is estimated from the tendencies at both
-ends of the step, 0.8 (u_n - u_{n+1}) + 0.4 dt (F_n + F_{n+1}), and F_{n+1}
-is reused as the next step's F_n, so an attempt costs s geometry calls.
+the error controller.  The bound is rho_est = C_grid max(diffusion) /
+(dtheta c)^2, with the grid's node spacing dtheta and stencil constant
+C_grid (see `grid`).  The local error is estimated from the tendencies at
+both ends of the step, 0.8 (u_n - u_{n+1}) + 0.4 dt (F_n + F_{n+1}), and
+F_{n+1} is reused as the next step's F_n, so an attempt costs s geometry
+calls.
 Step sizes follow a PI controller (Gustafsson, ACM TOMS 17 (1991) 533-554;
 Hairer & Wanner, Solving ODEs II, IV.2): with e = err/_STEP_TOL, an
 accepted step proposes dt * clip(0.9 e_n^(-0.7/3) e_{n-1}^(0.4/3), 0.2, 2),
@@ -52,26 +48,16 @@ speed call of its own.  Its report records the momenta at k = 1 and 2, every
 k a flow accepts, and `FlowTrace.monotones` holds the flow's rows at both; the
 functionals the rows read are defined in `inequalities`.
 
-Two stabilization details beyond the plain scheme:
-
-* On the lat-lon grid the phi modes near the poles carry metric frequencies
-  of order (P/2)/sin(theta), far above the colatitude resolution.  The
-  tendency is therefore passed through a ring-wise longitude filter with
-  cutoff mcut = max(4, (P/2) sin(theta)), standard practice for global
-  spectral grids; for smooth graphs the removed content is far below
-  truncation error.  The floor of 4 keeps the stiffest modes on the two
-  polar rings, and rho_est accounts for them.
-
-* In the euclidean ambient the speeds above are 1-homogeneous in the graph
-  and expand a round sphere at the rate r (1/n for imcf, 1 for
-  euclidean_inverse), so the stored graph is w = u e^{-rt}, with the scale
-  tracked in log space.  The stepped equation is the renormalized one,
-  dw/dt = F(w) - r w, of which every round sphere is a fixed point: the
-  relative-step cap max |F(w)/w - r| and the error estimate see only the
-  departure from round growth, not the growth itself.  The controller has
-  no error yet before the first step, so its first proposal is the cap
-  with r = 0.  Physical values are reconstructed at sample times.
-  Elsewhere r = 0.
+The tendency is passed through the grid's polar filter (see `grid`).  In
+the euclidean ambient the speeds above are 1-homogeneous in the graph and
+expand a round sphere at the rate r (1/n for imcf, 1 for euclidean_inverse),
+so the stored graph is w = u e^{-rt}, with the scale tracked in log space.
+The stepped equation is the renormalized one, dw/dt = F(w) - r w, of which
+every round sphere is a fixed point: the relative-step cap max |F(w)/w - r|
+and the error estimate see only the departure from round growth, not the
+growth itself.  The controller has no error yet before the first step, so
+its first proposal is the cap with r = 0.  Physical values are
+reconstructed at sample times.  Elsewhere r = 0.
 """
 
 from __future__ import annotations
@@ -193,47 +179,12 @@ def speed(spec: FlowSpec, fields: GeometryFields) -> np.ndarray:
     return FLOWS[spec.kind].speed(fields, spec.k)
 
 
-def _polar_cutoffs(grid: SphereGrid) -> np.ndarray:
-    """Per colatitude ring, the highest longitude wavenumber the polar filter keeps."""
-    P = grid.shape[1]
-    return np.maximum(4, np.floor(0.5 * P * np.sin(grid.theta))).astype(int)
-
-
-def _make_polar_filter(grid: SphereGrid):
-    """Ring-wise longitude filter with cutoff ~ (P/2) sin(theta)."""
-    if grid.n == 1:
-        return lambda F: F
-    P = grid.shape[1]
-    m = np.arange(P // 2 + 1)
-    mask = (m[None, :] <= _polar_cutoffs(grid)[:, None]).astype(float)
-
-    def apply(F: np.ndarray) -> np.ndarray:
-        return np.fft.irfft(np.fft.rfft(F, axis=1) * mask, n=P, axis=1)
-
-    return apply
-
-
-def _grid_spacing(grid: SphereGrid) -> float:
-    """Node spacing in the unit fiber: dtheta for n = 2, the angle step for n = 1."""
-    return np.pi / grid.shape[0] if grid.n == 2 else 2.0 * np.pi / grid.shape[0]
-
-
-def _stencil_constant(grid: SphereGrid) -> float:
-    """C_grid: (dtheta)^2 times the largest second-derivative eigenvalue that
-    survives the polar filter, 16/3 of the colatitude stencil plus the largest
-    kept (m/sin theta)^2 in longitude."""
-    if grid.n == 1:
-        return 16.0 / 3.0
-    modes = float(np.max((_polar_cutoffs(grid) / np.sin(grid.theta)) ** 2))
-    return 16.0 / 3.0 + modes * _grid_spacing(grid) ** 2
-
-
-def _spectral_radius(spec: FlowSpec, fields: GeometryFields, c_grid: float) -> float:
+def _spectral_radius(spec: FlowSpec, fields: GeometryFields) -> float:
     """rho_est = C_grid max(diffusion) / (dtheta c)^2, a bound on the spectral
     radius of the linearized, polar-filtered right-hand side."""
     grid = fields.grid
     diffusion = float(np.max(FLOWS[spec.kind].diffusion(fields, spec.k)))
-    return c_grid * diffusion / (_grid_spacing(grid) * grid.fiber_scale) ** 2
+    return grid.stencil_constant * diffusion / (grid.spacing * grid.fiber_scale) ** 2
 
 
 def _rkc_beta(s: int) -> float:
@@ -470,12 +421,9 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
 
     renorm_rate = flow.euclidean_growth(n) if space.kind == "euclidean" else 0.0
 
-    polar_filter = _make_polar_filter(grid)
-    c_grid = _stencil_constant(grid)
-
     def tendency(flds: GeometryFields, f: np.ndarray) -> np.ndarray:
         """The stepped right-hand side at a graph with fields flds and speed f."""
-        F = polar_filter(f * flds.v)
+        F = grid.polar_filter(f * flds.v)
         return F - renorm_rate * flds.u if renorm_rate else F
 
     def rhs(u_arr: np.ndarray) -> np.ndarray:
@@ -536,7 +484,7 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
     while t < spec.t_final - eps_t:
         dt_base = min(_dt_bound(spec, fields, f_now, renorm_rate), dt_ctrl)
         dt = min(dt_base, next_report - t)
-        rho = _spectral_radius(spec, fields, c_grid)
+        rho = _spectral_radius(spec, fields)
         rejections = 0           # step error, cone, domain and non-finite
         halvings = 0             # cone, domain and non-finite
         guard_halvings = 0

@@ -1,9 +1,11 @@
 """Discrete fiber grids and covariant derivatives on them.
 
-The fiber is a round n-sphere with metric sigma = c^2 * (unit round metric),
-n in {1, 2}.  For n = 1 we use m equally spaced angles; for n = 2 a shifted
-equiangular grid theta_i = (i + 1/2) pi / M (poles excluded) crossed with
-P uniform longitudes.
+The one module that knows the grid layouts: elsewhere n is the fiber
+dimension only.  The fiber is a round n-sphere with metric
+sigma = c^2 * (unit round metric), n in {1, 2}.  For n = 1 we use m equally
+spaced angles (spec "m"); for n = 2 a shifted equiangular grid
+theta_i = (i + 1/2) pi / M (poles excluded) crossed with P uniform
+longitudes (spec "MxP").
 
 Differentiation:
   n = 1: periodic 4th-order centered differences, the colatitude stencils
@@ -20,7 +22,19 @@ Differentiation:
          maximum is exact and the same under rotation, and it maps a field
          constant along a ring to exact zeros.
 
-Grids are cached per size and fiber scale, and their arrays are read-only.
+Polar filter: on the lat-lon grid the phi modes near the poles carry metric
+frequencies of order (P/2)/sin(theta), far above the colatitude resolution,
+so `SphereGrid.polar_filter` keeps on each ring the wavenumbers up to
+mcut = max(4, (P/2) sin(theta)), standard practice for global spectral
+grids; for smooth graphs the removed content is far below truncation error.
+The floor of 4 keeps the stiffest modes on the two polar rings.  On a circle
+the filter is the identity.  The stencil constant C_grid is dtheta^2 times
+the largest second-derivative eigenvalue that survives the filter,
+16/3 + max_i (mcut_i / sin theta_i)^2 dtheta^2 on the 2-sphere (16/3 for the
+4th-order second difference), and 16/3 on a circle.
+
+Grids are cached per size and fiber scale, whether the scale is passed or
+not, and their arrays are read-only.
 
 Quadrature: longitude weights are uniform (trapezoid rule, exact for the
 periodic direction); colatitude weights solve the moment conditions
@@ -35,7 +49,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["SphereGrid", "circle_grid", "sphere_grid", "differentiate"]
+__all__ = ["SphereGrid", "circle_grid", "sphere_grid", "AXIS_NAMES", "DEFAULT_GRID_SPECS",
+           "parse_grid_spec", "differentiate"]
+
+AXIS_NAMES = ("theta", "phi")      # a grid's array axes are the first len(shape) of these
+
+_D2_STENCIL_MAX = 16.0 / 3.0       # dtheta^2 max |eigenvalue| of `_d2theta`
 
 
 def _polar_weights(M: int) -> np.ndarray:
@@ -122,8 +141,11 @@ class SphereGrid:
     theta: np.ndarray                    # (m,) or (M,)
     phi: np.ndarray | None               # None for n = 1, (P,) for n = 2
     weights: np.ndarray                  # per-node, sums to |N|
+    spacing: float                       # node spacing dtheta in the unit fiber
+    stencil_constant: float              # C_grid, see the module docstring
     _phi_stencil: np.ndarray | None = field(default=None, repr=False)   # (2, P)
     _frame_factors: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    _polar_mask: np.ndarray | None = field(default=None, repr=False)   # (M, P/2 + 1) 0/1
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -137,6 +159,26 @@ class SphereGrid:
     def fiber_area(self) -> float:
         return float(self.weights.sum())
 
+    @property
+    def axes(self) -> tuple[tuple[str, np.ndarray], ...]:
+        """(name, node coordinates) of each array axis, in array order."""
+        return tuple(zip(AXIS_NAMES, (self.theta, self.phi)))[:len(self.shape)]
+
+    @property
+    def spec(self) -> str:
+        """The grid spec that names this grid, "512" or "64x128"."""
+        return "x".join(map(str, self.shape))
+
+    def zonal(self, profile: np.ndarray) -> np.ndarray:
+        """Nodal values, a new array, of a function of theta alone given at self.theta."""
+        return np.repeat(profile, self.node_count // profile.size).reshape(self.shape)
+
+    def polar_filter(self, F: np.ndarray) -> np.ndarray:
+        """F with the longitude wavenumbers above each ring's cutoff removed; F on a circle."""
+        if self._polar_mask is None:
+            return F
+        return np.fft.irfft(np.fft.rfft(F, axis=1) * self._polar_mask, n=self.shape[1], axis=1)
+
     def node_label(self, flat_index: int) -> str:
         if self.n == 1:
             return f"node j={flat_index} (theta={self.theta[flat_index]:.6g})"
@@ -145,36 +187,37 @@ class SphereGrid:
 
 
 def _read_only(grid: SphereGrid) -> SphereGrid:
-    for arr in (grid.theta, grid.phi, grid.weights, grid._phi_stencil,
+    for arr in (grid.theta, grid.phi, grid.weights, grid._phi_stencil, grid._polar_mask,
                 *(grid._frame_factors or ())):
         if arr is not None:
             arr.flags.writeable = False
     return grid
 
 
-@functools.lru_cache(maxsize=16)
 def circle_grid(m: int, fiber_scale: float = 1.0) -> SphereGrid:
-    """Uniform periodic grid on the scaled circle (n = 1).
+    """Uniform periodic grid on the scaled circle (n = 1), one per (m, fiber_scale)."""
+    return _circle_grid(m, float(fiber_scale))
 
-    Cached per (m, fiber_scale): every caller shares one grid, whose arrays
-    are read-only.
-    """
+
+@functools.lru_cache(maxsize=16)
+def _circle_grid(m: int, fiber_scale: float) -> SphereGrid:
     if m < 16 or m % 2 != 0:
         raise ValueError(f"n=1 grid needs even m >= 16, got {m}")
     theta = 2.0 * np.pi * np.arange(m) / m
     weights = np.full(m, fiber_scale * 2.0 * np.pi / m)
-    return _read_only(SphereGrid(n=1, fiber_scale=float(fiber_scale), theta=theta,
-                                 phi=None, weights=weights))
+    return _read_only(SphereGrid(n=1, fiber_scale=fiber_scale, theta=theta, phi=None,
+                                 weights=weights, spacing=2.0 * np.pi / m,
+                                 stencil_constant=_D2_STENCIL_MAX))
+
+
+def sphere_grid(M: int, P: int, fiber_scale: float = 1.0) -> SphereGrid:
+    """Shifted equiangular grid on the scaled 2-sphere, poles excluded, one
+    per (M, P, fiber_scale): the colatitude weights take an M x M cosine matrix."""
+    return _sphere_grid(M, P, float(fiber_scale))
 
 
 @functools.lru_cache(maxsize=16)
-def sphere_grid(M: int, P: int, fiber_scale: float = 1.0) -> SphereGrid:
-    """Shifted equiangular grid on the scaled 2-sphere, poles excluded.
-
-    Cached per (M, P, fiber_scale), since the colatitude weights take an
-    M x M cosine matrix: every caller shares one grid, whose arrays are
-    read-only.
-    """
+def _sphere_grid(M: int, P: int, fiber_scale: float) -> SphereGrid:
     if M < 16:
         raise ValueError(f"n=2 grid needs M >= 16, got {M}")
     if P < 32 or P % 2 != 0:
@@ -183,10 +226,32 @@ def sphere_grid(M: int, P: int, fiber_scale: float = 1.0) -> SphereGrid:
     phi = 2.0 * np.pi * np.arange(P) / P
     w_theta = _polar_weights(M)
     weights = fiber_scale**2 * (2.0 * np.pi / P) * np.repeat(w_theta[:, None], P, axis=1)
+    h = np.pi / M
+    mcut = np.maximum(4, np.floor(0.5 * P * np.sin(theta))).astype(int)
     return _read_only(SphereGrid(
-        n=2, fiber_scale=float(fiber_scale), theta=theta, phi=phi, weights=weights,
+        n=2, fiber_scale=fiber_scale, theta=theta, phi=phi, weights=weights, spacing=h,
+        stencil_constant=_D2_STENCIL_MAX + float(np.max((mcut / np.sin(theta)) ** 2)) * h**2,
         _phi_stencil=_phi_stencil_matrix(P),
-        _frame_factors=_orthonormal_frame_factors(theta, float(fiber_scale))))
+        _frame_factors=_orthonormal_frame_factors(theta, fiber_scale),
+        _polar_mask=(np.arange(P // 2 + 1) <= mcut[:, None]).astype(float)))
+
+
+# per n, the constructor of its layout and the spec of its default grid; a
+# spec holds one count per array axis, so its count of numbers is its n
+_CONSTRUCTORS = {1: circle_grid, 2: sphere_grid}
+DEFAULT_GRID_SPECS = {1: "512", 2: "64x128"}
+
+
+def parse_grid_spec(spec: str, n: int | None = None, fiber_scale: float = 1.0) -> SphereGrid:
+    """The grid a spec names, ``m`` (a circle) or ``MxP`` (a 2-sphere): the
+    count of numbers picks the constructor, and a given n must be its n."""
+    try:
+        counts = [int(part) for part in spec.strip().lower().split("x")]
+    except ValueError:
+        raise ValueError(f"grid spec {spec!r} holds a count that is not an integer") from None
+    if len(counts) not in _CONSTRUCTORS or n not in (None, len(counts)):
+        raise ValueError(f"grid spec {spec!r} must look like m for n=1 or MxP for n=2")
+    return _CONSTRUCTORS[len(counts)](*counts, fiber_scale)
 
 
 def _orthonormal_frame_factors(theta: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
@@ -243,13 +308,12 @@ def differentiate(grid: SphereGrid, u: np.ndarray) -> tuple[np.ndarray, np.ndarr
     u = np.asarray(u, dtype=float)
     if u.shape != grid.shape:
         raise ValueError(f"nodal array shape {u.shape} does not match grid {grid.shape}")
+    h = grid.spacing
     if grid.n == 1:
-        h = 2.0 * np.pi / u.size
         x = np.concatenate([u[-2:], u, u[:2]])
         return _dtheta(x, h), _d2theta(x, h)
 
     M, P = grid.shape
-    h_t = np.pi / M
     sin_t = np.sin(grid.theta)[:, None]
     cos_t = np.cos(grid.theta)[:, None]
     Du = np.empty((2, M, P))
@@ -258,11 +322,11 @@ def differentiate(grid: SphereGrid, u: np.ndarray) -> tuple[np.ndarray, np.ndarr
     htt, htp, hpp = Hu
 
     x = _theta_extend(u)
-    _dtheta(x, h_t, out=ut)
-    _d2theta(x, h_t, out=htt)
+    _dtheta(x, h, out=ut)
+    _d2theta(x, h, out=htt)
     phi_t = _phi_derivatives(u.T, grid._phi_stencil)
     up[...] = phi_t[:, 0].T
-    _dtheta(_theta_extend(up), h_t, out=htp)                 # u_theta phi
+    _dtheta(_theta_extend(up), h, out=htp)                 # u_theta phi
     np.subtract(htp, (cos_t / sin_t) * up, out=htp)
     np.add(phi_t[:, 1].T, sin_t * cos_t * ut, out=hpp)
     return Du, Hu

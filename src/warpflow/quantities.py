@@ -26,7 +26,6 @@ and `full_report` detaches a new report of a given surface.
 
 from __future__ import annotations
 
-import json
 import math
 from functools import wraps
 from typing import Callable
@@ -263,9 +262,6 @@ class QuantityReport:
             "W": None if self.quermass is None else list(map(float, self.quermass)),
             "gauss_bonnet_residual": self.gauss_bonnet_residual,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
     def detach(self, ks=(1.0,)) -> QuantityReport:
         """Fill every value `to_dict` lists, with the momenta, weighted volumes

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ambient import WarpedSpace, parse_options
-from .grid import SphereGrid, circle_grid, differentiate, sphere_grid
+from .grid import AXIS_NAMES, SphereGrid, differentiate, parse_grid_spec
 
 __all__ = [
     "DomainError",
@@ -68,9 +68,6 @@ class RadialGraph:
         if u.shape != self.grid.shape:
             raise ValueError(f"u shape {u.shape} does not match grid {self.grid.shape}")
         object.__setattr__(self, "u", u)
-
-    def with_values(self, u: np.ndarray) -> "RadialGraph":
-        return RadialGraph(grid=self.grid, u=u)
 
 
 class DomainError(ValueError):
@@ -380,13 +377,6 @@ def _assoc_legendre_table(theta: bytes, lmax: int) -> np.ndarray:
     return table
 
 
-def _legendre_profile(grid: SphereGrid, ell: int) -> np.ndarray:
-    prof = _legendre(ell, np.cos(grid.theta))
-    if grid.n == 1:
-        return prof
-    return np.repeat(prof[:, None], grid.shape[1], axis=1)
-
-
 def _bandlimited_profile(grid: SphereGrid, seed: int, lmax: int) -> np.ndarray:
     """Random low-order harmonic combination, normalized to unit max amplitude.
 
@@ -436,7 +426,7 @@ def make_seed_surface(space: WarpedSpace, grid: SphereGrid, family: str,
         u = np.full(grid.shape, float(params["r0"]))
     elif family == "legendre":
         r0, eps, ell = float(params["r0"]), float(params["eps"]), int(params["l"])
-        u = r0 * (1.0 + eps * _legendre_profile(grid, ell))
+        u = r0 * (1.0 + eps * grid.zonal(_legendre(ell, np.cos(grid.theta))))
     elif family == "bandlimited":
         r0 = float(params["r0"])
         amp = float(params["amp"])
@@ -486,40 +476,20 @@ def parse_surface_spec(spec: str, value=float) -> tuple[str, dict]:
     return family, params
 
 
-def parse_grid_spec(spec: str, n: int, fiber_scale: float = 1.0) -> SphereGrid:
-    """Parse ``MxP`` (n = 2) or ``m`` (n = 1) grid strings."""
-    s = spec.strip().lower()
-    if n == 1:
-        if "x" in s:
-            raise ValueError(f"n=1 grid spec must be a single count, got {spec!r}")
-    elif "x" not in s:
-        raise ValueError(f"n=2 grid spec must look like MxP, got {spec!r}")
-    try:
-        counts = [int(part) for part in s.split("x", 1)]
-    except ValueError:
-        raise ValueError(f"grid spec {spec!r} holds a count that is not an integer") from None
-    return circle_grid(counts[0], fiber_scale) if n == 1 else sphere_grid(*counts, fiber_scale)
-
-
 def dump_surface_csv(graph: RadialGraph, path: str) -> None:
-    """Write nodal radii as CSV, row-major by (i, j)."""
-    grid = graph.grid
+    """Write nodal radii as CSV, one row per node in array order: its axes, then u."""
+    axes = graph.grid.axes
+    columns = [*np.meshgrid(*(x for _, x in axes), indexing="ij"), graph.u]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if grid.n == 1:
-            writer.writerow(["theta", "u"])
-            for t, val in zip(grid.theta, graph.u):
-                writer.writerow([repr(float(t)), repr(float(val))])
-        else:
-            writer.writerow(["theta", "phi", "u"])
-            for i, t in enumerate(grid.theta):
-                for j, p in enumerate(grid.phi):
-                    writer.writerow([repr(float(t)), repr(float(p)),
-                                     repr(float(graph.u[i, j]))])
+        writer.writerow([name for name, _ in axes] + ["u"])
+        for row in np.stack([c.ravel() for c in columns], axis=1).tolist():
+            writer.writerow(map(repr, row))
 
 
 def load_surface_csv(path: str, space: WarpedSpace) -> RadialGraph:
-    """Rebuild a RadialGraph from a dump; grid dims are inferred from the file.
+    """Rebuild a RadialGraph from a dump on the grid with, per node column, as
+    many nodes as the column has distinct values.
 
     Rows may come in any order: each is placed at its node, and a node that
     is missing or given twice is rejected by name.
@@ -527,7 +497,7 @@ def load_surface_csv(path: str, space: WarpedSpace) -> RadialGraph:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        if header not in (["theta", "u"], ["theta", "phi", "u"]):
+        if len(header) < 2 or header != [*AXIS_NAMES[:len(header) - 1], "u"]:
             raise ValueError(f"{path}: unknown surface CSV header {header or '(empty file)'}")
         rows = []
         for row in reader:
@@ -540,13 +510,12 @@ def load_surface_csv(path: str, space: WarpedSpace) -> RadialGraph:
                 raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     data = np.asarray(rows).reshape(-1, len(header))
     axes = [np.unique(data[:, c], return_inverse=True) for c in range(len(header) - 1)]
-    if len(axes) == 1:
-        grid = circle_grid(axes[0][0].size, space.fiber_scale)
-        nodes = (grid.theta,)
-    else:
-        grid = sphere_grid(axes[0][0].size, axes[1][0].size, space.fiber_scale)
-        nodes = (grid.theta, grid.phi)
-    for name, want, (got, _) in zip(header, nodes, axes):
+    try:
+        grid = parse_grid_spec("x".join(str(got.size) for got, _ in axes),
+                               fiber_scale=space.fiber_scale)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    for (name, want), (got, _) in zip(grid.axes, axes):
         if not np.allclose(want, got, rtol=0.0, atol=1e-12):
             raise ValueError(f"{path}: {name} column does not match an equiangular grid")
     flat = np.ravel_multi_index(tuple(inv for _, inv in axes), grid.shape)

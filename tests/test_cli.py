@@ -573,6 +573,48 @@ def test_dump_surface_roundtrip(tmp_path, capsys):
     capsys.readouterr()
 
 
+_SPHERE_DUMP = str(Path(__file__).parent / "golden" / "dump_surface_sphere.csv")   # 16x32
+_CURVE_DUMP = str(Path(__file__).parent / "golden" / "dump_surface_curve.csv")     # n = 1, 64
+
+
+def test_evolve_surface_file_records_the_files_grid(tmp_path, capsys):
+    out = tmp_path / "trace.json"
+    assert run(["evolve", "--flow", "imcf", "--surface-file", _SPHERE_DUMP, "--t-final", "0.002",
+                "--report-dt", "0.002", "--format", "json", "--out", str(out)]) == EXIT_OK
+    config = json.loads(out.read_text())["meta"]["config"]
+    assert (config["n"], config["grid"]) == (2, "16x32")
+    capsys.readouterr()
+
+
+def test_surface_file_refuses_a_grid_it_is_not_on(tmp_path, capsys):
+    assert run(["verify", "--grid", "128x256", "--surface-file", _SPHERE_DUMP,
+                "--check", "girao"]) == EXIT_USAGE
+    assert "grid 16x32" in capsys.readouterr().err
+    # a grid set in a config file is refused the same way; the file's own passes
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"grid": "32x64", "checks": ["girao"]}))
+    assert run(["verify", "--config", str(cfg), "--surface-file", _SPHERE_DUMP]) == EXIT_USAGE
+    assert "grid 16x32" in capsys.readouterr().err
+    assert run(["verify", "--config", str(cfg), "--grid", "16x32",
+                "--surface-file", _SPHERE_DUMP]) == EXIT_OK
+    capsys.readouterr()
+
+
+def test_surface_file_refuses_an_n_it_is_not_on(capsys):
+    argv = ["evolve", "--k", "2", "--flow", "euclidean-inverse", "--surface-file", _CURVE_DUMP]
+    assert run(argv[:1] + ["--n", "2"] + argv[1:]) == EXIT_USAGE
+    assert "n=1 grid 64" in capsys.readouterr().err
+    # with n taken from the file, k = 2 is a usage error of its own
+    assert run(argv) == EXIT_USAGE
+    assert "k = 2 outside 1..1" in capsys.readouterr().err
+
+
+def test_sweep_refuses_a_surface_file(capsys):
+    assert run(["sweep", "--surface-file", _SPHERE_DUMP, "--grid", "16x32",
+                "--check", "girao"]) == EXIT_USAGE
+    assert "--surface family" in capsys.readouterr().err
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
@@ -600,7 +642,7 @@ def test_workers_env_default(tmp_path, capsys, monkeypatch):
 def test_runconfig_roundtrip():
     cfg = RunConfig(command="verify", space="hyperbolic", grid="48x96",
                     checks=["girao", "weinstock"], k=2, tol=1e-9)
-    clone = RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+    clone = RunConfig(**json.loads(json.dumps(cfg.to_dict())))
     assert clone == cfg
 
 

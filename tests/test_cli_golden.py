@@ -1,7 +1,8 @@
 """CLI output locked byte for byte against stored golden files.
 
 Each case runs ``warpflow.cli.main`` with stdout captured and compares the
-exit code and every byte written against ``tests/golden/<case>``.  A change
+exit code and every byte written against ``tests/golden/<case>``; each
+``dump-surface`` case compares the file it writes.  A change
 that is meant to alter the output regenerates the files with
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -14,6 +15,7 @@ must leave them untouched.
 import contextlib
 import io
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -78,6 +80,11 @@ def _cases() -> dict[str, list[str]]:
 
 
 CASES = _cases()
+DUMPS = {
+    "dump_surface_curve.csv": ["--n", "1", "--grid", "64",
+                               "--surface", "bandlimited:seed=3,r0=1,amp=0.1,lmax=3"],
+    "dump_surface_sphere.csv": [*_GRID, "--surface", "bandlimited:seed=7,r0=1,amp=0.05,lmax=4"],
+}
 
 
 def _run(argv: list[str]) -> bytes:
@@ -88,9 +95,20 @@ def _run(argv: list[str]) -> bytes:
     return f"exit {code}\n{out.getvalue()}".encode()
 
 
+def _dump(argv: list[str], path: Path) -> bytes:
+    """The bytes ``dump-surface`` writes to path, which must exit 0."""
+    assert main(["dump-surface", *argv, "--out", str(path)]) == 0
+    return path.read_bytes()
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_output_matches_golden(case):
     assert _run(CASES[case]) == (GOLDEN / case).read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(DUMPS))
+def test_dump_surface_matches_golden(case, tmp_path):
+    assert _dump(DUMPS[case], tmp_path / case) == (GOLDEN / case).read_bytes()
 
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
@@ -112,9 +130,11 @@ def numeric_diff(old: str, new: str) -> str:
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in sorted(CASES.items()):
+    outputs = {name: _run(argv) for name, argv in CASES.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs.update({name: _dump(argv, Path(tmp) / name) for name, argv in DUMPS.items()})
+    for name, new in sorted(outputs.items()):
         path = GOLDEN / name
-        new = _run(argv)
         old = path.read_bytes() if path.exists() else None
         if new == old:
             continue

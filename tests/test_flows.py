@@ -20,7 +20,7 @@ from warpflow.flows import (
 from warpflow.grid import sphere_grid
 from warpflow.inequalities import monotone_series
 from warpflow.quantities import QuantityReport, full_report
-from warpflow.surface import DomainError, geometry, make_seed_surface
+from warpflow.surface import DomainError, RadialGraph, geometry, make_seed_surface
 
 EU = make_space_form(0)
 HY = make_space_form(-1)
@@ -543,11 +543,9 @@ def test_rkc_stability_and_order():
 
 def _power_iteration(space, graph, spec, iters=60, delta=1e-7):
     """|largest eigenvalue| of the linearized, polar-filtered right-hand side."""
-    polar_filter = flows._make_polar_filter(graph.grid)
-
     def rhs(u):
-        fields = geometry(space, graph.with_values(u))
-        return polar_filter(speed(spec, fields) * fields.v)
+        fields = geometry(space, RadialGraph(grid=graph.grid, u=u))
+        return graph.grid.polar_filter(speed(spec, fields) * fields.v)
 
     F0 = rhs(graph.u)
     v = np.random.default_rng(0).standard_normal(graph.u.shape)
@@ -565,7 +563,7 @@ def test_spectral_radius_bound(space, M, kind, amp):
     graph = make_seed_surface(space, grid, "bandlimited", seed=80910, r0=1, amp=amp, lmax=4)
     spec = FlowSpec(kind=kind, k=1)
     rho = _power_iteration(space, graph, spec)
-    bound = flows._spectral_radius(spec, geometry(space, graph), flows._stencil_constant(grid))
-    assert flows._stencil_constant(grid) == pytest.approx(69.35, abs=0.05)
+    bound = flows._spectral_radius(spec, geometry(space, graph))
+    assert grid.stencil_constant == pytest.approx(69.35, abs=0.05)
     # the stiffest mode sits on the polar rings; the bound is tight within 20%
     assert rho <= bound <= 1.25 * rho

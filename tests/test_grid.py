@@ -270,6 +270,24 @@ def test_grids_are_cached_and_read_only():
             arr[0] = 1.0
 
 
+def test_polar_filter_is_the_identity_on_a_circle():
+    g = circle_grid(64)
+    F = np.random.default_rng(64).standard_normal(g.shape)
+    assert g.polar_filter(F) is F
+
+
+@pytest.mark.parametrize("M, P", [(16, 32), (17, 34)])
+def test_polar_filter_keeps_each_rings_wavenumbers_up_to_its_cutoff(M, P):
+    g = sphere_grid(M, P)
+    cutoff = np.maximum(4, np.floor(P / 2 * np.sin(g.theta)))
+    for m in range(P // 2 + 1):
+        wave = np.cos(m * g.phi + 0.3) * np.ones((M, 1))
+        kept = g.polar_filter(wave)
+        for i in range(M):
+            want = wave[i] if m <= cutoff[i] else 0.0
+            assert np.max(np.abs(kept[i] - want)) <= 1e-13, (m, i)
+
+
 def test_shape_mismatch_rejected():
     g = sphere_grid(16, 32)
     with pytest.raises(ValueError, match="shape"):

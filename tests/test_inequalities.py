@@ -439,7 +439,7 @@ def _bandlimited(space, n, seed, r0, amp, lmax):
 def test_euclidean_functionals_scale_invariant(scale, r0, seed, amp, lmax, n):
     graph = _bandlimited(EU, n, seed, r0, amp, lmax)
     rep = QuantityReport(EU, graph)
-    scaled = QuantityReport(EU, graph.with_values(scale * graph.u))
+    scaled = QuantityReport(EU, RadialGraph(grid=graph.grid, u=scale * graph.u))
     for k in (1.0, 2.0, 2.5):
         assert q_imcf(scaled, k) == pytest.approx(q_imcf(rep, k), rel=1e-12)
     for k in range(1, n + 1):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import eval_legendre, lpmv
 
 from warpflow.ambient import make_custom, make_space_form
-from warpflow.grid import circle_grid, differentiate, sphere_grid
+from warpflow.grid import DEFAULT_GRID_SPECS, circle_grid, differentiate, sphere_grid
 from warpflow.quantities import surface_integral
 from warpflow.surface import (
     DomainError,
@@ -342,7 +342,7 @@ def test_seed_options_refused_by_name():
 def test_rotational_equivariance_bitwise():
     g = sphere_grid(32, 64)
     graph = make_seed_surface(EU, g, "bandlimited", seed=7, r0=1, amp=0.05, lmax=4)
-    rolled = graph.with_values(np.roll(graph.u, 1, axis=1))
+    rolled = RadialGraph(grid=graph.grid, u=np.roll(graph.u, 1, axis=1))
     f = geometry(EU, graph)
     fr = geometry(EU, rolled)
     assert np.array_equal(np.roll(f.E, 1, axis=2), fr.E)
@@ -357,7 +357,7 @@ def test_roll_equivariance_bitwise_any_shift(seed, shift):
     # a longitude roll of u by any shift rolls every derivative and field bit for bit
     g = sphere_grid(16, 32)
     graph = make_seed_surface(EU, g, "bandlimited", seed=seed, r0=1, amp=0.05, lmax=4)
-    rolled = graph.with_values(np.roll(graph.u, shift, axis=1))
+    rolled = RadialGraph(grid=graph.grid, u=np.roll(graph.u, shift, axis=1))
     for out, out_r in zip(differentiate(g, graph.u), differentiate(g, rolled.u)):
         assert np.array_equal(np.roll(out, shift, axis=-1), out_r)
     f, fr = geometry(EU, graph), geometry(EU, rolled)
@@ -432,7 +432,7 @@ def test_euclidean_geometry_scales_bitwise(seed, j, n, c):
     # factor is a power of two, so the scaling is exact
     grid = circle_grid(64, c) if n == 1 else sphere_grid(16, 32, c)
     graph = make_seed_surface(EU, grid, "bandlimited", seed=seed, r0=1, amp=0.1, lmax=4)
-    f, fs = geometry(EU, graph), geometry(EU, graph.with_values(2.0**j * graph.u))
+    f, fs = geometry(EU, graph), geometry(EU, RadialGraph(grid=grid, u=2.0**j * graph.u))
     assert np.array_equal(fs.v, f.v)
     assert np.array_equal(fs.support, 2.0**j * f.support)
     for k in range(n + 1):
@@ -554,6 +554,18 @@ def test_parse_grid_spec():
         parse_grid_spec("64", 2)
     with pytest.raises(ValueError):
         parse_grid_spec("64x128", 1)
+    # a grid's spec parses back to the grid itself, with n given or taken from the spec
+    for g in (circle_grid(64), circle_grid(512), sphere_grid(16, 32), sphere_grid(17, 34),
+              sphere_grid(64, 128)):
+        assert parse_grid_spec(g.spec, g.n) is g
+        assert parse_grid_spec(g.spec) is g
+    assert (circle_grid(64).spec, sphere_grid(16, 32).spec) == ("64", "16x32")
+    scaled = sphere_grid(16, 32, 2.0)
+    assert parse_grid_spec(scaled.spec, 2, 2.0) is scaled
+    for n, spec in DEFAULT_GRID_SPECS.items():
+        assert parse_grid_spec(spec, n).n == n
+    with pytest.raises(ValueError, match="grid spec '16x32x4' must look like"):
+        parse_grid_spec("16x32x4")
 
 
 @settings(max_examples=25, deadline=None)
