@@ -4,6 +4,8 @@ Subcommands: evolve, verify, reference, probe, sweep, dump-surface.
 Exit codes follow the CI convention: 0 pass, 2 finding (an inequality or
 monotonicity violated beyond tolerance), 1 runtime error, 64 usage error.
 A JSON config file can seed any flags via --config; explicit flags win.
+Each option is declared once, as a RunConfig field: the parser is built from
+the fields, and a config file value is checked against the same declaration.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import os
 import sys
 import types
 import typing
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -94,33 +96,47 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _option(default=None, **metadata):
+    """A RunConfig field whose flag has another name, choices or a help text."""
+    return field(default=default, metadata=metadata)
+
+
 @dataclass
 class RunConfig:
-    """Flat record of one CLI invocation; serializes round-trip."""
+    """Flat record of one CLI invocation; serializes round-trip.
+
+    Each field but ``command`` is the one declaration of its option: the flag
+    is ``--<field>`` (``_`` written ``-``) unless the metadata names another,
+    its type is the annotation's (``X | None`` reads as X; ``list[str]``
+    repeats), and the metadata holds its choices and help."""
 
     command: str
     space: str = "euclidean"
-    n: int | None = None              # None: 2, or the surface file's
-    grid: str | None = None           # None: the default of n, or the surface file's
-    surface: str = "round:r0=1"
-    surface_file: str | None = None
-    flow: str | None = None
+    n: int | None = _option(choices=(1, 2))   # None: 2, or the surface file's
+    grid: str | None = _option(       # None: the default of n, or the surface file's
+        help="MxP for n=2 (default 64x128), node count for n=1 (default 512)")
+    surface: str | None = None        # None: round:r0=1, or the surface file's
+    surface_file: str | None = _option(
+        help="load the surface, and its n and grid, from a dumped CSV instead")
+    flow: str | None = _option(help="imcf | euclidean-inverse | sx | bgl")
     k: int = 1
     t_final: float = 1.0
     report_dt: float | None = None
     cfl: float = 0.8
     max_rel_step: float = 1e-3
     eps_mono: float = 1e-6
-    checks: list[str] = field(default_factory=list)
+    checks: list[str] = field(default_factory=list, metadata={
+        "flag": "--check", "help": "name[:key=value,...]; repeatable"})
     ell: int = 0
     r: float | None = None
-    invert: float | None = None
+    invert: float | None = _option(
+        help="invert chi_ell at this value instead of evaluating at --r")
     r_max: float = 10.0
     samples: int = 100
     tol: float = 1e-8
     out: str | None = None
-    fmt: str = "csv"
-    workers: int = 1
+    fmt: str = _option("csv", flag="--format", choices=("csv", "json"))
+    workers: int = _option(1, help="worker processes (default $WARPFLOW_WORKERS or 1)")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -136,99 +152,70 @@ def _positive_workers(value: str | int, name: str = "workers") -> int:
     return w
 
 
+def _finite(value) -> float:
+    """The type of every float option, its flag's text or its config file number."""
+    try:
+        x = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {value!r}") from None
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {value!r}")
+    return x
+
+
 @functools.cache
-def _config_types() -> dict:
-    """RunConfig's field types; resolving them takes 0.4 ms, so once per process."""
-    return typing.get_type_hints(RunConfig)
+def _options() -> dict:
+    """Each RunConfig field's types (its flag's first) and metadata; resolving
+    the annotations takes 0.4 ms, so once per process."""
+    hints = typing.get_type_hints(RunConfig)
+    return {f.name: (typing.get_args(hints[f.name]) if typing.get_origin(hints[f.name])
+                     is types.UnionType else (hints[f.name],), f.metadata)
+            for f in fields(RunConfig)}
 
 
-def _config_value(key: str, val, hint):
-    """A config file value checked against the type of its RunConfig field."""
-    allowed = typing.get_args(hint) if typing.get_origin(hint) is types.UnionType else (hint,)
+def _config_value(key: str, val):
+    """A config file value checked like its flag: type, choices and finiteness."""
+    if key not in _options():
+        raise UsageError(f"unknown config key {key!r}")
+    allowed, meta = _options()[key]
     for typ in allowed:
         if typing.get_origin(typ) is list:
             ok = isinstance(val, list) and all(isinstance(item, str) for item in val)
         else:
             ok = isinstance(val, (int, float) if typ is float else typ)
         if ok and not isinstance(val, bool):
-            return float(val) if typ is float else val
-    name = " or ".join("null" if typ is type(None) else
-                       typ.__name__ if isinstance(typ, type) else str(typ) for typ in allowed)
-    raise UsageError(f"config key {key!r} must be {name}, got {val!r}")
+            break
+    else:
+        name = " or ".join("null" if typ is type(None) else
+                           typ.__name__ if isinstance(typ, type) else str(typ) for typ in allowed)
+        raise UsageError(f"config key {key!r} must be {name}, got {val!r}")
+    choices = meta.get("choices")
+    if val is not None and choices and val not in choices:
+        raise UsageError(f"config key {key!r} must be one of "
+                         f"{', '.join(map(repr, choices))}, got {val!r}")
+    try:
+        return _finite(val) if typ is float else val
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"config key {key!r} {exc}") from None
 
 
 @functools.cache
 def _build_parser() -> _Parser:
-    """The argument parser; built once per process, as nothing changes it after."""
+    """The argument parser, one flag per field a command takes (_COMMANDS);
+    built once per process, as nothing changes it after."""
     parser = _Parser(prog="warpflow",
                      description="star-shaped hypersurface flows and inequality checks")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (_, help_line, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
         p.add_argument("--config", default=None, help="JSON file of flag defaults")
-        p.add_argument("--space", default=argparse.SUPPRESS)
-        p.add_argument("--n", type=int, choices=(1, 2), default=argparse.SUPPRESS)
-        p.add_argument("--grid", default=argparse.SUPPRESS,
-                       help="MxP for n=2 (default 64x128), node count for n=1 (default 512)")
-        p.add_argument("--surface", default=argparse.SUPPRESS)
-        p.add_argument("--surface-file", dest="surface_file",
-                       default=argparse.SUPPRESS,
-                       help="load the surface, and its n and grid, from a dumped CSV instead")
-        p.add_argument("--out", default=argparse.SUPPRESS)
-
-    def formats(p):
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                       default=argparse.SUPPRESS)
-
-    p = sub.add_parser("evolve", help="run a flow and write its trace")
-    common(p)
-    formats(p)
-    p.add_argument("--flow", default=argparse.SUPPRESS,
-                   help="imcf | euclidean-inverse | sx | bgl")
-    p.add_argument("--k", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--t-final", dest="t_final", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--report-dt", dest="report_dt", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--cfl", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--max-rel-step", dest="max_rel_step", type=float,
-                   default=argparse.SUPPRESS)
-    p.add_argument("--eps-mono", dest="eps_mono", type=float, default=argparse.SUPPRESS)
-
-    p = sub.add_parser("verify", help="evaluate inequality deficits on one surface")
-    common(p)
-    formats(p)
-    p.add_argument("--check", action="append", dest="checks", default=argparse.SUPPRESS,
-                   help="name[:key=value,...]; repeatable")
-    p.add_argument("--tol", type=float, default=argparse.SUPPRESS)
-
-    p = sub.add_parser("reference", help="geodesic-ball reference functions")
-    p.add_argument("--config", default=None)
-    p.add_argument("--space", default=argparse.SUPPRESS)
-    p.add_argument("--n", type=int, choices=(1, 2), default=argparse.SUPPRESS)
-    p.add_argument("--k", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--ell", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--r", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--invert", type=float, default=argparse.SUPPRESS,
-                   help="invert chi_ell at this value instead of evaluating at --r")
-    formats(p)
-
-    p = sub.add_parser("probe", help="sample warping-function assumptions")
-    p.add_argument("--config", default=None)
-    p.add_argument("--space", default=argparse.SUPPRESS)
-    p.add_argument("--r-max", dest="r_max", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--samples", type=int, default=argparse.SUPPRESS)
-    formats(p)
-
-    p = sub.add_parser("sweep", help="min deficit over a surface family")
-    common(p)
-    formats(p)
-    p.add_argument("--check", action="append", dest="checks", default=argparse.SUPPRESS)
-    p.add_argument("--tol", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--workers", type=int, default=argparse.SUPPRESS,
-                   help="worker processes (default $WARPFLOW_WORKERS or 1)")
-
-    p = sub.add_parser("dump-surface", help="write a surface as CSV")
-    common(p)
-
+        for name in names:
+            (typ, *_), meta = _options()[name]
+            p.add_argument(meta.get("flag", "--" + name.replace("_", "-")), dest=name,
+                           action="append" if typing.get_origin(typ) is list else "store",
+                           type={int: int, float: _finite}.get(typ),
+                           choices=meta.get("choices"), help=meta.get("help"),
+                           default=argparse.SUPPRESS)
     return parser
 
 
@@ -246,15 +233,10 @@ def _merge_config(ns: argparse.Namespace) -> RunConfig:
         if not isinstance(file_values, dict):
             raise UsageError(f"{ns.config}: config must be a JSON object")
     for key, val in file_values.items():
-        if key in ("command", "config"):
-            continue
-        if not hasattr(cfg, key):
-            raise UsageError(f"unknown config key {key!r}")
-        setattr(cfg, key, _config_value(key, val, _config_types()[key]))
-    for key, val in vars(ns).items():
-        if key in ("command", "config"):
-            continue
-        setattr(cfg, key, val)
+        if key not in ("command", "config"):
+            setattr(cfg, key, _config_value(key, val))
+    vars(cfg).update((key, val) for key, val in vars(ns).items()
+                     if key not in ("command", "config"))
     if "workers" in vars(ns) or "workers" in file_values:
         _positive_workers(cfg.workers)
     elif cfg.command == "sweep":     # the one command with worker processes
@@ -263,6 +245,7 @@ def _merge_config(ns: argparse.Namespace) -> RunConfig:
     if not (cfg.surface_file and cfg.command in ("evolve", "verify", "dump_surface")):
         cfg.n = 2 if cfg.n is None else cfg.n       # else the file's: _build_surface
         cfg.grid = DEFAULT_GRID_SPECS[cfg.n] if cfg.grid is None else cfg.grid
+        cfg.surface = "round:r0=1" if cfg.surface is None else cfg.surface
     return cfg
 
 
@@ -280,6 +263,8 @@ def _build_surface(cfg: RunConfig) -> tuple[WarpedSpace, RadialGraph]:
         with _usage_errors():
             family, params = parse_surface_spec(cfg.surface)
             return space, make_seed_surface(space, grid, family, **params)
+    if cfg.surface is not None:
+        raise UsageError(f"surface file {cfg.surface_file} replaces --surface: leave it unset")
     with _usage_errors():
         space = parse_space_spec(cfg.space)
         try:
@@ -331,29 +316,30 @@ def _trace_columns(trace: FlowTrace, series: dict[str, np.ndarray]) -> list[tupl
     return cols
 
 
+@contextlib.contextmanager
+def _output(path):
+    """The --out file opened for writing, or stdout when there is none."""
+    if path is None:
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="") as out:
+            yield out
+
+
 def _write_table(path, columns: list[tuple[str, list]], fmt: str, meta: dict) -> None:
-    out = sys.stdout if path is None else open(path, "w", newline="")
-    try:
+    with _output(path) as out:
         if fmt == "csv":
             writer = csv.writer(out)
             writer.writerow([name for name, _ in columns])
-            rows = len(columns[0][1])
-            for i in range(rows):
+            for i in range(len(columns[0][1])):
                 writer.writerow([vals[i] if isinstance(vals[i], str)
                                  else _fmt_float(vals[i]) for _, vals in columns])
         else:
-            rows = len(columns[0][1])
-            samples = [
-                {name: (None if vals[i] is None
-                        else (float(vals[i]) if not isinstance(vals[i], str) else vals[i]))
-                 for name, vals in columns}
-                for i in range(rows)
-            ]
+            samples = [{name: vals[i] if vals[i] is None or isinstance(vals[i], str)
+                        else float(vals[i]) for name, vals in columns}
+                       for i in range(len(columns[0][1]))]
             json.dump({"meta": meta, "samples": samples}, out, sort_keys=True, indent=1)
             out.write("\n")
-    finally:
-        if path is not None:
-            out.close()
 
 
 def _series_monotone_ok(trace: FlowTrace, series: dict[str, np.ndarray]) -> list[str]:
@@ -475,13 +461,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     reports = _check_reports(*_build_surface(cfg), cfg.checks)
 
     if cfg.fmt == "json":
-        payload = [rep.to_dict() for rep in reports]
-        text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
-        if cfg.out:
-            with open(cfg.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        with _output(cfg.out) as out:
+            json.dump([rep.to_dict() for rep in reports], out, sort_keys=True, indent=1)
+            out.write("\n")
     else:
         _write_table(cfg.out, _deficit_rows(reports), "csv", {})
 
@@ -699,13 +681,21 @@ def cmd_dump_surface(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+_COMMON = ("space", "n", "grid", "surface", "surface_file", "out")
+# command -> (its function, its help line, the RunConfig fields it takes as
+# flags, in the order --help lists them)
 _COMMANDS = {
-    "evolve": cmd_evolve,
-    "verify": cmd_verify,
-    "reference": cmd_reference,
-    "probe": cmd_probe,
-    "sweep": cmd_sweep,
-    "dump_surface": cmd_dump_surface,
+    "evolve": (cmd_evolve, "run a flow and write its trace", _COMMON + (
+        "fmt", "flow", "k", "t_final", "report_dt", "cfl", "max_rel_step", "eps_mono")),
+    "verify": (cmd_verify, "evaluate inequality deficits on one surface",
+               _COMMON + ("fmt", "checks", "tol")),
+    "reference": (cmd_reference, "geodesic-ball reference functions",
+                  ("space", "n", "k", "ell", "r", "invert", "fmt")),
+    "probe": (cmd_probe, "sample warping-function assumptions",
+              ("space", "r_max", "samples", "fmt")),
+    "sweep": (cmd_sweep, "min deficit over a surface family",
+              _COMMON + ("fmt", "checks", "tol", "workers")),
+    "dump-surface": (cmd_dump_surface, "write a surface as CSV", _COMMON),
 }
 
 
@@ -715,7 +705,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         ns = parser.parse_args(argv)
         cfg = _merge_config(ns)
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[ns.command][0](cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -153,10 +153,11 @@ class FlowSpec:
             raise ValueError(f"{self.kind} flow requires the {flow.ambient} ambient")
         if flow.top_order_only and self.k != n:
             raise ValueError(f"{self.kind} supports k = n = {n} only")
-        if self.t_final <= 0 or self.report_dt <= 0:
-            raise ValueError("t_final and report_dt must be positive")
-        if not 0 < self.cfl <= 1 or self.max_rel_step <= 0 or self.eps_mono <= 0:
-            raise ValueError("cfl must be in (0, 1], max_rel_step and eps_mono positive")
+        if not (0 < self.t_final < math.inf and 0 < self.report_dt < math.inf):
+            raise ValueError("t_final and report_dt must be positive and finite")
+        if not (0 < self.cfl <= 1 and 0 < self.max_rel_step < math.inf
+                and 0 < self.eps_mono < math.inf):
+            raise ValueError("cfl must be in (0, 1], max_rel_step and eps_mono finite and > 0")
 
 
 def _off_cone(spec: FlowSpec, fields: GeometryFields) -> tuple[str, np.ndarray] | None:

@@ -234,8 +234,8 @@ def _require_curved_reference_space(space: WarpedSpace) -> None:
 
 
 def _check_ball_radius(space: WarpedSpace, r: float) -> None:
-    if r <= 0:
-        raise ValueError(f"ball radius must be positive, got {r}")
+    if not 0 < r < math.inf:
+        raise ValueError(f"ball radius must be positive and finite, got {r}")
     if space.kind == "sphere" and r >= math.pi:
         raise ValueError(f"ball radius must be below pi in the sphere, got {r}")
 
@@ -304,7 +304,7 @@ def ball_chi_inverse(space: WarpedSpace, ell: int, w: float, n: int = 2) -> floa
         raise ValueError(f"need 0 <= ell <= n = {n}")
     lo = tiny = 1e-8
     at_lo = _ball_chi(space, ell, lo, n)
-    if w < at_lo[0]:
+    if not w >= at_lo[0]:
         raise ValueError(f"target {w} below the range of chi_{ell}")
 
     if space.kind == "hyperbolic":
@@ -313,7 +313,7 @@ def ball_chi_inverse(space: WarpedSpace, ell: int, w: float, n: int = 2) -> floa
         while at_hi[0] < w:
             lo, at_lo = hi, at_hi
             hi = 2.0 * hi
-            if hi > 1e4:
+            if hi > 256.0:              # lambda^2 overflows a double at r = 512
                 raise ValueError(f"target {w} above the searchable range of chi_{ell}")
             at_hi = _ball_chi(space, ell, hi, n)
     else:

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import csv
 import dataclasses
@@ -142,11 +143,68 @@ def test_usage_errors_exit_64(capsys, tmp_path, monkeypatch):
                             ({"workers": 0}, "workers must be >= 1, got 0"),
                             ({"workers": 1.5}, "config key 'workers' must be int"),
                             ({"checks": "girao"}, "config key 'checks' must be list[str]"),
-                            ({"out": 3}, "config key 'out' must be str or null")):
+                            ({"out": 3}, "config key 'out' must be str or null"),
+                            # checked against its flag's choices, and finite
+                            ({"fmt": "xml"}, "config key 'fmt' must be one of 'csv', 'json'"),
+                            ({"n": 5}, "config key 'n' must be one of 1, 2, got 5"),
+                            ({"tol": math.nan}, "config key 'tol' must be a finite number"),
+                            ({"t_final": math.inf}, "config key 't_final' must be a finite")):
         config = tmp_path / "values.json"
         config.write_text(json.dumps(values))
         assert run(sweep + ["--config", str(config)]) == EXIT_USAGE, values
         assert message in capsys.readouterr().err
+
+
+def test_non_finite_flags_exit_64(capsys):
+    evolve = ["evolve", "--flow", "imcf", "--grid", "16x32", "--t-final", "0.01"]
+    for argv in (evolve + ["--t-final", "nan"], evolve + ["--t-final", "inf"],
+                 evolve + ["--eps-mono", "nan"], evolve + ["--report-dt", "nan"],
+                 evolve + ["--max-rel-step", "nan"], evolve + ["--cfl", "inf"],
+                 ["verify", "--grid", "16x32", "--check", "girao", "--tol", "nan"],
+                 ["reference", "--space", "hyperbolic", "--r", "nan"],
+                 ["reference", "--space", "hyperbolic", "--invert", "nan"],
+                 ["probe", "--space", "hyperbolic", "--r-max", "inf"]):
+        assert run(argv) == EXIT_USAGE, argv
+        assert f"argument {argv[-2]}: must be a finite number" in capsys.readouterr().err
+
+
+# each subcommand's flags as the hand-written parser declared them: option
+# string = the type its value is read as (* when the flag repeats) {choices}
+_COMMON_FLAGS = ("--config=str --space=str --n=int{1,2} --grid=str --surface=str "
+                 "--surface-file=str --out=str")
+_FLAGS = {
+    "evolve": _COMMON_FLAGS + " --format=str{csv,json} --flow=str --k=int --t-final=float "
+              "--report-dt=float --cfl=float --max-rel-step=float --eps-mono=float",
+    "verify": _COMMON_FLAGS + " --format=str{csv,json} --check=str* --tol=float",
+    "reference": "--config=str --space=str --n=int{1,2} --k=int --ell=int --r=float "
+                 "--invert=float --format=str{csv,json}",
+    "probe": "--config=str --space=str --r-max=float --samples=int --format=str{csv,json}",
+    "sweep": _COMMON_FLAGS + " --format=str{csv,json} --check=str* --tol=float --workers=int",
+    "dump-surface": _COMMON_FLAGS,
+}
+
+
+def _flag(action) -> str:
+    star = "*" if isinstance(action, argparse._AppendAction) else ""
+    choices = "" if action.choices is None else "{%s}" % ",".join(map(str, action.choices))
+    return (f"{'/'.join(action.option_strings)}="
+            f"{type((action.type or str)('2')).__name__}{star}{choices}")
+
+
+def test_each_option_is_declared_once():
+    (sub,) = [a for a in warpflow.cli._build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(sub.choices) == sorted(_FLAGS)
+    dests = set()
+    for command, parser in sub.choices.items():
+        actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        assert " ".join(map(_flag, actions)) == _FLAGS[command], command
+        options = [a for a in actions if a.dest != "config"]
+        # an unset flag leaves the config file's value in place
+        assert all(a.default is argparse.SUPPRESS for a in options), command
+        dests |= {a.dest for a in options}
+    # every flag is a RunConfig field, and every field but command is a flag
+    assert dests == {f.name for f in dataclasses.fields(RunConfig)} - {"command"}
 
 
 def test_integer_options_take_whole_numbers(capsys):
@@ -582,7 +640,7 @@ def test_evolve_surface_file_records_the_files_grid(tmp_path, capsys):
     assert run(["evolve", "--flow", "imcf", "--surface-file", _SPHERE_DUMP, "--t-final", "0.002",
                 "--report-dt", "0.002", "--format", "json", "--out", str(out)]) == EXIT_OK
     config = json.loads(out.read_text())["meta"]["config"]
-    assert (config["n"], config["grid"]) == (2, "16x32")
+    assert (config["n"], config["grid"], config["surface"]) == (2, "16x32", None)
     capsys.readouterr()
 
 
@@ -607,6 +665,19 @@ def test_surface_file_refuses_an_n_it_is_not_on(capsys):
     # with n taken from the file, k = 2 is a usage error of its own
     assert run(argv) == EXIT_USAGE
     assert "k = 2 outside 1..1" in capsys.readouterr().err
+
+
+def test_surface_file_refuses_a_seed(tmp_path, capsys):
+    # the file is the run's surface: a seed beside it, from a flag or a config
+    # file, exits 64 naming the file instead of being recorded unused
+    assert run(["verify", "--surface-file", _SPHERE_DUMP,
+                "--surface", "legendre:r0=2,eps=0.1,l=2", "--check", "girao"]) == EXIT_USAGE
+    assert f"surface file {_SPHERE_DUMP}" in capsys.readouterr().err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"surface": "round:r0=2"}))
+    assert run(["evolve", "--flow", "imcf", "--config", str(cfg),
+                "--surface-file", _SPHERE_DUMP]) == EXIT_USAGE
+    assert f"surface file {_SPHERE_DUMP}" in capsys.readouterr().err
 
 
 def test_sweep_refuses_a_surface_file(capsys):

@@ -14,6 +14,7 @@ must leave them untouched.
 
 import contextlib
 import io
+import json
 import re
 import tempfile
 from pathlib import Path
@@ -104,6 +105,18 @@ def _dump(argv: list[str], path: Path) -> bytes:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_output_matches_golden(case):
     assert _run(CASES[case]) == (GOLDEN / case).read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(c for c in CASES
+                                        if c.startswith(("evolve_", "sweep_")) and
+                                        c.endswith(".json")))
+def test_recorded_config_reproduces_the_run(case, tmp_path):
+    # a trace's meta.config, replayed through --config alone, writes the same bytes
+    _, output = (GOLDEN / case).read_text().split("\n", 1)
+    config = json.loads(output)["meta"]["config"]
+    command = config.pop("command")
+    (tmp_path / "run.json").write_text(json.dumps(config))
+    assert _run([command, "--config", str(tmp_path / "run.json")]) == (GOLDEN / case).read_bytes()
 
 
 @pytest.mark.parametrize("case", sorted(DUMPS))

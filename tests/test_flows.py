@@ -43,6 +43,18 @@ def test_spec_validation():
     FlowSpec(kind="imcf", k=2).validate(HY, 2)
 
 
+@pytest.mark.parametrize("name", ["t_final", "report_dt", "cfl", "max_rel_step", "eps_mono"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_spec_refuses_non_finite_numbers(name, value):
+    # nan compares false both ways: it once left dt unbound in evolve (t_final)
+    # or switched the monotone guard off (eps_mono) instead of being refused
+    spec = FlowSpec(kind="imcf", **{name: value})
+    with pytest.raises(ValueError, match=name):
+        spec.validate(EU, 2)
+    with pytest.raises(ValueError, match=name):
+        evolve(EU, make_seed_surface(EU, sphere_grid(16, 32), "round", r0=1.0), spec)
+
+
 def test_imcf_speed_unit_sphere():
     g = sphere_grid(32, 64)
     graph = make_seed_surface(EU, g, "round", r0=1.0)

@@ -194,6 +194,19 @@ def test_chi_inverse_range_errors():
         ball_chi_inverse(HY, 3, 4 * math.pi / 3)
     with pytest.raises(ValueError, match="sphere|pi"):
         ball_chi(SP, 0, 3.5)
+    # a nan radius or target is refused, not carried through to a nan result
+    for space in (HY, SP):
+        for r in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="radius"):
+                ball_chi(space, 0, r)
+            with pytest.raises(ValueError, match="radius"):
+                ball_xi(space, 1, r)
+        with pytest.raises(ValueError, match="target nan"):
+            ball_chi_inverse(space, 0, math.nan)
+        # a target above chi_ell's range is refused before lambda^n overflows
+        for w in (math.inf, 1e300):
+            with pytest.raises(ValueError, match="above|outside"):
+                ball_chi_inverse(space, 0, w)
     with pytest.raises(ValueError):
         ball_xi(EU, 1, 1.0)
 
