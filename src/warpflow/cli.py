@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import inequalities as ineq
-from .ambient import WarpedSpace, parse_options, parse_space_spec, probe_assumptions
+from .ambient import WarpedSpace, parse_space_spec, probe_assumptions
 from .flows import FLOWS, FlowSpec, FlowTrace, evolve
 from .grid import DEFAULT_GRID_SPECS, parse_grid_spec
 from .quantities import QuantityReport
@@ -121,7 +121,8 @@ class RunConfig:
     flow: str | None = _option(help="imcf | euclidean-inverse | sx | bgl")
     k: int = 1
     t_final: float = 1.0
-    report_dt: float | None = None
+    report_dt: float | None = _option(    # None: t_final / 100
+        help="time between trace samples; t_final / report_dt at most 1e5")
     cfl: float = 0.8
     max_rel_step: float = 1e-3
     eps_mono: float = 1e-6
@@ -133,7 +134,7 @@ class RunConfig:
         help="invert chi_ell at this value instead of evaluating at --r")
     r_max: float = 10.0
     samples: int = 100
-    tol: float = 1e-8
+    tol: float = _option(1e-8, help="a deficit below -tol is a finding; tol >= 0")
     out: str | None = None
     fmt: str = _option("csv", flag="--format", choices=("csv", "json"))
     workers: int = _option(1, help="worker processes (default $WARPFLOW_WORKERS or 1)")
@@ -237,6 +238,8 @@ def _merge_config(ns: argparse.Namespace) -> RunConfig:
             setattr(cfg, key, _config_value(key, val))
     vars(cfg).update((key, val) for key, val in vars(ns).items()
                      if key not in ("command", "config"))
+    if cfg.tol < 0:         # else an exact equality, deficit 0, would be a finding
+        raise UsageError(f"tol must be >= 0, got {cfg.tol}")
     if "workers" in vars(ns) or "workers" in file_values:
         _positive_workers(cfg.workers)
     elif cfg.command == "sweep":     # the one command with worker processes
@@ -400,59 +403,22 @@ def cmd_evolve(cfg: RunConfig) -> int:
 
 # ---------------------------------------------------------------- verify
 
-# check name -> (deficit of the report and the options, options with their
-# defaults); the deficits are looked up in `ineq` at call time, where tracers
-# rebind them
-_CHECKS = {
-    "boundary-momentum": (lambda rep, k: ineq.deficit_boundary_momentum(rep, float(k)),
-                          {"k": 1.0}),
-    "weinstock": (lambda rep: ineq.deficit_weinstock_iso(rep), {}),
-    "phi-quermass": (lambda rep, k: ineq.deficit_phi_quermass_euclidean(rep, int(k)),
-                     {"k": 1}),
-    "kwong-miao": (lambda rep, k: ineq.kwong_miao_deficit(rep, int(k)), {"k": 1}),
-    "hyperbolic-ref": (lambda rep, k, ell: ineq.deficit_hyperbolic_ref(rep, int(k), int(ell)),
-                       {"k": 1, "ell": 0}),
-    "sphere-ref": (lambda rep, ell: ineq.deficit_sphere_ref(rep, int(ell)), {"ell": 0}),
-    "minkowski": (lambda rep, k: ineq.DeficitReport(
-        name="minkowski", lhs=ineq.minkowski_residual(rep, int(k)), rhs=0.0, k=int(k),
-        equality_expected=True), {"k": 1}),
-    "curve": (lambda rep: ineq.curve_kwww_deficit(rep), {}),
-}
-_CHECKS["girao"] = _CHECKS["boundary-momentum"]
-# an option with an int default takes integers only
-_CHECK_OPTIONS = {name: {key: type(default) for key, default in defaults.items()}
-                  for name, (_, defaults) in _CHECKS.items()}
-
-
 def _check_reports(space: WarpedSpace, graph: RadialGraph,
                    checks: list[str]) -> list[ineq.DeficitReport]:
     """Evaluate each --check item on one report of one surface; a bad item is a usage error."""
     rep = QuantityReport(space, graph, geometry(space, graph))
-    reports = []
-    for item in checks:
-        name, sep, body = item.partition(":")
-        with _usage_errors():
-            name, options = parse_options(name.strip().lower().replace("_", "-") + sep + body,
-                                          _CHECK_OPTIONS, "check")
-            deficit, defaults = _CHECKS[name]
-            reports.append(deficit(rep, **{**defaults, **options}))
-    return reports
+    with _usage_errors():
+        return [ineq.check(rep, item) for item in checks]
 
 
-def _deficit_rows(reports: list[ineq.DeficitReport]) -> list[tuple[str, list]]:
-    cols = ["name", "k", "ell", "lhs", "rhs", "deficit", "relative_deficit",
-            "class_flags"]
-    table: dict[str, list] = {c: [] for c in cols}
-    for rep in reports:
-        d = rep.to_dict()
-        table["name"].append(d["name"])
-        table["k"].append("" if d["k"] is None else format(d["k"], "g"))
-        table["ell"].append("" if d["ell"] is None else str(d["ell"]))
-        for key in ("lhs", "rhs", "deficit", "relative_deficit"):
-            table[key].append(_fmt_float(d[key]))
-        table["class_flags"].append(
-            ";".join(f"{k}={v}" for k, v in d["class_flags"].items()))
-    return [(c, table[c]) for c in cols]
+def _check_rows(reports: list[ineq.DeficitReport]) -> list[tuple[str, list]]:
+    """verify's CSV columns: a check without k or ell leaves its cell empty."""
+    rows = [rep.to_dict() for rep in reports]
+    cells = {"name": str, "k": lambda k: format(k, "g"), "ell": str, "lhs": float, "rhs": float,
+             "deficit": float, "relative_deficit": float,
+             "class_flags": lambda flags: ";".join(f"{k}={v}" for k, v in flags.items())}
+    return [(col, ["" if row[col] is None else cell(row[col]) for row in rows])
+            for col, cell in cells.items()]
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -465,7 +431,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             json.dump([rep.to_dict() for rep in reports], out, sort_keys=True, indent=1)
             out.write("\n")
     else:
-        _write_table(cfg.out, _deficit_rows(reports), "csv", {})
+        _write_table(cfg.out, _check_rows(reports), "csv", {})
 
     worst = min(rep.deficit for rep in reports)
     if worst < -cfg.tol:

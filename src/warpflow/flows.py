@@ -125,6 +125,10 @@ REJECTIONS = ("step_error", "cone", "guard", "domain", "non_finite")
 _SPHERE_IMCF_MIN_H = 1e-3
 # momentum exponents every trace sample records; they include every flow's k
 _REPORT_KS = (1.0, 2.0)
+# most report intervals, t_final / report_dt, in one run: each interval ends at
+# least one accepted step and keeps a sample with its own copy of u (1e5 of
+# them hold 6.6 GB at 64x128), and the stepper resolves no step below 1e-12 t_final
+_MAX_REPORT_INTERVALS = 1e5
 
 
 class ConeViolation(RuntimeError):
@@ -155,6 +159,9 @@ class FlowSpec:
             raise ValueError(f"{self.kind} supports k = n = {n} only")
         if not (0 < self.t_final < math.inf and 0 < self.report_dt < math.inf):
             raise ValueError("t_final and report_dt must be positive and finite")
+        if self.t_final / self.report_dt > _MAX_REPORT_INTERVALS:
+            raise ValueError(f"t_final / report_dt = {self.t_final / self.report_dt:.3g} "
+                             f"report intervals, above {_MAX_REPORT_INTERVALS:g}")
         if not (0 < self.cfl <= 1 and 0 < self.max_rel_step < math.inf
                 and 0 < self.eps_mono < math.inf):
             raise ValueError("cfl must be in (0, 1], max_rel_step and eps_mono finite and > 0")

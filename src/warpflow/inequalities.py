@@ -4,7 +4,8 @@ Every inequality is reported as deficit = lhs - rhs with lhs the side that
 the theorems bound from below, so a valid input yields deficit >= 0 up to
 grid error and the equality cases sit at deficit = 0.  Deficits can be
 evaluated outside a theorem's hypothesis class on purpose (probing); the
-convexity flags of the input ride along in the report.
+convexity flags of the input ride along in the report.  `STATEMENTS` holds
+each `--check` statement's ambient and k/ell ranges, which its deficit refuses.
 
 Every deficit and functional takes one `quantities.QuantityReport` as its
 surface, and a deficit reads its ambient from `rep.space`: the checks of one
@@ -29,11 +30,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .ambient import WarpedSpace, sphere_area
+from .ambient import WarpedSpace, parse_options, sphere_area
 from .quantities import (
     QuantityReport,
     quermass_recursion,
@@ -48,6 +49,8 @@ if TYPE_CHECKING:
 
 __all__ = [
     "DeficitReport",
+    "STATEMENTS",
+    "check",
     "q_imcf",
     "phi_quermass",
     "q_k",
@@ -56,6 +59,7 @@ __all__ = [
     "q_k_euclidean",
     "deficit_phi_quermass_euclidean",
     "minkowski_residual",
+    "deficit_minkowski",
     "kwong_miao_deficit",
     "ball_xi",
     "ball_chi",
@@ -103,6 +107,54 @@ class DeficitReport:
         }
 
 
+class Statement(NamedTuple):
+    """A `--check` statement, a row of `STATEMENTS`.  Its options map each name to
+    (default, lo, hi): an int default takes integers only, and lo <= option <= hi,
+    with hi "n", another option, or None for no upper end."""
+
+    deficit: str                # its deficit's name here, looked up where tracers rebind it
+    options: dict[str, tuple[float | int, int, str | None]] = {}
+    ambient: str | None = None  # the ambient it is stated in; None: any
+    bound: str = "this bound"   # refused elsewhere as "<bound> is a <ambient> statement"
+
+    def require(self, rep: QuantityReport, **values) -> None:
+        """Refuse rep's ambient, or an option value, outside this row."""
+        if self.ambient is not None and self.ambient != rep.space.kind:
+            raise ValueError(f"{self.bound} is a {self.ambient} statement")
+        limits = {None: math.inf, "n": rep.n, **values}
+        for key, (_, lo, hi) in self.options.items():
+            if not lo <= values[key] <= limits[hi]:
+                raise ValueError(f"need {key} >= {lo}, got {values[key]}" if hi is None
+                                 else f"need {lo} <= {key} <= {hi} = {limits[hi]}")
+
+
+# the one list of check names, their options, defaults, ranges and ambients
+STATEMENTS = {
+    "boundary-momentum": Statement("deficit_boundary_momentum", {"k": (1.0, 1, None)}),
+    "weinstock": Statement("deficit_weinstock_iso", {}, "euclidean", "the squared-momentum bound"),
+    "phi-quermass": Statement("deficit_phi_quermass_euclidean", {"k": (1, 1, "n")}, "euclidean"),
+    "kwong-miao": Statement("kwong_miao_deficit", {"k": (1, 1, "n")}, "euclidean"),
+    "hyperbolic-ref": Statement("deficit_hyperbolic_ref", {"k": (1, 1, "n"), "ell": (0, 0, "k")},
+                                "hyperbolic"),
+    "sphere-ref": Statement("deficit_sphere_ref", {"ell": (0, 0, "n")}, "sphere"),
+    "minkowski": Statement("deficit_minkowski", {"k": (1, 1, "n")}),
+    "curve": Statement("curve_kwww_deficit"),       # space forms and n = 1: its own checks
+}
+STATEMENTS["girao"] = STATEMENTS["boundary-momentum"]
+_OPTION_TYPES = {name: {key: type(default) for key, (default, _, _) in row.options.items()}
+                 for name, row in STATEMENTS.items()}
+
+
+def check(rep: QuantityReport, item: str) -> DeficitReport:
+    """The deficit of check item ``name[:key=value,...]`` (name case-blind, _ as -) on rep."""
+    name, sep, body = item.partition(":")
+    name, options = parse_options(name.strip().lower().replace("_", "-") + sep + body,
+                                  _OPTION_TYPES, "check")
+    row = STATEMENTS[name]
+    return globals()[row.deficit](rep, **{key: type(default)(options.get(key, default))
+                                         for key, (default, _, _) in row.options.items()})
+
+
 def _deficit(name: str, rep: QuantityReport, lhs: float, rhs: float,
              **kw) -> DeficitReport:
     """lhs >= rhs on rep's surface, with its round flag and convexity flags."""
@@ -116,8 +168,7 @@ def q_imcf(rep: QuantityReport, k: float) -> float:
     |Sigma|^{-(n+k)/n} (int lambda^k dmu - k int lambda^{k-1} lambda' dv
                         - k/(n+k) lambda^k(a) |Gamma|).
     """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+    STATEMENTS["boundary-momentum"].require(rep, k=k)
     n = rep.n
     return rep.area ** (-(n + k) / n) * (
         rep.momentum(k) - k * rep.weighted_vol(k) - k / (n + k) * rep.gamma_term(k))
@@ -140,8 +191,7 @@ def deficit_boundary_momentum(rep: QuantityReport, k: float) -> DeficitReport:
                         + k int lambda^{k-1} lambda' dv
                         + k/(n+k) lambda^k(a) |Gamma|.
     """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+    STATEMENTS["boundary-momentum"].require(rep, k=k)
     n = rep.n
     fiber = rep.space.fiber_area(n)
     rhs = (n / (n + k) * fiber ** (-k / n) * rep.area ** ((n + k) / n)
@@ -157,8 +207,7 @@ def deficit_weinstock_iso(rep: QuantityReport) -> DeficitReport:
     The Hoelder and Young links of its derivation ride along as auxiliary
     deficits (both nonnegative for any surface).
     """
-    if rep.space.kind != "euclidean":
-        raise ValueError("the squared-momentum bound is a euclidean statement")
+    STATEMENTS["weinstock"].require(rep)
     n = rep.n
     omega = sphere_area(n)
     b = omega / (n + 1)
@@ -173,16 +222,13 @@ def deficit_weinstock_iso(rep: QuantityReport) -> DeficitReport:
 
 
 def _require_positive_W(rep: QuantityReport, k: int) -> None:
-    if not 1 <= k <= rep.n:
-        raise ValueError(f"need 1 <= k <= n = {rep.n}")
+    STATEMENTS["phi-quermass"].require(rep, k=k)
     if rep.W(k) <= 0:
         raise ValueError(f"W_{k} = {rep.W(k):.3e} is not positive")
 
 
 def q_k_euclidean(rep: QuantityReport, k: int) -> float:
     """`q_k` of a euclidean surface with W_k > 0."""
-    if rep.space.kind != "euclidean":
-        raise ValueError("this functional is defined in the euclidean ambient")
     _require_positive_W(rep, k)
     return q_k(rep, k)
 
@@ -193,8 +239,6 @@ def deficit_phi_quermass_euclidean(rep: QuantityReport, k: int) -> DeficitReport
       >= (n+2+k)/(2(n+2-k)) omega_n ((n+1-k)/omega_n)^{(n+2-k)/(n+1-k)}
          W_k^{(n+2-k)/(n+1-k)}, euclidean.
     """
-    if rep.space.kind != "euclidean":
-        raise ValueError("this bound is a euclidean statement")
     _require_positive_W(rep, k)
     n = rep.n
     omega = sphere_area(n)
@@ -207,24 +251,25 @@ def deficit_phi_quermass_euclidean(rep: QuantityReport, k: int) -> DeficitReport
 def minkowski_residual(rep: QuantityReport, k: int) -> float:
     """Normalized gap of the integral Minkowski identity
     int lambda' E_{k-1} dmu = int u_s E_k dmu (exact in the continuum)."""
-    fields, n = rep.fields, rep.n
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n = {n}")
+    STATEMENTS["minkowski"].require(rep, k=k)
+    fields = rep.fields
     lhs = surface_integral(fields, fields.dlam * fields.E[k - 1])
     rhs = surface_integral(fields, fields.support * fields.E[k])
     return abs(lhs - rhs) / (abs(lhs) + abs(rhs))
 
 
+def deficit_minkowski(rep: QuantityReport, k: int) -> DeficitReport:
+    """`minkowski_residual` as a deficit over rhs 0: equality on every surface."""
+    return DeficitReport(name="minkowski", lhs=minkowski_residual(rep, k), rhs=0.0, k=k,
+                         equality_expected=True)
+
+
 def kwong_miao_deficit(rep: QuantityReport, k: int) -> DeficitReport:
     """Weighted curvature integral against one quermassintegral:
     int Phi E_k dmu >= (n+2-k)/2 W_{k-1}, euclidean."""
-    if rep.space.kind != "euclidean":
-        raise ValueError("this bound is a euclidean statement")
-    n = rep.n
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n = {n}")
+    STATEMENTS["kwong-miao"].require(rep, k=k)
     return _deficit("kwong_miao", rep, rep.phi_curvature(k),
-                    (n + 2 - k) / 2 * rep.W(k - 1), k=k)
+                    (rep.n + 2 - k) / 2 * rep.W(k - 1), k=k)
 
 
 def _require_curved_reference_space(space: WarpedSpace) -> None:
@@ -376,22 +421,14 @@ def deficit_hyperbolic_ref(rep: QuantityReport, k: int, ell: int) -> DeficitRepo
     Proved for static convex domains; evaluating outside that class is a
     legitimate probe and the flags say which class the input is in.
     """
-    if rep.space.kind != "hyperbolic":
-        raise ValueError("this bound is a hyperbolic statement")
-    if not 1 <= k <= rep.n:
-        raise ValueError(f"need 1 <= k <= n = {rep.n}")
-    if not 0 <= ell <= k:
-        raise ValueError(f"need 0 <= ell <= k = {k}")
+    STATEMENTS["hyperbolic-ref"].require(rep, k=k, ell=ell)
     return _ball_reference_deficit("hyperbolic_ref", rep, k, ell)
 
 
 def deficit_sphere_ref(rep: QuantityReport, ell: int) -> DeficitReport:
     """Sphere-ambient top-order weighted-curvature bound (k = n):
     int Phi E_n dmu + n W_{n-1} >= (xi_n + n chi_{n-1})(chi_ell^{-1}(W_ell))."""
-    if rep.space.kind != "sphere":
-        raise ValueError("this bound is a sphere statement")
-    if not 0 <= ell <= rep.n:
-        raise ValueError(f"need 0 <= ell <= n = {rep.n}")
+    STATEMENTS["sphere-ref"].require(rep, ell=ell)
     return _ball_reference_deficit("sphere_ref", rep, rep.n, ell)
 
 

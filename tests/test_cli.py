@@ -19,9 +19,10 @@ from hypothesis import given, settings, strategies as st
 
 import warpflow.cli
 import warpflow.quantities
+from warpflow import inequalities
 from warpflow.ambient import _SPACE_OPTIONS, parse_options, parse_space_spec
 from warpflow.cli import (
-    _CHECK_OPTIONS, EXIT_ERROR, EXIT_FINDING, EXIT_OK, EXIT_USAGE, Pool, RunConfig,
+    EXIT_ERROR, EXIT_FINDING, EXIT_OK, EXIT_USAGE, Pool, RunConfig,
     _sweep_members, main, steady_allocator,
 )
 from warpflow.grid import circle_grid, sphere_grid
@@ -153,6 +154,45 @@ def test_usage_errors_exit_64(capsys, tmp_path, monkeypatch):
         config.write_text(json.dumps(values))
         assert run(sweep + ["--config", str(config)]) == EXIT_USAGE, values
         assert message in capsys.readouterr().err
+
+
+def test_negative_tol_exits_64(capsys, tmp_path):
+    # a negative tol made an exact equality, deficit 0, a finding (exit 2)
+    verify = ["verify", "--grid", "16x32", "--check", "girao"]
+    sweep = ["sweep", "--grid", "16x32", "--surface", "legendre:r0=1,eps=0:0.1:0.05,l=2",
+             "--check", "girao"]
+    config = tmp_path / "tol.json"
+    config.write_text(json.dumps({"tol": -1}))
+    for argv in (verify, sweep):
+        for source in (["--tol", "-1"], ["--config", str(config)]):
+            assert run(argv + source) == EXIT_USAGE, argv + source
+            assert "usage error: tol must be >= 0, got -1.0" in capsys.readouterr().err
+    assert run(verify + ["--tol", "0"]) == EXIT_OK
+
+
+def test_refused_checks_keep_their_messages(capsys):
+    for space, item, message in (
+            ("euclidean", "minkowski:k=3", "need 1 <= k <= n = 2"),
+            ("euclidean", "girao:k=0.5", "need k >= 1, got 0.5"),
+            ("hyperbolic", "hyperbolic-ref:k=1,ell=2", "need 0 <= ell <= k = 1"),
+            ("sphere", "sphere-ref:ell=3", "need 0 <= ell <= n = 2"),
+            ("sphere", "weinstock", "the squared-momentum bound is a euclidean statement"),
+            ("euclidean", "kwong-miao:k=3", "need 1 <= k <= n = 2"),
+            ("euclidean", "phi-quermass:k=0", "need 1 <= k <= n = 2"),
+            ("hyperbolic", "phi-quermass", "this bound is a euclidean statement"),
+            ("euclidean", "curve", "the curve bound needs n = 1")):
+        argv = ["verify", "--space", space, "--grid", "16x32", "--check", item]
+        assert run(argv) == EXIT_USAGE, argv
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+def test_report_intervals_beyond_the_bound_exit_64(capsys):
+    # 1e298 intervals ended as a step underflow (exit 1), and 1e11 ran without end
+    evolve = ["evolve", "--flow", "imcf", "--grid", "16x32", "--t-final", "0.01"]
+    for report_dt, intervals in (("1e-300", "1e+298"), ("1e-13", "1e+11")):
+        assert run_bounded(evolve + ["--report-dt", report_dt]) == EXIT_USAGE
+        assert (f"usage error: t_final / report_dt = {intervals} report intervals, above "
+                "100000") in capsys.readouterr().err
 
 
 def test_non_finite_flags_exit_64(capsys):
@@ -571,11 +611,12 @@ def _die_in_a_child(monkeypatch, seed):
 
 
 def _timeout(signum, frame):
-    raise TimeoutError("the sweep was still running after 30 s")
+    raise TimeoutError("the command was still running after 30 s")
 
 
 def run_bounded(args):
-    """run(args), interrupted after 30 s, so that a sweep waiting on a dead child fails."""
+    """run(args), interrupted after 30 s, so that a hang (a sweep waiting on a dead
+    child, a run of endless report intervals) fails."""
     previous = signal.signal(signal.SIGALRM, _timeout)
     signal.alarm(30)
     try:
@@ -802,6 +843,9 @@ def _space_values(spec):
     return space.kind, space.a, space.fiber_scale, float(space.lam(2.0))
 
 
+# each check name's keys and their types, read from the statement table
+_CHECK_OPTIONS = {name: {key: type(default) for key, (default, _, _) in row.options.items()}
+                  for name, row in inequalities.STATEMENTS.items()}
 # grammar -> (parse, table of names and their keys); every value drawn below
 # is valid for its key: a whole number for an int key
 _GRAMMARS = {

@@ -55,6 +55,16 @@ def test_spec_refuses_non_finite_numbers(name, value):
         evolve(EU, make_seed_surface(EU, sphere_grid(16, 32), "round", r0=1.0), spec)
 
 
+def test_spec_bounds_the_report_intervals():
+    # each interval keeps a sample; 1e11 of them ran without end, and 1e298
+    # ended as a step underflow
+    for report_dt in (1e-300, 1e-13, 0.999e-7):
+        spec = FlowSpec(kind="imcf", t_final=0.01, report_dt=report_dt)
+        with pytest.raises(ValueError, match=r"^t_final / report_dt = .* above 100000$"):
+            spec.validate(EU, 2)
+    FlowSpec(kind="imcf", t_final=0.01, report_dt=1e-7).validate(EU, 2)
+
+
 def test_imcf_speed_unit_sphere():
     g = sphere_grid(32, 64)
     graph = make_seed_surface(EU, g, "round", r0=1.0)

@@ -418,6 +418,49 @@ print(sorted(m for m in sys.modules if m.startswith("warpflow.")))
 """
 
 
+# today's refusal of a value outside an option's range, by the range's upper end
+_RANGE_MESSAGES = {None: "need {key} >= {lo}, got {value}",
+                   "n": "need {lo} <= {key} <= n = {n}", "k": "need {lo} <= {key} <= k = {k}"}
+
+
+@pytest.mark.parametrize("name", sorted(ineq.STATEMENTS))
+def test_statement_rows_scope_their_checks(name):
+    row = ineq.STATEMENTS[name]
+    defaults = {key: default for key, (default, _, _) in row.options.items()}
+    deficit = getattr(ineq, row.deficit)
+    for n, grid in ((1, circle_grid(64)), (2, sphere_grid(16, 32))):
+        reps = {space.kind: QuantityReport(space, make_seed_surface(space, grid, "round", r0=0.5))
+                for space in (EU, HY, SP)}
+        rep = reps[row.ambient or "euclidean"]
+        if name != "curve" or n == 1:
+            # case-blind, with _ for -: the same deficit as the table's spelling
+            blind = ineq.check(rep, name.upper().replace("-", "_")).to_dict()
+            assert blind == ineq.check(rep, name).to_dict()
+        for kind, other in reps.items():
+            if row.ambient not in (None, kind):
+                refusal = f"^{row.bound} is a {row.ambient} statement$"
+                with pytest.raises(ValueError, match=refusal):
+                    ineq.check(other, name)
+                with pytest.raises(ValueError, match=refusal):
+                    deficit(other, **defaults)
+        for key, (default, lo, hi) in row.options.items():
+            top = {None: None, "n": n, **defaults}[hi]
+            for value in (lo - 1, lo - 0.5) + (() if top is None else (top + 1,)):
+                if type(default) is int and not float(value).is_integer():
+                    continue
+                value = type(default)(value)
+                message = _RANGE_MESSAGES[hi].format(key=key, lo=lo, value=value, n=n,
+                                                     k=defaults.get("k"))
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    ineq.check(rep, f"{name}:{key}={value}")
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    deficit(rep, **{**defaults, key: value})
+            if type(default) is int:       # an int option refuses a fraction
+                with pytest.raises(ValueError, match=f"'{key}' in .* takes integers"):
+                    ineq.check(rep, f"{name}:{key}={lo}.5")
+    assert ineq.STATEMENTS["girao"] is ineq.STATEMENTS["boundary-momentum"]
+
+
 def test_inequalities_do_not_import_flows():
     # the dependency runs one way: flows -> inequalities -> quantities
     package = str(Path(ineq.__file__).resolve().parent)

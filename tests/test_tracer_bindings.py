@@ -39,3 +39,24 @@ def test_tracer_install_uninstall_restores_every_binding():
     for module in MODULES:
         assert vars(module).keys() == before[module].keys()
         assert all(vars(module)[name] is obj for name, obj in before[module].items())
+
+
+def test_tracer_counts_every_check(capsys):
+    # one inequalities.check span per --check, one ball_chi_inverse per reference check
+    for space, checks, spans in (
+            ("euclidean", ("girao", "boundary-momentum:k=2", "weinstock", "phi-quermass:k=1",
+                           "kwong-miao:k=2", "minkowski:k=1"), (6, 0)),
+            ("hyperbolic", ("hyperbolic-ref:k=1,ell=0", "hyperbolic-ref:k=2,ell=2"), (2, 2)),
+            ("sphere", ("sphere-ref:ell=1",), (1, 1))):
+        argv = ["verify", "--space", space, "--grid", "16x32"]
+        for item in checks:
+            argv += ["--check", item]
+        tracer = Tracer()
+        try:
+            tracer.install()
+            assert warpflow.cli.main(argv) == 0, capsys.readouterr().err
+        finally:
+            tracer.uninstall()
+        counts = tracer.counts
+        assert (counts["inequalities.check.calls"],
+                counts["inequalities.ball_chi_inverse.calls"]) == spans, space
