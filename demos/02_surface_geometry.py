@@ -8,7 +8,7 @@ convergence of the curvature fields.
 import numpy as np
 
 from warpflow import (
-    convexity_class,
+    QuantityReport,
     geometry,
     make_seed_surface,
     make_space_form,
@@ -22,9 +22,10 @@ print("convexity classes of legendre surfaces u = 1 + eps P_2(cos theta):")
 g = sphere_grid(64, 128)
 for eps in (0.0, 0.2, 0.45):
     graph = make_seed_surface(eu, g, "legendre", r0=1.0, eps=eps, l=2)
-    rep = convexity_class(geometry(eu, graph), eu, 2)
-    print(f"  eps={eps:4.2f}: min kappa={rep.min_kappa:+.4f}  min H={rep.min_H:+.4f}"
-          f"  convex={rep.convex}  mean convex={rep.mean_convex}")
+    rep = QuantityReport(eu, graph)
+    flags = rep.class_flags
+    print(f"  eps={eps:4.2f}: min kappa={rep.min_kappa:+.4f}  min H={2 * rep.min_E(1):+.4f}"
+          f"  convex={flags['convex']}  mean convex={flags['mean_convex']}")
 
 print("\ngrid convergence of a curvature integral (int E_2 dmu, Gauss-Bonnet says 4 pi):")
 for M in (32, 64, 128):

@@ -21,7 +21,6 @@ from .surface import (
     DomainError,
     GeometryFields,
     RadialGraph,
-    convexity_class,
     geometry,
     make_seed_surface,
 )

@@ -310,11 +310,10 @@ def _trace_columns(trace: FlowTrace, series: dict[str, np.ndarray]) -> list[tupl
     for k in range(1, n + 1):
         cols.append((f"phiE{k}", [s.report.phi_curvature(k) for s in trace.samples]))
     cols += [(m.label or m.name, list(series[m.name])) for m in trace.monotones]
-    cols.append(("minH", [s.class_report.min_H for s in trace.samples]))
+    cols.append(("minH", [n * s.report.min_E(1) for s in trace.samples]))
     for j in range(1, spec.k + 1):
-        cols.append((f"minE{j}", [s.class_report.min_E[j] for s in trace.samples]))
-    cols.append(("min_static_margin",
-                 [s.class_report.static_margin for s in trace.samples]))
+        cols.append((f"minE{j}", [s.report.min_E(j) for s in trace.samples]))
+    cols.append(("min_static_margin", [s.report.static_margin for s in trace.samples]))
     cols.append(("dt", [s.dt for s in trace.samples]))
     return cols
 

@@ -34,8 +34,8 @@ wrong-way move is recorded as a finding instead of being smoothed away.
 Non-finite covers v and E_k of every stage and candidate surface (checked
 by `geometry`), the step error, and the candidate's area weight, which the
 guard's report reads first.  The principal curvatures are computed only
-when read: by a sample's convexity class, and for k = 2 by rho_est of an
-accepted surface, never by a stage.  The cone is checked once per
+when read: by a sample's report (min_kappa, static_margin), and for k = 2
+by rho_est of an accepted surface, never by a stage.  The cone is checked once per
 evaluated surface, inside `speed`, whose ConeViolation names the first
 node off the cone; an attempt files it as a cone rejection.  Every
 attempt, its outcome and its stage count is kept in FlowTrace.attempts.
@@ -79,14 +79,7 @@ from .quantities import (
     quermassintegrals,  # noqa: F401  rebound here by perfbench/tracer.py
     surface_integral,
 )
-from .surface import (
-    ClassReport,
-    DomainError,
-    GeometryFields,
-    RadialGraph,
-    convexity_class,
-    geometry,
-)
+from .surface import DomainError, GeometryFields, RadialGraph, geometry
 
 __all__ = [
     "Flow",
@@ -353,11 +346,9 @@ class TraceSample:
 
     t: float
     u: np.ndarray                 # physical nodal radii
-    report: QuantityReport
-    class_report: ClassReport
+    report: QuantityReport        # detached: numbers only
     max_speed: float
     dt: float
-    newton_maclaurin_margin: float | None   # min(E_k^2 - E_{k+1} E_{k-1}), n >= 2
 
 
 @dataclass
@@ -449,16 +440,9 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
             live, f_speed = QuantityReport(space, g_phys, flds), speed(spec, flds)
         else:
             flds, live, f_speed = fields, report, f_now
-        E = flds.E
-        margin = (min(float((E[j]**2 - E[j + 1] * E[j - 1]).min()) for j in range(1, n))
-                  if n >= 2 else None)
         trace.samples.append(TraceSample(
-            t=t, u=flds.u.copy(),
-            report=live.detach(_REPORT_KS),
-            class_report=convexity_class(flds, space, spec.k),
-            max_speed=float(np.max(np.abs(f_speed))),
-            dt=dt_used, newton_maclaurin_margin=margin,
-        ))
+            t=t, u=flds.u.copy(), report=live.detach(_REPORT_KS),
+            max_speed=float(np.max(np.abs(f_speed))), dt=dt_used))
 
     def stop(termination: tuple, dt_used: float) -> FlowTrace:
         trace.termination = termination

@@ -118,7 +118,7 @@ class Statement(NamedTuple):
     bound: str = "this bound"   # refused elsewhere as "<bound> is a <ambient> statement"
 
     def require(self, rep: QuantityReport, **values) -> None:
-        """Refuse rep's ambient, or an option value, outside this row."""
+        """Refuse rep's ambient, or an option value outside this row or not finite."""
         if self.ambient is not None and self.ambient != rep.space.kind:
             raise ValueError(f"{self.bound} is a {self.ambient} statement")
         limits = {None: math.inf, "n": rep.n, **values}
@@ -126,6 +126,8 @@ class Statement(NamedTuple):
             if not lo <= values[key] <= limits[hi]:
                 raise ValueError(f"need {key} >= {lo}, got {values[key]}" if hi is None
                                  else f"need {lo} <= {key} <= {hi} = {limits[hi]}")
+            if not math.isfinite(values[key]):
+                raise ValueError(f"need a finite {key}, got {values[key]}")
 
 
 # the one list of check names, their options, defaults, ranges and ambients
@@ -146,13 +148,22 @@ _OPTION_TYPES = {name: {key: type(default) for key, (default, _, _) in row.optio
 
 
 def check(rep: QuantityReport, item: str) -> DeficitReport:
-    """The deficit of check item ``name[:key=value,...]`` (name case-blind, _ as -) on rep."""
+    """The deficit of check item ``name[:key=value,...]`` (name case-blind, _ as -) on rep.
+
+    A float overflow, or an lhs or rhs that is not finite, raises ValueError
+    naming the item: such a deficit is neither a pass nor a finding."""
     name, sep, body = item.partition(":")
     name, options = parse_options(name.strip().lower().replace("_", "-") + sep + body,
                                   _OPTION_TYPES, "check")
     row = STATEMENTS[name]
-    return globals()[row.deficit](rep, **{key: type(default)(options.get(key, default))
-                                         for key, (default, _, _) in row.options.items()})
+    try:
+        out = globals()[row.deficit](rep, **{key: type(default)(options.get(key, default))
+                                            for key, (default, _, _) in row.options.items()})
+    except OverflowError as exc:
+        raise ValueError(f"check {item} overflows: {exc.args[-1]}") from exc
+    if not (math.isfinite(out.lhs) and math.isfinite(out.rhs)):
+        raise ValueError(f"check {item} is not finite: lhs {out.lhs}, rhs {out.rhs}")
+    return out
 
 
 def _deficit(name: str, rep: QuantityReport, lhs: float, rhs: float,
@@ -438,9 +449,8 @@ def curve_kwww_deficit(rep: QuantityReport) -> DeficitReport:
         raise ValueError("the curve bound is stated in space forms")
     if rep.n != 1:
         raise ValueError("the curve bound needs n = 1")
-    kappa = rep.fields.kappa[0]
-    if kappa.min() <= 0:
-        idx = int(np.argmax(kappa <= 0))
+    if rep.min_kappa <= 0:
+        idx = int(np.argmax(rep.fields.kappa[0] <= 0))
         raise ValueError(f"curve not convex at {rep.fields.grid.node_label(idx)}")
     L, A = rep.area, rep.volume
     # E_1 = kappa for curves, so the lhs is int Phi kappa ds
@@ -463,7 +473,7 @@ def monotone_series(trace: FlowTrace) -> dict[str, np.ndarray]:
     """
     out = {m.name: np.array([m.value(s.report) for s in trace.samples])
            for m in trace.monotones}
-    margin = [s.newton_maclaurin_margin for s in trace.samples]
+    margin = [s.report.newton_maclaurin_margin for s in trace.samples]
     if None not in margin:                     # n = 1 records no margin
         out["newton_maclaurin_margin"] = np.array(margin)
     return out

@@ -17,11 +17,13 @@ style residual check (`quermass_recursion`, shared with the geodesic balls).
 `QuantityReport` is the one report: each value is computed on first read and
 kept.  Besides the integrals it keeps what several of them, or every deficit
 of one surface, would otherwise compute again: Phi(u) per node for every
-int Phi E_k, the convexity flags and the round flag; lambda(u) is read from
-its geometry fields.  `QuantityReport.detach` computes what a trace sample
-records and then drops the fields and Phi(u), so a sample keeps numbers and no
-nodal arrays; a flow detaches the step guard's report of the accepted surface,
-and `full_report` detaches a new report of a given surface.
+int Phi E_k, the round flag, and the class data: the nodal minima of E_j and
+kappa, the static-convexity and Newton-MacLaurin margins, from which every
+deficit's convexity flags are read; lambda(u) is read from its fields.
+`QuantityReport.detach` computes what a trace sample records and then drops
+the fields and Phi(u), so a sample keeps numbers and no nodal arrays; a flow
+detaches the step guard's report of the accepted surface, and `full_report`
+detaches a new report of a given surface.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .ambient import WarpedSpace, sphere_area
-from .surface import GeometryFields, RadialGraph, convexity_class, geometry
+from .surface import GeometryFields, RadialGraph, geometry
 
 __all__ = [
     "QuantityReport",
@@ -204,15 +206,44 @@ class QuantityReport:
     def _phi(self) -> np.ndarray:  # Phi(u) per node, for every phi_curvature
         return self.space.phi(self.graph.u)
 
+    @_kept
+    def min_E(self, j: int) -> float:  # min E_j over the nodes
+        return float(self.fields.E[j].min())
+
     @property
     @_kept
+    def min_kappa(self) -> float:  # the least principal curvature over the nodes
+        return float(self.fields.kappa.min())
+
+    @property
+    @_kept
+    def static_margin(self) -> float | None:
+        """min(kappa_min - u_s/lambda'), the distance to the static-convexity
+        cone; None where lambda' <= 0 at some node."""
+        f = self.fields
+        if not np.all(f.dlam > 0):
+            return None
+        return float((f.kappa[-1] - f.support / f.dlam).min())
+
+    @property
+    @_kept
+    def newton_maclaurin_margin(self) -> float | None:
+        """min(E_j^2 - E_{j+1} E_{j-1}) over the nodes and j = 1..n-1, nonnegative
+        whenever the curvature vector is real; None for n = 1."""
+        E = self.fields.E
+        return (min(float((E[j]**2 - E[j + 1] * E[j - 1]).min()) for j in range(1, self.n))
+                if self.n >= 2 else None)
+
+    @property
     def class_flags(self) -> dict[str, bool | None]:
-        """The convexity flags at k = n that every deficit carries; {} where
-        they are undefined (lambda' <= 0 somewhere in hyperbolic space)."""
-        try:
-            return convexity_class(self.fields, self.space, self.n).flags()
-        except ValueError:
-            return {}
+        """The convexity flags at k = n that every deficit carries, from the values above."""
+        margin = self.static_margin
+        return {
+            "mean_convex": self.min_E(1) > 0,
+            f"{self.n}_convex": all(self.min_E(j) > 0 for j in range(1, self.n + 1)),
+            "convex": self.min_kappa > 0,
+            "static_convex": None if margin is None else margin > 0,
+        }
 
     @property
     @_kept
@@ -261,6 +292,10 @@ class QuantityReport:
             "phi_curvature_integrals": [self.phi_curvature(k) for k in range(1, n + 1)],
             "W": None if self.quermass is None else list(map(float, self.quermass)),
             "gauss_bonnet_residual": self.gauss_bonnet_residual,
+            "min_E": [self.min_E(j) for j in range(1, n + 1)],
+            "min_kappa": self.min_kappa,
+            "static_margin": self.static_margin,
+            "newton_maclaurin_margin": self.newton_maclaurin_margin,
         }
 
     def detach(self, ks=(1.0,)) -> QuantityReport:

@@ -45,9 +45,7 @@ __all__ = [
     "DomainError",
     "RadialGraph",
     "GeometryFields",
-    "ClassReport",
     "geometry",
-    "convexity_class",
     "make_seed_surface",
     "parse_surface_spec",
     "parse_grid_spec",
@@ -261,66 +259,6 @@ def _principal_curvatures(fields: GeometryFields) -> np.ndarray:
     np.add(fields.E[1], half_gap, out=kappa[0])
     np.subtract(fields.E[1], half_gap, out=kappa[1])
     return kappa
-
-
-@dataclass(frozen=True)
-class ClassReport:
-    """Nodal convexity margins of one surface.
-
-    static_margin is min(kappa_min - support/lambda'), the distance to the
-    static-convexity cone; it is None when lambda' vanishes somewhere.
-    """
-
-    k: int
-    min_H: float
-    min_E: dict[int, float]
-    min_kappa: float
-    static_margin: float | None
-    mean_convex: bool
-    k_convex: bool
-    convex: bool
-    static_convex: bool | None
-
-    def flags(self) -> dict[str, bool | None]:
-        return {
-            "mean_convex": self.mean_convex,
-            f"{self.k}_convex": self.k_convex,
-            "convex": self.convex,
-            "static_convex": self.static_convex,
-        }
-
-
-def convexity_class(fields: GeometryFields, space: WarpedSpace, k: int) -> ClassReport:
-    """Classify a surface by its nodal curvature minima."""
-    n = fields.n
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n = {n}, got k = {k}")
-    min_E = {j: float(fields.E[j].min()) for j in range(1, k + 1)}
-    min_H = float(n * fields.E[1].min())
-    min_kappa = float(fields.kappa.min())
-
-    dlam = fields.dlam
-    if np.all(dlam > 0):
-        static_margin = float((fields.kappa[-1] - fields.support / dlam).min())
-    else:
-        if space.kind == "hyperbolic":
-            idx = int(np.argmax((dlam <= 0).ravel()))
-            raise ValueError(
-                f"static convexity undefined: lambda' <= 0 at {fields.grid.node_label(idx)}"
-            )
-        static_margin = None
-
-    return ClassReport(
-        k=k,
-        min_H=min_H,
-        min_E=min_E,
-        min_kappa=min_kappa,
-        static_margin=static_margin,
-        mean_convex=min_H > 0,
-        k_convex=all(m > 0 for m in min_E.values()),
-        convex=min_kappa > 0,
-        static_convex=None if static_margin is None else static_margin > 0,
-    )
 
 
 def _legendre(n: int, x: np.ndarray) -> np.ndarray:

@@ -192,8 +192,7 @@ def test_A04_Qk_monotone_and_limit(einv_trace):
 def test_A05_hyperbolic_monotone_pair(sx_trace):
     trace, spec = sx_trace
     assert trace.termination == ("reached_t_final",)
-    start = trace.samples[0].class_report
-    assert start.static_convex, "seed must be static convex"
+    assert trace.samples[0].report.class_flags["static_convex"], "seed must be static convex"
     series = monotone_series(trace)
     lhs = series["phiE1_plus_1W0"]
     assert np.all(per_step_increase(lhs) <= 1e-6)
@@ -208,7 +207,7 @@ def test_A05_hyperbolic_monotone_pair(sx_trace):
 def test_A06_sphere_monotone(bgl_trace):
     trace, spec = bgl_trace
     assert trace.termination == ("reached_t_final",)
-    assert trace.samples[0].class_report.convex
+    assert trace.samples[0].report.class_flags["convex"]
     series = monotone_series(trace)
     lhs = series["phiE2_plus_2W1"]
     assert np.all(per_step_increase(lhs) <= 1e-6)

@@ -18,7 +18,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import warpflow.cli
+import warpflow.flows
 import warpflow.quantities
+import warpflow.surface
 from warpflow import inequalities
 from warpflow.ambient import _SPACE_OPTIONS, parse_options, parse_space_spec
 from warpflow.cli import (
@@ -174,6 +176,9 @@ def test_refused_checks_keep_their_messages(capsys):
     for space, item, message in (
             ("euclidean", "minkowski:k=3", "need 1 <= k <= n = 2"),
             ("euclidean", "girao:k=0.5", "need k >= 1, got 0.5"),
+            ("euclidean", "girao:k=inf", "need a finite k, got inf"),
+            ("euclidean", "girao:k=1e6",
+             "check girao:k=1e6 overflows: Numerical result out of range"),
             ("hyperbolic", "hyperbolic-ref:k=1,ell=2", "need 0 <= ell <= k = 1"),
             ("sphere", "sphere-ref:ell=3", "need 0 <= ell <= n = 2"),
             ("sphere", "weinstock", "the squared-momentum bound is a euclidean statement"),
@@ -184,6 +189,41 @@ def test_refused_checks_keep_their_messages(capsys):
         argv = ["verify", "--space", space, "--grid", "16x32", "--check", item]
         assert run(argv) == EXIT_USAGE, argv
         assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+def test_checks_that_are_not_finite_exit_64(capsys):
+    # girao:k=inf wrote a nan row and exited 0, and ahead of a finding it hid
+    # the finding (min() keeps a leading nan); kwong-miao on a sphere of
+    # radius 1e103 reads inf against inf and wrote a nan row
+    verify = ["verify", "--grid", "16x32", "--tol", "0"]
+    assert run(verify + ["--check", "girao:k=400"]) == EXIT_FINDING
+    for checks, surface, message in (
+            (["girao:k=inf", "girao:k=400"], "round:r0=1", "need a finite k, got inf"),
+            (["kwong-miao:k=1"], "round:r0=1e103",
+             "check kwong-miao:k=1 is not finite: lhs inf, rhs inf")):
+        capsys.readouterr()
+        argv = verify + ["--surface", surface] + [arg for c in checks for arg in ("--check", c)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(argv) == EXIT_USAGE, argv
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+def test_evolve_exits_2_on_a_finding_and_1_on_an_early_stop(monkeypatch, capsys):
+    # a guard row that every imcf step breaks: a persistent finding, then a
+    # step underflow, and the finding decides the exit code
+    row = warpflow.flows.Monotone("area", -1, lambda rep: rep.area)
+    monkeypatch.setitem(warpflow.flows.FLOWS, "imcf", dataclasses.replace(
+        warpflow.flows.FLOWS["imcf"], monotones=lambda k, ks: [row]))
+    assert run(["evolve", "--space", "hyperbolic", "--flow", "imcf", "--grid", "16x32",
+                "--surface", "round:r0=1", "--eps-mono", "1e-300"]) == EXIT_FINDING
+    err = capsys.readouterr().err
+    assert "finding: series area moves the wrong way" in err
+    assert "'quantity': 'area'" in err and "persistent wrong-way move" in err
+    monkeypatch.undo()
+    # imcf in the sphere stops when the mean curvature nears zero at the equator
+    assert run(["evolve", "--space", "sphere", "--flow", "imcf", "--grid", "16x32",
+                "--surface", "round:r0=1.5", "--t-final", "1"]) == EXIT_ERROR
+    assert "terminated early: ('equator_stop', " in capsys.readouterr().err
 
 
 def test_report_intervals_beyond_the_bound_exit_64(capsys):
@@ -790,7 +830,7 @@ def test_verify_checks_of_one_surface_share_one_report(capsys, monkeypatch):
 
 def test_verify_evaluates_each_nodal_value_once(capsys, monkeypatch):
     # six checks on one surface: lambda(u) comes from the one geometry call,
-    # and the convexity flags are classified once for all five deficits
+    # and the principal curvatures behind the five deficits' flags are computed once
     nodal_warps, classes = [], []
 
     def counted_space(spec):
@@ -802,14 +842,14 @@ def test_verify_evaluates_each_nodal_value_once(capsys, monkeypatch):
             return space.warp(r)
         return dataclasses.replace(space, warp=warp)
 
-    convexity_class = warpflow.quantities.convexity_class
+    principal_curvatures = warpflow.surface._principal_curvatures
 
     def counted_class(*args):
         classes.append(args)
-        return convexity_class(*args)
+        return principal_curvatures(*args)
 
     monkeypatch.setattr(warpflow.cli, "parse_space_spec", counted_space)
-    monkeypatch.setattr(warpflow.quantities, "convexity_class", counted_class)
+    monkeypatch.setattr(warpflow.surface, "_principal_curvatures", counted_class)
     checks = ("girao", "boundary-momentum:k=2", "hyperbolic-ref:k=1,ell=0",
               "hyperbolic-ref:k=1,ell=1", "hyperbolic-ref:k=2,ell=2", "minkowski:k=1")
     code = run(["verify", "--space", "hyperbolic", "--grid", "16x32",

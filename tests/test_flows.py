@@ -203,6 +203,29 @@ def test_hyperbolic_sx_converges_to_round():
     assert spreads[-1] < 1e-3
 
 
+def test_persistent_guard_move_is_a_finding_then_an_underflow(monkeypatch):
+    # imcf's guard row made a nonincreasing area, which every step grows: the
+    # first step halves 20 times on the guard, is accepted with a finding, and
+    # the next one halves on the guard until dt falls below eps_t
+    row = flows.Monotone("area", -1, lambda rep: rep.area)
+    monkeypatch.setitem(flows.FLOWS, "imcf", dataclasses.replace(
+        flows.FLOWS["imcf"], monotones=lambda k, ks: [row]))
+    graph = make_seed_surface(HY, sphere_grid(16, 32), "round", r0=1.0)
+    trace = evolve(HY, graph, FlowSpec(kind="imcf", k=1, t_final=1.0, report_dt=0.1,
+                                       eps_mono=1e-300))
+    outcomes = [outcome for _, _, outcome, _ in trace.attempts]
+    first = outcomes.index("accepted")
+    assert outcomes[:first] == ["guard"] * flows._MAX_GUARD_HALVINGS
+    assert set(outcomes[first + 1:]) == {"guard"}
+    t_step = trace.attempts[first][0] + trace.attempts[first][1]
+    [finding] = trace.findings
+    assert finding["quantity"] == "area" and finding["t"] == t_step
+    assert finding["new"] > finding["old"]
+    assert trace.termination == ("step_underflow", t_step, "guard")
+    assert trace.attempts[-1][1] >= 1e-12 > trace.attempts[-1][1] / 2
+    _ends_with_one_sample_at(trace, t_step)
+
+
 def test_sx_samples_fill_the_guard_report(monkeypatch):
     # the guard's report of an accepted step is the one its sample fills, so
     # an evolve reads one volume per accepted step plus one at the start, and
@@ -273,7 +296,7 @@ def test_accepted_steps_stay_in_cone():
     graph = make_seed_surface(EU, g, "legendre", r0=1, eps=0.2, l=2)
     spec = FlowSpec(kind="imcf", k=1, t_final=0.5, report_dt=0.05)
     trace = evolve(EU, graph, spec)
-    assert all(s.class_report.mean_convex for s in trace.samples)
+    assert all(s.report.class_flags["mean_convex"] for s in trace.samples)
     assert not trace.findings
 
 

@@ -420,7 +420,8 @@ print(sorted(m for m in sys.modules if m.startswith("warpflow.")))
 
 # today's refusal of a value outside an option's range, by the range's upper end
 _RANGE_MESSAGES = {None: "need {key} >= {lo}, got {value}",
-                   "n": "need {lo} <= {key} <= n = {n}", "k": "need {lo} <= {key} <= k = {k}"}
+                   "n": "need {lo} <= {key} <= n = {n}", "k": "need {lo} <= {key} <= k = {k}",
+                   "inf": "need a finite {key}, got {value}"}
 
 
 @pytest.mark.parametrize("name", sorted(ineq.STATEMENTS))
@@ -445,12 +446,13 @@ def test_statement_rows_scope_their_checks(name):
                     deficit(other, **defaults)
         for key, (default, lo, hi) in row.options.items():
             top = {None: None, "n": n, **defaults}[hi]
-            for value in (lo - 1, lo - 0.5) + (() if top is None else (top + 1,)):
+            # with no upper end, inf is one step outside: 1 <= inf <= inf held
+            for value in (lo - 1, lo - 0.5) + ((math.inf,) if top is None else (top + 1,)):
                 if type(default) is int and not float(value).is_integer():
                     continue
                 value = type(default)(value)
-                message = _RANGE_MESSAGES[hi].format(key=key, lo=lo, value=value, n=n,
-                                                     k=defaults.get("k"))
+                message = _RANGE_MESSAGES[hi if math.isfinite(value) else "inf"].format(
+                    key=key, lo=lo, value=value, n=n, k=defaults.get("k"))
                 with pytest.raises(ValueError, match=f"^{message}$"):
                     ineq.check(rep, f"{name}:{key}={value}")
                 with pytest.raises(ValueError, match=f"^{message}$"):

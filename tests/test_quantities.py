@@ -286,7 +286,8 @@ def test_report_json_schema():
     data = json.loads(json.dumps(rep.to_dict(), sort_keys=True))
     assert set(data) == {"n", "area", "volume", "momenta", "weighted_volumes",
                          "gamma_area", "gamma_terms", "curvature_integrals",
-                         "phi_curvature_integrals", "W", "gauss_bonnet_residual"}
+                         "phi_curvature_integrals", "W", "gauss_bonnet_residual",
+                         "min_E", "min_kappa", "static_margin", "newton_maclaurin_margin"}
     assert set(data["momenta"]) == {"1", "1.5"}
     assert len(data["W"]) == 4
     assert data["area"] == pytest.approx(4 * math.pi, rel=1e-12)

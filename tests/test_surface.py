@@ -13,14 +13,13 @@ from scipy.special import eval_legendre, lpmv
 
 from warpflow.ambient import make_custom, make_space_form
 from warpflow.grid import DEFAULT_GRID_SPECS, circle_grid, differentiate, sphere_grid
-from warpflow.quantities import surface_integral
+from warpflow.quantities import QuantityReport, surface_integral
 from warpflow.surface import (
     DomainError,
     RadialGraph,
     _assoc_legendre_table,
     _bandlimited_profile,
     _legendre,
-    convexity_class,
     dump_surface_csv,
     geometry,
     load_surface_csv,
@@ -139,30 +138,30 @@ def test_geometry_richardson_refinement():
 def test_convexity_class_unit_sphere():
     g = sphere_grid(32, 64)
     graph = make_seed_surface(EU, g, "round", r0=1.0)
-    rep = convexity_class(geometry(EU, graph), EU, 2)
-    assert rep.mean_convex and rep.k_convex and rep.convex
+    rep = QuantityReport(EU, graph)
+    flags = rep.class_flags
+    assert flags["mean_convex"] and flags["2_convex"] and flags["convex"]
     assert rep.min_kappa == pytest.approx(1.0, rel=1e-11)
-    assert rep.min_E[1] == pytest.approx(1.0, rel=1e-11)
-    assert rep.min_E[2] == pytest.approx(1.0, rel=1e-11)
-    assert rep.min_H == pytest.approx(2.0, rel=1e-11)
+    assert rep.min_E(1) == pytest.approx(1.0, rel=1e-11)
+    assert rep.min_E(2) == pytest.approx(1.0, rel=1e-11)
 
 
 def test_convexity_class_static_margin():
     g = sphere_grid(32, 64)
     graph = make_seed_surface(HY, g, "round", r0=1.0)
-    rep = convexity_class(geometry(HY, graph), HY, 1)
+    rep = QuantityReport(HY, graph)
     expected = math.cosh(1) / math.sinh(1) - math.tanh(1)
     assert rep.static_margin == pytest.approx(expected, abs=1e-10)
-    assert rep.static_convex
+    assert rep.class_flags["static_convex"]
 
 
 def test_convexity_lost_but_mean_convex():
     g = sphere_grid(128, 256)
     graph = make_seed_surface(EU, g, "legendre", r0=1, eps=0.45, l=2)
-    rep = convexity_class(geometry(EU, graph), EU, 2)
+    rep = QuantityReport(EU, graph)
     assert rep.min_kappa < 0
-    assert not rep.convex
-    assert rep.mean_convex
+    assert not rep.class_flags["convex"]
+    assert rep.class_flags["mean_convex"]
 
 
 def test_seed_surfaces():
@@ -453,7 +452,7 @@ def test_non_finite_fields_raise_naming_the_node():
     v[3, 5] = np.nan
     node = r"node \(i=3, j=5\)"
     with pytest.raises(FloatingPointError, match=f"non-finite kappa at {node}"):
-        convexity_class(dataclasses.replace(f, v=v), EU, 2)
+        dataclasses.replace(f, v=v).kappa
     with pytest.raises(FloatingPointError, match=f"non-finite area weight at {node}"):
         surface_integral(dataclasses.replace(f, v=v), 1.0)
     assert np.isfinite(f.kappa).all() and np.isfinite(f.area_weight).all()
