@@ -410,9 +410,8 @@ def _check_reports(space: WarpedSpace, graph: RadialGraph,
         return [ineq.check(rep, item) for item in checks]
 
 
-def _check_rows(reports: list[ineq.DeficitReport]) -> list[tuple[str, list]]:
-    """verify's CSV columns: a check without k or ell leaves its cell empty."""
-    rows = [rep.to_dict() for rep in reports]
+def _check_rows(rows: list[dict]) -> list[tuple[str, list]]:
+    """verify's CSV columns from its rows: a check without k or ell leaves its cell empty."""
     cells = {"name": str, "k": lambda k: format(k, "g"), "ell": str, "lhs": float, "rhs": float,
              "deficit": float, "relative_deficit": float,
              "class_flags": lambda flags: ";".join(f"{k}={v}" for k, v in flags.items())}
@@ -424,13 +423,16 @@ def cmd_verify(cfg: RunConfig) -> int:
     if not cfg.checks:
         raise UsageError("verify requires at least one --check")
     reports = _check_reports(*_build_surface(cfg), cfg.checks)
+    # every row, and so the surface's class flags, before --out is opened:
+    # a flag that fails to compute leaves no file behind
+    rows = [rep.to_dict() for rep in reports]
 
     if cfg.fmt == "json":
         with _output(cfg.out) as out:
-            json.dump([rep.to_dict() for rep in reports], out, sort_keys=True, indent=1)
+            json.dump(rows, out, sort_keys=True, indent=1)
             out.write("\n")
     else:
-        _write_table(cfg.out, _check_rows(reports), "csv", {})
+        _write_table(cfg.out, _check_rows(rows), "csv", {})
 
     worst = min(rep.deficit for rep in reports)
     if worst < -cfg.tol:
@@ -493,6 +495,12 @@ def cmd_probe(cfg: RunConfig) -> int:
 
 # ---------------------------------------------------------------- sweep
 
+# most members of one swept range: each member is a surface and its checks
+# (1.3 ms for girao at 64x128, so 1e5 take minutes), and every member's params
+# and deficits stay in memory until the table is written
+_MAX_SWEEP_MEMBERS = 1e5
+
+
 def _expand_range(text: str) -> list[float]:
     """A sweep value: ``v``, integer ``lo:hi``, or ``lo:hi:step`` up to its last member in hi."""
     try:
@@ -509,7 +517,11 @@ def _expand_range(text: str) -> list[float]:
     if step == 0:
         raise UsageError(f"sweep range {text!r} has step 0")
     # 1e-9 step of slack keeps hi when (hi - lo)/step rounds just below a whole number
-    vals = [lo + i * step for i in range(math.floor((hi - lo) / step + 1e-9) + 1)]
+    last = (hi - lo) / step + 1e-9
+    if not last < _MAX_SWEEP_MEMBERS:           # inf too: sized before any list is built
+        raise UsageError(f"sweep range {text!r} has {last + 1:.6g} members, "
+                         f"above {_MAX_SWEEP_MEMBERS:g}")
+    vals = [lo + i * step for i in range(math.floor(last) + 1)]
     if not vals:
         raise UsageError(f"sweep range {text!r} is empty")
     return vals
@@ -526,13 +538,15 @@ def _sweep_members(surface_spec: str) -> list[tuple[str, dict]]:
     return [(family, {**fixed, key: v}) for v in ranges[key]]
 
 
-def _sweep_one(args) -> tuple[dict, list[dict]]:
+def _sweep_one(args) -> tuple[dict, list[tuple]]:
+    """One member's params and (name, k, ell, deficit) per check: what sweep writes."""
     space_spec, n, grid_spec, family, params, checks = args
     with _usage_errors():
         space = parse_space_spec(space_spec)
         grid = parse_grid_spec(grid_spec, n, space.fiber_scale)
         graph = make_seed_surface(space, grid, family, **params)
-    return params, [rep.to_dict() for rep in _check_reports(space, graph, checks)]
+    return params, [(rep.name, rep.k, rep.ell, rep.deficit)
+                    for rep in _check_reports(space, graph, checks)]
 
 
 def _pool_child(conn, initializer, fn, items) -> None:
@@ -625,11 +639,13 @@ def cmd_sweep(cfg: RunConfig) -> int:
     with Pool(cfg.workers, initializer=steady_allocator) as pool:
         results = pool.map(_sweep_one, tasks)
 
+    # a member sends its deficits alone, never its surface's class flags:
+    # sweep writes no flags, so no member computes principal curvatures
     param_keys = sorted({k for _, params in members for k in params})
-    check_names = [f"{rep['name']}" + (f"_k{format(rep['k'], 'g')}" if rep["k"] else "")
-                   + (f"_l{rep['ell']}" if rep["ell"] is not None else "")
-                   for rep in results[0][1]]
-    deficits = [[rep["deficit"] for rep in reports] for _, reports in results]
+    check_names = [name + (f"_k{format(k, 'g')}" if k else "")
+                   + (f"_l{ell}" if ell is not None else "")
+                   for name, k, ell, _ in results[0][1]]
+    deficits = [[deficit for *_, deficit in reports] for _, reports in results]
     columns = [(key, [params.get(key) for params, _ in results]) for key in param_keys]
     columns += [(name, [row[j] for row in deficits]) for j, name in enumerate(check_names)]
     columns.append(("min_deficit", [min(row) for row in deficits]))

@@ -3,9 +3,10 @@
 Every inequality is reported as deficit = lhs - rhs with lhs the side that
 the theorems bound from below, so a valid input yields deficit >= 0 up to
 grid error and the equality cases sit at deficit = 0.  Deficits can be
-evaluated outside a theorem's hypothesis class on purpose (probing); the
-convexity flags of the input ride along in the report.  `STATEMENTS` holds
-each `--check` statement's ambient and k/ell ranges, which its deficit refuses.
+evaluated outside a theorem's hypothesis class on purpose (probing); a deficit
+reads its input's convexity flags from its report when asked, so a caller that
+writes deficits alone never computes them.  `STATEMENTS` holds each `--check`
+statement's ambient and k/ell ranges, which its deficit refuses.
 
 Every deficit and functional takes one `quantities.QuantityReport` as its
 surface, and a deficit reads its ambient from `rep.space`: the checks of one
@@ -73,7 +74,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DeficitReport:
-    """Signed gap of one inequality on one surface."""
+    """Signed gap of one inequality on one surface.
+
+    ``report`` is the surface's `QuantityReport`, left out of ``==`` and repr:
+    `flags` reads its class flags on demand.  Keeping it keeps the report and
+    its fields alive, and a report is not picklable (its `WarpedSpace` holds
+    closures), so neither is a deficit; sweep members send plain tuples."""
 
     name: str
     lhs: float
@@ -82,7 +88,12 @@ class DeficitReport:
     ell: int | None = None
     equality_expected: bool = False
     aux: dict[str, float] = dc_field(default_factory=dict)
-    flags: dict[str, bool | None] = dc_field(default_factory=dict)
+    report: QuantityReport | None = dc_field(default=None, compare=False, repr=False)
+
+    @property
+    def flags(self) -> dict[str, bool | None]:
+        """The surface's convexity flags; {} for a deficit built without a report."""
+        return {} if self.report is None else self.report.class_flags
 
     @property
     def deficit(self) -> float:
@@ -103,7 +114,7 @@ class DeficitReport:
             "relative_deficit": self.relative_deficit,
             "equality_expected": self.equality_expected,
             "aux": dict(self.aux),
-            "class_flags": dict(self.flags),
+            "class_flags": self.flags,
         }
 
 
@@ -168,9 +179,9 @@ def check(rep: QuantityReport, item: str) -> DeficitReport:
 
 def _deficit(name: str, rep: QuantityReport, lhs: float, rhs: float,
              **kw) -> DeficitReport:
-    """lhs >= rhs on rep's surface, with its round flag and convexity flags."""
+    """lhs >= rhs on rep's surface, with its round flag and its report."""
     return DeficitReport(name=name, lhs=lhs, rhs=rhs, equality_expected=rep.is_round,
-                         flags=dict(rep.class_flags), **kw)
+                         report=rep, **kw)
 
 
 def q_imcf(rep: QuantityReport, k: float) -> float:

@@ -236,7 +236,7 @@ class QuantityReport:
 
     @property
     def class_flags(self) -> dict[str, bool | None]:
-        """The convexity flags at k = n that every deficit carries, from the values above."""
+        """The convexity flags at k = n, from the values above; a deficit reads them when asked."""
         margin = self.static_margin
         return {
             "mean_convex": self.min_E(1) > 0,

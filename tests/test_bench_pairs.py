@@ -1,7 +1,7 @@
 """tools/bench_pairs.py refuses to summarize a run that failed an operation,
 keeps the medians of three traced runs per side and refuses counts that do not
-repeat, lists only counts of work that moved, and ends with one summary line per
-end-to-end metric.
+repeat, lists only counts of work that moved, runs an A/A control in the same
+pairs, and ends with one summary line per end-to-end metric.
 
     python -m pytest tests/test_bench_pairs.py -q
 """
@@ -157,3 +157,42 @@ def test_output_bytes_are_not_a_count_of_work():
             == "imcf traced seed 1: every count equal")
     assert (traced_counts_line("imcf", traced((154, 9481), (155, 9480)), metrics)
             == "imcf traced seed 1: grid.differentiate.calls 154 -> 155")
+
+
+def test_control_runs_in_every_pair_and_reports_its_a_a_figures(tmp_path):
+    # parent, change, control on even pairs and the reverse on odd ones; the
+    # summary keeps the A/B figures and adds the control's against the parent
+    log = tmp_path / "runs.log"
+    sides = {name: traced_checkout(tmp_path / name, log, [])
+             for name in ("parent", "change", "control")}
+    out = tmp_path / "bench.json"
+    assert main(["--parent", str(sides["parent"]), "--change", str(sides["change"]),
+                 "--control", str(sides["control"]), "--workload", "flow_imcf",
+                 "--seeds", "1", "2", "3", "--seconds", "1", "--out", str(out),
+                 "--label", "imcf"]) == 0
+    order = [line.split()[0] for line in log.read_text().splitlines()]
+    assert order == ["parent", "change", "control", "control", "change", "parent",
+                     "parent", "change", "control"]
+    summary = json.loads(out.read_text())["runs"]["imcf"]["summary"]["wall_s"]
+    assert summary["control"] == summary["parent"] == {"q1": 0.5, "median": 0.5, "q3": 0.5}
+    assert summary["control_wins"] == summary["change_wins"] == "0/3"
+    assert summary["control_median_rel"] == summary["median_rel"] == 0.0
+
+
+def test_summary_line_cites_the_a_a_control_beside_the_change():
+    metrics = [{"name": "wall_s", "unit": "s", "better": "lower"}]
+    pairs = [{"parent": {"metrics": {"wall_s": p}}, "change": {"metrics": {"wall_s": c}},
+              "control": {"metrics": {"wall_s": a}}}
+             for p, c, a in ((0.20, 0.18, 0.21), (0.22, 0.17, 0.19), (0.21, 0.19, 0.22),
+                             (0.24, 0.25, 0.23))]
+    summary = summarize(pairs, metrics)
+    assert summary["wall_s"]["control_wins"] == "2/4"
+    assert summary_lines("flow_imcf", summary) == [
+        "flow_imcf wall_s (s, lower is better): parent median 0.215, change median 0.185, "
+        "median_rel -13.95%, change wins 3/4, parent q1..q3 0.2075..0.225 (spread 0.0175); "
+        "A/A control median 0.215, control_median_rel +0.00%, control wins 2/4"]
+    # without a control the line and the summary are as before
+    for pair in pairs:
+        del pair["control"]
+    assert "control" not in summarize(pairs, metrics)["wall_s"]
+    assert "A/A" not in summary_lines("flow_imcf", summarize(pairs, metrics))[0]

@@ -24,8 +24,8 @@ import warpflow.surface
 from warpflow import inequalities
 from warpflow.ambient import _SPACE_OPTIONS, parse_options, parse_space_spec
 from warpflow.cli import (
-    EXIT_ERROR, EXIT_FINDING, EXIT_OK, EXIT_USAGE, Pool, RunConfig,
-    _sweep_members, main, steady_allocator,
+    EXIT_ERROR, EXIT_FINDING, EXIT_OK, EXIT_USAGE, Pool, RunConfig, UsageError,
+    _expand_range, _sweep_members, main, steady_allocator,
 )
 from warpflow.grid import circle_grid, sphere_grid
 from warpflow.surface import _SURFACE_OPTIONS, make_seed_surface, parse_surface_spec
@@ -859,6 +859,39 @@ def test_verify_evaluates_each_nodal_value_once(capsys, monkeypatch):
     assert len(capsys.readouterr().out.splitlines()) == 1 + len(checks)
     assert len(nodal_warps) == 1
     assert len(classes) == 1
+
+
+def test_sweep_computes_no_principal_curvatures(capsys, monkeypatch):
+    # sweep writes deficits only, so no member computes the curvatures behind
+    # the class flags that verify writes beside each deficit
+    calls = []
+    principal_curvatures = warpflow.surface._principal_curvatures
+
+    def counted(*args):
+        calls.append(args)
+        return principal_curvatures(*args)
+
+    monkeypatch.setattr(warpflow.surface, "_principal_curvatures", counted)
+    assert run(["sweep", "--space", "hyperbolic", "--grid", "16x32", "--workers", "1",
+                "--surface", "bandlimited:seed=1:4,r0=1,amp=0.03,lmax=4",
+                "--check", "girao", "--check", "hyperbolic-ref:k=1,ell=0"]) == EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 4
+    assert calls == []
+
+
+def test_sweep_range_is_sized_before_it_is_built(capsys):
+    # a range holds at most 1e5 members, counted from lo, hi and step
+    assert len(_expand_range("0:99999")) == 100_000
+    with pytest.raises(UsageError, match=r"^sweep range '0:100000' has 100001 members, "
+                                         r"above 100000$"):
+        _expand_range("0:100000")
+    # an infinite count exited 1 converting it to an integer, and a billion
+    # members were a list of a billion floats before the first one ran
+    for spec, count in (("round:r0=0:1e308:1e-308", "inf"),
+                        ("bandlimited:seed=0:1000000000,r0=1,amp=0.05,lmax=4", "1e+09")):
+        assert run(["sweep", "--grid", "16x32", "--surface", spec,
+                    "--check", "girao"]) == EXIT_USAGE
+        assert f"has {count} members, above 100000" in capsys.readouterr().err
 
 
 def test_steady_allocator_reuses_heap_pages():

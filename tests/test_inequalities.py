@@ -531,3 +531,50 @@ def test_deficit_lhs_is_the_report_value(K, r0, seed, amp, lmax, n):
         assert deficit_sphere_ref(live, 0).lhs == phi_quermass(n)
     if n == 1 and geometry(space, graph).kappa.min() > 0:
         assert curve_kwww_deficit(live).lhs == rep.phi_curvature(1)
+
+
+def _statement_items(kind, n):
+    """Every check item of STATEMENTS that applies to an n-surface in ambient kind,
+    over the integer option values of its ranges (k = 1, 2 where k has no upper end)."""
+    items = []
+    for name, row in ineq.STATEMENTS.items():
+        if row.ambient not in (None, kind) or (name == "curve" and n != 1):
+            continue
+        combos = [{}]
+        for key, (_, lo, hi) in row.options.items():
+            combos = [{**c, key: v} for c in combos
+                      for v in range(lo, {None: 2, "n": n}.get(hi, c.get(hi)) + 1)]
+        items += [name + (":" + ",".join(f"{key}={v}" for key, v in c.items()) if c else "")
+                  for c in combos]
+    return items
+
+
+@settings(max_examples=20, deadline=None)
+@given(K=st.sampled_from((-1, 0, 1)), r0=st.floats(0.3, 1.2), **_BANDLIMITED)
+def test_deficit_flags_are_read_from_the_report(K, r0, seed, amp, lmax, n):
+    # a deficit keeps its surface's report and reads the class flags from it
+    # when asked; the rows and their dicts are those of copied flags
+    space = make_space_form(K)
+    graph = _bandlimited(space, n, seed, r0, amp, lmax)
+    rep = QuantityReport(space, graph)
+    checked = []
+    for item in _statement_items(space.kind, n):
+        try:
+            out = ineq.check(rep, item)
+        except ValueError:         # W_k <= 0, a curve that is not convex, W_ell out of range
+            continue
+        checked.append(item)
+        flags = {} if out.name == "minkowski" else rep.class_flags
+        assert out.flags == flags, item
+        assert out.to_dict() == {
+            "name": out.name, "k": out.k, "ell": out.ell, "lhs": out.lhs, "rhs": out.rhs,
+            "deficit": out.lhs - out.rhs, "relative_deficit": out.relative_deficit,
+            "equality_expected": out.equality_expected, "aux": out.aux,
+            "class_flags": flags}, item
+        # the report is left out of == and repr
+        other = QuantityReport(space, graph)
+        for report in (None, other):
+            assert dataclasses.replace(out, report=report) == out, item
+        assert repr(dataclasses.replace(out, report=other)) == repr(out)
+        assert "report" not in repr(out)
+    assert {"girao:k=1", "minkowski:k=1"} <= set(checked)

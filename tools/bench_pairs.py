@@ -2,14 +2,21 @@
 
     python tools/bench_pairs.py --parent DIR --change DIR --workload flow_sx \
         --seeds 901 902 903 --seconds 20 --out BENCH_name.json --label flow_sx \
-        [--traced-seed 1]
+        [--control DIR] [--traced-seed 1]
 
 DIR is a checkout of the repository (each needs its own perfbench/ and src/).
 Each seed is one pair: both checkouts run ``perfbench/run.py --trace 0`` on that
 seed, the parent first on even pairs and the change first on odd ones, so a
 drift of the machine's speed does not favour either side.  The summary gives,
 per end-to-end metric of BENCHMARK.json, the median and quartiles of each side
-and the number of pairs the change wins.  ``--traced-seed N`` adds three
+and the number of pairs the change wins.  ``--control DIR`` names a second
+extraction of the parent commit, run in the same pairs (parent, change,
+control on even pairs, the reverse on odd ones): the summary then gives the
+control's median, ``control_median_rel`` and the pairs the control wins
+against the parent, an A/A difference of identical code that an A/B claim
+must exceed.  Two checkouts of one commit have read 6% apart in 6 of 6
+pairs, so a difference without a control can be the checkout's, not the
+code's.  ``--traced-seed N`` adds three
 ``--trace 1`` runs per side on seed N, alternating which side goes first, and
 keeps the median of each per-layer metric (call counts, layer times) next to
 the pairs, so a claim about a layer cites them: one traced run's layer times
@@ -20,7 +27,8 @@ sum the lengths of printed floats, so a last-digit change moves them.
 The runs land under ``--label`` in the output file, which keeps the labels
 already there.  The script ends with one stderr line per end-to-end metric:
 both medians, ``median_rel``, the pairs the change wins and the parent's
-quartile spread, the figures a no-regression statement cites.
+quartile spread, the figures a no-regression statement cites, and with
+``--control`` the same A/A figures of the control.
 """
 
 from __future__ import annotations
@@ -73,32 +81,49 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
+def _against_parent(pairs: list[dict], side: str, name: str, lower: bool) -> dict:
+    """side's quartiles, pairs won and median_rel against the parent on one metric;
+    {} where no pair has both values."""
+    rows = [(p["parent"]["metrics"].get(name), p[side]["metrics"].get(name))
+            for p in pairs if side in p]
+    rows = [(a, b) for a, b in rows if a is not None and b is not None]
+    if not rows:
+        return {}
+    wins = sum((b < a) if lower else (b > a) for a, b in rows)
+    parent, other = quartiles([a for a, _ in rows]), quartiles([b for _, b in rows])
+    return {"parent": parent, side: other, f"{side}_wins": f"{wins}/{len(rows)}",
+            "median_rel": other["median"] / parent["median"] - 1.0}
+
+
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
+    """Per metric the change against the parent, and the control's A/A figures
+    (``control``, ``control_wins``, ``control_median_rel``) where pairs have one."""
     out = {}
     for spec in metrics:
-        name = spec["name"]
-        rows = [(p["parent"]["metrics"].get(name), p["change"]["metrics"].get(name))
-                for p in pairs]
-        rows = [(a, b) for a, b in rows if a is not None and b is not None]
-        if not rows:
-            continue
         lower = spec["better"] == "lower"
-        wins = sum((b < a) if lower else (b > a) for a, b in rows)
-        parent, change = quartiles([a for a, _ in rows]), quartiles([b for _, b in rows])
-        out[name] = {"unit": spec["unit"], "better": spec["better"], "parent": parent,
-                     "change": change, "change_wins": f"{wins}/{len(rows)}",
-                     "median_rel": change["median"] / parent["median"] - 1.0}
+        change = _against_parent(pairs, "change", spec["name"], lower)
+        if not change:
+            continue
+        out[spec["name"]] = {"unit": spec["unit"], "better": spec["better"], **change}
+        control = _against_parent(pairs, "control", spec["name"], lower)
+        if control:
+            out[spec["name"]].update(control=control["control"],
+                                     control_wins=control["control_wins"],
+                                     control_median_rel=control["median_rel"])
     return out
 
 
 def progress_line(label: str, pair: dict, metrics: list[dict]) -> str:
-    """Every end-to-end metric of one pair, parent -> change."""
+    """Every end-to-end metric of one pair, parent -> change (control)."""
     def value(side, name):
         return pair[side]["metrics"].get(name, float("nan"))
 
-    return f"{label} seed {pair['seed']} (parent -> change): " + ", ".join(
-        f"{m['name']} {value('parent', m['name']):.4g} -> {value('change', m['name']):.4g}"
-        for m in metrics)
+    control = "control" in pair
+    return (f"{label} seed {pair['seed']} (parent -> change{' (control)' if control else ''}): "
+            + ", ".join(f"{m['name']} {value('parent', m['name']):.4g} -> "
+                        f"{value('change', m['name']):.4g}"
+                        + (f" ({value('control', m['name']):.4g})" if control else "")
+                        for m in metrics))
 
 
 def traced_medians(side: str, runs: list[dict], per_layer: list[dict]) -> dict:
@@ -130,7 +155,8 @@ def traced_counts_line(label: str, traced: dict, metrics: list[dict]) -> str:
 
 def summary_lines(label: str, summary: dict) -> list[str]:
     """One line per end-to-end metric: both medians, the relative change of the
-    median, the pairs the change wins, and the parent's quartile spread."""
+    median, the pairs the change wins, and the parent's quartile spread; then
+    the A/A control's median, median_rel and wins, where there is one."""
     lines = []
     for name, m in summary.items():
         parent, change = m["parent"], m["change"]
@@ -139,7 +165,10 @@ def summary_lines(label: str, summary: dict) -> list[str]:
                      f"{change['median']:.4g}, median_rel {m['median_rel']:+.2%}, "
                      f"change wins {m['change_wins']}, parent q1..q3 "
                      f"{parent['q1']:.4g}..{parent['q3']:.4g} "
-                     f"(spread {parent['q3'] - parent['q1']:.4g})")
+                     f"(spread {parent['q3'] - parent['q1']:.4g})"
+                     + (f"; A/A control median {m['control']['median']:.4g}, "
+                        f"control_median_rel {m['control_median_rel']:+.2%}, "
+                        f"control wins {m['control_wins']}" if "control" in m else ""))
     return lines
 
 
@@ -152,6 +181,8 @@ def main(argv=None) -> int:
     p.add_argument("--seconds", type=float, default=20.0)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--label", required=True)
+    p.add_argument("--control", type=Path, default=None,
+                   help="a second extraction of the parent, run in every pair as an A/A control")
     p.add_argument("--traced-seed", type=int, default=None,
                    help=f"also run --trace 1 {TRACED_RUNS} times per side on this seed "
                         "and keep the medians")
@@ -159,8 +190,9 @@ def main(argv=None) -> int:
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     pairs = []
+    sides = ("parent", "change") + (("control",) if args.control else ())
     for i, seed in enumerate(args.seeds):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        order = sides if i % 2 == 0 else sides[::-1]
         pair = {"seed": seed, "first": order[0]}
         for side in order:
             pair[side] = run_once(side, getattr(args, side), args.workload, seed, args.seconds)
