@@ -30,7 +30,7 @@ rejection retries at dt * max(0.2, 0.9 e^(-1/3)).  A step is halved instead
 when the flow's cone condition breaks, a tracked monotone quantity moves the
 wrong way by more than eps_mono relative (the guard), the graph leaves the
 ambient domain (DomainError), or a value turns non-finite; a persistent
-wrong-way move is recorded as a finding instead of being smoothed away.
+wrong-way move is filed in FlowTrace.findings instead of being smoothed away.
 Non-finite covers v and E_k of every stage and candidate surface (checked
 by `geometry`), the step error, and the candidate's area weight, which the
 guard's report reads first.  The principal curvatures are computed only
@@ -45,8 +45,10 @@ whatever the reason, unless the last sample lies within 1e-12 t_final of
 it.  It reads the accepted state: in the r = 0 flows that state's fields,
 the guard's report of it and its speed, so a sample costs no geometry or
 speed call of its own.  Its report records the momenta at k = 1 and 2, every
-k a flow accepts, and `FlowTrace.monotones` holds the flow's rows at both; the
-functionals the rows read are defined in `inequalities`.
+k a flow accepts, and `FlowTrace.monotones` holds the flow's rows at both (their
+functionals are in `inequalities`).  A row's wrong-way move since the last
+sample, by the guard's test, and a relative Newton-MacLaurin margin below -1e-10
+are findings too, in the guard's {t, quantity, old, new, note} form.
 
 The tendency is passed through the grid's polar filter (see `grid`).  In
 the euclidean ambient the speeds above are 1-homogeneous in the graph and
@@ -122,6 +124,8 @@ _REPORT_KS = (1.0, 2.0)
 # least one accepted step and keeps a sample with its own copy of u (1e5 of
 # them hold 6.6 GB at 64x128), and the stepper resolves no step below 1e-12 t_final
 _MAX_REPORT_INTERVALS = 1e5
+# least relative Newton-MacLaurin margin of a sample: rounding only
+_MIN_NM_MARGIN = -1e-10
 
 
 class ConeViolation(RuntimeError):
@@ -440,9 +444,18 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
             live, f_speed = QuantityReport(space, g_phys, flds), speed(spec, flds)
         else:
             flds, live, f_speed = fields, report, f_now
-        trace.samples.append(TraceSample(
-            t=t, u=flds.u.copy(), report=live.detach(_REPORT_KS),
-            max_speed=float(np.max(np.abs(f_speed))), dt=dt_used))
+        sample = TraceSample(t=t, u=flds.u.copy(), report=live.detach(_REPORT_KS),
+                             max_speed=float(np.max(np.abs(f_speed))), dt=dt_used)
+        for m in trace.monotones if trace.samples else ():
+            old, new = m.value(trace.samples[-1].report), m.value(sample.report)
+            if m.wrong_way(old, new, spec.eps_mono):
+                trace.findings.append({"t": t, "quantity": m.name, "old": old, "new": new,
+                                       "note": "wrong-way move since the last sample"})
+        margin = sample.report.newton_maclaurin_margin
+        if margin is not None and margin < _MIN_NM_MARGIN:
+            trace.findings.append({"t": t, "quantity": "newton_maclaurin_margin", "old": None,
+                                   "new": margin, "note": f"sign check: below {_MIN_NM_MARGIN:g}"})
+        trace.samples.append(sample)
 
     def stop(termination: tuple, dt_used: float) -> FlowTrace:
         trace.termination = termination

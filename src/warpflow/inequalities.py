@@ -474,17 +474,10 @@ def monotone_series(trace: FlowTrace) -> dict[str, np.ndarray]:
 
     The rows are `trace.monotones`, the flow's `flows.FLOWS` rows at the
     momentum exponents every sample records (imcf: Q_imcf at k = 1 and 2;
-    hyperbolic_sx: W_0 and W_1 beside its lhs); the step guard and the evolve
-    trace columns read the same table, and README lists it per flow kind.
-    Values are read from the samples' reports.
-
-    Plus, for n >= 2, the pointwise Newton-MacLaurin margin
-    min(E_k^2 - E_{k+1} E_{k-1}) recorded with each sample, nonnegative
-    whenever the curvature vector is real.
+    hyperbolic_sx: W_0 and W_1 beside its lhs); the step guard, the sample
+    check that files `trace.findings` and the evolve trace columns read the
+    same table, and README lists it per flow kind.  Values are read from the
+    samples' reports.
     """
-    out = {m.name: np.array([m.value(s.report) for s in trace.samples])
-           for m in trace.monotones}
-    margin = [s.report.newton_maclaurin_margin for s in trace.samples]
-    if None not in margin:                     # n = 1 records no margin
-        out["newton_maclaurin_margin"] = np.array(margin)
-    return out
+    return {m.name: np.array([m.value(s.report) for s in trace.samples])
+            for m in trace.monotones}

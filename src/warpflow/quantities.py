@@ -228,11 +228,16 @@ class QuantityReport:
     @property
     @_kept
     def newton_maclaurin_margin(self) -> float | None:
-        """min(E_j^2 - E_{j+1} E_{j-1}) over the nodes and j = 1..n-1, nonnegative
-        whenever the curvature vector is real; None for n = 1."""
+        """min (E_j^2 - E_{j+1} E_{j-1}) / (E_j^2 + |E_{j+1} E_{j-1}|) over the
+        nodes and j = 1..n-1 (0 where both terms vanish): scale-free, in [-1, 1],
+        nonnegative whenever the curvature vector is real; None for n = 1."""
+        if self.n < 2:
+            return None
         E = self.fields.E
-        return (min(float((E[j]**2 - E[j + 1] * E[j - 1]).min()) for j in range(1, self.n))
-                if self.n >= 2 else None)
+        squares, products = E[1:-1] ** 2, E[2:] * E[:-2]
+        scale = squares + np.abs(products)
+        return float(np.divide(squares - products, scale, out=np.zeros_like(scale),
+                               where=scale > 0).min())
 
     @property
     def class_flags(self) -> dict[str, bool | None]:

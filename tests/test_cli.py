@@ -158,6 +158,38 @@ def test_usage_errors_exit_64(capsys, tmp_path, monkeypatch):
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, argv, message", [
+    ({"bogus": 1}, ["verify", "--check", "girao"], "unknown config key 'bogus'"),
+    ([1], ["verify", "--check", "girao"], "{config}: config must be a JSON object"),
+    (None, ["evolve"], "evolve requires --flow"),
+    (None, ["evolve", "--flow", "nope"], "unknown flow 'nope'"),
+    (None, ["reference"], "reference requires --r or --invert"),
+    (None, ["sweep", "--surface", "legendre:r0=1,eps=a:b,l=2", "--check", "girao"],
+     "sweep value 'a:b' is not v, lo:hi or lo:hi:step"),
+    (None, ["sweep"], "sweep requires at least one --check"),
+    (None, ["dump-surface"], "dump-surface requires --out"),
+])
+def test_usage_errors_name_their_cause(capsys, tmp_path, config, argv, message):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+        message = message.format(config=path)
+    assert run(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+def test_static_convexity_is_undefined_where_lambda_prime_is_negative(capsys):
+    # lambda' = cos 2 < 0 on the sphere's geodesic sphere of radius 2
+    space = parse_space_spec("sphere")
+    graph = make_seed_surface(space, sphere_grid(16, 32), "round", r0=2.0)
+    rep = warpflow.quantities.QuantityReport(space, graph)
+    assert rep.static_margin is None and rep.class_flags["static_convex"] is None
+    assert run(["verify", "--space", "sphere", "--grid", "16x32", "--surface", "round:r0=2",
+                "--check", "sphere-ref:ell=0"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1].endswith(";static_convex=None")
+
+
 def test_negative_tol_exits_64(capsys, tmp_path):
     # a negative tol made an exact equality, deficit 0, a finding (exit 2)
     verify = ["verify", "--grid", "16x32", "--check", "girao"]
@@ -217,8 +249,8 @@ def test_evolve_exits_2_on_a_finding_and_1_on_an_early_stop(monkeypatch, capsys)
     assert run(["evolve", "--space", "hyperbolic", "--flow", "imcf", "--grid", "16x32",
                 "--surface", "round:r0=1", "--eps-mono", "1e-300"]) == EXIT_FINDING
     err = capsys.readouterr().err
-    assert "finding: series area moves the wrong way" in err
     assert "'quantity': 'area'" in err and "persistent wrong-way move" in err
+    assert "'note': 'wrong-way move since the last sample'" in err
     monkeypatch.undo()
     # imcf in the sphere stops when the mean curvature nears zero at the equator
     assert run(["evolve", "--space", "sphere", "--flow", "imcf", "--grid", "16x32",

@@ -7,7 +7,7 @@ import pytest
 import warpflow.flows as flows
 import warpflow.surface as surface
 from warpflow.ambient import make_space_form
-from warpflow.cli import _series_monotone_ok, _trace_columns
+from warpflow.cli import _trace_columns
 from warpflow.flows import (
     REJECTIONS,
     ConeViolation,
@@ -218,9 +218,13 @@ def test_persistent_guard_move_is_a_finding_then_an_underflow(monkeypatch):
     assert outcomes[:first] == ["guard"] * flows._MAX_GUARD_HALVINGS
     assert set(outcomes[first + 1:]) == {"guard"}
     t_step = trace.attempts[first][0] + trace.attempts[first][1]
-    [finding] = trace.findings
-    assert finding["quantity"] == "area" and finding["t"] == t_step
-    assert finding["new"] > finding["old"]
+    # the guard's finding, then the same move between the two samples
+    guard_finding, sample_finding = trace.findings
+    for finding in trace.findings:
+        assert finding["quantity"] == "area" and finding["t"] == t_step
+        assert finding["new"] > finding["old"]
+    assert "after halvings" in guard_finding["note"]
+    assert sample_finding["old"] == trace.samples[0].report.area
     assert trace.termination == ("step_underflow", t_step, "guard")
     assert trace.attempts[-1][1] >= 1e-12 > trace.attempts[-1][1] / 2
     _ends_with_one_sample_at(trace, t_step)
@@ -323,18 +327,45 @@ def test_monotone_table_read_by_guard_series_and_cli(kind):
     assert rows.keys() >= expected.keys()
     assert all(rows[m.name].direction == m.direction for m in guard)
     series = monotone_series(trace)
-    assert list(series) == list(rows) + ["newton_maclaurin_margin"]
+    assert list(series) == list(rows)
     at_start = QuantityReport(space, graph)
     for m in guard:
         assert m.value(at_start) == series[m.name][0]
 
     columns = dict(_trace_columns(trace, series))
-    along = {name: np.array([1.0, 1.0 + 0.01 * m.direction]) for name, m in rows.items()}
-    assert _series_monotone_ok(trace, along) == []
     for name, m in rows.items():
         assert columns[m.label or name] == list(series[name])
-        against = {**along, name: np.array([1.0, 1.0 - 0.01 * m.direction])}
-        assert _series_monotone_ok(trace, against) == [name]
+    # the samples' check reads the same rows: each moves its own way
+    assert not trace.findings
+    assert all(not m.wrong_way(1.0, 1.0 + 0.01 * m.direction, 0.0)
+               and m.wrong_way(1.0, 1.0 - 0.01 * m.direction, 0.0) for m in rows.values())
+
+
+def test_evolve_files_a_wrong_way_move_between_samples(monkeypatch):
+    # a nonincreasing area row that only the samples track (the guard's rows,
+    # at ks = (k,), are none): every sample of imcf grows the area
+    row = flows.Monotone("area", -1, lambda rep: rep.area)
+    monkeypatch.setitem(flows.FLOWS, "imcf", dataclasses.replace(
+        flows.FLOWS["imcf"], monotones=lambda k, ks: [row] if len(ks) > 1 else []))
+    graph = make_seed_surface(EU, sphere_grid(16, 32), "round", r0=1.0)
+    trace = evolve(EU, graph, FlowSpec(kind="imcf", t_final=0.02, report_dt=0.01))
+    assert trace.termination == ("reached_t_final",)
+    assert len(trace.samples) == 3 and len(trace.findings) == 2
+    for finding, before, after in zip(trace.findings, trace.samples, trace.samples[1:]):
+        assert finding == {"t": after.t, "quantity": "area", "old": before.report.area,
+                           "new": after.report.area,
+                           "note": "wrong-way move since the last sample"}
+        assert finding["new"] > finding["old"]
+
+
+@pytest.mark.parametrize("r0", [1e-3, 1e-2, 0.1, 1.0, 10.0, 1e3])
+def test_newton_maclaurin_margin_is_scale_free(r0):
+    # E_1^2 - E_2 of a round sphere is 0 up to rounding, which at r0 = 1e-3
+    # (E_1^2 = 1e6) read -3.5e-10 and, below the -1e-10 bound, filed a finding
+    graph = make_seed_surface(EU, sphere_grid(16, 32), "round", r0=r0)
+    trace = evolve(EU, graph, FlowSpec(kind="imcf", t_final=0.01, report_dt=0.005))
+    assert not trace.findings
+    assert all(abs(s.report.newton_maclaurin_margin) <= 1e-12 for s in trace.samples)
 
 
 def _imcf_bandlimited_input():

@@ -479,8 +479,9 @@ def test_monotone_series_mismatch_guard():
     spec = FlowSpec(kind="imcf", k=1, t_final=0.1, report_dt=0.05)
     trace = evolve(EU, graph, spec)
     series = monotone_series(trace)
-    assert "Q_imcf_1" in series
-    assert series["newton_maclaurin_margin"].min() >= -1e-10
+    assert list(series) == ["Q_imcf_1", "Q_imcf_2"]
+    assert min(s.report.newton_maclaurin_margin for s in trace.samples) >= -1e-10
+    assert not trace.findings
 
 
 _BANDLIMITED = dict(seed=st.integers(0, 2**31 - 1), amp=st.floats(0.0, 0.1),
