@@ -17,9 +17,9 @@ import ctypes
 import functools
 import json
 import math
-import multiprocessing
 import os
 import sys
+import time
 import types
 import typing
 from dataclasses import asdict, dataclass, field, fields
@@ -547,17 +547,46 @@ def _pool_child(conn, initializer, fn, items) -> None:
     conn.close()
 
 
-class Pool:
-    """A process pool of ``processes`` workers, the calling process included.
+# A child pays off only once its share of members outlasts what it costs:
+# its start (forking, starting and joining a child that does nothing takes
+# 2.5-3 ms after a few verifies), then a copy-on-write fault on each page that
+# it or the caller writes, whose count grows with a member's grid (about
+# 1,000 a process at 64x128, 2,400 at 128x256), and on a 2-vCPU host two busy
+# processes slow each other.  So a sweep's break-even is _FORK_S plus
+# _FORK_S_PER_NODE per grid node (8.2 ms at 64x128, 25.4 ms at 128x256),
+# against a child's share projected from the caller's members.
+# tools/sweep_breakeven.py timed one process against two, six euclidean checks
+# in a long-lived process after verifies (BENCH_sweep_policy.json, 2-vCPU
+# x86_64): at 64x128, 8 members (a child's share of 4.7 ms) ran 1.6x faster
+# inline and 40 (23 ms) 1.3x faster forked; at 128x256, 8 members (16 ms) 1.07x
+# faster inline and 16 (33 ms) 1.25x faster forked.  Between those the sides
+# are within 10%: 20 members at 64x128 (12 ms) read 6% faster inline there and
+# 5-14% faster forked in two other runs of the script, and the benchmark's
+# 20-member 64x128 flow sweeps (shares of 9.5-11.3 ms) read 3-10% slower
+# inline (BENCH_sweep_pairs.json), so the 64x128 break-even sits below them.
+# A new `warpflow sweep` process breaks even later, for a reason not known
+# (inline won there up to 150 ms at 64x128 and 37 ms at 128x256): a one-shot
+# sweep between the two forks and runs up to 12% slower than inline.
+_FORK_S = 2.5e-3
+_FORK_S_PER_NODE = 0.7e-6
 
-    ``map`` cuts the items into min(processes, len(items)) contiguous shares,
-    starts one child per share after the first, runs the first share in the
+
+class Pool:
+    """A process pool of at most ``processes`` workers, the calling process included.
+
+    ``map`` runs the first item in the caller and times it, and the second
+    too when the items outnumber the processes.  It then cuts the items into
+    k contiguous shares, k the most processes (up to min(processes,
+    len(items))) whose smallest child share, projected as its item count
+    times the faster of those times, runs longer than ``break_even_s`` (1 if
+    none does), with one stderr line when that cuts the count.  It starts one
+    child per share after the first, runs the rest of the first share in the
     caller (warm: its caches and heap are already in place) and then gathers
     the children's lists in order.  A share stops at its first exception,
     which is raised as it is, so a failure is the one a sequential map meets
-    first.  A child that exits without sending its results is a
-    RuntimeError naming its exit code and its members.  The initializer
-    runs in each child; the caller is expected to have set itself up.
+    first.  A child that exits without sending its results is a RuntimeError
+    naming its exit code and its members.  The initializer runs in each
+    child; the caller is expected to have set itself up.
     """
 
     def __init__(self, processes: int, initializer=None):
@@ -577,14 +606,35 @@ class Pool:
             receiver.close()
         self._children.clear()
 
-    def map(self, fn, items) -> list:
+    def map(self, fn, items, break_even_s: float) -> list:
         items = list(items)
-        k = max(1, min(self._processes, len(items)))
+        if not items:
+            return []
+        # the first item runs cold in a new process (its grid, caches and heap
+        # are built then), so the projection reads the faster of the first two
+        # where the caller's share holds two: it does whenever items outnumber
+        # the processes
+        results, item_s = [], math.inf
+        for x in items[:2 if len(items) > self._processes else 1]:
+            start = time.perf_counter()
+            results.append(fn(x))
+            item_s = min(item_s, time.perf_counter() - start)
+        # with k processes the smallest child share has len(items) // k items
+        most = min(self._processes, len(items))
+        k = next((k for k in range(most, 1, -1)
+                  if len(items) // k * item_s > break_even_s), 1)
+        if k < most:
+            share = len(items) // (k + 1)
+            print(f"sweep: {len(items)} members ran in {k} of at most {self._processes} "
+                  f"processes: a child's share of {share} would take "
+                  f"{share * item_s * 1e3:.1f} ms, not above the "
+                  f"{break_even_s * 1e3:.1f} ms break-even of a fork", file=sys.stderr)
         # ceiling bounds, so that the caller's share is the largest: a child
         # pays for its fork and for faulting in its pages on top of its share
         bounds = [-(-i * len(items) // k) for i in range(k + 1)]
         children = []
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            import multiprocessing      # a forking map alone pays for this import
             receiver, sender = multiprocessing.Pipe(duplex=False)
             proc = multiprocessing.Process(target=_pool_child, daemon=True,
                                            args=(sender, self._initializer, fn, items[lo:hi]))
@@ -592,7 +642,7 @@ class Pool:
             sender.close()      # the child holds the only sending end: EOF means it died
             children.append((proc, receiver, lo, hi))
             self._children.append(children[-1])
-        results = [fn(x) for x in items[:bounds[1]]]
+        results += [fn(x) for x in items[len(results):bounds[1]]]
         for proc, receiver, lo, hi in children:
             try:
                 ok, payload = receiver.recv()
@@ -614,16 +664,16 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise UsageError("sweep requires at least one --check")
     # validate in the parent, so that bad input exits 64 before any worker starts
     members = _sweep_members(cfg.surface)
-    _build_space_grid(cfg)
+    _, grid = _build_space_grid(cfg)
     tasks = [(cfg.space, cfg.n, cfg.grid, family, params, cfg.checks)
              for family, params in members]
-    # --workers counts processes, the calling one included: N forks N - 1
-    # children (1 forks none), and a child that dies exits 1.  On a 2-vCPU
-    # host one process is still as fast or faster for a small 128x256
-    # family: a child pays for its fork and its page faults, and two busy
-    # processes do not both run at full speed.
+    # --workers is the most processes a sweep uses, the calling one included:
+    # N forks at most N - 1 children (1 forks none), and a child that dies
+    # exits 1.  Pool.map forks only where a child's share of members would
+    # outlast the break-even of a fork on this grid; a smaller family runs
+    # whole in this process.
     with Pool(cfg.workers, initializer=steady_allocator) as pool:
-        results = pool.map(_sweep_one, tasks)
+        results = pool.map(_sweep_one, tasks, _FORK_S + _FORK_S_PER_NODE * grid.node_count)
 
     # a member sends its deficits alone, never its surface's class flags:
     # sweep writes no flags, so no member computes principal curvatures

@@ -2,6 +2,7 @@ import argparse
 import ast
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import multiprocessing
@@ -10,6 +11,7 @@ import resource
 import signal
 import subprocess
 import sys
+import types
 from pathlib import Path
 from unittest import mock
 
@@ -368,6 +370,24 @@ def test_cli_runs_without_importing_scipy():
     assert modules == "[]"
 
 
+def test_verify_and_an_inline_sweep_import_no_multiprocessing():
+    """Only a forking sweep needs multiprocessing: it cost about 4.6 ms of every
+    warpflow start-up when cli imported it."""
+    out = _fresh_python("""
+import contextlib, io, sys
+import warpflow.cli as cli
+cli._FORK_S = float("inf")      # the sweep runs inline whatever its members take
+runs = []
+for argv in (["verify", "--grid", "16x32", "--surface", "round:r0=1", "--check", "girao"],
+             ["sweep", "--grid", "16x32", "--workers", "2", "--check", "girao",
+              "--surface", "bandlimited:seed=1:4,r0=1,amp=0.05,lmax=4"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        runs.append(cli.main(argv))
+print(runs, "multiprocessing" in sys.modules)
+""")
+    assert out == f"{[EXIT_OK] * 2} False\n"
+
+
 def test_importing_every_module_loads_no_scipy():
     # warpflow.surface computes its Legendre functions by recurrence, and
     # every ambient's radial integrals are closed forms, so neither importing a
@@ -625,12 +645,17 @@ def test_sphere_bandlimited_degree_above_150_is_refused_by_name(capsys):
     assert "'lmax' must be <= 150" in err and "nan" not in err
 
 
+_FORK_ALWAYS = mock.patch.multiple(warpflow.cli, _FORK_S=0.0, _FORK_S_PER_NODE=0.0)
+_FORK_NEVER = mock.patch.object(warpflow.cli, "_FORK_S", math.inf)
+
+
 def test_sweep_worker_count_bytewise_identical(tmp_path, capsys):
     base = ["sweep", "--space", "euclidean", "--grid", "32x64",
             "--surface", "legendre:r0=1,eps=0:0.1:0.05,l=2", "--check", "girao"]
     out1, out4 = tmp_path / "s1.csv", tmp_path / "s4.csv"
     assert run(base + ["--out", str(out1), "--workers", "1"]) == EXIT_OK
-    assert run(base + ["--out", str(out4), "--workers", "4"]) == EXIT_OK
+    with _FORK_ALWAYS:
+        assert run(base + ["--out", str(out4), "--workers", "4"]) == EXIT_OK
     assert out1.read_bytes() == out4.read_bytes()
     capsys.readouterr()
 
@@ -655,19 +680,58 @@ def test_pool_map_is_the_sequential_map_and_forks_one_less(items, processes):
         return start(proc)
 
     with mock.patch.object(multiprocessing.Process, "start", counting), Pool(processes) as pool:
-        assert pool.map(_square, items) == [_square(x) for x in items]
+        assert pool.map(_square, items, 0.0) == [_square(x) for x in items]
     assert len(started) == max(0, min(processes, len(items)) - 1)
     assert multiprocessing.active_children() == []
 
 
 def test_pool_caller_runs_the_first_and_largest_share():
     with Pool(3) as pool:
-        out = pool.map(_square_and_pid, range(7))
+        out = pool.map(_square_and_pid, range(7), 0.0)
     assert [v for v, _ in out] == [x * x for x in range(7)]
     pids = [pid for _, pid in out]
     assert pids[:3] == [os.getpid()] * 3
     assert pids[3] == pids[4] != pids[5] == pids[6]
     assert os.getpid() not in pids[3:]
+
+
+def test_pool_forks_only_children_whose_share_outlasts_the_break_even(capsys):
+    # the first item is timed at 30 ms (cold), the second at 10 ms, and the
+    # projection reads the faster: of 8 items, 4 or 3 processes would give a
+    # child 2 (20 ms, not above 25 ms), 2 processes give it 4 (40 ms)
+    clock = types.SimpleNamespace(perf_counter=iter([0.0, 0.03, 0.03, 0.04]).__next__)
+    with mock.patch.object(warpflow.cli, "time", clock), Pool(4) as pool:
+        pids = [pid for _, pid in pool.map(_square_and_pid, range(8), 0.025)]
+    assert pids[:4] == [os.getpid()] * 4
+    assert len(set(pids[4:])) == 1 and os.getpid() not in pids[4:]
+    assert capsys.readouterr().err == (
+        "sweep: 8 members ran in 2 of at most 4 processes: a child's share of 2 "
+        "would take 20.0 ms, not above the 25.0 ms break-even of a fork\n")
+
+
+@pytest.mark.parametrize("grid, members, member_s, processes", [
+    pytest.param("128x256", 4, 5.4e-3, 1, id="gallery"),
+    pytest.param("64x128", 20, 0.95e-3, 2, id="flow_imcf"),
+    pytest.param("64x128", 20, 1.1e-3, 2, id="flow_sx")])
+def test_benchmark_sweeps_fork_where_their_timings_favour(grid, members, member_s, processes,
+                                                          capsys):
+    # members timed as the benchmark's after its verifies: a gallery child's
+    # share of two 128x256 members (about 11 ms) is below that grid's
+    # break-even, a flow child's share of ten 64x128 members (9.5-11 ms) above
+    started, start = [], multiprocessing.Process.start
+
+    def counting(proc):
+        started.append(proc)
+        return start(proc)
+
+    clock = types.SimpleNamespace(perf_counter=itertools.count(0.0, member_s).__next__)
+    with (mock.patch.object(warpflow.cli, "time", clock),
+          mock.patch.object(multiprocessing.Process, "start", counting)):
+        assert run_bounded(["sweep", "--space", "euclidean", "--grid", grid, "--workers", "2",
+                            "--surface", f"bandlimited:seed=1:{members},r0=1,amp=0.05,lmax=4",
+                            "--check", "girao"]) == EXIT_OK
+    assert len(started) == processes - 1
+    assert ("ran in 1 of at most 2" in capsys.readouterr().err) == (processes == 1)
 
 
 def _die_in_a_child(monkeypatch, seed):
@@ -705,6 +769,7 @@ _FORK_ONLY = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
 
 
 @_FORK_ONLY
+@_FORK_ALWAYS
 def test_sweep_worker_death_is_an_error_not_a_hang(monkeypatch, capsys):
     # members 1-2 run in the caller, 3-4 in the one child, which dies on its second
     _die_in_a_child(monkeypatch, 4.0)
@@ -715,6 +780,7 @@ def test_sweep_worker_death_is_an_error_not_a_hang(monkeypatch, capsys):
 @pytest.mark.parametrize("case", [
     "clean", "usage_in_caller_share", "usage_in_child_share",
     pytest.param("child_death", marks=_FORK_ONLY)])
+@_FORK_ALWAYS
 def test_no_process_outlives_a_sweep(case, monkeypatch, capsys):
     argv, expected, message = _SWEEP4, EXIT_OK, ""
     if case == "child_death":
@@ -729,6 +795,28 @@ def test_no_process_outlives_a_sweep(case, monkeypatch, capsys):
     assert run_bounded(argv) == expected
     assert message in capsys.readouterr().err
     assert multiprocessing.active_children() == []
+
+
+@_FORK_NEVER
+def test_small_sweep_runs_in_the_caller_and_says_so(monkeypatch, capsys):
+    monkeypatch.setattr(multiprocessing.Process, "start", mock.Mock(side_effect=AssertionError))
+    assert run_bounded(_SWEEP4) == EXIT_OK
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("sweep: 4 members ran in 1 of at most 2 processes: "
+                             "a child's share of 2 would take ")
+    assert err[0].endswith(" ms, not above the inf ms break-even of a fork")
+
+
+def test_inline_and_forked_sweeps_write_the_same_bytes(tmp_path, capsys):
+    inline, forked = tmp_path / "inline.csv", tmp_path / "forked.csv"
+    with _FORK_NEVER:
+        assert run_bounded(_SWEEP4 + ["--out", str(inline)]) == EXIT_OK
+    assert "ran in 1 of at most 2" in capsys.readouterr().err
+    with _FORK_ALWAYS:
+        assert run_bounded(_SWEEP4 + ["--out", str(forked)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert inline.read_bytes() == forked.read_bytes()
 
 
 def test_dump_surface_roundtrip(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 import warpflow.flows as flows
 import warpflow.surface as surface
-from warpflow.ambient import make_space_form
+from warpflow.ambient import make_custom, make_space_form
 from warpflow.cli import _trace_columns
 from warpflow.flows import (
     REJECTIONS,
@@ -273,6 +273,19 @@ def test_variational_check_needs_samples():
     trace = evolve(EU, graph, spec)
     with pytest.raises(ValueError, match="samples"):
         variational_check(trace, 1)
+
+
+def test_variational_check_refuses_a_custom_ambient_and_k_outside_0_to_n():
+    cosh = make_custom("cosh", a=0.5)
+    spec = FlowSpec(kind="imcf", k=1, t_final=0.02, report_dt=0.01)
+    trace = evolve(cosh, make_seed_surface(cosh, sphere_grid(16, 32), "round", r0=1.2), spec)
+    with pytest.raises(ValueError, match="^variational check needs a space-form ambient$"):
+        variational_check(trace, 1)
+    trace = evolve(EU, make_seed_surface(EU, sphere_grid(16, 32), "round", r0=1.0), spec)
+    assert len(trace.samples) >= 3
+    for k in (-1, 3):
+        with pytest.raises(ValueError, match=r"^k must lie in 0\.\.2$"):
+            variational_check(trace, k)
 
 
 def test_variational_check_round_imcf():

@@ -247,6 +247,10 @@ def test_quermass_refuses_custom_space():
     graph = make_seed_surface(cu, g, "round", r0=1.0)
     with pytest.raises(UnsupportedAmbientError):
         quermassintegrals(QuantityReport(cu, graph))
+    # a report reads W_k from the same table, and refuses it in the same way
+    with pytest.raises(UnsupportedAmbientError,
+                       match="^no quermassintegrals for this ambient$"):
+        QuantityReport(cu, graph).W(1)
 
 
 def test_full_report_euclidean_round():
