@@ -10,7 +10,6 @@ monotone functionals that guard the inverse-curvature flows of `flows`, and
 
 from .ambient import (
     WarpedSpace,
-    ball_volume,
     make_custom,
     make_space_form,
     probe_assumptions,

@@ -28,7 +28,6 @@ __all__ = [
     "WarpedSpace",
     "AssumptionReport",
     "sphere_area",
-    "ball_volume",
     "make_space_form",
     "make_custom",
     "probe_assumptions",
@@ -40,11 +39,6 @@ __all__ = [
 def sphere_area(n: int) -> float:
     """Area of the unit round sphere S^n."""
     return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
-
-
-def ball_volume(m: int) -> float:
-    """Volume of the unit ball in R^m, equal to |S^{m-1}| / m."""
-    return sphere_area(m - 1) / m
 
 
 WarpEvaluator = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]

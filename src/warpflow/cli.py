@@ -134,7 +134,7 @@ class RunConfig:
         help="invert chi_ell at this value instead of evaluating at --r")
     r_max: float = 10.0
     samples: int = 100
-    tol: float = _option(1e-8, help="a deficit below -tol is a finding; tol >= 0")
+    tol: float = _option(1e-8, help="finding: a deficit < -tol max(1, |lhs|, |rhs|); tol >= 0")
     out: str | None = None
     fmt: str = _option("csv", flag="--format", choices=("csv", "json"))
     workers: int = _option(1, help="worker processes (default $WARPFLOW_WORKERS or 1)")
@@ -285,9 +285,7 @@ def _build_surface(cfg: RunConfig) -> tuple[WarpedSpace, RadialGraph]:
 
 
 def _fmt_float(x) -> str:
-    if x is None or (isinstance(x, float) and math.isnan(x)):
-        return "nan"
-    return repr(float(x))
+    return "nan" if x is None else repr(float(x))       # repr(nan) is "nan" too
 
 
 # ---------------------------------------------------------------- evolve
@@ -420,9 +418,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     else:
         _write_table(cfg.out, _check_rows(rows), "csv", {})
 
-    worst = min(rep.deficit for rep in reports)
-    if worst < -cfg.tol:
-        print(f"finding: deficit {worst} below -{cfg.tol}", file=sys.stderr)
+    worst = min(reports, key=lambda rep: rep.deficit / rep.tol_scale)
+    if worst.deficit < -cfg.tol * worst.tol_scale:
+        print(f"finding: deficit {worst.deficit} < -{cfg.tol} x {worst.tol_scale}", file=sys.stderr)
         return EXIT_FINDING
     return EXIT_OK
 
@@ -525,13 +523,13 @@ def _sweep_members(surface_spec: str) -> list[tuple[str, dict]]:
 
 
 def _sweep_one(args) -> tuple[dict, list[tuple]]:
-    """One member's params and (name, k, ell, deficit) per check: what sweep writes."""
+    """One member's params and (name, k, ell, deficit, tol_scale) per check: what sweep reads."""
     space_spec, n, grid_spec, family, params, checks = args
     with _usage_errors():
         space = parse_space_spec(space_spec)
         grid = parse_grid_spec(grid_spec, n, space.fiber_scale)
         graph = make_seed_surface(space, grid, family, **params)
-    return params, [(rep.name, rep.k, rep.ell, rep.deficit)
+    return params, [(rep.name, rep.k, rep.ell, rep.deficit, rep.tol_scale)
                     for rep in _check_reports(space, graph, checks)]
 
 
@@ -680,13 +678,14 @@ def cmd_sweep(cfg: RunConfig) -> int:
     param_keys = sorted({k for _, params in members for k in params})
     check_names = [name + (f"_k{format(k, 'g')}" if k else "")
                    + (f"_l{ell}" if ell is not None else "")
-                   for name, k, ell, _ in results[0][1]]
-    deficits = [[deficit for *_, deficit in reports] for _, reports in results]
+                   for name, k, ell, *_ in results[0][1]]
+    deficits = [[deficit for *_, deficit, _ in reports] for _, reports in results]
     columns = [(key, [params.get(key) for params, _ in results]) for key in param_keys]
     columns += [(name, [row[j] for row in deficits]) for j, name in enumerate(check_names)]
     columns.append(("min_deficit", [min(row) for row in deficits]))
     _write_table(cfg.out, columns, cfg.fmt, {"config": cfg.to_dict()})
-    return EXIT_FINDING if min(columns[-1][1]) < -cfg.tol else EXIT_OK
+    return EXIT_FINDING if any(d < -cfg.tol * scale for _, reports in results
+                               for *_, d, scale in reports) else EXIT_OK
 
 
 # ---------------------------------------------------------------- dump

@@ -1,11 +1,12 @@
 """Inverse-curvature-type flows of radial graphs.
 
-Normal speeds on the menu:
+Normal speeds on the menu, and the `inequalities.STATEMENTS` row each proves
+(`Flow.proves`), whose ambient and k the flow runs in:
 
-    imcf               f = 1/H                      (any ambient)
-    euclidean_inverse  f = E_{k-1}/E_k              (euclidean)
-    hyperbolic_sx      f = E_{k-1}/E_k - u_s/lambda'   (hyperbolic)
-    sphere_bgl         f = lambda' E_{k-1}/E_k - u_s   (sphere, k = n)
+    imcf               f = 1/H                        boundary-momentum (any ambient)
+    euclidean_inverse  f = E_{k-1}/E_k                phi-quermass (euclidean)
+    hyperbolic_sx      f = E_{k-1}/E_k - u_s/lambda'  hyperbolic-ref (hyperbolic)
+    sphere_bgl         f = lambda' E_{k-1}/E_k - u_s  sphere-ref (sphere, k = n)
 
 The graph equation is du/dt = f v, the standard conversion of a normal
 speed through <d_r, nu> = 1/v.  Stepping is explicit second-order
@@ -74,7 +75,7 @@ import numpy as np
 
 from .ambient import WarpedSpace
 from .grid import SphereGrid
-from .inequalities import phi_quermass, q_imcf, q_k
+from .inequalities import STATEMENTS, phi_quermass, q_imcf, q_k
 from .quantities import (
     QuantityReport,
     full_report,  # noqa: F401  rebound here by perfbench/tracer.py
@@ -149,10 +150,10 @@ class FlowSpec:
             raise ValueError(f"unknown flow kind {self.kind!r}")
         if not 1 <= self.k <= n:
             raise ValueError(f"flow order k = {self.k} outside 1..{n}")
-        flow = FLOWS[self.kind]
-        if flow.ambient not in (None, space.kind):
-            raise ValueError(f"{self.kind} flow requires the {flow.ambient} ambient")
-        if flow.top_order_only and self.k != n:
+        row = STATEMENTS[FLOWS[self.kind].proves]
+        if not row.admits(space):
+            raise ValueError(f"{self.kind} flow requires the {row.ambient} ambient")
+        if "k" not in row.options and self.k != n:
             raise ValueError(f"{self.kind} supports k = n = {n} only")
         if not (0 < self.t_final < math.inf and 0 < self.report_dt < math.inf):
             raise ValueError("t_final and report_dt must be positive and finite")
@@ -278,14 +279,13 @@ class Flow:
     """What one flow kind is.  The callables take (fields, k) unless noted;
     speed, the step guard, the start check and the stage count all read it."""
 
-    ambient: str | None      # the space kind the flow needs; None: any
+    proves: str              # its STATEMENTS row: the ambient, and k = n if it has no k
     start_class: str         # the cone named for a user, formatted with k
     cone: Callable           # -> [(quantity, nodal values that must be > 0)]
     speed: Callable          # -> nodal normal speed, on the cone
     diffusion: Callable      # -> nodal |df/dkappa_i| / lambda^2, for rho_est
     monotones: Callable      # (k, ks) -> [Monotone]; ks: imcf exponents
     euclidean_growth: Callable = lambda n: 0.0   # round-sphere growth rate of u
-    top_order_only: bool = False                 # k = n only
 
 
 def _ratio_cone(f: GeometryFields, k: int) -> list:
@@ -303,7 +303,7 @@ def _ratio_diffusion(f: GeometryFields, k: int) -> np.ndarray:
 
 FLOWS = {
     "imcf": Flow(
-        ambient=None, start_class="mean convex",
+        proves="boundary-momentum", start_class="mean convex",
         cone=lambda f, k: [("H", f.H)],
         speed=lambda f, k: 1.0 / f.H,
         diffusion=lambda f, k: 1.0 / (f.H**2 * f.lam**2 * f.v**2),
@@ -311,7 +311,7 @@ FLOWS = {
             Monotone(f"Q_imcf_{j:g}", -1, lambda r, j=j: q_imcf(r, j)) for j in ks],
         euclidean_growth=lambda n: 1.0 / n),
     "euclidean_inverse": Flow(
-        ambient="euclidean", start_class="{k}-convex",
+        proves="phi-quermass", start_class="{k}-convex",
         cone=_ratio_cone,
         speed=lambda f, k: f.E[k - 1] / f.E[k],
         diffusion=lambda f, k: _ratio_diffusion(f, k) / f.lam**2,
@@ -319,7 +319,7 @@ FLOWS = {
             Monotone(f"Qk_euclid_{k}", -1, lambda r: q_k(r, k))],
         euclidean_growth=lambda n: 1.0),
     "hyperbolic_sx": Flow(
-        ambient="hyperbolic", start_class="{k}-convex",
+        proves="hyperbolic-ref", start_class="{k}-convex",
         cone=lambda f, k: _ratio_cone(f, k) + [("lambda'", f.dlam)],
         speed=lambda f, k: f.E[k - 1] / f.E[k] - f.support / f.dlam,
         diffusion=lambda f, k: _ratio_diffusion(f, k) / f.lam**2,
@@ -328,12 +328,11 @@ FLOWS = {
             *(Monotone(f"W_{ell}", +1, lambda r, ell=ell: r.W(ell), f"monotone_hyp_W_{ell}")
               for ell in (0, 1))]),
     "sphere_bgl": Flow(
-        ambient="sphere", start_class="strictly convex",
+        proves="sphere-ref", start_class="strictly convex",
         cone=_ratio_cone,
         speed=lambda f, k: f.dlam * (f.E[k - 1] / f.E[k]) - f.support,
         diffusion=lambda f, k: f.dlam * _ratio_diffusion(f, k) / f.lam**2,
-        monotones=lambda k, ks: [_phi_quermass_row(k, "monotone_sph_lhs")],
-        top_order_only=True),
+        monotones=lambda k, ks: [_phi_quermass_row(k, "monotone_sph_lhs")]),
 }
 
 

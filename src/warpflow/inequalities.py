@@ -6,7 +6,11 @@ grid error and the equality cases sit at deficit = 0.  Deficits can be
 evaluated outside a theorem's hypothesis class on purpose (probing); a deficit
 reads its input's convexity flags from its report when asked, so a caller that
 writes deficits alone never computes them.  `STATEMENTS` holds each `--check`
-statement's ambient and k/ell ranges, which its deficit refuses.
+statement's ambient (a space kind, any space form, or any), fiber dimension
+and k/ell ranges, which its deficit refuses; each `flows.FLOWS` row names the
+statement its flow proves and runs in that row's ambient.  The ball reference
+functions keep their own refusals: they check a radius or a target given to
+`warpflow reference`, which no row states.
 
 Every deficit and functional takes one `quantities.QuantityReport` as its
 surface, and a deficit reads its ambient from `rep.space`: the checks of one
@@ -30,7 +34,7 @@ rejected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields as dc_fields
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -100,38 +104,44 @@ class DeficitReport:
         return self.lhs - self.rhs
 
     @property
+    def tol_scale(self) -> float:
+        """max(1, |lhs|, |rhs|): rounding grows with the sides, and a finding's -tol with it."""
+        return max(1.0, abs(self.lhs), abs(self.rhs))
+
+    @property
     def relative_deficit(self) -> float:
         return self.deficit / max(abs(self.lhs), abs(self.rhs), 1e-300)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "k": self.k,
-            "ell": self.ell,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "deficit": self.deficit,
-            "relative_deficit": self.relative_deficit,
-            "equality_expected": self.equality_expected,
-            "aux": dict(self.aux),
-            "class_flags": self.flags,
-        }
+        """Its compared fields (a copy of aux), both deficits and the class flags."""
+        return {**{f.name: getattr(self, f.name) for f in dc_fields(self) if f.compare},
+                "aux": dict(self.aux), "deficit": self.deficit,
+                "relative_deficit": self.relative_deficit, "class_flags": self.flags}
 
 
 class Statement(NamedTuple):
-    """A `--check` statement, a row of `STATEMENTS`.  Its options map each name to
-    (default, lo, hi): an int default takes integers only, and lo <= option <= hi,
-    with hi "n", another option, or None for no upper end."""
+    """A `--check` statement, a row of `STATEMENTS`; a row without a k option is the
+    k = n one.  Its options map each name to (default, lo, hi): an int default takes
+    integers only, and lo <= option <= hi, with hi "n", another option or None (no end)."""
 
     deficit: str                # its deficit's name here, looked up where tracers rebind it
     options: dict[str, tuple[float | int, int, str | None]] = {}
-    ambient: str | None = None  # the ambient it is stated in; None: any
+    ambient: str | None = None  # the space kind it is stated in; "space-form": any; None: any
     bound: str = "this bound"   # refused elsewhere as "<bound> is a <ambient> statement"
+    n: int | None = None        # the fiber dimension it is stated for; None: any
+
+    def admits(self, space: WarpedSpace | None) -> bool:
+        """Whether this row is stated in space's ambient; a row stated in any reads
+        no space (a detached flow sample has none)."""
+        return self.ambient is None or self.ambient in (
+            space.kind, "space-form" if space.is_space_form else None)
 
     def require(self, rep: QuantityReport, **values) -> None:
-        """Refuse rep's ambient, or an option value outside this row or not finite."""
-        if self.ambient is not None and self.ambient != rep.space.kind:
+        """Refuse rep's ambient or n, or an option value outside this row or not finite."""
+        if not self.admits(rep.space):
             raise ValueError(f"{self.bound} is a {self.ambient} statement")
+        if self.n not in (None, rep.n):
+            raise ValueError(f"{self.bound} needs n = {self.n}")
         limits = {None: math.inf, "n": rep.n, **values}
         for key, (_, lo, hi) in self.options.items():
             if not lo <= values[key] <= limits[hi]:
@@ -151,7 +161,7 @@ STATEMENTS = {
                                 "hyperbolic"),
     "sphere-ref": Statement("deficit_sphere_ref", {"ell": (0, 0, "n")}, "sphere"),
     "minkowski": Statement("deficit_minkowski", {"k": (1, 1, "n")}),
-    "curve": Statement("curve_kwww_deficit"),       # space forms and n = 1: its own checks
+    "curve": Statement("curve_kwww_deficit", {}, "space-form", "the curve bound", n=1),
 }
 STATEMENTS["girao"] = STATEMENTS["boundary-momentum"]
 _OPTION_TYPES = {name: {key: type(default) for key, (default, _, _) in row.options.items()}
@@ -456,10 +466,7 @@ def deficit_sphere_ref(rep: QuantityReport, ell: int) -> DeficitReport:
 
 def curve_kwww_deficit(rep: QuantityReport) -> DeficitReport:
     """Convex-curve bound int Phi kappa ds >= (L^2 - 2 pi A) / (2 pi)."""
-    if not rep.space.is_space_form:
-        raise ValueError("the curve bound is stated in space forms")
-    if rep.n != 1:
-        raise ValueError("the curve bound needs n = 1")
+    STATEMENTS["curve"].require(rep)
     if rep.min_kappa <= 0:
         idx = int(np.argmax(rep.fields.kappa[0] <= 0))
         raise ValueError(f"curve not convex at {rep.fields.grid.node_label(idx)}")

@@ -1,10 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from warpflow.ambient import (
-    ball_volume,
     make_custom,
     make_space_form,
     parse_space_spec,
@@ -25,8 +25,6 @@ def gauss_integral_of_warp(space, r, order=64):
 def test_constants():
     assert sphere_area(1) == pytest.approx(2 * math.pi, rel=1e-15)
     assert sphere_area(2) == pytest.approx(4 * math.pi, rel=1e-15)
-    assert ball_volume(2) == pytest.approx(math.pi, rel=1e-15)
-    assert ball_volume(3) == pytest.approx(4 * math.pi / 3, rel=1e-15)
 
 
 def test_space_form_values():
@@ -182,3 +180,35 @@ def test_fiber_area_scales():
     cu = make_custom("cosh", a=0.1, c=2.0)
     assert cu.fiber_area(2) == pytest.approx(16 * math.pi, rel=1e-15)
     assert cu.fiber_area(1) == pytest.approx(4 * math.pi, rel=1e-15)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: make_space_form(2), "curvature tag must be -1, 0 or +1, got 2"),
+    (lambda: make_custom("cosh", a=-1.0), "inner radius a must be nonnegative"),
+    (lambda: make_custom("cosh", a=0.5, c=0.0), "fiber_scale must be positive"),
+    (lambda: make_custom("sinh", a=0.5), "unknown custom warping family 'sinh'"),
+    # the radial integrals are closed forms of lambda^1 and lambda^2 only
+    (lambda: make_space_form(-1).radial(3, 1.0), "no closed-form antiderivative of lambda^3"),
+    (lambda: make_custom("power_cubic", beta=0.5).radial(3, 1.0),
+     "no closed-form antiderivative of lambda^3"),
+    (lambda: make_custom("cosh", a=0.5).radial(3, 1.0),
+     "no closed-form antiderivative of lambda^3"),
+], ids=["curvature_tag", "negative_a", "zero_c", "family", "space_form_power",
+        "power_cubic_power", "cosh_power"])
+def test_ambient_refusals_name_their_cause(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as err:
+        make()
+    assert type(err.value) is ValueError
+
+
+def test_probe_names_the_first_sample_where_the_warping_overflows():
+    # sinh overflows a double above r = 710.47, inside (0, 1000]
+    space = make_space_form(-1)
+    r = 1000.0 * np.geomspace(1e-3, 1.0, 100)
+    with np.errstate(over="ignore"):
+        bad = r[np.argmax(~np.isfinite(np.sinh(r)))]
+        with pytest.raises(ValueError) as err:
+            probe_assumptions(space, r_max=1000.0, samples=100)
+    assert type(err.value) is ValueError
+    assert str(err.value) == f"evaluation of lambda failed at sample r = {bad}"
+    assert 710 < bad < 1000

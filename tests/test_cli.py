@@ -170,6 +170,11 @@ def test_usage_errors_exit_64(capsys, tmp_path, monkeypatch):
      "sweep value 'a:b' is not v, lo:hi or lo:hi:step"),
     (None, ["sweep"], "sweep requires at least one --check"),
     (None, ["dump-surface"], "dump-surface requires --out"),
+    (None, ["verify", "--check", "girao", "--tol", "abc"],
+     "argument --tol: invalid float value: 'abc'"),
+    (None, ["reference", "--space", "hyperbolic", "--k", "3", "--r", "1"], "need 1 <= k <= n = 2"),
+    (None, ["reference", "--space", "sphere", "--ell", "4", "--r", "1"],
+     "need 0 <= ell <= n + 1 = 3"),
 ])
 def test_usage_errors_name_their_cause(capsys, tmp_path, config, argv, message):
     if config is not None:
@@ -204,6 +209,28 @@ def test_negative_tol_exits_64(capsys, tmp_path):
             assert run(argv + source) == EXIT_USAGE, argv + source
             assert "usage error: tol must be >= 0, got -1.0" in capsys.readouterr().err
     assert run(verify + ["--tol", "0"]) == EXIT_OK
+
+
+def test_findings_scale_tol_by_the_larger_side(capsys):
+    # rounding at a large scale reads as a deficit far below an absolute -tol
+    # at the equality case; below -tol max(1, |lhs|, |rhs|) it is none
+    space = parse_space_spec("hyperbolic")
+    rep = inequalities.check(warpflow.quantities.QuantityReport(
+        space, make_seed_surface(space, sphere_grid(16, 32), "round", r0=6.0)),
+        "hyperbolic-ref:k=1,ell=0")
+    assert rep.deficit < -1e-8 and rep.tol_scale == max(abs(rep.lhs), abs(rep.rhs))
+    assert abs(rep.relative_deficit) < 1e-15
+    check = ["--check", "hyperbolic-ref:k=1,ell=0"]
+    for argv in (["verify", "--space", "hyperbolic", "--grid", "16x32",
+                  "--surface", "round:r0=6"] + check,
+                 ["sweep", "--space", "hyperbolic", "--grid", "16x32",
+                  "--surface", "round:r0=5:7"] + check,
+                 ["verify", "--grid", "16x32", "--surface", "round:r0=1e6", "--check", "girao"]):
+        assert run(argv) == EXIT_OK, argv
+        assert "finding" not in capsys.readouterr().err
+        # the deficits are negative: --tol 0 still makes each a finding
+        assert run(argv + ["--tol", "0"]) == EXIT_FINDING, argv
+        assert argv[0] == "sweep" or "finding: deficit -" in capsys.readouterr().err
 
 
 def test_refused_checks_keep_their_messages(capsys):

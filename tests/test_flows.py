@@ -18,7 +18,7 @@ from warpflow.flows import (
     variational_check,
 )
 from warpflow.grid import sphere_grid
-from warpflow.inequalities import monotone_series
+from warpflow.inequalities import STATEMENTS, check, monotone_series
 from warpflow.quantities import QuantityReport, full_report
 from warpflow.surface import DomainError, RadialGraph, geometry, make_seed_surface
 
@@ -41,6 +41,34 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="unknown"):
         FlowSpec(kind="mcf").validate(EU, 2)
     FlowSpec(kind="imcf", k=2).validate(HY, 2)
+
+
+@pytest.mark.parametrize("kind", sorted(flows.FLOWS))
+def test_flows_run_where_the_statement_they_prove_is_stated(kind):
+    # FlowSpec.validate reads the ambient from the flow's STATEMENTS row, and
+    # refuses exactly the ambients that the row's check refuses
+    proves = flows.FLOWS[kind].proves
+    row = STATEMENTS[proves]
+    for space in (EU, HY, SP, make_custom("cosh", a=0.5), make_custom("power_cubic", beta=0.5)):
+        rep = QuantityReport(space, make_seed_surface(space, sphere_grid(16, 32), "round", r0=1.0))
+        spec = FlowSpec(kind=kind, k=2)      # k = n: sphere-ref has no k
+        try:
+            check(rep, proves)
+        except ValueError as exc:
+            assert str(exc) == f"{row.bound} is a {row.ambient} statement"
+            with pytest.raises(ValueError, match=f"^{kind} flow requires the {row.ambient} "
+                                                 "ambient$"):
+                spec.validate(space, 2)
+        else:
+            spec.validate(space, 2)
+    # and k = n only where the row has no k option
+    space = next(s for s in (EU, HY, SP) if row.admits(s))
+    if "k" in row.options:
+        FlowSpec(kind=kind, k=1).validate(space, 2)
+    else:
+        with pytest.raises(ValueError, match=f"^{kind} supports k = n = 2 only$"):
+            FlowSpec(kind=kind, k=1).validate(space, 2)
+    assert ("k" in row.options) == (kind != "sphere_bgl")
 
 
 @pytest.mark.parametrize("name", ["t_final", "report_dt", "cfl", "max_rel_step", "eps_mono"])

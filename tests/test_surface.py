@@ -624,3 +624,21 @@ def test_surface_csv_roundtrip(tmp_path):
     dump_surface_csv(graph1, str(path1))
     back1 = load_surface_csv(str(path1), EU)
     assert np.array_equal(back1.u, graph1.u)
+
+
+def test_surface_refusals_name_their_cause(tmp_path):
+    g = sphere_grid(16, 32)
+    for make, message in (
+            (lambda: RadialGraph(grid=g, u=np.ones((16, 31))),
+             "u shape (16, 31) does not match grid (16, 32)"),
+            (lambda: make_seed_surface(EU, g, "spiky", r0=1.0), "unknown seed family 'spiky'")):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert type(err.value) is ValueError and str(err.value) == message
+    # a file whose node columns name a grid that no constructor takes
+    path = tmp_path / "short.csv"
+    path.write_text("theta,u\n" + "".join(f"{t},1.0\n" for t in range(8)))
+    with pytest.raises(ValueError) as err:
+        load_surface_csv(str(path), EU)
+    assert type(err.value) is ValueError
+    assert str(err.value) == f"{path}: n=1 grid needs even m >= 16, got 8"
