@@ -101,9 +101,11 @@ def _gamma_term(space: WarpedSpace, n: int, k: float) -> float:
 
 def quermass_recursion(W: np.ndarray, n: int, K: int, curvature: Callable[[int], float]) -> None:
     """Fill W[2..n] from W[0] and W[1] by the curvature-integral recursion
-    W_{j+1} = (int E_j dmu + j K W_{j-1}) / (n - j), curvature(j) = int E_j dmu."""
+    W_{j+1} = (int E_j dmu + j K W_{j-1}) / (n - j), curvature(j) = int E_j dmu.
+    At K = 0 the W_{j-1} term is left out, not multiplied by 0: an overflowed
+    W_0 = inf would turn it into nan."""
     for j in range(1, n):
-        W[j + 1] = (curvature(j) + j * K * W[j - 1]) / (n - j)
+        W[j + 1] = (curvature(j) + (j * K * W[j - 1] if K else 0.0)) / (n - j)
 
 
 def quermassintegrals(rep: QuantityReport) -> tuple[np.ndarray, float]:

@@ -222,7 +222,7 @@ def _frame_curvatures(grid: SphereGrid, lam, dlam, Du, Hu, E) -> tuple[np.ndarra
     E[1] *= a
     np.multiply(K[0], K[2], out=E[2])
     E[2] -= K[1] * K[1]
-    b *= b
+    E[2] *= b                                          # by b twice: b^2 underflows first
     E[2] *= b
     return v, frame
 

@@ -233,6 +233,16 @@ def test_findings_scale_tol_by_the_larger_side(capsys):
         assert argv[0] == "sweep" or "finding: deficit -" in capsys.readouterr().err
 
 
+def test_phi_quermass_k2_of_a_huge_round_sphere_sits_at_equality(capsys):
+    # the volume W_0 overflows at r0 = 1e103; at K = 0 the recursion multiplied
+    # it by 0 into a nan W_2 ("rhs nan", exit 64), though W_2 does not read it
+    argv = ["verify", "--grid", "16x32", "--surface", "round:r0=1e103",
+            "--check", "phi-quermass:k=2", "--format", "json"]
+    assert run(argv) == EXIT_OK
+    (row,) = json.loads(capsys.readouterr().out)
+    assert abs(row["relative_deficit"]) < 1e-12
+
+
 def test_refused_checks_keep_their_messages(capsys):
     for space, item, message in (
             ("euclidean", "minkowski:k=3", "need 1 <= k <= n = 2"),

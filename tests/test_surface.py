@@ -70,6 +70,17 @@ def test_round_graph_geometry(space, r0, kref):
     assert np.all(f.E[0] == 1.0)
 
 
+def test_e2_of_a_huge_round_sphere_does_not_underflow():
+    # E_2 = det K (lambda^-2 v^-2)^2 with the square taken first underflowed to
+    # 0 at every node of r0 = 1e82 (true value 1e-164), so the sphere read as
+    # not 2-convex; by lambda^-2 v^-2 twice it is exact
+    r0 = 1e82
+    graph = make_seed_surface(EU, sphere_grid(16, 32), "round", r0=r0)
+    rep = QuantityReport(EU, graph, geometry(EU, graph))
+    assert np.abs(rep.fields.E[2] * r0 * r0 - 1).max() < 1e-12
+    assert rep.class_flags["2_convex"] is True
+
+
 def test_round_graph_custom_ambient_with_fiber_scale():
     cu = make_custom("cosh", a=0.1, c=2.0)
     g = sphere_grid(32, 64, fiber_scale=2.0)
