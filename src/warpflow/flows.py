@@ -51,7 +51,8 @@ functionals are in `inequalities`).  A row's wrong-way move since the last
 sample, by the guard's test, and a relative Newton-MacLaurin margin below -1e-10
 are findings too, in the guard's {t, quantity, old, new, note} form.
 
-The tendency is passed through the grid's polar filter (see `grid`).  In
+The tendency is projected onto the grid's band of spherical harmonics
+(`SphereGrid.band_limit`, see `grid`), which sets C_grid.  In
 the euclidean ambient the speeds above are 1-homogeneous in the graph and
 expand a round sphere at the rate r (1/n for imcf, 1 for euclidean_inverse),
 so the stored graph is w = u e^{-rt}, with the scale tracked in log space.
@@ -187,7 +188,7 @@ def speed(spec: FlowSpec, fields: GeometryFields) -> np.ndarray:
 
 def _spectral_radius(spec: FlowSpec, fields: GeometryFields) -> float:
     """rho_est = C_grid max(diffusion) / (dtheta c)^2, a bound on the spectral
-    radius of the linearized, polar-filtered right-hand side."""
+    radius of the linearized right-hand side projected onto degree <= L."""
     grid = fields.grid
     diffusion = float(np.max(FLOWS[spec.kind].diffusion(fields, spec.k)))
     return grid.stencil_constant * diffusion / (grid.spacing * grid.fiber_scale) ** 2
@@ -425,7 +426,7 @@ def evolve(space: WarpedSpace, graph0: RadialGraph, spec: FlowSpec) -> FlowTrace
 
     def tendency(flds: GeometryFields, f: np.ndarray) -> np.ndarray:
         """The stepped right-hand side at a graph with fields flds and speed f."""
-        F = grid.polar_filter(f * flds.v)
+        F = grid.band_limit(f * flds.v)
         return F - renorm_rate * flds.u if renorm_rate else F
 
     def rhs(u_arr: np.ndarray) -> np.ndarray:

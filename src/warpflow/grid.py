@@ -22,16 +22,29 @@ Differentiation:
          maximum is exact and the same under rotation, and it maps a field
          constant along a ring to exact zeros.
 
-Polar filter: on the lat-lon grid the phi modes near the poles carry metric
+Band limit: on the lat-lon grid the phi modes near the poles carry metric
 frequencies of order (P/2)/sin(theta), far above the colatitude resolution,
-so `SphereGrid.polar_filter` keeps on each ring the wavenumbers up to
-mcut = max(4, (P/2) sin(theta)), standard practice for global spectral
-grids; for smooth graphs the removed content is far below truncation error.
-The floor of 4 keeps the stiffest modes on the two polar rings.  On a circle
-the filter is the identity.  The stencil constant C_grid is dtheta^2 times
-the largest second-derivative eigenvalue that survives the filter,
-16/3 + max_i (mcut_i / sin theta_i)^2 dtheta^2 on the 2-sphere (16/3 for the
-4th-order second difference), and 16/3 on a circle.
+and an explicit flow's stable step would shrink with them.  The standard
+spectral-transform fix (Orszag, J. Atmos. Sci. 27 (1970) 890-895; Boyd,
+Chebyshev and Fourier Spectral Methods, 2nd ed., ch. 18) projects a flow's
+tendency onto the spherical harmonics Y_lm of degree l <= L, with
+L = min(M//2 - 1, P//2 - 1) (`SphereGrid.max_degree`).  `SphereGrid.band_limit`
+takes an rfft along phi; applies to each column m <= L the real (M x M)
+matrix Q_m = A_m A_m^T diag(2 pi w), where A_m holds the fully normalized
+Pbar_l^m(cos theta_i), l = m..L, and w the colatitude weights below; zeroes
+the columns above L; and takes the irfft.  The weights are exact on
+polynomials in cos(theta) of degree < M, so on the products of two kept
+harmonics exactly when 2L < M: Q_m keeps every Y_lm with l <= L and removes
+every one with L < l <= M - 1 - L, both to rounding.  Above M - 1 - L the
+quadrature aliases: Y_33^3 leaves 2.4e-4 of its unit L2 norm at 64x128.
+Hence L < M/2: at L = M - 1 the kept products are no longer integrated
+exactly, and Y_4^3 is kept only to 1e-4 (64x128) or 4e-4 (32x64).  The
+table of every Q_m, (L + 1) M^2 doubles (1 MB at 64x128), is built on the
+first projection and cached per (M, L), so only a flow ever builds it.  On
+a circle band_limit is the identity.  The stencil constant C_grid is
+dtheta^2 times a bound on the largest Laplacian eigenvalue that the
+projection keeps: L(L+1) dtheta^2 on the 2-sphere, with no pole term, and
+16/3 on a circle (the 4th-order second difference).
 
 Grids are cached per size and fiber scale, whether the scale is passed or
 not, and their arrays are read-only.
@@ -128,6 +141,39 @@ def _phi_derivatives(ut: np.ndarray, C: np.ndarray) -> np.ndarray:
     return np.matmul(C, windows)
 
 
+@functools.lru_cache(maxsize=4)
+def _band_projectors(M: int, L: int) -> np.ndarray:
+    """The read-only (L + 1, M, M) stack of Q_m = A_m A_m^T diag(2 pi w), m = 0..L.
+
+    A_m holds Pbar_l^m(cos theta_i), l = m..L, normalized so that
+    Pbar_l^m(cos theta) e^{i m phi} has unit L2 norm on the unit sphere, from
+    the standard recurrences: Pbar_m^m = sqrt((2m + 1)/(2m)) sin(theta)
+    Pbar_{m-1}^{m-1} from Pbar_0^0 = 1/sqrt(4 pi), then up in degree by
+    Pbar_l^m = a_lm (cos(theta) Pbar_{l-1}^m - b_lm Pbar_{l-2}^m), with
+    a_lm = sqrt((4l^2 - 1)/(l^2 - m^2)) and b_lm = 1/a_{l-1,m}, each taken
+    as one square root.  Row l of the recurrence holds every m < l at once,
+    and the degrees l < m of A_m are zero, so the stack is one batched
+    product of contiguous operands.
+    """
+    theta = (np.arange(M) + 0.5) * np.pi / M
+    x, s = np.cos(theta), np.sin(theta)
+    pbar = np.zeros((L + 1, L + 1, M))                 # [l, m, i]
+    pbar[0, 0] = 1.0 / np.sqrt(4.0 * np.pi)
+    for l in range(1, L + 1):
+        pbar[l, l] = np.sqrt((2 * l + 1) / (2 * l)) * s * pbar[l - 1, l - 1]
+        m = np.arange(l)[:, None]
+        row = np.multiply(x, pbar[l - 1, :l], out=pbar[l, :l])
+        if l > 1:
+            row -= np.sqrt(((l - 1) ** 2 - m * m) / (4 * (l - 1) ** 2 - 1)) * pbar[l - 2, :l]
+        row *= np.sqrt((4 * l * l - 1) / (l * l - m * m))
+    A = np.ascontiguousarray(pbar.transpose(1, 2, 0))  # [m, i, l]
+    AtW = np.ascontiguousarray(pbar.transpose(1, 0, 2))
+    AtW *= 2.0 * np.pi * _polar_weights(M)
+    Q = np.matmul(A, AtW)
+    Q.flags.writeable = False
+    return Q
+
+
 @dataclass(frozen=True)
 class SphereGrid:
     """Nodal grid on the scaled round fiber, with quadrature weights.
@@ -143,9 +189,9 @@ class SphereGrid:
     weights: np.ndarray                  # per-node, sums to |N|
     spacing: float                       # node spacing dtheta in the unit fiber
     stencil_constant: float              # C_grid, see the module docstring
+    max_degree: int | None = None        # L of `band_limit`; None for n = 1
     _phi_stencil: np.ndarray | None = field(default=None, repr=False)   # (2, P)
     _frame_factors: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
-    _polar_mask: np.ndarray | None = field(default=None, repr=False)   # (M, P/2 + 1) 0/1
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -173,11 +219,28 @@ class SphereGrid:
         """Nodal values, a new array, of a function of theta alone given at self.theta."""
         return np.repeat(profile, self.node_count // profile.size).reshape(self.shape)
 
-    def polar_filter(self, F: np.ndarray) -> np.ndarray:
-        """F with the longitude wavenumbers above each ring's cutoff removed; F on a circle."""
-        if self._polar_mask is None:
+    def band_limit(self, F: np.ndarray) -> np.ndarray:
+        """F projected onto the spherical harmonics of degree <= max_degree; F on a circle.
+
+        F's midrange (max + min)/2 is subtracted first and added back last.
+        The projection keeps constants, so the shift changes nothing but
+        rounding, which it scales by F's range instead of its size; and a
+        constant F comes back as itself to the bit, so a round sphere stays a
+        fixed point of a renormalized flow.  The rfft columns m <= L go
+        through Q_m as one batched product on their float view, written back
+        in place; see the module docstring."""
+        if self.max_degree is None:
             return F
-        return np.fft.irfft(np.fft.rfft(F, axis=1) * self._polar_mask, n=self.shape[1], axis=1)
+        L = self.max_degree
+        M, P = self.shape
+        mid = 0.5 * (F.max() + F.min())
+        X = np.fft.rfft(F - mid, axis=1)
+        kept = X.view(float)[:, :2 * L + 2].reshape(M, L + 1, 2).transpose(1, 0, 2)
+        kept[...] = np.matmul(_band_projectors(M, L), kept)
+        X[:, L + 1:] = 0.0
+        out = np.fft.irfft(X, n=P, axis=1)
+        out += mid
+        return out
 
     def node_label(self, flat_index: int) -> str:
         if self.n == 1:
@@ -187,7 +250,7 @@ class SphereGrid:
 
 
 def _read_only(grid: SphereGrid) -> SphereGrid:
-    for arr in (grid.theta, grid.phi, grid.weights, grid._phi_stencil, grid._polar_mask,
+    for arr in (grid.theta, grid.phi, grid.weights, grid._phi_stencil,
                 *(grid._frame_factors or ())):
         if arr is not None:
             arr.flags.writeable = False
@@ -227,13 +290,12 @@ def _sphere_grid(M: int, P: int, fiber_scale: float) -> SphereGrid:
     w_theta = _polar_weights(M)
     weights = fiber_scale**2 * (2.0 * np.pi / P) * np.repeat(w_theta[:, None], P, axis=1)
     h = np.pi / M
-    mcut = np.maximum(4, np.floor(0.5 * P * np.sin(theta))).astype(int)
+    L = min(M // 2 - 1, P // 2 - 1)
     return _read_only(SphereGrid(
         n=2, fiber_scale=fiber_scale, theta=theta, phi=phi, weights=weights, spacing=h,
-        stencil_constant=_D2_STENCIL_MAX + float(np.max((mcut / np.sin(theta)) ** 2)) * h**2,
+        stencil_constant=L * (L + 1) * h**2, max_degree=L,
         _phi_stencil=_phi_stencil_matrix(P),
-        _frame_factors=_orthonormal_frame_factors(theta, fiber_scale),
-        _polar_mask=(np.arange(P // 2 + 1) <= mcut[:, None]).astype(float)))
+        _frame_factors=_orthonormal_frame_factors(theta, fiber_scale)))
 
 
 # per n, the constructor of its layout and the spec of its default grid; a

@@ -659,10 +659,10 @@ def test_rkc_stability_and_order():
 
 
 def _power_iteration(space, graph, spec, iters=60, delta=1e-7):
-    """|largest eigenvalue| of the linearized, polar-filtered right-hand side."""
+    """|largest eigenvalue| of the linearized, band-limited right-hand side."""
     def rhs(u):
         fields = geometry(space, RadialGraph(grid=graph.grid, u=u))
-        return graph.grid.polar_filter(speed(spec, fields) * fields.v)
+        return graph.grid.band_limit(speed(spec, fields) * fields.v)
 
     F0 = rhs(graph.u)
     v = np.random.default_rng(0).standard_normal(graph.u.shape)
@@ -681,6 +681,7 @@ def test_spectral_radius_bound(space, M, kind, amp):
     spec = FlowSpec(kind=kind, k=1)
     rho = _power_iteration(space, graph, spec)
     bound = flows._spectral_radius(spec, geometry(space, graph))
-    assert grid.stencil_constant == pytest.approx(69.35, abs=0.05)
-    # the stiffest mode sits on the polar rings; the bound is tight within 20%
+    L = grid.max_degree
+    assert grid.stencil_constant == L * (L + 1) * grid.spacing ** 2
+    # the stiffest kept mode has degree L; the bound is tight within 25%
     assert rho <= bound <= 1.25 * rho

@@ -6,7 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import sph_harm_y
 
+from warpflow import grid as grid_module
+from warpflow.cli import main
 from warpflow.grid import _phi_derivatives, circle_grid, differentiate, sphere_grid
 
 
@@ -270,22 +273,87 @@ def test_grids_are_cached_and_read_only():
             arr[0] = 1.0
 
 
-def test_polar_filter_is_the_identity_on_a_circle():
+def test_band_limit_is_the_identity_on_a_circle():
     g = circle_grid(64)
     F = np.random.default_rng(64).standard_normal(g.shape)
-    assert g.polar_filter(F) is F
+    assert g.band_limit(F) is F
+    assert g.max_degree is None and g.stencil_constant == 16 / 3
 
 
-@pytest.mark.parametrize("M, P", [(16, 32), (17, 34)])
-def test_polar_filter_keeps_each_rings_wavenumbers_up_to_its_cutoff(M, P):
+def _real_harmonics(grid, l, m):
+    """The cos and sin parts of Y_lm at the nodes, each of unit L2 norm on the unit sphere."""
+    Y = sph_harm_y(l, m, *nodes(grid))
+    return [np.sqrt(2) * Y.real, np.sqrt(2) * Y.imag] if m else [Y.real]
+
+
+@pytest.mark.parametrize("M, P", [(16, 32), (17, 34), (64, 128)])
+def test_band_limit_keeps_degrees_up_to_L_and_removes_those_up_to_M_minus_1_minus_L(M, P):
+    """Every Y_lm with l <= L is kept and every one with L < l <= M - 1 - L
+    removed, to 1e-14 in the quadrature's L2 norm; the first degree above
+    that aliases into the band."""
     g = sphere_grid(M, P)
-    cutoff = np.maximum(4, np.floor(P / 2 * np.sin(g.theta)))
-    for m in range(P // 2 + 1):
-        wave = np.cos(m * g.phi + 0.3) * np.ones((M, 1))
-        kept = g.polar_filter(wave)
-        for i in range(M):
-            want = wave[i] if m <= cutoff[i] else 0.0
-            assert np.max(np.abs(kept[i] - want)) <= 1e-13, (m, i)
+    L = g.max_degree
+    assert L == min(M // 2 - 1, P // 2 - 1)
+    assert g.stencil_constant == L * (L + 1) * g.spacing ** 2
+
+    def norm(f):
+        return np.sqrt(np.sum(g.weights * f * f))
+
+    for l in range(M - L):
+        for m in range(l + 1):
+            for Y in _real_harmonics(g, l, m):
+                assert norm(g.band_limit(Y) - (Y if l <= L else 0.0)) <= 1e-14, (l, m)
+    # the first aliased degree: for odd M, degree M - L meets L only in odd
+    # products, which the symmetric nodes integrate exactly (measured: Y_33^3
+    # leaves 2.4e-4 at 64x128)
+    assert norm(g.band_limit(_real_harmonics(g, M - L + M % 2, 3)[0])) > 1e-5
+
+
+def test_band_limit_is_idempotent():
+    for M, P in ((16, 32), (17, 34), (64, 128)):
+        g = sphere_grid(M, P)
+        kept = g.band_limit(np.random.default_rng(M).standard_normal(g.shape))
+        assert np.max(np.abs(g.band_limit(kept) - kept)) <= 1e-14 * np.max(np.abs(kept))
+
+
+def test_a_verify_builds_no_projection_table(capsys):
+    """The (L + 1) M^2 table is built on a flow's first projection only."""
+    grid_module._band_projectors.cache_clear()
+    assert main(["verify", "--grid", "128x256", "--check", "girao"]) == 0
+    assert grid_module._band_projectors.cache_info().currsize == 0
+    sphere_grid(16, 32).band_limit(np.ones((16, 32)))
+    assert grid_module._band_projectors.cache_info().currsize == 1
+
+
+_EVOLVE_DIGEST_SCRIPT = """
+import contextlib, hashlib, io
+import numpy as np
+from warpflow.cli import main
+from warpflow.grid import sphere_grid
+for grid in ("17x34", "32x64", "64x128"):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["evolve", "--grid", grid, "--flow", "imcf", "--t-final", "0.02",
+              "--surface", "bandlimited:seed=5,r0=1,amp=0.02,lmax=4"])
+    print(grid, hashlib.sha256(out.getvalue().encode()).hexdigest())
+g = sphere_grid(128, 256)
+F = g.band_limit(np.random.default_rng(1).standard_normal(g.shape))
+print("128x256", hashlib.sha256(F.tobytes()).hexdigest())
+"""
+
+
+def test_evolve_bytes_independent_of_blas_threads():
+    """The projection's batched product runs in BLAS; its thread count must not move a bit."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-c", _EVOLVE_DIGEST_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        digests.append(proc.stdout)
+    assert len(digests[0].splitlines()) == 4
+    assert digests[0] == digests[1]
 
 
 def test_shape_mismatch_rejected():
