@@ -63,6 +63,18 @@ def _usage_errors():
         raise UsageError(str(exc)) from exc
 
 
+def _refuses_non_finite(command):
+    """Run a command with numpy's overflow, invalid-value and divide warnings
+    off.  Each such command refuses a non-finite value by name (a node, a
+    sample or a check item) or steps around it, so a warning would only print
+    numpy's source lines ahead of that refusal."""
+    @functools.wraps(command)
+    def run(cfg):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return command(cfg)
+    return run
+
+
 # glibc's malloc serves blocks above a threshold that starts at 128 KB with
 # fresh mmap pages, and raises the threshold and the heap trim threshold to
 # the largest such block freed so far.  Whether the (3, M, P) stacks and
@@ -352,6 +364,7 @@ def _steps_line(steps: dict) -> str:
             f"{steps['stages_total']} stages (max {steps['stages_max']}){dt_range}")
 
 
+@_refuses_non_finite
 def cmd_evolve(cfg: RunConfig) -> int:
     if cfg.flow is None:
         raise UsageError("evolve requires --flow")
@@ -403,6 +416,7 @@ def _check_rows(rows: list[dict]) -> list[tuple[str, list]]:
             for col, cell in cells.items()]
 
 
+@_refuses_non_finite
 def cmd_verify(cfg: RunConfig) -> int:
     if not cfg.checks:
         raise UsageError("verify requires at least one --check")
@@ -418,9 +432,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     else:
         _write_table(cfg.out, _check_rows(rows), "csv", {})
 
-    worst = min(reports, key=lambda rep: rep.deficit / rep.tol_scale)
+    item, worst = min(zip(cfg.checks, reports), key=lambda pair: pair[1].deficit / pair[1].tol_scale)
     if worst.deficit < -cfg.tol * worst.tol_scale:
-        print(f"finding: deficit {worst.deficit} < -{cfg.tol} x {worst.tol_scale}", file=sys.stderr)
+        print(f"finding: deficit {worst.deficit} < -{cfg.tol} x {worst.tol_scale} "
+              f"in --check {item}", file=sys.stderr)
         return EXIT_FINDING
     return EXIT_OK
 
@@ -453,6 +468,7 @@ def cmd_reference(cfg: RunConfig) -> int:
 
 # ---------------------------------------------------------------- probe
 
+@_refuses_non_finite
 def cmd_probe(cfg: RunConfig) -> int:
     with _usage_errors():
         space = parse_space_spec(cfg.space)
@@ -655,6 +671,7 @@ class Pool:
         return results
 
 
+@_refuses_non_finite
 def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.surface_file:
         raise UsageError("sweep members come from a --surface family; it reads no --surface-file")

@@ -243,6 +243,33 @@ def test_phi_quermass_k2_of_a_huge_round_sphere_sits_at_equality(capsys):
     assert abs(row["relative_deficit"]) < 1e-12
 
 
+def test_verify_finding_names_its_check_item(capsys):
+    # the round sphere sits at equality for girao; at k = 400 the rhs rounds
+    # above the lhs, which --tol 0 makes a finding of the second item only
+    argv = ["verify", "--grid", "16x32", "--tol", "0", "--check", "girao", "--check", "girao:k=400"]
+    assert run(argv) == EXIT_FINDING
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("finding: deficit -") and line.endswith(" in --check girao:k=400")
+
+
+def test_refusals_print_no_numpy_warnings():
+    # each command refuses the non-finite value by name; numpy's overflow
+    # warnings printed its source lines ahead of the refusal
+    src = str(Path(warpflow.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    for argv, code, refusal in (
+            (["probe", "--space", "hyperbolic", "--r-max", "1000"], EXIT_USAGE,
+             "usage error: evaluation of lambda failed at sample r = "),
+            (["verify", "--grid", "16x32", "--surface", "round:r0=1e-170", "--check", "girao"],
+             EXIT_ERROR,
+             "error: non-finite v at node (i=0, j=0)")):
+        proc = subprocess.run([sys.executable, "-m", "warpflow", *argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == code, argv
+        assert proc.stderr.startswith(refusal) and "RuntimeWarning" not in proc.stderr, proc.stderr
+
+
 def test_refused_checks_keep_their_messages(capsys):
     for space, item, message in (
             ("euclidean", "minkowski:k=3", "need 1 <= k <= n = 2"),
