@@ -432,7 +432,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     else:
         _write_table(cfg.out, _check_rows(rows), "csv", {})
 
-    item, worst = min(zip(cfg.checks, reports), key=lambda pair: pair[1].deficit / pair[1].tol_scale)
+    item, worst = min(zip(cfg.checks, reports),
+                      key=lambda pair: pair[1].deficit / pair[1].tol_scale)
     if worst.deficit < -cfg.tol * worst.tol_scale:
         print(f"finding: deficit {worst.deficit} < -{cfg.tol} x {worst.tol_scale} "
               f"in --check {item}", file=sys.stderr)

@@ -151,25 +151,25 @@ def _band_projectors(M: int, L: int) -> np.ndarray:
     Pbar_{m-1}^{m-1} from Pbar_0^0 = 1/sqrt(4 pi), then up in degree by
     Pbar_l^m = a_lm (cos(theta) Pbar_{l-1}^m - b_lm Pbar_{l-2}^m), with
     a_lm = sqrt((4l^2 - 1)/(l^2 - m^2)) and b_lm = 1/a_{l-1,m}, each taken
-    as one square root.  Row l of the recurrence holds every m < l at once,
-    and the degrees l < m of A_m are zero, so the stack is one batched
-    product of contiguous operands.
+    as one square root.  Each A_m is built and multiplied in turn, so the
+    build holds one A_m beside the table.
     """
     theta = (np.arange(M) + 0.5) * np.pi / M
     x, s = np.cos(theta), np.sin(theta)
-    pbar = np.zeros((L + 1, L + 1, M))                 # [l, m, i]
-    pbar[0, 0] = 1.0 / np.sqrt(4.0 * np.pi)
-    for l in range(1, L + 1):
-        pbar[l, l] = np.sqrt((2 * l + 1) / (2 * l)) * s * pbar[l - 1, l - 1]
-        m = np.arange(l)[:, None]
-        row = np.multiply(x, pbar[l - 1, :l], out=pbar[l, :l])
-        if l > 1:
-            row -= np.sqrt(((l - 1) ** 2 - m * m) / (4 * (l - 1) ** 2 - 1)) * pbar[l - 2, :l]
-        row *= np.sqrt((4 * l * l - 1) / (l * l - m * m))
-    A = np.ascontiguousarray(pbar.transpose(1, 2, 0))  # [m, i, l]
-    AtW = np.ascontiguousarray(pbar.transpose(1, 0, 2))
-    AtW *= 2.0 * np.pi * _polar_weights(M)
-    Q = np.matmul(A, AtW)
+    w = 2.0 * np.pi * _polar_weights(M)
+    Q = np.empty((L + 1, M, M))
+    diag = np.full(M, 1.0 / np.sqrt(4.0 * np.pi))      # Pbar_m^m
+    for m in range(L + 1):
+        if m:
+            diag = np.sqrt((2 * m + 1) / (2 * m)) * s * diag
+        A = np.empty((L + 1 - m, M))                    # row l - m holds Pbar_l^m
+        A[0] = diag
+        for l in range(m + 1, L + 1):
+            row = np.multiply(x, A[l - m - 1], out=A[l - m])
+            if l > m + 1:
+                row -= np.sqrt(((l - 1) ** 2 - m * m) / (4 * (l - 1) ** 2 - 1)) * A[l - m - 2]
+            row *= np.sqrt((4 * l * l - 1) / (l * l - m * m))
+        np.matmul(A.T, A * w, out=Q[m])
     Q.flags.writeable = False
     return Q
 

@@ -234,8 +234,8 @@ def test_findings_scale_tol_by_the_larger_side(capsys):
 
 
 def test_phi_quermass_k2_of_a_huge_round_sphere_sits_at_equality(capsys):
-    # the volume W_0 overflows at r0 = 1e103; at K = 0 the recursion multiplied
-    # it by 0 into a nan W_2 ("rhs nan", exit 64), though W_2 does not read it
+    # the volume W_0 overflows to inf at r0 = 1e103, and at K = 0 the
+    # recursion for W_2 must not read it (0 * inf is nan)
     argv = ["verify", "--grid", "16x32", "--surface", "round:r0=1e103",
             "--check", "phi-quermass:k=2", "--format", "json"]
     assert run(argv) == EXIT_OK
@@ -246,15 +246,16 @@ def test_phi_quermass_k2_of_a_huge_round_sphere_sits_at_equality(capsys):
 def test_verify_finding_names_its_check_item(capsys):
     # the round sphere sits at equality for girao; at k = 400 the rhs rounds
     # above the lhs, which --tol 0 makes a finding of the second item only
-    argv = ["verify", "--grid", "16x32", "--tol", "0", "--check", "girao", "--check", "girao:k=400"]
+    argv = ["verify", "--grid", "16x32", "--tol", "0",
+            "--check", "girao", "--check", "girao:k=400"]
     assert run(argv) == EXIT_FINDING
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("finding: deficit -") and line.endswith(" in --check girao:k=400")
 
 
 def test_refusals_print_no_numpy_warnings():
-    # each command refuses the non-finite value by name; numpy's overflow
-    # warnings printed its source lines ahead of the refusal
+    # each command refuses the non-finite value by name, and that refusal is
+    # all its stderr holds: no numpy warning with its source lines ahead of it
     src = str(Path(warpflow.cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}

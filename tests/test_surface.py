@@ -71,9 +71,8 @@ def test_round_graph_geometry(space, r0, kref):
 
 
 def test_e2_of_a_huge_round_sphere_does_not_underflow():
-    # E_2 = det K (lambda^-2 v^-2)^2 with the square taken first underflowed to
-    # 0 at every node of r0 = 1e82 (true value 1e-164), so the sphere read as
-    # not 2-convex; by lambda^-2 v^-2 twice it is exact
+    # at r0 = 1e82, (lambda^-2 v^-2)^2 = 1e-328 underflows while E_2 = 1e-164
+    # does not, so E_2 must be formed without that square
     r0 = 1e82
     graph = make_seed_surface(EU, sphere_grid(16, 32), "round", r0=r0)
     rep = QuantityReport(EU, graph, geometry(EU, graph))
