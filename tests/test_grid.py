@@ -237,18 +237,30 @@ def test_ring_constant_fields_have_exactly_zero_phi_derivatives(grid, seed):
 
 
 _DIGEST_SCRIPT = """
-import hashlib
+import contextlib, hashlib, io
 import numpy as np
+from warpflow.cli import main
 from warpflow.grid import differentiate, sphere_grid
 for M, P in ((64, 128), (256, 512)):
     u = 1.0 + 0.1 * np.random.default_rng(M).standard_normal((M, P))
     Du, Hu = differentiate(sphere_grid(M, P), u)
     print(M, P, hashlib.sha256(Du.tobytes() + Hu.tobytes()).hexdigest())
+for grid in ("17x34", "32x64", "64x128"):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        main(["evolve", "--grid", grid, "--flow", "imcf", "--t-final", "0.02",
+              "--surface", "bandlimited:seed=5,r0=1,amp=0.02,lmax=4"])
+    print(grid, hashlib.sha256(out.getvalue().encode()).hexdigest())
+g = sphere_grid(128, 256)
+F = g.band_limit(np.random.default_rng(1).standard_normal(g.shape))
+print("128x256", hashlib.sha256(F.tobytes()).hexdigest())
 """
 
 
 def test_differentiate_bytes_independent_of_blas_threads():
-    """The stencil product runs in BLAS; its thread count must not move a bit."""
+    """The stencil product and the band limit's batched product run in BLAS;
+    its thread count must not move a bit of a derivative, a projection or an
+    evolve's output."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     digests = []
     for threads in ("1", "2"):
@@ -257,7 +269,7 @@ def test_differentiate_bytes_independent_of_blas_threads():
         proc = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT], env=env,
                               capture_output=True, text=True, timeout=300, check=True)
         digests.append(proc.stdout)
-    assert len(digests[0].splitlines()) == 2
+    assert len(digests[0].splitlines()) == 6
     assert digests[0] == digests[1]
 
 
@@ -323,37 +335,6 @@ def test_a_verify_builds_no_projection_table(capsys):
     assert grid_module._band_projectors.cache_info().currsize == 0
     sphere_grid(16, 32).band_limit(np.ones((16, 32)))
     assert grid_module._band_projectors.cache_info().currsize == 1
-
-
-_EVOLVE_DIGEST_SCRIPT = """
-import contextlib, hashlib, io
-import numpy as np
-from warpflow.cli import main
-from warpflow.grid import sphere_grid
-for grid in ("17x34", "32x64", "64x128"):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        main(["evolve", "--grid", grid, "--flow", "imcf", "--t-final", "0.02",
-              "--surface", "bandlimited:seed=5,r0=1,amp=0.02,lmax=4"])
-    print(grid, hashlib.sha256(out.getvalue().encode()).hexdigest())
-g = sphere_grid(128, 256)
-F = g.band_limit(np.random.default_rng(1).standard_normal(g.shape))
-print("128x256", hashlib.sha256(F.tobytes()).hexdigest())
-"""
-
-
-def test_evolve_bytes_independent_of_blas_threads():
-    """The projection's batched product runs in BLAS; its thread count must not move a bit."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    digests = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        proc = subprocess.run([sys.executable, "-c", _EVOLVE_DIGEST_SCRIPT], env=env,
-                              capture_output=True, text=True, timeout=300, check=True)
-        digests.append(proc.stdout)
-    assert len(digests[0].splitlines()) == 4
-    assert digests[0] == digests[1]
 
 
 def test_shape_mismatch_rejected():
