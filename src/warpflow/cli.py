@@ -63,18 +63,6 @@ def _usage_errors():
         raise UsageError(str(exc)) from exc
 
 
-def _refuses_non_finite(command):
-    """Run a command with numpy's overflow, invalid-value and divide warnings
-    off.  Each such command refuses a non-finite value by name (a node, a
-    sample or a check item) or steps around it, so a warning would only print
-    numpy's source lines ahead of that refusal."""
-    @functools.wraps(command)
-    def run(cfg):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return command(cfg)
-    return run
-
-
 # glibc's malloc serves blocks above a threshold that starts at 128 KB with
 # fresh mmap pages, and raises the threshold and the heap trim threshold to
 # the largest such block freed so far.  Whether the (3, M, P) stacks and
@@ -364,7 +352,6 @@ def _steps_line(steps: dict) -> str:
             f"{steps['stages_total']} stages (max {steps['stages_max']}){dt_range}")
 
 
-@_refuses_non_finite
 def cmd_evolve(cfg: RunConfig) -> int:
     if cfg.flow is None:
         raise UsageError("evolve requires --flow")
@@ -416,7 +403,6 @@ def _check_rows(rows: list[dict]) -> list[tuple[str, list]]:
             for col, cell in cells.items()]
 
 
-@_refuses_non_finite
 def cmd_verify(cfg: RunConfig) -> int:
     if not cfg.checks:
         raise UsageError("verify requires at least one --check")
@@ -459,6 +445,9 @@ def cmd_reference(cfg: RunConfig) -> int:
                 "k": cfg.k,
                 "ell": cfg.ell,
             }
+            for key in ("xi_k", "chi_ell"):
+                if not math.isfinite(values[key]):
+                    raise UsageError(f"{key} = {values[key]} at r = {cfg.r} is not finite")
     if cfg.fmt == "json":
         print(json.dumps(values, sort_keys=True))
     else:
@@ -469,7 +458,6 @@ def cmd_reference(cfg: RunConfig) -> int:
 
 # ---------------------------------------------------------------- probe
 
-@_refuses_non_finite
 def cmd_probe(cfg: RunConfig) -> int:
     with _usage_errors():
         space = parse_space_spec(cfg.space)
@@ -672,7 +660,6 @@ class Pool:
         return results
 
 
-@_refuses_non_finite
 def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.surface_file:
         raise UsageError("sweep members come from a --surface family; it reads no --surface-file")
@@ -739,7 +726,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         ns = parser.parse_args(argv)
         cfg = _merge_config(ns)
-        return _COMMANDS[ns.command][0](cfg)
+        # every command refuses a non-finite value by name (a node, a sample,
+        # a check item or a reference value) or steps around it, so numpy's
+        # warnings would only print its source lines ahead of that refusal
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _COMMANDS[ns.command][0](cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

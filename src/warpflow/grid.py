@@ -4,8 +4,8 @@ The one module that knows the grid layouts: elsewhere n is the fiber
 dimension only.  The fiber is a round n-sphere with metric
 sigma = c^2 * (unit round metric), n in {1, 2}.  For n = 1 we use m equally
 spaced angles (spec "m"); for n = 2 a shifted equiangular grid
-theta_i = (i + 1/2) pi / M (poles excluded) crossed with P uniform
-longitudes (spec "MxP").
+theta_i = (i + 1/2) pi / M (`_colatitudes`, poles excluded) crossed with P
+uniform longitudes (spec "MxP").
 
 Differentiation:
   n = 1: periodic 4th-order centered differences, the colatitude stencils
@@ -46,6 +46,10 @@ dtheta^2 times a bound on the largest Laplacian eigenvalue that the
 projection keeps: L(L+1) dtheta^2 on the 2-sphere, with no pole term, and
 16/3 on a circle (the 4th-order second difference).
 
+`legendre_rows` owns the package's one associated-Legendre recurrence, the
+fully normalized one, which overflows at no degree.  `_band_projectors` reads
+its A_m for Q_m, and `surface._assoc_legendre_table` for the seed columns.
+
 Grids are cached per size and fiber scale, whether the scale is passed or
 not, and their arrays are read-only.
 
@@ -63,16 +67,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = ["SphereGrid", "circle_grid", "sphere_grid", "AXIS_NAMES", "DEFAULT_GRID_SPECS",
-           "parse_grid_spec", "differentiate"]
+           "parse_grid_spec", "differentiate", "legendre_rows"]
 
 AXIS_NAMES = ("theta", "phi")      # a grid's array axes are the first len(shape) of these
 
 _D2_STENCIL_MAX = 16.0 / 3.0       # dtheta^2 max |eigenvalue| of `_d2theta`
 
 
+def _colatitudes(M: int) -> np.ndarray:
+    """The colatitude nodes theta_i = (i + 1/2) pi / M, i = 0..M-1."""
+    return (np.arange(M) + 0.5) * np.pi / M
+
+
 def _polar_weights(M: int) -> np.ndarray:
     """Colatitude weights exact on cos(l*theta), l < M, against sin(theta) dtheta."""
-    theta = (np.arange(M) + 0.5) * np.pi / M
     l = np.arange(M)
     moments = np.zeros(M)
     moments[0] = 2.0
@@ -80,7 +88,7 @@ def _polar_weights(M: int) -> np.ndarray:
     moments[2::2] = 2.0 / (1.0 - even.astype(float) ** 2)
     coeff = moments / M
     coeff[1:] *= 2.0
-    w = np.cos(theta[:, None] * l[None, :]) @ coeff
+    w = np.cos(_colatitudes(M)[:, None] * l[None, :]) @ coeff
     if np.any(w <= 0):
         raise ValueError(f"nonpositive colatitude weight at M = {M}")
     # pin the total mass of sin(theta) dtheta exactly
@@ -141,34 +149,40 @@ def _phi_derivatives(ut: np.ndarray, C: np.ndarray) -> np.ndarray:
     return np.matmul(C, windows)
 
 
-@functools.lru_cache(maxsize=4)
-def _band_projectors(M: int, L: int) -> np.ndarray:
-    """The read-only (L + 1, M, M) stack of Q_m = A_m A_m^T diag(2 pi w), m = 0..L.
+def legendre_rows(theta: np.ndarray, L: int):
+    """Yield (m, A_m), m = 0..L, one new A_m at a time: the (L + 1 - m, len(theta))
+    rows Pbar_l^m(cos theta), l = m..L, normalized so that Pbar_l^m(cos theta)
+    e^{i m phi} has unit L2 norm on the unit sphere (no Condon-Shortley phase).
 
-    A_m holds Pbar_l^m(cos theta_i), l = m..L, normalized so that
-    Pbar_l^m(cos theta) e^{i m phi} has unit L2 norm on the unit sphere, from
-    the standard recurrences: Pbar_m^m = sqrt((2m + 1)/(2m)) sin(theta)
-    Pbar_{m-1}^{m-1} from Pbar_0^0 = 1/sqrt(4 pi), then up in degree by
-    Pbar_l^m = a_lm (cos(theta) Pbar_{l-1}^m - b_lm Pbar_{l-2}^m), with
-    a_lm = sqrt((4l^2 - 1)/(l^2 - m^2)) and b_lm = 1/a_{l-1,m}, each taken
-    as one square root.  Each A_m is built and multiplied in turn, so the
-    build holds one A_m beside the table.
+    The standard recurrences, inside a double at any degree (Holmes and
+    Featherstone, J. Geodesy 76 (2002) 279-299): Pbar_m^m = sqrt((2m + 1)/(2m))
+    sin(theta) Pbar_{m-1}^{m-1} from Pbar_0^0 = 1/sqrt(4 pi), then up in degree
+    by Pbar_l^m = a_lm (cos(theta) Pbar_{l-1}^m - b_lm Pbar_{l-2}^m), with
+    a_lm = sqrt((4l^2 - 1)/(l^2 - m^2)) and b_lm = 1/a_{l-1,m}, each taken as
+    one square root.
     """
-    theta = (np.arange(M) + 0.5) * np.pi / M
     x, s = np.cos(theta), np.sin(theta)
-    w = 2.0 * np.pi * _polar_weights(M)
-    Q = np.empty((L + 1, M, M))
-    diag = np.full(M, 1.0 / np.sqrt(4.0 * np.pi))      # Pbar_m^m
+    diag = np.full(x.size, 1.0 / np.sqrt(4.0 * np.pi))      # Pbar_m^m
     for m in range(L + 1):
         if m:
             diag = np.sqrt((2 * m + 1) / (2 * m)) * s * diag
-        A = np.empty((L + 1 - m, M))                    # row l - m holds Pbar_l^m
+        A = np.empty((L + 1 - m, x.size))                    # row l - m holds Pbar_l^m
         A[0] = diag
         for l in range(m + 1, L + 1):
             row = np.multiply(x, A[l - m - 1], out=A[l - m])
             if l > m + 1:
                 row -= np.sqrt(((l - 1) ** 2 - m * m) / (4 * (l - 1) ** 2 - 1)) * A[l - m - 2]
             row *= np.sqrt((4 * l * l - 1) / (l * l - m * m))
+        yield m, A
+
+
+@functools.lru_cache(maxsize=4)
+def _band_projectors(M: int, L: int) -> np.ndarray:
+    """The read-only (L + 1, M, M) stack of Q_m = A_m A_m^T diag(2 pi w), m = 0..L,
+    each A_m from `legendre_rows` multiplied as it comes."""
+    w = 2.0 * np.pi * _polar_weights(M)
+    Q = np.empty((L + 1, M, M))
+    for m, A in legendre_rows(_colatitudes(M), L):
         np.matmul(A.T, A * w, out=Q[m])
     Q.flags.writeable = False
     return Q
@@ -285,7 +299,7 @@ def _sphere_grid(M: int, P: int, fiber_scale: float) -> SphereGrid:
         raise ValueError(f"n=2 grid needs M >= 16, got {M}")
     if P < 32 or P % 2 != 0:
         raise ValueError(f"n=2 grid needs even P >= 32, got {P}")
-    theta = (np.arange(M) + 0.5) * np.pi / M
+    theta = _colatitudes(M)
     phi = 2.0 * np.pi * np.arange(P) / P
     w_theta = _polar_weights(M)
     weights = fiber_scale**2 * (2.0 * np.pi / P) * np.repeat(w_theta[:, None], P, axis=1)

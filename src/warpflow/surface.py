@@ -24,22 +24,25 @@ squares, so kappa is real by construction.  For n = 1, kappa = h/g.
 The `bandlimited` seed family sums random harmonics up to degree lmax: all
 coefficients come from one draw, and the sum is two small matrix products
 with a cached, read-only (M, T) table of normalized associated Legendre
-columns, one per harmonic (`_bandlimited_profile`), built by the standard
-recurrences from sin(theta) (`_assoc_legendre_table`).  The checks that a
-graph's radii and warping are valid reduce first (extrema) and scan the
-nodes, to name the first faulty one, only when the reduction fails.
+columns, one per harmonic (`_bandlimited_profile`).  The table
+(`_assoc_legendre_table`) rescales the fully normalized rows of
+`grid.legendre_rows`, the package's one associated-Legendre recurrence, so
+no degree overflows.  The checks that a graph's radii and warping are valid
+reduce first (extrema) and scan the nodes, to name the first faulty one,
+only when the reduction fails.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ambient import WarpedSpace, parse_options
-from .grid import AXIS_NAMES, SphereGrid, differentiate, parse_grid_spec
+from .grid import AXIS_NAMES, SphereGrid, differentiate, legendre_rows, parse_grid_spec
 
 __all__ = [
     "DomainError",
@@ -281,36 +284,28 @@ def _legendre(n: int, x: np.ndarray) -> np.ndarray:
     return p
 
 
-_SPHERE_LMAX = 150     # P_151^151 = -301!! sin^151(theta) exceeds 1.8e308 near the equator
-
-
 @functools.lru_cache(maxsize=16)
 def _assoc_legendre_table(theta: bytes, lmax: int) -> np.ndarray:
     """P_l^m(cos theta) / max(1, max |P_l^m|) as one read-only (M, T) matrix.
 
     Column t holds the t-th pair (l, m) in the order l = 1..lmax, m = 0..l,
     T = lmax (lmax + 3) / 2 in all.  P_l^m carries the Condon-Shortley phase
-    and comes from the standard recurrences (DLMF 14.10): P_m^m =
-    -(2m - 1) sin(theta) P_{m-1}^{m-1}, started from sin(theta) itself so the
-    polar rings keep full relative accuracy, then up in degree by
-    (l - m) P_l^m = (2l - 1) x P_{l-1}^m - (l + m - 1) P_{l-2}^m.  Keyed on
-    the bytes of the colatitude nodes: every grid with the same nodes reads
-    one table, whatever the seed.
+    and is (-1)^m Pbar_l^m / N_lm, N_lm = sqrt((2l + 1)/(4 pi) (l - m)!/(l + m)!),
+    so the column is (-1)^m Pbar_l^m / max(N_lm, max |Pbar_l^m|), read from
+    the normalized rows of `grid.legendre_rows`: they hold every degree
+    inside a double, and the unnormalized P_l^m never exists.  Keyed on the
+    bytes of the colatitude nodes: every grid with the same nodes reads one
+    table, whatever the seed.
     """
     theta = np.frombuffer(theta)
-    x, s = np.cos(theta), np.sin(theta)
-    table = np.empty((x.size, lmax * (lmax + 3) // 2))
-    diag = np.ones_like(x)
-    for m in range(lmax + 1):
-        if m:
-            diag = -(2 * m - 1) * s * diag
-        p0, p1 = np.zeros_like(x), diag
+    table = np.empty((theta.size, lmax * (lmax + 3) // 2))
+    for m, A in legendre_rows(theta, lmax):
         for ell in range(max(m, 1), lmax + 1):
-            if ell > m:
-                p0, p1 = p1, ((2 * ell - 1) * x * p1 - (ell + m - 1) * p0) / (ell - m)
+            norm = math.sqrt((2 * ell + 1) / (4 * math.pi)
+                             * math.exp(math.lgamma(ell - m + 1) - math.lgamma(ell + m + 1)))
+            row = A[ell - m]
             t = (ell - 1) * (ell + 2) // 2 + m      # the column of (l, m)
-            # keep coefficients O(1) despite the unnormalized P_l^m
-            np.divide(p1, max(1.0, np.abs(p1).max()), out=table[:, t])
+            np.divide(row, (-1.0) ** m * max(norm, np.abs(row).max()), out=table[:, t])
     table.flags.writeable = False
     return table
 
@@ -334,9 +329,6 @@ def _bandlimited_profile(grid: SphereGrid, seed: int, lmax: int) -> np.ndarray:
         basis = np.stack([np.cos(t), np.sin(t)], axis=-1).reshape(t.shape[0], 2 * lmax)
         pert = basis @ rng.standard_normal((lmax, 2)).ravel()
     else:
-        if lmax > _SPHERE_LMAX:
-            raise ValueError(f"surface option 'lmax' must be <= {_SPHERE_LMAX} on a 2-sphere, "
-                             f"got {lmax}: P_l^l overflows a double beyond it")
         m = np.concatenate([np.arange(deg + 1) for deg in ell])
         coef = rng.standard_normal((m.size, 2))
         by_order = np.zeros((m.size, 2 * lmax + 1))

@@ -264,7 +264,9 @@ def test_refusals_print_no_numpy_warnings():
              "usage error: evaluation of lambda failed at sample r = "),
             (["verify", "--grid", "16x32", "--surface", "round:r0=1e-170", "--check", "girao"],
              EXIT_ERROR,
-             "error: non-finite v at node (i=0, j=0)")):
+             "error: non-finite v at node (i=0, j=0)"),
+            (["reference", "--space", "hyperbolic", "--r", "1000"], EXIT_USAGE,
+             "usage error: xi_k = inf at r = 1000.0 is not finite")):
         proc = subprocess.run([sys.executable, "-m", "warpflow", *argv], env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == code, argv
@@ -692,22 +694,25 @@ def test_sweep_bandlimited_seeds(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_sphere_bandlimited_degree_above_150_is_refused_by_name(capsys):
-    # P_151^151 = -301!! sin^151(theta) overflows a double near the equator, so
-    # an n = 2 lmax above 150 is refused by name before the table is built and
-    # never reaches the radius check as NaN; 150 builds a finite surface with
-    # no floating-point warning, and the circle family has no such limit
+def test_sphere_bandlimited_degrees_above_150_build_finite_surfaces(capsys):
+    # the seed table reads normalized rows, which hold every degree inside a
+    # double: the unnormalized P_151^151 = -301!! sin^151(theta) would overflow
+    # near the equator, and no step of the build overflows or underflows here
     space = parse_space_spec("euclidean")
-    with np.errstate(all="raise"):
-        u = make_seed_surface(space, sphere_grid(16, 32), "bandlimited",
-                              seed=1, r0=1, amp=0.05, lmax=150).u
-    assert np.all(np.isfinite(u))
+    for lmax in (151, 300):
+        surface = f"bandlimited:seed=1,r0=1,amp=0.05,lmax={lmax}"
+        with np.errstate(all="raise"):
+            u = make_seed_surface(space, sphere_grid(16, 32), "bandlimited",
+                                  seed=1, r0=1, amp=0.05, lmax=lmax).u
+            assert run(["verify", "--grid", "16x32", "--check", "girao",
+                        "--surface", surface]) == EXIT_OK
+        assert np.all(np.isfinite(u)) and np.abs(u - 1.0).max() == pytest.approx(0.05)
+        out, err = capsys.readouterr()
+        row = next(csv.DictReader(out.splitlines()))
+        assert all(math.isfinite(float(row[col])) for col in ("lhs", "rhs", "deficit")), row
+        assert err == ""
     assert np.all(np.isfinite(make_seed_surface(space, circle_grid(512), "bandlimited",
                                                 seed=1, r0=1, amp=0.05, lmax=151).u))
-    assert run(["verify", "--grid", "16x32", "--check", "girao",
-                "--surface", "bandlimited:seed=1,r0=1,amp=0.05,lmax=151"]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert "'lmax' must be <= 150" in err and "nan" not in err
 
 
 _FORK_ALWAYS = mock.patch.multiple(warpflow.cli, _FORK_S=0.0, _FORK_S_PER_NODE=0.0)

@@ -271,6 +271,12 @@ def test_differentiate_bytes_independent_of_blas_threads():
         digests.append(proc.stdout)
     assert len(digests[0].splitlines()) == 6
     assert digests[0] == digests[1]
+    # and the projection's bytes are pinned: its table reads `legendre_rows`,
+    # which the bandlimited seeds share, and no change there may move a bit
+    # of the band limit (recorded with numpy 2.4 and its bundled OpenBLAS
+    # 0.3.31 on x86-64; another BLAS kernel may round the products otherwise)
+    assert digests[0].splitlines()[-1] == (
+        "128x256 8d4a0d2183e44057d53c2eceedfac3a82a27d68258fce2d4655a978babb6dd9f")
 
 
 def test_grids_are_cached_and_read_only():
@@ -326,6 +332,21 @@ def test_band_limit_is_idempotent():
         g = sphere_grid(M, P)
         kept = g.band_limit(np.random.default_rng(M).standard_normal(g.shape))
         assert np.max(np.abs(g.band_limit(kept) - kept)) <= 1e-14 * np.max(np.abs(kept))
+
+
+@pytest.mark.parametrize("M, P", [(16, 32), (17, 34), (64, 128)])
+def test_legendre_rows_are_orthonormal_under_the_colatitude_weights(M, P):
+    """A_m diag(2 pi w) A_m^T = I for every m <= L: the normalization that
+    the band limit's Q_m and the bandlimited seed table both rely on."""
+    g = sphere_grid(M, P)
+    L = g.max_degree
+    w = 2.0 * np.pi * grid_module._polar_weights(M)
+    orders = []
+    for m, A in grid_module.legendre_rows(g.theta, L):
+        assert A.shape == (L + 1 - m, M)
+        assert np.abs((A * w) @ A.T - np.eye(L + 1 - m)).max() <= 1e-14, m
+        orders.append(m)
+    assert orders == list(range(L + 1))
 
 
 def test_a_verify_builds_no_projection_table(capsys):
